@@ -23,7 +23,6 @@ from .errors import (
     PatchDegenerate,
     TransportDiverged,
 )
-from .kernels import BACKEND
 from .linalg import (
     DEFAULT_TOLS,
     SpectralDecomposition,
@@ -37,7 +36,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "BACKEND",
     "DEFAULT_TOLS",
     "ClosureCapReached",
     "DegenerateSpectrum",

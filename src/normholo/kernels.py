@@ -1,117 +1,46 @@
-"""Hot numeric kernels with a JIT path and a pure-numpy path.
+"""Hot numeric kernels: symmetric eigensolver, matrix exponential and the
+parallel-transport stepper.
 
-Three inner loops dominate runtime in this package: the cyclic Jacobi
-eigensolver (every spectral decomposition goes through it), the
-scaling-and-squaring matrix exponential (group elements, curve steps),
-and the discrete parallel-transport stepper (thousands of steps per
-curve).  Each kernel exists twice:
-
-* a loop-level implementation compiled with numba when available, and
-* a vectorized pure-numpy implementation with the same operation
-  schedule, so results agree to roundoff.
-
-Backend selection: environment variable ``NORMHOLO_NUMBA``.  Unset or
-``"1"`` means use numba if it imports; ``"0"`` forces the numpy path.
-The active choice is exposed as ``BACKEND`` ("numba" or "numpy").
+The eigensolver is LAPACK's (``numpy.linalg.eigh``) with a sign
+convention on the eigenvectors; the exponential is scaled Taylor with
+repeated squaring; the stepper is a vectorized update of whole vector
+stacks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
     "jacobi_eigh",
     "matrix_exp",
     "transport_segment",
 ]
 
-_JACOBI_MAX_SWEEPS = 60
 _EXPM_THETA = 0.5
 _EXPM_ORDER = 18
 
 
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
-#
-# Row-cyclic sweeps; two-sided rotation A <- J^T A J accumulated into V.
-# Sizes in this package stay below ~40, where Jacobi is competitive and
-# gives orthogonal eigenvectors by construction.
+def _as_f64(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
 
 
-def _jacobi_loops(a, v, tol):
+def jacobi_eigh(a):
+    """Eigendecomposition of a symmetric matrix (LAPACK).
+
+    Returns (w, V) with eigenvalues ascending and orthonormal columns;
+    each eigenvector's largest-magnitude entry is made positive so the
+    output is reproducible.  The name is kept because callers and the
+    benchmark's per-layer metrics refer to it.
+    """
+    a = _as_f64(a)
     n = a.shape[0]
-    for sweep in range(_JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off2 += 2.0 * a[i, j] * a[i, j]
-        if off2 <= tol * tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return _JACOBI_MAX_SWEEPS
-
-
-def _jacobi_numpy(a, v, tol):
-    n = a.shape[0]
-    for sweep in range(_JACOBI_MAX_SWEEPS):
-        off2 = 2.0 * float(np.sum(np.triu(a, 1) ** 2))
-        if off2 <= tol * tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return _JACOBI_MAX_SWEEPS
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    w, vecs = np.linalg.eigh(a)
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    vecs = vecs * np.where(peak < 0.0, -1.0, 1.0)
+    return w, vecs
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +51,13 @@ def _jacobi_numpy(a, v, tol):
 # back.  exp(0) is exactly the identity.
 
 
-def _expm_loops(x):
+def matrix_exp(x):
+    """exp of a square matrix via scaled Taylor with repeated squaring."""
+    x = _as_f64(x)
     n = x.shape[0]
     nrm = np.sqrt(np.sum(x * x))
     s = 0
-    y = x.copy()
+    y = x
     if nrm > _EXPM_THETA:
         s = int(np.ceil(np.log2(nrm / _EXPM_THETA)))
         y = x / (2.0 ** s)
@@ -136,10 +67,6 @@ def _expm_loops(x):
     for _ in range(s):
         p = p @ p
     return p
-
-
-# the numpy path shares the exact same code; matmul dominates either way
-_expm_numpy = _expm_loops
 
 
 # ---------------------------------------------------------------------------
@@ -159,206 +86,6 @@ _expm_numpy = _expm_loops
 # pre-renormalization norm drift is returned for the transport audit.
 
 
-def _transport_loops(base_frames, xis, g0, e_half, nsteps, targets,
-                     sample_stride, samples, g_samples):
-    kdim = base_frames.shape[0]
-    mdim = xis.shape[0]
-    r = base_frames.shape[1]
-
-    g = g0.copy()
-    gt = g.T.copy()
-    f_prev = np.empty_like(base_frames)
-    for k in range(kdim):
-        f_prev[k] = g @ base_frames[k] @ gt
-
-    xi = xis.copy()
-    drift = np.zeros(mdim)
-    min_ratio = np.ones(mdim)
-
-    n_samp = 0
-    if sample_stride > 0:
-        for m in range(mdim):
-            samples[0, m] = xi[m]
-        g_samples[0] = g
-        n_samp = 1
-
-    f_mid = np.empty_like(base_frames)
-    f_end = np.empty_like(base_frames)
-    for step in range(nsteps):
-        g_mid = g @ e_half
-        gt = g_mid.T.copy()
-        for k in range(kdim):
-            f_mid[k] = g_mid @ base_frames[k] @ gt
-        g_end = g_mid @ e_half
-        gt = g_end.T.copy()
-        for k in range(kdim):
-            f_end[k] = g_end @ base_frames[k] @ gt
-
-        for m in range(mdim):
-            m1 = np.zeros((r, r))
-            for k in range(kdim):
-                cf = np.sum(f_mid[k] * xi[m])
-                m1 += cf * f_mid[k]
-            d = m1 - xi[m]
-            dd_prev = np.zeros((r, r))
-            for k in range(kdim):
-                cf = np.sum(f_prev[k] * d)
-                dd_prev += cf * f_prev[k]
-            dd_mid = np.zeros((r, r))
-            for k in range(kdim):
-                cf = np.sum(f_mid[k] * d)
-                dd_mid += cf * f_mid[k]
-            y = m1 + dd_mid - dd_prev
-            xin = np.zeros((r, r))
-            for k in range(kdim):
-                cf = np.sum(f_end[k] * y)
-                xin += cf * f_end[k]
-            nrm = np.sqrt(np.sum(xin * xin))
-            tgt = targets[m]
-            if tgt > 0.0:
-                ratio = nrm / tgt
-                if ratio < min_ratio[m]:
-                    min_ratio[m] = ratio
-                drift[m] += abs(nrm - tgt)
-                if nrm > 0.0:
-                    xin = xin * (tgt / nrm)
-            xi[m] = xin
-
-        g = g_end
-        for k in range(kdim):
-            f_prev[k] = f_end[k]
-
-        if sample_stride > 0 and ((step + 1) % sample_stride == 0
-                                  or step == nsteps - 1):
-            if n_samp < samples.shape[0]:
-                for m in range(mdim):
-                    samples[n_samp, m] = xi[m]
-                g_samples[n_samp] = g
-                n_samp += 1
-
-    return xi, g, drift, min_ratio, n_samp
-
-
-def _transport_numpy(base_frames, xis, g0, e_half, nsteps, targets,
-                     sample_stride, samples, g_samples):
-    mdim = xis.shape[0]
-
-    def conj_frames(g):
-        return g[None, :, :] @ base_frames @ g.T[None, :, :]
-
-    def project(frames, mats):
-        coeff = np.einsum("kij,mij->mk", frames, mats)
-        return np.einsum("mk,kij->mij", coeff, frames)
-
-    g = g0.copy()
-    f_prev = conj_frames(g)
-    xi = xis.copy()
-    drift = np.zeros(mdim)
-    min_ratio = np.ones(mdim)
-
-    n_samp = 0
-    if sample_stride > 0:
-        samples[0] = xi
-        g_samples[0] = g
-        n_samp = 1
-
-    for step in range(nsteps):
-        g_mid = g @ e_half
-        f_mid = conj_frames(g_mid)
-        g_end = g_mid @ e_half
-        f_end = conj_frames(g_end)
-
-        m1 = project(f_mid, xi)
-        d = m1 - xi
-        y = m1 + project(f_mid, d) - project(f_prev, d)
-        xin = project(f_end, y)
-
-        nrm = np.sqrt(np.einsum("mij,mij->m", xin, xin))
-        for m in range(mdim):
-            tgt = targets[m]
-            if tgt > 0.0:
-                ratio = nrm[m] / tgt
-                if ratio < min_ratio[m]:
-                    min_ratio[m] = ratio
-                drift[m] += abs(nrm[m] - tgt)
-                if nrm[m] > 0.0:
-                    xin[m] *= tgt / nrm[m]
-        xi = xin
-
-        g = g_end
-        f_prev = f_end
-
-        if sample_stride > 0 and ((step + 1) % sample_stride == 0
-                                  or step == nsteps - 1):
-            if n_samp < samples.shape[0]:
-                samples[n_samp] = xi
-                g_samples[n_samp] = g
-                n_samp += 1
-
-    return xi, g, drift, min_ratio, n_samp
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-HAS_NUMBA = False
-_flag = os.environ.get("NORMHOLO_NUMBA", "1").strip()
-if _flag != "0":
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-    BACKEND = "numba"
-    _jacobi_core = numba.njit(cache=True)(_jacobi_loops)
-    _expm_core = numba.njit(cache=True)(_expm_loops)
-    _transport_core = numba.njit(cache=True)(_transport_loops)
-else:
-    BACKEND = "numpy"
-    _jacobi_core = _jacobi_numpy
-    _expm_core = _expm_numpy
-    _transport_core = _transport_numpy
-
-
-def _as_f64(a):
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-
-
-def jacobi_eigh(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (w, V) with eigenvalues ascending and orthonormal columns;
-    each eigenvector's largest-magnitude entry is made positive so the
-    output is reproducible across backends.
-    """
-    a = _as_f64(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    work = a.copy()
-    vecs = np.eye(n)
-    scale = np.sqrt(np.sum(a * a))
-    tol = 1e-14 * max(1.0, scale)
-    _jacobi_core(work, vecs, tol)
-    w = np.diag(work).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    vecs = vecs[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return w, vecs
-
-
-def matrix_exp(x):
-    """exp of a square matrix via scaled Taylor with repeated squaring."""
-    return _expm_core(_as_f64(x))
-
-
 def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
                       sample_stride=0, max_samples=0):
     """Run the transport stepper along one curve segment.
@@ -371,19 +98,65 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
     Returns (xi_end, g_end, drift, min_ratio, samples, g_samples, n_samp).
     """
     base_frames = _as_f64(base_frames)
-    xis = _as_f64(xis)
-    g0 = _as_f64(g0)
+    xi = _as_f64(xis).copy()
+    g = _as_f64(g0).copy()
     e_half = _as_f64(e_half)
     targets = _as_f64(targets)
     r = base_frames.shape[1]
-    m = xis.shape[0]
+    mdim = xi.shape[0]
     if sample_stride > 0:
         cap = max_samples if max_samples > 0 else (nsteps // sample_stride + 2)
     else:
         cap = 1
-    samples = np.zeros((cap, m, r, r))
+    samples = np.zeros((cap, mdim, r, r))
     g_samples = np.zeros((cap, r, r))
-    xi_end, g_end, drift, min_ratio, n_samp = _transport_core(
-        base_frames, xis, g0, e_half, int(nsteps), targets,
-        int(sample_stride), samples, g_samples)
-    return xi_end, g_end, drift, min_ratio, samples, g_samples, n_samp
+
+    def conj_frames(g):
+        return g[None, :, :] @ base_frames @ g.T[None, :, :]
+
+    def project(frames, mats):
+        coeff = np.einsum("kij,mij->mk", frames, mats)
+        return np.einsum("mk,kij->mij", coeff, frames)
+
+    f_prev = conj_frames(g)
+    drift = np.zeros(mdim)
+    min_ratio = np.ones(mdim)
+
+    n_samp = 0
+    if sample_stride > 0:
+        samples[0] = xi
+        g_samples[0] = g
+        n_samp = 1
+
+    for step in range(int(nsteps)):
+        g_mid = g @ e_half
+        f_mid = conj_frames(g_mid)
+        g_end = g_mid @ e_half
+        f_end = conj_frames(g_end)
+
+        m1 = project(f_mid, xi)
+        d = m1 - xi
+        xi = project(f_end, m1 + project(f_mid, d) - project(f_prev, d))
+
+        nrm = np.sqrt(np.einsum("mij,mij->m", xi, xi))
+        for m in range(mdim):
+            tgt = targets[m]
+            if tgt > 0.0:
+                ratio = nrm[m] / tgt
+                if ratio < min_ratio[m]:
+                    min_ratio[m] = ratio
+                drift[m] += abs(nrm[m] - tgt)
+                if nrm[m] > 0.0:
+                    xi[m] *= tgt / nrm[m]
+
+        g = g_end
+        f_prev = f_end
+
+        if sample_stride > 0 and ((step + 1) % sample_stride == 0
+                                  or step == nsteps - 1):
+            if n_samp < cap:
+                samples[n_samp] = xi
+                g_samples[n_samp] = g
+                n_samp += 1
+
+    return xi, g, drift, min_ratio, samples, g_samples, n_samp

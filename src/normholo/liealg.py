@@ -143,7 +143,7 @@ class RepDecomposition:
         return tuple(f.dim for f in self.factors)
 
 
-def _sym_frame(n: int):
+def _sym_frame(n: int) -> np.ndarray:
     """Orthonormal basis of symmetric n x n matrices (trace included)."""
     frame = []
     for i in range(n):
@@ -154,26 +154,27 @@ def _sym_frame(n: int):
             else:
                 e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
             frame.append(e)
-    return frame
+    return np.stack(frame)
 
 
 def _symmetric_commutant(mats, tols: Tolerances):
-    """Orthonormal basis of symmetric matrices commuting with every mat."""
+    """Orthonormal basis of symmetric matrices commuting with every mat.
+
+    The kernel of the stacked maps S -> [x, S] over the symmetric frame
+    equals the kernel of their R factor, which is accumulated one map at
+    a time (QR of [R; next block]) so the tall stack is never formed.
+    """
     if not mats:
         return [np.eye(0)]
     n = mats[0].shape[0]
     frame = _sym_frame(n)
-    rows = []
+    r = np.zeros((0, len(frame)))
     for x in mats:
-        block = np.column_stack([bracket(x, e).ravel() for e in frame])
-        rows.append(block)
-    big = np.vstack(rows) if rows else np.zeros((0, len(frame)))
-    ker = gram_kernel(big, tols)
-    out = []
-    for j in range(ker.dim):
-        s = sum(c * e for c, e in zip(ker.basis[:, j], frame))
-        out.append(0.5 * (s + s.T))
-    return out
+        block = (x @ frame - frame @ x).reshape(len(frame), -1).T
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    ker = gram_kernel(r, tols)
+    out = np.einsum("fj,fab->jab", ker.basis, frame)
+    return list(0.5 * (out + np.transpose(out, (0, 2, 1))))
 
 
 def _probe_closure(span: LieAlgebraSpan, start: np.ndarray,

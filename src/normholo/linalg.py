@@ -1,9 +1,10 @@
 """Dense numeric core: spectra, spans, projections, tolerant kernels.
 
 All inner products are trace(A^T B); on symmetric matrices this is
-trace(AB).  Every rank or kernel decision funnels through the Gram
-route (eigendecomposition of M^T M) with the shared rank tolerance, so
-thresholds behave consistently across modules.
+trace(AB).  Spectra come from LAPACK (kernels.jacobi_eigh).  Every rank,
+span or kernel decision goes through rank_reveal: an SVD whose singular
+values count as zero when sigma <= tols.rank * (1 + scale), with scale
+taken from the input as offered.  So thresholds agree across modules.
 """
 
 from __future__ import annotations
@@ -83,9 +84,8 @@ class Subspace:
 
     def complement_within(self, other: "Subspace") -> "Subspace":
         """Orthogonal complement of self inside other (self must sit in it)."""
-        resid = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return orthonormal_span(resid.T, ambient_dim=self.ambient_dim,
-                                tol=self.tol)
+        return _frozen_subspace(
+            _new_directions(other.basis, self.basis, self.tol, 1.0), self.tol)
 
 
 def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
@@ -113,7 +113,7 @@ def cluster_indices(values: np.ndarray, gap: float) -> tuple:
 
 
 def sym_eig(a: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
-    """Spectral decomposition of a symmetric matrix via cyclic Jacobi."""
+    """Spectral decomposition of a symmetric matrix (LAPACK)."""
     a = check_symmetric(a, tols.sym)
     w, v = jacobi_eigh(a)
     clusters = cluster_indices(w, tols.cluster_gap)
@@ -138,41 +138,79 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
     return _expm_core(x)
 
 
-def orthonormal_span(vectors, ambient_dim: int | None = None,
-                     tol: float = DEFAULT_TOLS.rank) -> Subspace:
-    """Orthonormal span of a list of vectors.
+def rank_reveal(mat: np.ndarray, tol: float = DEFAULT_TOLS.rank,
+                scale: float | None = None, full: bool = False):
+    """SVD of a matrix with its numerical rank.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; a vector is
-    accepted only if its residual exceeds tol * (1 + original norm), so
-    the result is deterministic for a fixed input order.
+    Every rank, span and kernel decision of the package goes through
+    this one test: a singular value is zero when it is at most
+    tol * (1 + scale).  scale measures the input as offered (the
+    largest singular value unless given), never a residual.  Returns
+    (u, s, vt, rank), singular values descending; full asks for square
+    u and vt.
     """
+    u, s, vt = np.linalg.svd(np.asarray(mat, dtype=float),
+                             full_matrices=full)
+    if scale is None:
+        scale = float(s[0]) if s.size else 0.0
+    return u, s, vt, int(np.count_nonzero(s > tol * (1.0 + scale)))
+
+
+def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
     vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     if ambient_dim is None:
         if not vecs:
             raise InvalidInput("cannot infer ambient dimension of empty span")
         ambient_dim = vecs[0].size
-    basis = []
-    for v in vecs:
-        if v.size != ambient_dim:
-            raise InvalidInput("span vectors have inconsistent sizes")
-        orig = float(np.linalg.norm(v))
-        w = v.copy()
-        for _ in range(2):
-            for b in basis:
-                w = w - (b @ w) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm > tol * (1.0 + orig):
-            basis.append(w / nrm)
-    mat = np.column_stack(basis) if basis else np.zeros((ambient_dim, 0))
-    mat.flags.writeable = False
-    return Subspace(ambient_dim=ambient_dim, basis=mat, tol=tol)
+    if any(v.size != ambient_dim for v in vecs):
+        raise InvalidInput("span vectors have inconsistent sizes")
+    if not vecs:
+        return np.zeros((ambient_dim, 0))
+    return np.column_stack(vecs)
+
+
+def _new_directions(block: np.ndarray, kept: np.ndarray, tol: float,
+                    scale: float) -> np.ndarray:
+    """Orthonormal columns for what block adds to the span of kept.
+
+    The block is projected off the kept basis twice, then the residual
+    is rank-revealed against the scale of the block as offered.
+    """
+    for _ in range(2):
+        block = block - kept @ (kept.T @ block)
+    u, _, _, rank = rank_reveal(block, tol, scale)
+    return u[:, :rank]
+
+
+def _column_scale(block: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(block, axis=0), initial=0.0))
+
+
+def _frozen_subspace(basis: np.ndarray, tol: float) -> Subspace:
+    basis = np.ascontiguousarray(basis)
+    basis.flags.writeable = False
+    return Subspace(ambient_dim=basis.shape[0], basis=basis, tol=tol)
+
+
+def orthonormal_span(vectors, ambient_dim: int | None = None,
+                     tol: float = DEFAULT_TOLS.rank) -> Subspace:
+    """Orthonormal span of a list of vectors.
+
+    Left singular vectors of the stacked vectors; the rank test is
+    rank_reveal's, scaled by the largest offered vector norm.
+    """
+    block = _as_columns(vectors, ambient_dim)
+    u, _, _, rank = rank_reveal(block, tol, _column_scale(block))
+    return _frozen_subspace(u[:, :rank], tol)
 
 
 def extend_span(space: Subspace, vectors) -> Subspace:
-    """Grow a span by extra vectors (same acceptance rule)."""
-    cols = [space.basis[:, j] for j in range(space.dim)]
-    cols.extend(np.asarray(v, dtype=float).ravel() for v in vectors)
-    return orthonormal_span(cols, ambient_dim=space.ambient_dim, tol=space.tol)
+    """Grow a span by extra vectors; the old basis is kept as a prefix."""
+    block = _as_columns(vectors, space.ambient_dim)
+    new = _new_directions(block, space.basis, space.tol, _column_scale(block))
+    if new.shape[1] == 0:
+        return space
+    return _frozen_subspace(np.hstack([space.basis, new]), space.tol)
 
 
 def project_onto(space: Subspace, x: np.ndarray) -> np.ndarray:
@@ -182,82 +220,54 @@ def project_onto(space: Subspace, x: np.ndarray) -> np.ndarray:
 def gram_kernel(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Subspace:
     """Kernel of a linear map given as rows-act matrix (m, n).
 
-    Works on the Gram operator M^T M; eigenvectors below
-    rank_tol * (largest eigenvalue + 1) span the kernel.
+    Right singular vectors that rank_reveal counts as zero.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise InvalidInput("gram_kernel expects a 2-d matrix")
-    n = mat.shape[1]
-    gram = mat.T @ mat
-    w, v = jacobi_eigh(gram)
-    top = float(w[-1]) if len(w) else 0.0
-    thresh = tols.rank * (top + 1.0)
-    cols = v[:, w <= thresh]
-    cols = np.ascontiguousarray(cols)
-    cols.flags.writeable = False
-    return Subspace(ambient_dim=n, basis=cols, tol=tols.rank)
+    _, _, vt, rank = rank_reveal(mat, tols.rank,
+                                 full=mat.shape[0] < mat.shape[1])
+    return _frozen_subspace(vt[rank:].T, tols.rank)
 
 
 def tolerant_rank(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> int:
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[1]
-    return n - gram_kernel(mat, tols).dim
+    return rank_reveal(mat, tols.rank)[3]
 
 
 def mgs_qr(a: np.ndarray, tol: float = DEFAULT_TOLS.rank):
-    """Thin QR by modified Gram-Schmidt with re-orthogonalization.
+    """Thin QR over the columns that add a direction, in order.
 
     Returns (q, r, accepted) where accepted lists the column indices that
-    survived the rank test; r is square over the accepted columns.
+    survived the rank test (rank_reveal's, on the residual of each column
+    after two projections off the accepted ones, scaled by the largest
+    column norm); r is square over the accepted columns.
     """
     a = np.asarray(a, dtype=float)
-    m, n = a.shape
-    qcols = []
-    rcols = []
+    scale = _column_scale(a)
+    q = np.zeros((a.shape[0], 0))
     accepted = []
-    for j in range(n):
-        v = a[:, j].copy()
-        orig = float(np.linalg.norm(v))
-        coef = np.zeros(len(qcols))
-        for _ in range(2):
-            for i, q in enumerate(qcols):
-                c = float(q @ v)
-                coef[i] += c
-                v = v - c * q
-        nrm = float(np.linalg.norm(v))
-        if nrm > tol * (1.0 + orig):
-            qcols.append(v / nrm)
-            rcols.append(np.append(coef, nrm))
+    for j in range(a.shape[1]):
+        new = _new_directions(a[:, j:j + 1], q, tol, scale)
+        if new.shape[1]:
+            q = np.hstack([q, new])
             accepted.append(j)
-    k = len(qcols)
-    q = np.column_stack(qcols) if k else np.zeros((m, 0))
-    r = np.zeros((k, k))
-    for col, coef in enumerate(rcols):
-        r[: len(coef), col] = coef
-    return q, r, accepted
+    return q, np.triu(q.T @ a[:, accepted]), accepted
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:
     """Spectral-norm distance between orthogonal projectors."""
     if a.ambient_dim != b.ambient_dim:
         raise InvalidInput("subspaces live in different ambient spaces")
-    pa = a.basis @ a.basis.T
-    pb = b.basis @ b.basis.T
-    diff = pa - pb
-    w, _ = jacobi_eigh(diff.T @ diff)
-    return float(np.sqrt(max(0.0, float(w[-1]))))
+    diff = a.basis @ a.basis.T - b.basis @ b.basis.T
+    return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
 
 
 def principal_angle_max(a: Subspace, b: Subspace) -> float:
     """Largest principal angle between equal-dimension subspaces (radians)."""
     if a.dim == 0 or b.dim == 0:
         return 0.0
-    m = a.basis.T @ b.basis
-    w, _ = jacobi_eigh(m.T @ m)
-    smin = np.sqrt(max(0.0, float(w[0])))
-    smin = min(1.0, smin)
-    return float(np.arccos(smin))
+    smin = float(np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)[-1])
+    return float(np.arccos(min(1.0, smin)))
 
 
 def orthogonal_log(t: np.ndarray, terms: int = 24) -> np.ndarray:

@@ -6,7 +6,8 @@ homothecy of the traceless shape map) is derived data computed in the
 orbit's fixed frames:
 
 * tangent frame: orthonormal basis of {[X, v] : X in the acting algebra}
-* normal frame: orthonormal basis of {x in carrier : [x, v] = 0}
+* normal frame: orthonormal basis of the orthogonal complement, which
+  is {x in carrier : [x, v] = 0}
 * sphere-normal frame: the normal frame with the base-point direction
   removed (orbits of a norm-preserving action lie in a sphere, so the
   position vector is always normal)
@@ -28,8 +29,8 @@ from .linalg import (
     Subspace,
     Tolerances,
     bracket,
-    mgs_qr,
     orthonormal_span,
+    rank_reveal,
 )
 from .srep import SymmetricPairRep
 
@@ -81,7 +82,15 @@ class OrbitSubmanifold:
 def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
                 normalize: bool = True,
                 tols: Tolerances = DEFAULT_TOLS) -> OrbitSubmanifold:
-    """Assemble the orbit through a carrier point with all frames fixed."""
+    """Assemble the orbit through a carrier point with all frames fixed.
+
+    One SVD of the tangent-image map (generator coefficients -> carrier)
+    gives everything: its kept left singular vectors are the tangent
+    frame, the rest the normal frame, and V[:n]^T / sigma the generator
+    combinations whose images are the tangent frame (free of stabilizer
+    components).  Tangent and normal spaces are complementary by
+    construction.
+    """
     v = rep.validate_carrier(point, tols)
     nrm = float(np.linalg.norm(v))
     if nrm < tols.rank:
@@ -92,29 +101,12 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     vc = rep.coords(v)
     d = rep.carrier_dim
 
-    imgs = rep.tangent_images(v)            # (G, D)
-    q, r, accepted = mgs_qr(imgs.T, tol=tols.rank)
-    n = q.shape[1]
+    u, s, vt, n = rank_reveal(rep.tangent_images(v).T, tols.rank, full=True)
     if n == 0:
         raise InvalidInput("base point is fixed by the whole group")
-    # generator combinations whose images are the orthonormal tangent frame
-    r_inv = np.linalg.inv(r)
-    m_basis = np.zeros((n, rep.group_dim))
-    for col in range(n):
-        for row, gen_idx in enumerate(accepted[: col + 1]):
-            m_basis[col, gen_idx] += r_inv[row, col]
-    # remove stabilizer components; the images are unchanged
-    iso_coeffs, _ = rep.isotropy_algebra(v, tols)
-    if iso_coeffs.dim:
-        proj = iso_coeffs.basis @ (iso_coeffs.basis.T @ m_basis.T)
-        m_basis = m_basis - proj.T
-
-    tangent = Subspace(ambient_dim=d, basis=q, tol=tols.rank)
-    normal = rep.normal_space(v, tols)
-    if tangent.dim + normal.dim != d:
-        raise InvalidInput(
-            "tangent and normal dimensions do not fill the carrier; "
-            "the rank tolerance cannot separate the spectrum")
+    m_basis = vt[:n] / s[:n, None]
+    tangent = Subspace(ambient_dim=d, basis=u[:, :n], tol=tols.rank)
+    normal = Subspace(ambient_dim=d, basis=u[:, n:], tol=tols.rank)
 
     vdir = vc / np.linalg.norm(vc)
     nbar_cols = normal.basis - np.outer(vdir, vdir @ normal.basis)

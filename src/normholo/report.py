@@ -22,8 +22,8 @@ from .linalg import DEFAULT_TOLS, Tolerances
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature)
 from .srep import SymmetricPairRep, random_regular_point
-from .transport import (OrbitCurve, transport_convergence_audit,
-                        parallel_transport_normal, traceless_spectra_along)
+from .transport import (DEFAULT_STEP, OrbitCurve, parallel_transport_normal,
+                        traceless_spectra_along, transport_convergence_audit)
 from .tubes import (caustic_rank_check, choose_tube_direction, dupin_check,
                     normal_exponential_differential,
                     normal_exponential_fd_residual, seeded_tube_direction,
@@ -72,16 +72,22 @@ class ScenarioConfig:
                 raise InvalidInput(f"unknown analysis '{a}'; "
                                    f"choose from {KNOWN_ANALYSES}")
         curve = tuple(tuple(seg) for seg in raw.get("curve", ()))
+        point = str(raw.get("point", ""))
+        for part in point.split(";"):
+            if part.strip().startswith("diag:"):
+                _diag_values(part.strip())
+        step = None if raw.get("step") is None else float(raw["step"])
+        if step is not None and not (np.isfinite(step) and step > 0.0):
+            raise InvalidInput(f"step must be positive and finite, got {step}")
         return cls(rep=str(raw.get("rep", "")),
-                   point=str(raw.get("point", "")),
+                   point=point,
                    analyses=analyses,
                    seed=int(raw.get("seed", 0)),
                    tolerances=tols,
                    n=None if raw.get("n") is None else int(raw["n"]),
                    direction=str(raw.get("direction", "canonical")),
                    curve=curve,
-                   step=None if raw.get("step") is None
-                   else float(raw["step"]),
+                   step=step,
                    out=raw.get("out"))
 
     def to_dict(self) -> dict:
@@ -149,17 +155,27 @@ def parse_point_spec(rep: SymmetricPairRep, spec: str) -> np.ndarray:
     return out
 
 
+def _diag_values(spec: str) -> np.ndarray:
+    """Entries of a 'diag:v1,v2,...' factor spec; all must be finite."""
+    try:
+        d = np.array([float(x) for x in spec[len("diag:"):].split(",")])
+    except ValueError as exc:
+        raise InvalidInput(f"bad diag entries in '{spec}'") from exc
+    if not np.all(np.isfinite(d)):
+        raise InvalidInput(f"diag entries must be finite, got '{spec}'")
+    return d
+
+
 def _factor_point(r: int, spec: str) -> np.ndarray:
     if spec == "veronese":
         e1 = np.zeros(r)
         e1[0] = 1.0
         return np.outer(e1, e1) - np.eye(r) / r
     if spec.startswith("diag:"):
-        vals = [float(x) for x in spec[len("diag:"):].split(",")]
-        if len(vals) != r:
+        d = _diag_values(spec)
+        if len(d) != r:
             raise InvalidInput(f"diag point needs {r} entries, "
-                               f"got {len(vals)}")
-        d = np.array(vals)
+                               f"got {len(d)}")
         return np.diag(d - d.mean())
     if spec.startswith("random-regular:"):
         seed = int(spec[len("random-regular:"):])
@@ -333,8 +349,8 @@ def _tube_curve(M, config) -> OrbitCurve | None:
         if not 0 <= gi < M.rep.group_dim:
             raise InvalidInput(f"generator index {gi} out of range")
         segs.append((M.rep.generators[gi], t))
-    return OrbitCurve(orbit=M, segments=tuple(segs),
-                      step=config.step or 1e-3)
+    step = DEFAULT_STEP if config.step is None else config.step
+    return OrbitCurve(orbit=M, segments=tuple(segs), step=step)
 
 
 def _spectrum_dict(spec) -> dict:
@@ -431,8 +447,8 @@ def _transport_audit_analysis(M, config, tols) -> dict:
     c = rng.standard_normal(M.dim)
     c /= np.linalg.norm(c)
     x = np.einsum("g,gjk->jk", c @ M.m_basis, M.rep.generators)
-    curve = OrbitCurve(orbit=M, segments=((x, 1.0),),
-                       step=config.step or 1e-3)
+    step = DEFAULT_STEP if config.step is None else config.step
+    curve = OrbitCurve(orbit=M, segments=((x, 1.0),), step=step)
     xi = M.nbar_frame[0]
     audit = transport_convergence_audit(curve, xi)
     res = parallel_transport_normal(curve, xi)

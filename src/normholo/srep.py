@@ -130,6 +130,8 @@ class SymmetricPairRep:
         n = self.total_size
         if mat.shape != (n, n):
             raise InvalidInput(f"carrier matrices have shape {(n, n)}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidInput("carrier matrix has non-finite entries")
         scale = 1.0 + float(np.linalg.norm(mat))
         if float(np.linalg.norm(mat - mat.T)) > tols.sym * scale:
             raise InvalidInput("carrier matrices must be symmetric")

@@ -24,18 +24,17 @@ from .errors import (DegenerateSpectrum, FocalDegeneracy, InvalidInput,
 from .holonomy import holonomy_algebra
 from .liealg import LieAlgebraSpan
 from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, gram_kernel,
-                     matrix_exp, mgs_qr, orthonormal_span,
-                     principal_angle_max, sym_eig, tolerant_rank)
+                     matrix_exp, orthonormal_span, principal_angle_max,
+                     rank_reveal, sym_eig)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
                     traceless_shape_operator)
 from .transport import OrbitCurve, parallel_transport_normal
 
 # Spectra on finite-difference patches carry noise around 1e-7, far
-# above the dense-arithmetic cluster gap; these two are deliberately
-# looser than the defaults in linalg.
+# above the dense-arithmetic cluster gap; this one is deliberately
+# looser than the default in linalg.
 TUBE_CLUSTER_GAP = 1e-3
-PATCH_RANK_TOL = 1e-4
 
 TANGENT_STENCIL_POINTS = 7
 FIBER_STENCIL_POINTS = 5
@@ -147,15 +146,18 @@ def _foot_data(M: OrbitSubmanifold, xi: np.ndarray,
 
 def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
                       algebra: LieAlgebraSpan, tols: Tolerances):
-    """Algebra elements whose action on xi1 spans the fiber tangent."""
+    """Algebra elements whose action on xi1 spans the fiber tangent.
+
+    The right singular vectors of the fiber images: their images are
+    orthogonal, and they do not depend on the basis of the algebra.
+    """
     if algebra.dim == 0:
         return np.zeros((0, foot.codim, foot.codim)), 0
     coords = foot.normal_coords(xi1)
-    images = np.column_stack([lam @ coords for lam in algebra.basis])
-    _, _, accepted = mgs_qr(images, tol=tols.rank)
-    lams = np.stack([algebra.basis[i] for i in accepted]) if accepted \
-        else np.zeros((0, foot.codim, foot.codim))
-    return lams, len(accepted)
+    images = np.einsum("pij,j->ip", algebra.matrices(), coords)
+    _, _, vt, m3 = rank_reveal(images, tols.rank)
+    lams = np.einsum("jp,pkl->jkl", vt[:m3], algebra.matrices())
+    return lams, m3
 
 
 def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
@@ -295,15 +297,10 @@ class TubePatch:
         if self._shape_cache is not None:
             return self._shape_cache
         jac, dnormal = self._axis_stencils()
-        patch_tols = Tolerances(sym=self.tols.sym, eig=self.tols.eig,
-                                rank=PATCH_RANK_TOL,
-                                cluster_gap=TUBE_CLUSTER_GAP)
-        if tolerant_rank(jac, patch_tols) < self.n_axes:
+        q_frame, _, _, rank = rank_reveal(jac, self.tols.rank)
+        if rank < self.n_axes:
             raise PatchDegenerate("tube chart Jacobian lost rank; "
                                   "shrink the extent or move the base point")
-        q_frame, _, accepted = mgs_qr(jac, tol=self.tols.rank)
-        if len(accepted) < self.n_axes:
-            raise PatchDegenerate("tube tangent frame incomplete")
         jc = q_frame.T @ jac
         b = -(q_frame.T @ dnormal)
         a = b @ np.linalg.inv(jc)
@@ -471,8 +468,8 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     """
     if patch is None:
         patch = TubePatch(M, xi, curve=curve, tols=tols)
-    spec = patch.spectrum()
-    hats = [v for v, _ in spec.values_with_vertical()]
+    # the vertical eigenvalue is -1 exactly; the patch only measures it
+    hats = [v for v, _ in patch.spectrum().lambda_hats] + [-1.0]
     if shift is None:
         shift = max(0.0, -min(hats)) + 1.0
     shifted = [h + shift for h in hats]
@@ -505,10 +502,8 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
             acc += weights[k] * rho(params)
         jac[:, axis] = acc / h
 
-    patch_tols = Tolerances(sym=tols.sym, eig=tols.eig, rank=PATCH_RANK_TOL,
-                            cluster_gap=TUBE_CLUSTER_GAP)
     # kernel in chart parameters, then into the tube tangent frame
-    kernel = gram_kernel(jac, patch_tols)
+    kernel = gram_kernel(jac, tols)
     _, _, jc, _ = patch.shape_operator()
     positive = all(s > 0 for s in shifted)
     if kernel.dim == 0:

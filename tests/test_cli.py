@@ -108,6 +108,24 @@ def test_missing_required_flag_exits_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--rep", "sl-so:3", "--point", "diag:nan,0,-1"],
+    ["analyze", "--rep", "sl-so:3", "--point", "diag:1,inf,-1"],
+    ["transport-audit", "--rep", "sl-so:4", "--point", "veronese",
+     "--step", "0"],
+    ["transport-audit", "--rep", "sl-so:4", "--point", "veronese",
+     "--step", "-0.01"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--step", "nan"],
+])
+def test_bad_input_exits_two(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
 def test_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("NORMHOLO_SEED", "11")
     rc = main(["analyze", "--rep", "sl-so:4", "--point", "veronese",

@@ -18,6 +18,12 @@ def test_build_orbit_rejects_zero_point():
         build_orbit(rep, np.zeros((3, 3)))
 
 
+def test_build_orbit_rejects_non_finite_point():
+    rep = SymmetricPairRep.for_size(3)
+    with pytest.raises(InvalidInput):
+        build_orbit(rep, np.diag([np.nan, 0.0, 0.0]))
+
+
 def test_build_orbit_normalization():
     rep = SymmetricPairRep.for_size(3)
     p = np.diag([4.0, -2.0, -2.0])
@@ -143,3 +149,15 @@ def test_coordinate_helpers_roundtrip(v3):
     nb = rng.standard_normal(v3.normal_bar.dim)
     eta = v3.nbar_vector(nb)
     assert np.allclose(v3.nbar_coords(eta), nb, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-7])
+def test_near_singular_point_splits_carrier(eps):
+    # tangent and normal frames come from one SVD, so they fill the
+    # carrier even where two eigenvalues of the point nearly collide
+    rep = SymmetricPairRep.for_size(4)
+    m = build_orbit(rep, np.diag([1.0, 1.0 + eps, -0.5, -1.5 - eps]))
+    assert m.dim + m.codim == rep.carrier_dim
+    frames = np.concatenate([m.tangent_frame, m.normal_frame])
+    gram = np.einsum("aij,bij->ab", frames, frames)
+    assert np.allclose(gram, np.eye(rep.carrier_dim), atol=1e-10)

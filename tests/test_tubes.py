@@ -6,6 +6,7 @@ import pytest
 from normholo.errors import (FocalDegeneracy, InvalidInput, InvalidShift,
                              NotApplicable)
 from normholo.orbit import build_orbit
+from normholo.report import ScenarioConfig, run_scenario
 from normholo.srep import SymmetricPairRep
 from normholo.transport import OrbitCurve
 from normholo.tubes import (TubeSpectrum, caustic_rank_check,
@@ -175,3 +176,20 @@ def test_equivalence_discriminates():
     assert not equivalence_one_check([base, _synthetic(0.40, -0.28)])
     assert equivalence_one_check([base, _synthetic(0.40, -0.50)])
     assert equivalence_one_check([base, _synthetic(0.25, -0.28)])
+
+
+@pytest.mark.parametrize("raw", [
+    {"rep": "sl-so:4", "direction": "seed:131"},
+    {"rep": "sl-so:5", "direction": "seed:59"},
+    {"rep": "sl-so:4", "step": 1e-3,
+     "curve": [[2, 0.2289646992846347], [1, 0.2710353007153653]]},
+])
+def test_tube_chart_keeps_rank(raw):
+    # fiber directions and chart frame come from singular vectors, so the
+    # chart does not lose rank with an unlucky basis of the algebra
+    config = ScenarioConfig.from_dict(
+        {"point": "veronese", "analyses": ["tube"], **raw})
+    tube = run_scenario(config).analyses["tube"]
+    assert "error" not in tube
+    assert tube["ok"] is True
+    assert tube["agreementGap"] <= 1e-4
