@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="canonical | seed:<k>")
     p.add_argument("--curve", default=None,
                    help="JSON list of [generatorIndex, t] segments")
-    p.add_argument("--step", type=float, default=None,
-                   help="transport step for the curve")
 
     p = sub.add_parser("coxeter",
                        help="curvature normals and the reflection group")

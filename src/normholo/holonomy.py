@@ -6,7 +6,7 @@ commutator-trace formula on shape operators; their bracket closure is
 the holonomy algebra; verdicts (fixed set, invariant factors, per-factor
 transitivity, the factor-count bound) are assembled on top.  The loop
 probe at the bottom is the independent cross-check: it derives holonomy
-elements from honest parallel transport around small closed loops and
+elements from exact parallel transport around small closed loops and
 compares their logs against the curvature-generated algebra.
 """
 
@@ -21,13 +21,11 @@ from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      bracket_closure, invariant_decomposition,
                      is_transitive_on_sphere, skew_span)
 from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, matrix_exp,
-                     orthogonal_log, polar_orthogonalize, tolerant_rank)
+                     orthogonal_log, tolerant_rank)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
 from .srep import CartanCurvature, slice_rep_image
 from .transport import closed_square_loop, transport_frame_return
-
-LOOP_PROBE_STEP = 2.5e-4
 
 
 @dataclass(frozen=True)
@@ -382,13 +380,13 @@ class LoopProbeResult:
 
 def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
                         count: int = 12, seed: int = 0,
-                        step: float = LOOP_PROBE_STEP,
                         algebra: LieAlgebraSpan | None = None,
                         tols: Tolerances = DEFAULT_TOLS) -> LoopProbeResult:
     """Transport the normal frame around seeded square loops.
 
-    Each loop's frame-return map is polar-corrected, its log extracted,
-    and the logs bracket-closed.  The containment residual is the max
+    Each loop's frame-return map comes from exact transport, so it is
+    orthogonal to round-off; its log is extracted and the logs
+    bracket-closed.  The containment residual is the max
     relative distance of a log from the curvature algebra; for the
     orbits in scope the closed span reproduces that algebra.
     """
@@ -413,9 +411,8 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         c2 /= nrm
         x = np.einsum("g,gij->ij", c1 @ M.m_basis, M.rep.generators)
         y = np.einsum("g,gij->ij", c2 @ M.m_basis, M.rep.generators)
-        loop = closed_square_loop(M, x, y, loop_radius, step=step)
-        ret = transport_frame_return(loop, step=step)
-        lam = orthogonal_log(polar_orthogonalize(ret))
+        loop = closed_square_loop(M, x, y, loop_radius)
+        lam = orthogonal_log(transport_frame_return(loop))
         nrm = np.linalg.norm(lam)
         if nrm < 1e-12:
             continue

@@ -22,8 +22,9 @@ from .linalg import DEFAULT_TOLS, Tolerances
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature)
 from .srep import SymmetricPairRep, random_regular_point
-from .transport import (DEFAULT_STEP, OrbitCurve, parallel_transport_normal,
-                        traceless_spectra_along, transport_convergence_audit)
+from .transport import (DEFAULT_STEP, OrbitCurve, exact_transport_stack,
+                        parallel_transport_normal, traceless_spectra_along,
+                        transport_convergence_audit)
 from .tubes import (caustic_rank_check, choose_tube_direction, dupin_check,
                     normal_exponential_differential,
                     normal_exponential_fd_residual, seeded_tube_direction,
@@ -71,7 +72,7 @@ class ScenarioConfig:
             if a not in KNOWN_ANALYSES:
                 raise InvalidInput(f"unknown analysis '{a}'; "
                                    f"choose from {KNOWN_ANALYSES}")
-        curve = tuple(tuple(seg) for seg in raw.get("curve", ()))
+        curve = tuple(_curve_segment(seg) for seg in raw.get("curve", ()))
         point = str(raw.get("point", ""))
         for part in point.split(";"):
             if part.strip().startswith("diag:"):
@@ -107,6 +108,24 @@ class ScenarioConfig:
     def resolve_tolerances(self) -> Tolerances:
         kw = {_TOL_KEYS[k]: float(v) for k, v in self.tolerances.items()}
         return Tolerances(**{**DEFAULT_TOLS.__dict__, **kw})
+
+
+def _curve_segment(seg) -> tuple:
+    """A [generatorIndex, t] pair: integral index >= 0, finite t >= 0."""
+    try:
+        gi, t = seg
+        index, t = float(gi), float(t)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("curve segments are [generatorIndex, t] pairs, "
+                           f"got {seg!r}") from exc
+    if isinstance(gi, bool) or not (np.isfinite(index) and index >= 0
+                                    and index == int(index)):
+        raise InvalidInput(f"curve generator index must be an integer >= 0, "
+                           f"got {gi!r}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise InvalidInput(f"curve segment duration must be finite and "
+                           f">= 0, got {t}")
+    return int(index), t
 
 
 def parse_rep_spec(spec: str) -> SymmetricPairRep:
@@ -342,15 +361,11 @@ def _tube_curve(M, config) -> OrbitCurve | None:
     if not config.curve:
         return None
     segs = []
-    for seg in config.curve:
-        if len(seg) != 2:
-            raise InvalidInput("curve segments are [generatorIndex, t] pairs")
-        gi, t = int(seg[0]), float(seg[1])
-        if not 0 <= gi < M.rep.group_dim:
+    for gi, t in config.curve:
+        if gi >= M.rep.group_dim:
             raise InvalidInput(f"generator index {gi} out of range")
         segs.append((M.rep.generators[gi], t))
-    step = DEFAULT_STEP if config.step is None else config.step
-    return OrbitCurve(orbit=M, segments=tuple(segs), step=step)
+    return OrbitCurve(orbit=M, segments=tuple(segs))
 
 
 def _spectrum_dict(spec) -> dict:
@@ -452,12 +467,15 @@ def _transport_audit_analysis(M, config, tols) -> dict:
     xi = M.nbar_frame[0]
     audit = transport_convergence_audit(curve, xi)
     res = parallel_transport_normal(curve, xi)
+    exact = exact_transport_stack(curve, xi)
     _, spectra = traceless_spectra_along(res, tols=tols)
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     return {"ok": bool(audit.drift_halving_ok),
             "steps": list(audit.steps),
             "drifts": list(audit.drifts),
             "endpointGaps": list(audit.endpoint_gaps),
+            "exactEndpointGap": float(np.linalg.norm(res.xi_end
+                                                     - exact.xi_end)),
             "orderEstimate": audit.order_estimate,
             "driftHalvingOk": audit.drift_halving_ok,
             "eigenvalueDrift": eig_drift,

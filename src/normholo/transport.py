@@ -1,13 +1,21 @@
-"""Parallel transport in the normal bundle of an orbit.
+"""Parallel transport in the normal (or tangent) bundle of an orbit.
 
 Curves on an orbit are piecewise one-parameter subgroup arcs
-c(t) = exp(tX) c0 exp(-tX).  Along such an arc the normal spaces move by
-conjugation, so the conjugated base frame stays exactly orthonormal and
-the stepper in :mod:`normholo.kernels` only has to update frame
-coefficients.  The discrete rule (project onto the next fiber, apply one
-midpoint correction, renormalize) measures close to third-order endpoint
-convergence on the audit; the certified contract is the first-order one,
-and :func:`transport_convergence_audit` reports the observed order so a
+c(t) = g(t) v g(t)^T with g(t) = g0 exp(tX).  Along such an arc the
+bundle moves by conjugation: with a fixed orthonormal frame f_k of the
+fiber at v, the frame g f_k g^T stays exactly orthonormal, and a field
+xi = sum_k a_k g f_k g^T is parallel exactly when a' = -B_X a, where
+B_X[k, l] = <f_k, [X, f_l]> is a constant K x K skew matrix.  Transport
+along a piecewise curve is therefore a product of K x K exponentials;
+:func:`exact_transport_stack` computes it, and the loop probe, the tube
+feet, the tube chart and the Veronese alpha-parallel residual use it.
+
+The step-by-step scheme in :mod:`normholo.kernels` (project onto the
+next fiber, apply one midpoint correction, renormalize) is kept as the
+audited discretization behind :func:`parallel_transport_stack`.  It
+measures close to third-order endpoint convergence on the audit; the
+certified contract is the first-order one, and
+:func:`transport_convergence_audit` reports the observed order so a
 regression is visible in reports.
 """
 
@@ -20,9 +28,8 @@ import numpy as np
 
 from .errors import InvalidInput, TransportDiverged
 from .kernels import matrix_exp, transport_segment
-from .linalg import Tolerances, orthogonal_log
+from .linalg import Tolerances, orthogonal_log, sym_eig
 from .orbit import OrbitSubmanifold, build_orbit, traceless_shape_operator
-from .linalg import sym_eig
 
 DEFAULT_STEP = 1e-3
 
@@ -103,7 +110,7 @@ class OrbitCurve:
 
 
 def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
-                       radius: float, step: float = DEFAULT_STEP) -> OrbitCurve:
+                       radius: float) -> OrbitCurve:
     """Small closed loop exp(sX) exp(sY) exp(-sX) exp(-sY) plus closure arc.
 
     The four-arc group commutator misses the identity by O(s^2); a fifth
@@ -123,7 +130,7 @@ def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
         g = g @ matrix_exp(dur * z)
     w = -orthogonal_log(g)
     segs.append((w, 1.0))
-    curve = OrbitCurve(orbit=orbit, segments=tuple(segs), step=step)
+    curve = OrbitCurve(orbit=orbit, segments=tuple(segs))
     g_end = curve.group_path_end()
     if np.linalg.norm(g_end - np.eye(r)) > 1e-9:
         raise InvalidInput("loop closure arc failed to return to identity")
@@ -143,7 +150,7 @@ class TransportResult:
     g_samples: np.ndarray        # (S, R, R)
     drift: float                 # max pre-renormalization norm drift
     min_ratio: float
-    step: float
+    step: float                  # stepper step; 0.0 for exact transport
     end_holonomy_defect: float | None = None
     bundle: str = "normal"       # "normal" or "tangent"
 
@@ -179,11 +186,34 @@ def _validate_in_fiber(orbit: OrbitSubmanifold, xi: np.ndarray,
     return xi
 
 
+def _validated_stack(orbit: OrbitSubmanifold, xis: np.ndarray,
+                     bundle: str) -> tuple:
+    """(base frame of the bundle, (M, R, R) stack in the start fiber)."""
+    if bundle not in ("normal", "tangent"):
+        raise InvalidInput("bundle must be 'normal' or 'tangent'")
+    base = (orbit.tangent_frame if bundle == "tangent"
+            else orbit.normal_frame)
+    xis = np.asarray(xis, dtype=np.float64)
+    if xis.ndim == 2:
+        xis = xis[None, :, :]
+    for m in range(xis.shape[0]):
+        _validate_in_fiber(orbit, xis[m], base, bundle)
+    return base, xis
+
+
+def _with_end_defect(result: TransportResult) -> TransportResult:
+    if result.curve.is_closed():
+        n = result.xis_start.shape[0]
+        result.end_holonomy_defect = float(np.max(np.linalg.norm(
+            (result.xis_end - result.xis_start).reshape(n, -1), axis=1)))
+    return result
+
+
 def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
                              step: float | None = None,
                              samples_per_segment: int = 16,
                              bundle: str = "normal") -> TransportResult:
-    """Transport a stack of vectors along the curve.
+    """Transport a stack of vectors along the curve with the stepper.
 
     bundle selects the normal bundle (default) or the tangent bundle,
     where the same projection scheme realizes Levi-Civita transport.
@@ -196,15 +226,7 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     h = float(step) if step is not None else curve.step
     if not h > 0.0:
         raise InvalidInput("step must be positive")
-    if bundle not in ("normal", "tangent"):
-        raise InvalidInput("bundle must be 'normal' or 'tangent'")
-    base = (orbit.tangent_frame if bundle == "tangent"
-            else orbit.normal_frame)
-    xis = np.asarray(xis, dtype=np.float64)
-    if xis.ndim == 2:
-        xis = xis[None, :, :]
-    for m in range(xis.shape[0]):
-        _validate_in_fiber(orbit, xis[m], base, bundle)
+    base, xis = _validated_stack(orbit, xis, bundle)
     targets = np.linalg.norm(xis.reshape(xis.shape[0], -1), axis=1)
 
     r = orbit.rep.total_size
@@ -228,16 +250,13 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
                               sample_stride=stride)
         drift += float(np.max(seg_drift))
         min_ratio = min(min_ratio, float(np.min(seg_ratio)))
-        for i in range(n_samp):
-            # sample i corresponds to step (i+1)*stride, capped at nsteps
-            k = min((i + 1) * stride, nsteps)
-            times.append(t0 + k * hseg)
+        # sample 0 is the segment's start state, already recorded; sample
+        # i >= 1 is the state after step min(i * stride, nsteps)
+        for i in range(1, n_samp):
+            k = min(i * stride, nsteps)
+            times.append(t0 + dur if k == nsteps else t0 + k * hseg)
             all_samples.append(samples[i])
             all_g.append(g_samples[i])
-        if times[-1] < t0 + dur - 1e-15:
-            times.append(t0 + dur)
-            all_samples.append(cur.copy())
-            all_g.append(g.copy())
         t0 += dur
         if min_ratio < MIN_NORM_RATIO:
             raise TransportDiverged(
@@ -246,16 +265,56 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     if min_ratio is np.inf:
         min_ratio = 1.0
 
-    result = TransportResult(
+    return _with_end_defect(TransportResult(
         curve=curve, xis_start=xis, xis_end=cur, g_end=g,
         times=np.array(times), samples=np.array(all_samples),
         g_samples=np.array(all_g), drift=drift, min_ratio=float(min_ratio),
-        step=h, bundle=bundle)
-    if curve.is_closed():
-        defect = float(np.max(np.linalg.norm(
-            (cur - xis).reshape(xis.shape[0], -1), axis=1)))
-        result.end_holonomy_defect = defect
-    return result
+        step=h, bundle=bundle))
+
+
+def _arc_generator(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B_X[k, l] = <f_k, [X, f_l]>, skew for skew X.
+
+    Frame coefficients of a parallel field along g0 exp(tX) satisfy
+    a' = -B_X a.
+    """
+    images = x[None] @ frame - frame @ x[None]
+    return np.einsum("kij,lij->kl", frame, images)
+
+
+def exact_transport_stack(curve: OrbitCurve, xis: np.ndarray,
+                          bundle: str = "normal") -> TransportResult:
+    """Transport a stack of vectors along the curve exactly.
+
+    On each arc the frame coefficients advance by exp(-t B_X) (see the
+    module docstring), so the result carries only round-off: drift 0,
+    norm ratio 1, step 0.  Samples are taken at the start and at the end
+    of every nonzero segment.
+    """
+    base, xis = _validated_stack(curve.orbit, xis, bundle)
+    coeffs = np.einsum("kij,mij->mk", base, xis)
+    g = np.eye(curve.orbit.rep.total_size)
+    cur = xis.copy()
+    times = [0.0]
+    all_samples = [cur]
+    all_g = [g]
+    t0 = 0.0
+    for x, dur in curve.segments:
+        if dur == 0.0:
+            continue
+        coeffs = coeffs @ matrix_exp(-dur * _arc_generator(base, x)).T
+        g = g @ matrix_exp(dur * x)
+        cur = np.einsum("mk,kij->mij", coeffs, g @ base @ g.T)
+        t0 += dur
+        times.append(t0)
+        all_samples.append(cur)
+        all_g.append(g)
+
+    return _with_end_defect(TransportResult(
+        curve=curve, xis_start=xis, xis_end=cur, g_end=g,
+        times=np.array(times), samples=np.array(all_samples),
+        g_samples=np.array(all_g), drift=0.0, min_ratio=1.0, step=0.0,
+        bundle=bundle))
 
 
 def parallel_transport_normal(curve: OrbitCurve, xi0: np.ndarray,
@@ -275,18 +334,17 @@ def parallel_transport_tangent(curve: OrbitCurve, x0: np.ndarray,
                                     bundle="tangent")
 
 
-def transport_frame_return(curve: OrbitCurve,
-                           step: float | None = None) -> np.ndarray:
+def transport_frame_return(curve: OrbitCurve) -> np.ndarray:
     """Coefficient matrix of the transported normal frame for a closed curve.
 
     Returns the K x K matrix O with O[k, l] = <tau(f_l), f_k>, the
     holonomy element of the loop expressed in the base normal frame.
+    The transport is exact, so O is orthogonal to round-off.
     """
     if not curve.is_closed():
         raise InvalidInput("frame return requires a closed curve")
     orbit = curve.orbit
-    res = parallel_transport_stack(curve, orbit.normal_frame, step=step,
-                                   samples_per_segment=2)
+    res = exact_transport_stack(curve, orbit.normal_frame)
     return np.einsum("kij,lij->kl", orbit.normal_frame, res.xis_end)
 
 

@@ -1,11 +1,12 @@
 """Holonomy tubes: direction choice, spectra, Dupin and caustic checks.
 
 A tube point is a foot point on the orbit plus a parallel translate of a
-chosen normal vector.  Spectra of the tube's radial shape operator are
-computed twice: through the eigenvalue transformation s -> s/(1-s)
-applied to foot data (the formula route) and by finite differences on an
-honestly constructed local patch of the tube (the direct route).  The
-two must agree; the direct route is the oracle for the formula.
+chosen normal vector, carried by exact transport along subgroup arcs.
+Spectra of the tube's radial shape operator are computed twice: through
+the eigenvalue transformation s -> s/(1-s) applied to foot data (the
+formula route) and by finite differences on an honestly constructed
+local patch of the tube (the direct route).  The two must agree; the
+direct route is the oracle for the formula.
 
 Patch evaluation never pushes base-point operators forward: every foot
 is rebuilt with build_orbit and every fiber direction is re-expressed in
@@ -29,7 +30,7 @@ from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, gram_kernel,
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
                     traceless_shape_operator)
-from .transport import OrbitCurve, parallel_transport_normal
+from .transport import OrbitCurve, exact_transport_stack
 
 # Spectra on finite-difference patches carry noise around 1e-7, far
 # above the dense-arithmetic cluster gap; this one is deliberately
@@ -39,7 +40,6 @@ TUBE_CLUSTER_GAP = 1e-3
 TANGENT_STENCIL_POINTS = 7
 FIBER_STENCIL_POINTS = 5
 PATCH_EXTENT = 0.02
-PATCH_TRANSPORT_STEP = 0.025
 SAFETY_MARGIN = 0.2
 
 # 6th-order and 4th-order central first-derivative weights
@@ -131,14 +131,13 @@ class TubeSpectrum:
 
 
 def _foot_data(M: OrbitSubmanifold, xi: np.ndarray,
-               curve: OrbitCurve | None, step: float | None,
-               tols: Tolerances):
+               curve: OrbitCurve | None, tols: Tolerances):
     """Transport xi to the curve end and rebuild orbit data there."""
     if curve is None or curve.total_time == 0.0:
         return M, np.asarray(xi, dtype=np.float64), np.eye(M.rep.total_size)
     if curve.orbit is not M:
         raise InvalidInput("curve is based on a different orbit")
-    res = parallel_transport_normal(curve, xi, step=step)
+    res = exact_transport_stack(curve, xi)
     g = res.g_end
     foot = build_orbit(M.rep, g @ M.point @ g.T, tols=tols)
     return foot, res.xi_end, g
@@ -162,7 +161,6 @@ def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
 
 def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
                               curve: OrbitCurve | None = None,
-                              step: float | None = None,
                               cluster_gap: float = TUBE_CLUSTER_GAP,
                               tols: Tolerances = DEFAULT_TOLS) -> TubeSpectrum:
     """Tube spectrum from foot data through s -> s/(1-s).
@@ -172,7 +170,7 @@ def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
     focal point and raises FocalDegeneracy.  The vertical eigenvalue is
     -1 exactly, with the fiber-orbit dimension as multiplicity.
     """
-    foot, xi1, _ = _foot_data(M, xi, curve, step, tols)
+    foot, xi1, _ = _foot_data(M, xi, curve, tols)
     lam_tilde = sym_eig(traceless_shape_operator(foot, xi1),
                         tols=tols.with_cluster_gap(cluster_gap)).values
     mc = mean_curvature(foot)
@@ -203,12 +201,11 @@ class TubePatch:
 
     def __init__(self, M: OrbitSubmanifold, xi: np.ndarray,
                  curve: OrbitCurve | None = None,
-                 step: float | None = None,
                  extent: float = PATCH_EXTENT,
                  tols: Tolerances = DEFAULT_TOLS):
         self.tols = tols
         self.extent = float(extent)
-        foot, xi1, g = _foot_data(M, xi, curve, step, tols)
+        foot, xi1, g = _foot_data(M, xi, curve, tols)
         self.orbit = M
         self.foot = foot
         self.xi1 = xi1
@@ -238,10 +235,8 @@ class TubePatch:
         gu = matrix_exp(x)
         p = gu @ foot.point @ gu.T
         if np.linalg.norm(u) > 0.0:
-            seg = OrbitCurve(orbit=foot, segments=((x, 1.0),),
-                             step=PATCH_TRANSPORT_STEP)
-            tau = parallel_transport_normal(seg, self.xi1,
-                                            samples_per_segment=1).xi_end
+            seg = OrbitCurve(orbit=foot, segments=((x, 1.0),))
+            tau = exact_transport_stack(seg, self.xi1).xi_end
         else:
             tau = self.xi1
         # moving normal frame at p and the fiber rotation in its coords
@@ -375,11 +370,10 @@ class TubePatch:
 
 def tube_spectrum_direct(M: OrbitSubmanifold, xi: np.ndarray,
                          curve: OrbitCurve | None = None,
-                         step: float | None = None,
                          extent: float = PATCH_EXTENT,
                          tols: Tolerances = DEFAULT_TOLS):
     """Patch-based tube spectrum; returns (TubeSpectrum, TubePatch)."""
-    patch = TubePatch(M, xi, curve=curve, step=step, extent=extent, tols=tols)
+    patch = TubePatch(M, xi, curve=curve, extent=extent, tols=tols)
     return patch.spectrum(), patch
 
 
@@ -546,9 +540,8 @@ def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
         x = np.einsum("i,ig,gjk->jk", c, M.m_basis, M.rep.generators)
         vals = []
         for sgn in (1.0, -1.0):
-            seg = OrbitCurve(orbit=M, segments=((sgn * x, delta),),
-                             step=delta / 8)
-            res = parallel_transport_normal(seg, eta, samples_per_segment=1)
+            seg = OrbitCurve(orbit=M, segments=((sgn * x, delta),))
+            res = exact_transport_stack(seg, eta)
             g = res.g_end
             vals.append(g @ M.point @ g.T + res.xi_end)
         fd = (vals[0] - vals[1]) / (2.0 * delta)

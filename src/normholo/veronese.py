@@ -17,7 +17,7 @@ from .linalg import DEFAULT_TOLS, Tolerances, matrix_exp, sym_eig
 from .orbit import (OrbitSubmanifold, alpha_eval, build_orbit, homothecy_test,
                     mean_curvature)
 from .srep import SymmetricPairRep
-from .transport import OrbitCurve, parallel_transport_stack
+from .transport import OrbitCurve, exact_transport_stack
 
 UNIT_TOL = 1e-10
 ALPHA_RESIDUAL_TOL = 1e-4
@@ -208,13 +208,10 @@ def parallel_alpha_residual(M: OrbitSubmanifold, curves: int = 3,
         x = np.einsum("g,gjk->jk", c @ M.m_basis, M.rep.generators)
         tensors = []
         for sgn in (1.0, -1.0):
-            curve = OrbitCurve(orbit=M, segments=((sgn * x, delta),),
-                               step=delta)
-            rt = parallel_transport_stack(curve, M.tangent_frame,
-                                          bundle="tangent",
-                                          samples_per_segment=1)
-            rn = parallel_transport_stack(curve, M.normal_frame,
-                                          samples_per_segment=1)
+            curve = OrbitCurve(orbit=M, segments=((sgn * x, delta),))
+            rt = exact_transport_stack(curve, M.tangent_frame,
+                                       bundle="tangent")
+            rn = exact_transport_stack(curve, M.normal_frame)
             g = rt.g_end
             local = build_orbit(M.rep, g @ M.point @ g.T, normalize=False,
                                 tols=tols)

@@ -84,6 +84,8 @@ def test_transport_audit_command(capsys):
     audit = json.loads(out)["analyses"]["transport-audit"]
     assert audit["driftHalvingOk"] is True
     assert audit["orderEstimate"] > 2.0
+    # the stepper at the default step against exact transport
+    assert 0.0 < audit["exactEndpointGap"] <= 1e-9
 
 
 def test_failing_analysis_exits_one(capsys):
@@ -115,8 +117,14 @@ def test_missing_required_flag_exits_two(capsys):
      "--step", "0"],
     ["transport-audit", "--rep", "sl-so:4", "--point", "veronese",
      "--step", "-0.01"],
-    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+    ["transport-audit", "--rep", "sl-so:4", "--point", "veronese",
      "--step", "nan"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--curve", "[[1, NaN]]"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--curve", "[[1, -0.2]]"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--curve", "[[1.7, 0.2]]"],
 ])
 def test_bad_input_exits_two(capsys, argv):
     rc = main(argv)

@@ -160,3 +160,10 @@ def test_loop_probe_recovers_algebra(veronese, n, count):
     assert probe.span.dim == alg.dim
     assert probe.containment_residual <= 1e-4
     assert probe.logs.shape[0] == count
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_loop_probe_logs_exactly_in_algebra(veronese, n):
+    # exact transport: the logs leave the curvature algebra by round-off
+    probe = loop_holonomy_probe(veronese(n))
+    assert probe.containment_residual <= 1e-12

@@ -24,6 +24,12 @@ def test_config_roundtrip():
     assert ScenarioConfig.from_dict(back).to_dict() == back
 
 
+def test_config_curve_index_normalized():
+    cfg = ScenarioConfig.from_dict({"curve": [[2.0, 1], [0, 0.0]]})
+    assert cfg.curve == ((2, 1.0), (0, 0.0))
+    assert isinstance(cfg.curve[0][0], int)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(InvalidInput):
         ScenarioConfig.from_dict({"repp": "sl-so:4"})

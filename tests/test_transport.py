@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from normholo.errors import InvalidInput
+from normholo.kernels import matrix_exp
 from normholo.transport import (OrbitCurve, closed_square_loop,
+                                exact_transport_stack,
                                 parallel_transport_normal,
                                 parallel_transport_stack,
                                 parallel_transport_tangent,
@@ -23,7 +25,7 @@ def _open_curve(orbit, duration=0.5):
 def _commutator_loop(orbit, radius=0.2):
     x = np.einsum("g,gij->ij", orbit.m_basis[0], orbit.rep.generators)
     y = np.einsum("g,gij->ij", orbit.m_basis[1], orbit.rep.generators)
-    return closed_square_loop(orbit, x, y, radius=radius, step=1e-3)
+    return closed_square_loop(orbit, x, y, radius=radius)
 
 
 def test_curve_validation(v3):
@@ -137,3 +139,52 @@ def test_spectra_constant_along_transport(v3):
     assert times[0] == 0.0
     assert abs(times[-1] - curve.total_time) < 1e-12
     assert float(np.max(np.abs(spectra - spectra[0]))) < 1e-5
+
+
+def _two_segment_arc(orbit):
+    c = np.zeros(orbit.dim)
+    c[0], c[1] = 1.0, 0.4
+    d = np.zeros(orbit.dim)
+    d[-1] = 1.0
+    return OrbitCurve.from_tangent_coords(
+        orbit, [(c / np.linalg.norm(c), 0.3), (d, 0.2)], step=1e-3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bundle", ["normal", "tangent"])
+@pytest.mark.parametrize("closed", [False, True])
+def test_stepper_matches_exact_transport(veronese, n, bundle, closed):
+    m = veronese(n)
+    curve = _commutator_loop(m) if closed else _two_segment_arc(m)
+    frame = m.tangent_frame if bundle == "tangent" else m.normal_frame
+    stepped = parallel_transport_stack(curve, frame, step=1e-3,
+                                       bundle=bundle)
+    exact = exact_transport_stack(curve, frame, bundle=bundle)
+    assert float(np.max(np.abs(stepped.xis_end - exact.xis_end))) <= 1e-9
+    assert np.allclose(stepped.g_end, exact.g_end, atol=1e-12)
+    assert exact.drift == 0.0 and exact.min_ratio == 1.0
+    assert exact.fiber_residual() < 1e-12
+    assert (exact.end_holonomy_defect is not None) == closed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_frame_return_is_orthogonal(veronese, n):
+    ret = transport_frame_return(_commutator_loop(veronese(n)))
+    k = ret.shape[0]
+    assert float(np.max(np.abs(ret.T @ ret - np.eye(k)))) <= 1e-13
+
+
+@pytest.mark.parametrize("transport", [
+    lambda curve, xi: parallel_transport_normal(curve, xi,
+                                                samples_per_segment=4),
+    lambda curve, xi: exact_transport_stack(curve, xi),
+], ids=["stepper", "exact"])
+def test_sample_times_match_samples(v3, transport):
+    x = v3.rep.generators[1]
+    curve = OrbitCurve(orbit=v3, segments=((x, 0.1), (x, 0.05)))
+    res = transport(curve, v3.nbar_frame[0])
+    assert np.all(np.diff(res.times) > 0.0)
+    assert res.times[0] == 0.0 and res.times[-1] == curve.total_time
+    for t, g in zip(res.times, res.g_samples):
+        assert np.linalg.norm(g - matrix_exp(t * x)) <= 1e-12
+    assert np.allclose(res.samples[-1], res.xis_end, atol=0.0)
