@@ -31,7 +31,6 @@ from .linalg import (
     bracket,
     matrix_exp,
     orthonormal_span,
-    project_onto,
     sym_eig,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "bracket",
     "matrix_exp",
     "orthonormal_span",
-    "project_onto",
     "sym_eig",
     "__version__",
 ]

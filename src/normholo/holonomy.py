@@ -21,7 +21,7 @@ from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      bracket_closure, invariant_decomposition,
                      is_transitive_on_sphere, skew_span)
 from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, matrix_exp,
-                     orthogonal_log, tolerant_rank)
+                     orthogonal_log, rank_reveal)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
 from .srep import CartanCurvature, slice_rep_image
@@ -53,11 +53,8 @@ class AdaptedCurvature:
 
     def endomorphisms(self) -> np.ndarray:
         """All pair endomorphisms, (K(K-1)/2, K, K), pairs a < b."""
-        k = self.normal_dim
-        out = [self.tensor[a, b].T for a in range(k) for b in range(a + 1, k)]
-        if not out:
-            return np.zeros((0, k, k))
-        return np.stack(out)
+        a, b = np.triu_indices(self.normal_dim, 1)
+        return np.transpose(self.tensor[a, b], (0, 2, 1))
 
     def symmetry_residuals(self) -> dict:
         t = self.tensor
@@ -70,35 +67,37 @@ class AdaptedCurvature:
         }
 
 
-def adapted_curvature(M: OrbitSubmanifold,
-                      check_tol: float = 1e-9) -> AdaptedCurvature:
-    """Curvature tensor of the normal connection over the nu_v frame."""
-    ops = shape_operators(M)
-    coms = np.einsum("aij,bjk->abik", ops, ops)
-    coms = coms - coms.transpose(1, 0, 2, 3)
-    tensor = -np.einsum("abij,cdji->abcd", coms, coms)
+def adapted_curvature(M: OrbitSubmanifold) -> AdaptedCurvature:
+    """Curvature tensor of the normal connection over the nu_v frame,
+    computed once per orbit (kept in the orbit's cache)."""
+    if "curvature" in M._cache:
+        return M._cache["curvature"]
+    tensor = CartanCurvature.entries(shape_operators(M))
+    tensor.flags.writeable = False
     result = AdaptedCurvature(frame=M.normal_frame, tensor=tensor)
     worst = max(result.symmetry_residuals().values())
     scale = 1.0 + result.norm()
-    if worst > check_tol * scale:
+    if worst > 1e-9 * scale:
         raise InvalidInput(
             f"curvature symmetry residual {worst:.2e} exceeds tolerance; "
             "shape operators are inconsistent")
+    M._cache["curvature"] = result
     return result
 
 
-def holonomy_algebra(M: OrbitSubmanifold, cap: int | None = None,
+def holonomy_algebra(M: OrbitSubmanifold,
                      tols: Tolerances = DEFAULT_TOLS) -> LieAlgebraSpan:
-    """Bracket closure of the curvature endomorphisms on nu_v coords."""
-    curv = adapted_curvature(M)
-    endos = curv.endomorphisms()
-    scale = max(1.0, curv.norm())
-    keep = [e for e in endos if np.linalg.norm(e) > tols.rank * scale]
-    if not keep:
-        return LieAlgebraSpan(acting_dim=curv.normal_dim, basis=(),
-                              closed=True)
-    span = skew_span(keep, acting_dim=curv.normal_dim, tol=tols.rank)
-    return bracket_closure(span, cap=cap, tol=tols.rank)
+    """Bracket closure of the curvature endomorphisms on nu_v coords,
+    computed once per orbit and tolerances (kept in the orbit's cache)."""
+    key = ("algebra", tols)
+    if key not in M._cache:
+        curv = adapted_curvature(M)
+        scale = max(1.0, curv.norm())
+        keep = [e for e in curv.endomorphisms()
+                if np.linalg.norm(e) > tols.rank * scale]
+        span = skew_span(keep, acting_dim=curv.normal_dim, tol=tols.rank)
+        M._cache[key] = bracket_closure(span, tol=tols.rank)
+    return M._cache[key]
 
 
 def position_fixed_residual(M: OrbitSubmanifold,
@@ -117,15 +116,15 @@ def fiber_orbit_dimension(algebra: LieAlgebraSpan, xi_coords: np.ndarray,
     if algebra.dim == 0:
         return 0
     img = np.column_stack([x @ xi_coords for x in algebra.basis])
-    return tolerant_rank(img, tols)
+    return rank_reveal(img, tols.rank)[3]
 
 
 def symmetric_system_residual(curv: AdaptedCurvature,
-                              algebra: LieAlgebraSpan, samples: int = 6,
+                              algebra: LieAlgebraSpan,
                               seed: int = 0) -> float:
     """Invariance defect of the curvature tensor under sampled holonomy.
 
-    Pulls the tensor back through h = exp(Lambda) for random unit
+    Pulls the tensor back through h = exp(Lambda) for six random unit
     algebra elements and reports the max relative change.
     """
     if algebra.dim == 0:
@@ -134,7 +133,7 @@ def symmetric_system_residual(curv: AdaptedCurvature,
     t = curv.tensor
     scale = max(np.linalg.norm(t), 1e-30)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(6):
         c = rng.standard_normal(algebra.dim)
         c /= np.linalg.norm(c)
         lam = np.einsum("p,pij->ij", c, algebra.matrices())
@@ -196,10 +195,7 @@ def cartan_comparison(M: OrbitSubmanifold,
             "traceless shape map is not a homothecy on nu_bar "
             f"(gram residual {hom.gram_residual:.2e})")
     nbar = M.nbar_frame
-    ops = np.stack([shape_operator(M, xi) for xi in nbar])
-    coms = np.einsum("aij,bjk->abik", ops, ops)
-    coms = coms - coms.transpose(1, 0, 2, 3)
-    lhs = -np.einsum("abij,cdji->abcd", coms, coms)
+    lhs = CartanCurvature.entries([shape_operator(M, xi) for xi in nbar])
     rhs = hom.ratio ** 4 * CartanCurvature.entries(nbar)
     scale = max(float(np.max(np.abs(lhs))), 1e-30)
     gap = float(np.max(np.abs(lhs - rhs))) / scale
@@ -253,9 +249,10 @@ def _matches_projective_signature(factor: FactorVerdict) -> bool:
     return False
 
 
-def analyze(M: OrbitSubmanifold, seed: int = 0, cap: int | None = None,
+def analyze(M: OrbitSubmanifold, seed: int = 0,
             tols: Tolerances = DEFAULT_TOLS) -> HolonomyVerdict:
-    """Full holonomy verdict for an orbit.
+    """Full holonomy verdict for an orbit, computed once per orbit, seed
+    and tolerances (kept in the orbit's cache).
 
     The conjecture class is operational, not a theorem: "transitive"
     when a single factor covers the sphere-normal directions and acts
@@ -263,8 +260,11 @@ def analyze(M: OrbitSubmanifold, seed: int = 0, cap: int | None = None,
     at least 2 or the single factor matches the projective signature;
     anything else is flagged "violation-candidate" for inspection.
     """
+    key = ("verdict", seed, tols)
+    if key in M._cache:
+        return M._cache[key]
     curv = adapted_curvature(M)
-    algebra = holonomy_algebra(M, cap=cap, tols=tols)
+    algebra = holonomy_algebra(M, tols=tols)
     decomp = invariant_decomposition(algebra, seed=seed, tols=tols)
     factors = []
     for sub, irr in zip(decomp.factors, decomp.irreducible_by_probe):
@@ -288,13 +288,14 @@ def analyze(M: OrbitSubmanifold, seed: int = 0, cap: int | None = None,
     else:
         verdict_class = "violation-candidate"
 
-    return HolonomyVerdict(
+    M._cache[key] = verdict = HolonomyVerdict(
         orbit=M, curvature=curv, algebra=algebra, decomposition=decomp,
         factors=factors, rank=rank, factor_count=r,
         bound_satisfied=(r <= M.dim // 2), conjecture_class=verdict_class,
         position_residual=position_fixed_residual(M, algebra),
         symmetric_residual=symmetric_system_residual(curv, algebra, seed=seed),
         seed=seed)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -320,13 +321,12 @@ class CommutingCertificate:
 
 def commuting_certificate(M: OrbitSubmanifold,
                           verdict: HolonomyVerdict | None = None,
-                          tol: float = 1e-8,
                           tols: Tolerances = DEFAULT_TOLS) -> CommutingCertificate:
     """Search each holonomy factor for a non-commuting shape pair.
 
     For factor i the pair (xi_i, xi_i') maximizing |[A_xi, A_xi']| over
-    the factor frame is recorded; factors where every commutator is
-    negligible are flagged as flat anomalies.  The collected commutators
+    the factor frame is recorded; factors where every commutator is at
+    most tols.rank are flagged as flat anomalies.  The collected commutators
     are certified linearly independent and pairwise commuting.
     """
     if verdict is None:
@@ -346,7 +346,7 @@ def commuting_certificate(M: OrbitSubmanifold,
                 nrm = float(np.linalg.norm(com))
                 if best is None or nrm > best[0]:
                     best = (nrm, a, b, com)
-        if best is None or best[0] <= tol:
+        if best is None or best[0] <= tols.rank:
             cert.flat_factors.append(i)
             continue
         nrm, a, b, com = best
@@ -356,14 +356,12 @@ def commuting_certificate(M: OrbitSubmanifold,
             factor_index=i, xi_a=xi_a, xi_b=xi_b, commutator=com, norm=nrm))
     if cert.pairs:
         stacked = np.stack([p.commutator.ravel() / p.norm for p in cert.pairs])
-        cert.independent = tolerant_rank(stacked.T, tols) == len(cert.pairs)
-        worst = 0.0
-        for i in range(len(cert.pairs)):
-            ci = cert.pairs[i].commutator / cert.pairs[i].norm
-            for j in range(i + 1, len(cert.pairs)):
-                cj = cert.pairs[j].commutator / cert.pairs[j].norm
-                worst = max(worst, float(np.linalg.norm(ci @ cj - cj @ ci)))
-        cert.max_pairwise_commutator = worst
+        cert.independent = (rank_reveal(stacked.T, tols.rank)[3]
+                            == len(cert.pairs))
+        cs = [p.commutator / p.norm for p in cert.pairs]
+        cert.max_pairwise_commutator = max(
+            (float(np.linalg.norm(ci @ cj - cj @ ci))
+             for i, ci in enumerate(cs) for cj in cs[i + 1:]), default=0.0)
     return cert
 
 

@@ -9,7 +9,14 @@ each seeded probe must exhaust its factor.
 Factor *candidates* come from eigenspaces of a random symmetric element
 of the commutant.  Probe closures alone cannot isolate factors (the
 closure of a generic vector is the sum of every factor it touches), so
-the commutant supplies the split and the probes certify it.
+the commutant supplies the split and the probes certify it.  The
+commutant is computed from a random generating pair of the algebra and
+confirmed against the full basis.
+
+Bracket closures and probe closures run through one frontier routine:
+each round offers only the images of the directions the previous round
+added (their brackets with the whole span, or the algebra applied to
+them), never the whole span again.
 """
 
 from __future__ import annotations
@@ -23,12 +30,11 @@ from .linalg import (
     DEFAULT_TOLS,
     Subspace,
     Tolerances,
-    bracket,
     extend_span,
     gram_kernel,
     orthonormal_span,
+    rank_reveal,
     sym_eig,
-    tolerant_rank,
 )
 
 
@@ -86,6 +92,27 @@ def skew_span(mats, acting_dim: int | None = None,
     return LieAlgebraSpan(acting_dim=acting_dim, basis=basis)
 
 
+def _frontier_closure(space: Subspace, images,
+                      cap: int | None = None) -> Subspace:
+    """Smallest span containing space and closed under images.
+
+    images(basis, start) returns, as rows, what the columns
+    basis[:, start:] (the frontier) generate together with the rest of
+    the basis.  Each round offers only the frontier's images; the
+    columns it adds are the next frontier, so nothing is offered twice.
+    Exceeding cap raises DimensionCapExceeded.
+    """
+    start = 0
+    while True:
+        if cap is not None and space.dim > cap:
+            raise DimensionCapExceeded(
+                f"closure dimension {space.dim} exceeds cap {cap}")
+        if start == space.dim:
+            return space
+        start, space = space.dim, extend_span(space,
+                                              images(space.basis, start))
+
+
 def bracket_closure(span_or_mats, cap: int | None = None,
                     tol: float = DEFAULT_TOLS.rank) -> LieAlgebraSpan:
     """Close a span of skew matrices under the commutator.
@@ -100,28 +127,20 @@ def bracket_closure(span_or_mats, cap: int | None = None,
     k = span.acting_dim
     if cap is None:
         cap = k * (k - 1) // 2
-    amb = k * k
-    space = orthonormal_span([b.ravel() for b in span.basis],
-                             ambient_dim=amb, tol=tol)
-    while True:
-        if space.dim > cap:
-            raise DimensionCapExceeded(
-                f"closure dimension {space.dim} exceeds cap {cap}")
-        mats = [space.basis[:, j].reshape(k, k) for j in range(space.dim)]
-        new = []
+
+    def brackets(basis, start):
+        # every pair i < j whose later element is on the frontier
+        mats = basis.T.reshape(-1, k, k)
+        rows = []
         for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                new.append(bracket(mats[i], mats[j]).ravel())
-        grown = extend_span(space, new) if new else space
-        if grown.dim == space.dim:
-            space = grown
-            break
-        space = grown
-    if space.dim > cap:
-        raise DimensionCapExceeded(
-            f"closure dimension {space.dim} exceeds cap {cap}")
-    basis = tuple(space.basis[:, j].reshape(k, k) for j in range(space.dim))
-    basis = tuple(0.5 * (b - b.T) for b in basis)
+            later = mats[max(i + 1, start):]
+            rows.append((mats[i] @ later - later @ mats[i]).reshape(-1, k * k))
+        return np.vstack(rows)
+
+    space = orthonormal_span([b.ravel() for b in span.basis],
+                             ambient_dim=k * k, tol=tol)
+    space = _frontier_closure(space, brackets, cap)
+    basis = tuple(0.5 * (b - b.T) for b in space.basis.T.reshape(-1, k, k))
     return LieAlgebraSpan(acting_dim=k, basis=basis, closed=True)
 
 
@@ -145,59 +164,65 @@ class RepDecomposition:
 
 def _sym_frame(n: int) -> np.ndarray:
     """Orthonormal basis of symmetric n x n matrices (trace included)."""
-    frame = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            frame.append(e)
-    return np.stack(frame)
+    i, j = np.triu_indices(n)
+    frame = np.zeros((len(i), n, n))
+    idx = np.arange(len(i))
+    frame[idx, i, j] = frame[idx, j, i] = np.where(i == j, 1.0,
+                                                   1.0 / np.sqrt(2.0))
+    return frame
 
 
-def _symmetric_commutant(mats, tols: Tolerances):
+def _symmetric_commutant(mats, rng, tols: Tolerances):
     """Orthonormal basis of symmetric matrices commuting with every mat.
 
-    The kernel of the stacked maps S -> [x, S] over the symmetric frame
-    equals the kernel of their R factor, which is accumulated one map at
-    a time (QR of [R; next block]) so the tall stack is never formed.
+    Whatever commutes with x and y commutes with [x, y], so for these
+    compact algebras the kernel of S -> [x, S] over two random unit
+    elements x of the span is already the whole commutant.  A residual
+    check against every mat confirms it; failing that, one more random
+    element is imposed, up to len(mats) of them.  The kernel of the
+    stacked maps equals the kernel of their R factor, accumulated one
+    map at a time (QR of [R; next block]) so the stack is never formed.
     """
     if not mats:
         return [np.eye(0)]
-    n = mats[0].shape[0]
-    frame = _sym_frame(n)
+    stack = np.stack(mats)
+    frame = _sym_frame(stack.shape[1])
     r = np.zeros((0, len(frame)))
-    for x in mats:
+    for count in range(1, len(mats) + 1):
+        c = rng.standard_normal(len(mats))
+        x = np.einsum("p,pij->ij", c / np.linalg.norm(c), stack)
         block = (x @ frame - frame @ x).reshape(len(frame), -1).T
         r = np.linalg.qr(np.vstack([r, block]), mode="r")
-    ker = gram_kernel(r, tols)
-    out = np.einsum("fj,fab->jab", ker.basis, frame)
-    return list(0.5 * (out + np.transpose(out, (0, 2, 1))))
+        if count < min(2, len(mats)):
+            continue
+        _, s, vt, rank = rank_reveal(r, tols.rank)
+        out = np.einsum("jf,fab->jab", vt[rank:], frame)
+        out = 0.5 * (out + np.transpose(out, (0, 2, 1)))
+        resid = max(float(np.linalg.norm(y @ out - out @ y)) for y in stack)
+        if resid <= tols.rank * (1.0 + s[0]):
+            break
+    return list(out)
 
 
 def _probe_closure(span: LieAlgebraSpan, start: np.ndarray,
                    within: Subspace, tol: float) -> Subspace:
     """Smallest invariant subspace containing start, kept inside an
     invariant ambient factor to control numerical drift."""
-    amb = span.acting_dim
-    current = orthonormal_span([within.project(start)], ambient_dim=amb, tol=tol)
-    while True:
-        new = []
-        for j in range(current.dim):
-            v = current.basis[:, j]
-            for x in span.basis:
-                new.append(within.project(x @ v))
-        grown = extend_span(current, new)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    mats = span.matrices()
+
+    def images(basis, first):
+        imgs = mats @ basis[:, first:]           # (algebra, K, frontier)
+        rows = imgs.transpose(2, 0, 1).reshape(-1, span.acting_dim)
+        return within.project(rows.T).T
+
+    current = orthonormal_span([within.project(start)],
+                               ambient_dim=span.acting_dim, tol=tol)
+    return _frontier_closure(current, images)
 
 
 def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
-                            tols: Tolerances = DEFAULT_TOLS,
-                            probes: int | None = None) -> RepDecomposition:
+                            tols: Tolerances = DEFAULT_TOLS
+                            ) -> RepDecomposition:
     """Split the acting space into fixed set and irreducible factors.
 
     The fixed set is the common kernel of the basis (equivalently the
@@ -222,7 +247,7 @@ def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
     candidates = []
     if moving.dim > 0:
         restricted = [moving.basis.T @ x @ moving.basis for x in span.basis]
-        comm = _symmetric_commutant(restricted, tols)
+        comm = _symmetric_commutant(restricted, rng, tols)
         if len(comm) <= 1:
             candidates.append(moving)
         else:
@@ -236,40 +261,28 @@ def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
                     ambient_cols.T, ambient_dim=k, tol=tols.rank))
 
     factors = []
-    flags = []
     n_probes = 0
     queue = list(candidates)
     while queue:
         cand = queue.pop(0)
         if cand.dim == 0:
             continue
-        n_probes = max(8, cand.dim) if probes is None else probes
-        split = None
-        all_full = True
+        n_probes = max(8, cand.dim)
         for _ in range(n_probes):
-            raw = rng.standard_normal(k)
-            w = cand.project(raw)
+            w = cand.project(rng.standard_normal(k))
             if float(np.linalg.norm(w)) < 1e-12:
                 continue
             closure = _probe_closure(span, w, cand, tols.rank)
             if closure.dim < cand.dim:
-                split = closure
-                all_full = False
+                queue[:0] = [closure, closure.complement_within(cand)]
                 break
-        if split is not None:
-            rest = split.complement_within(cand)
-            queue.insert(0, split)
-            queue.insert(1, rest)
-            continue
-        factors.append(cand)
-        flags.append(all_full)
+        else:
+            # kept only when every probe closure filled it
+            factors.append(cand)
 
-    order = sorted(range(len(factors)),
-                   key=lambda i: (-factors[i].dim, i))
-    factors = tuple(factors[i] for i in order)
-    flags = tuple(flags[i] for i in order)
+    factors = tuple(sorted(factors, key=lambda f: -f.dim))
     return RepDecomposition(fixed=fixed, factors=factors,
-                            irreducible_by_probe=flags,
+                            irreducible_by_probe=(True,) * len(factors),
                             probes_per_factor=n_probes)
 
 
@@ -299,7 +312,7 @@ def is_transitive_on_sphere(span: LieAlgebraSpan, probes: int = 8,
         u /= np.linalg.norm(u)
         img = np.column_stack([x @ u for x in span.basis]) \
             if span.dim else np.zeros((k, 0))
-        d = tolerant_rank(img, tols)
+        d = rank_reveal(img, tols.rank)[3]
         dims.append(d)
         if d != k - 1:
             ok = False

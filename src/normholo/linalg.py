@@ -213,10 +213,6 @@ def extend_span(space: Subspace, vectors) -> Subspace:
     return _frozen_subspace(np.hstack([space.basis, new]), space.tol)
 
 
-def project_onto(space: Subspace, x: np.ndarray) -> np.ndarray:
-    return space.project(np.asarray(x, dtype=float).ravel())
-
-
 def gram_kernel(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Subspace:
     """Kernel of a linear map given as rows-act matrix (m, n).
 
@@ -228,10 +224,6 @@ def gram_kernel(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Subspace:
     _, _, vt, rank = rank_reveal(mat, tols.rank,
                                  full=mat.shape[0] < mat.shape[1])
     return _frozen_subspace(vt[rank:].T, tols.rank)
-
-
-def tolerant_rank(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> int:
-    return rank_reveal(mat, tols.rank)[3]
 
 
 def mgs_qr(a: np.ndarray, tol: float = DEFAULT_TOLS.rank):

@@ -58,10 +58,6 @@ class OrbitSubmanifold:
     def generator(self, i: int) -> np.ndarray:
         return self.rep.generator_matrix(self.m_basis[i])
 
-    def tangent_coords(self, mat: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,nij->n", np.asarray(mat, float),
-                         self.tangent_frame)
-
     def normal_coords(self, mat: np.ndarray) -> np.ndarray:
         return np.einsum("ij,kij->k", np.asarray(mat, float),
                          self.normal_frame)

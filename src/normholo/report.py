@@ -72,7 +72,13 @@ class ScenarioConfig:
             if a not in KNOWN_ANALYSES:
                 raise InvalidInput(f"unknown analysis '{a}'; "
                                    f"choose from {KNOWN_ANALYSES}")
-        curve = tuple(_curve_segment(seg) for seg in raw.get("curve", ()))
+        rep = str(raw.get("rep", ""))
+        try:
+            group_dim = sum(r * (r - 1) // 2 for r in _block_sizes(rep))
+        except InvalidInput:    # the analyses that build the orbit say so
+            group_dim = None
+        curve = tuple(_curve_segment(seg, group_dim)
+                      for seg in raw.get("curve", ()))
         point = str(raw.get("point", ""))
         for part in point.split(";"):
             if part.strip().startswith("diag:"):
@@ -80,7 +86,7 @@ class ScenarioConfig:
         step = None if raw.get("step") is None else float(raw["step"])
         if step is not None and not (np.isfinite(step) and step > 0.0):
             raise InvalidInput(f"step must be positive and finite, got {step}")
-        return cls(rep=str(raw.get("rep", "")),
+        return cls(rep=rep,
                    point=point,
                    analyses=analyses,
                    seed=int(raw.get("seed", 0)),
@@ -110,8 +116,9 @@ class ScenarioConfig:
         return Tolerances(**{**DEFAULT_TOLS.__dict__, **kw})
 
 
-def _curve_segment(seg) -> tuple:
-    """A [generatorIndex, t] pair: integral index >= 0, finite t >= 0."""
+def _curve_segment(seg, group_dim: int | None) -> tuple:
+    """A [generatorIndex, t] pair: integral index >= 0 and below the
+    group dimension (when known), finite t >= 0."""
     try:
         gi, t = seg
         index, t = float(gi), float(t)
@@ -122,6 +129,9 @@ def _curve_segment(seg) -> tuple:
                                     and index == int(index)):
         raise InvalidInput(f"curve generator index must be an integer >= 0, "
                            f"got {gi!r}")
+    if group_dim is not None and index >= group_dim:
+        raise InvalidInput(f"curve generator index {int(index)} out of range "
+                           f"for group dimension {group_dim}")
     if not (np.isfinite(t) and t >= 0.0):
         raise InvalidInput(f"curve segment duration must be finite and "
                            f">= 0, got {t}")
@@ -130,11 +140,15 @@ def _curve_segment(seg) -> tuple:
 
 def parse_rep_spec(spec: str) -> SymmetricPairRep:
     """'sl-so:<r>' or 'product:sl-so:<r1>,sl-so:<r2>,...'."""
+    return SymmetricPairRep.product(_block_sizes(spec))
+
+
+def _block_sizes(spec: str) -> tuple:
+    """Block sizes r_i of a rep spec."""
     spec = spec.strip()
-    if spec.startswith("product:"):
-        parts = spec[len("product:"):].split(",")
-        return SymmetricPairRep.product(tuple(_block_size(p) for p in parts))
-    return SymmetricPairRep.for_size(_block_size(spec))
+    parts = spec[len("product:"):].split(",") \
+        if spec.startswith("product:") else [spec]
+    return tuple(_block_size(p) for p in parts)
 
 
 def _block_size(part: str) -> int:
@@ -360,12 +374,8 @@ def _tube_direction(M, config, tols) -> np.ndarray:
 def _tube_curve(M, config) -> OrbitCurve | None:
     if not config.curve:
         return None
-    segs = []
-    for gi, t in config.curve:
-        if gi >= M.rep.group_dim:
-            raise InvalidInput(f"generator index {gi} out of range")
-        segs.append((M.rep.generators[gi], t))
-    return OrbitCurve(orbit=M, segments=tuple(segs))
+    segs = tuple((M.rep.generators[gi], t) for gi, t in config.curve)
+    return OrbitCurve(orbit=M, segments=segs)
 
 
 def _spectrum_dict(spec) -> dict:

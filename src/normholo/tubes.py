@@ -37,8 +37,6 @@ from .transport import OrbitCurve, exact_transport_stack
 # looser than the default in linalg.
 TUBE_CLUSTER_GAP = 1e-3
 
-TANGENT_STENCIL_POINTS = 7
-FIBER_STENCIL_POINTS = 5
 PATCH_EXTENT = 0.02
 SAFETY_MARGIN = 0.2
 
@@ -159,9 +157,52 @@ def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
     return lams, m3
 
 
+def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray,
+                   tols: Tolerances):
+    """Foot data of the normal vector xi at foot through s -> s/(1-s).
+
+    Returns (lam_tilde, mu, hats): the traceless shape spectrum of xi,
+    the mean-curvature term, and the clustered hat-eigenvalues as
+    ((value, multiplicity), ...) descending, or None when a foot
+    eigenvalue sits at 1 (a focal point).
+    """
+    lam_tilde = sym_eig(traceless_shape_operator(foot, xi), tols=tols).values
+    mc = mean_curvature(foot)
+    mu = float(np.einsum("ij,ij->", xi, mc.ambient)) / foot.dim
+    lam = lam_tilde + mu
+    if np.min(np.abs(1.0 - lam)) < 1e-8:
+        return lam_tilde, mu, None
+    dec = sym_eig(np.diag(lam / (1.0 - lam)),
+                  tols=tols.with_cluster_gap(TUBE_CLUSTER_GAP))
+    hats = sorted(zip(dec.cluster_means(), dec.cluster_sizes()),
+                  key=lambda t: -t[0])
+    return lam_tilde, mu, tuple((float(v), int(m)) for v, m in hats)
+
+
+def _stencil_jacobian(fn, n: int, n_axes: int, extent: float) -> np.ndarray:
+    """Central-difference Jacobian of fn at the chart origin.
+
+    The n foot axes take the 7-point stencil, the fiber axes the
+    5-point one, each over [-extent, extent].
+    """
+    cols = []
+    for axis in range(n_axes):
+        weights = _W7 if axis < n else _W5
+        half = len(weights) // 2
+        h = extent / half
+        acc = 0.0
+        for k, w in enumerate(weights):
+            if w == 0.0:
+                continue
+            params = np.zeros(n_axes)
+            params[axis] = (k - half) * h
+            acc = acc + w * fn(params)
+        cols.append(acc / h)
+    return np.column_stack(cols)
+
+
 def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
                               curve: OrbitCurve | None = None,
-                              cluster_gap: float = TUBE_CLUSTER_GAP,
                               tols: Tolerances = DEFAULT_TOLS) -> TubeSpectrum:
     """Tube spectrum from foot data through s -> s/(1-s).
 
@@ -171,22 +212,14 @@ def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
     -1 exactly, with the fiber-orbit dimension as multiplicity.
     """
     foot, xi1, _ = _foot_data(M, xi, curve, tols)
-    lam_tilde = sym_eig(traceless_shape_operator(foot, xi1),
-                        tols=tols.with_cluster_gap(cluster_gap)).values
-    mc = mean_curvature(foot)
-    mu = float(np.einsum("ij,ij->", xi1, mc.ambient)) / foot.dim
-    lam = lam_tilde + mu
-    if np.min(np.abs(1.0 - lam)) < 1e-8:
+    lam_tilde, mu, hats = _foot_spectrum(foot, xi1, tols)
+    if hats is None:
         raise FocalDegeneracy("foot eigenvalue at 1; tube focalizes")
-    hats = lam / (1.0 - lam)
-    dec = sym_eig(np.diag(hats), tols=tols.with_cluster_gap(cluster_gap))
-    clusters = sorted(zip(dec.cluster_means(), dec.cluster_sizes()),
-                      key=lambda t: -t[0])
     algebra = holonomy_algebra(foot, tols=tols)
     _, m3 = _fiber_directions(foot, xi1, algebra, tols)
     return TubeSpectrum(
-        lambda_hats=tuple((float(v), int(m)) for v, m in clusters),
-        vertical_mult=m3, foot_eigenvalues=np.sort(lam_tilde)[::-1],
+        lambda_hats=hats, vertical_mult=m3,
+        foot_eigenvalues=np.sort(lam_tilde)[::-1],
         mean_term=mu, tube_dim=foot.dim + m3, source="formula")
 
 
@@ -253,30 +286,15 @@ class TubePatch:
         if self._axis_cache is not None:
             return self._axis_cache
         rep = self.foot.rep
+
+        def q_and_radial(params):
+            q, _, radial = self.evaluate(params)
+            return np.concatenate([rep.coords(q), rep.coords(radial)])
+
+        both = _stencil_jacobian(q_and_radial, self.n, self.n_axes,
+                                 self.extent)
         d = rep.carrier_dim
-        jac = np.zeros((d, self.n_axes))
-        dnormal = np.zeros((d, self.n_axes))
-        for axis in range(self.n_axes):
-            if axis < self.n:
-                npts, weights = TANGENT_STENCIL_POINTS, _W7
-            else:
-                npts, weights = FIBER_STENCIL_POINTS, _W5
-            half = npts // 2
-            h = self.extent / half
-            dq = np.zeros(d)
-            dr = np.zeros(d)
-            for k in range(npts):
-                off = k - half
-                if weights[k] == 0.0:
-                    continue
-                params = np.zeros(self.n_axes)
-                params[axis] = off * h
-                q, _, radial = self.evaluate(params)
-                dq += weights[k] * rep.coords(q)
-                dr += weights[k] * rep.coords(radial)
-            jac[:, axis] = dq / h
-            dnormal[:, axis] = dr / h
-        self._axis_cache = (jac, dnormal)
+        self._axis_cache = (both[:d], both[d:])
         return self._axis_cache
 
     # -- radial shape operator -----------------------------------------
@@ -304,47 +322,42 @@ class TubePatch:
         self._shape_cache = (a, q_frame, jc, asym)
         return self._shape_cache
 
-    def spectrum(self, cluster_gap: float = TUBE_CLUSTER_GAP) -> TubeSpectrum:
+    def _clusters(self):
+        """Clustered radial spectrum as (dec, means, vert, horiz): vert is
+        the cluster nearest -1, horiz the others by descending value."""
         a, _, _, _ = self.shape_operator()
-        dec = sym_eig(a, tols=self.tols.with_cluster_gap(cluster_gap))
+        dec = sym_eig(a, tols=self.tols.with_cluster_gap(TUBE_CLUSTER_GAP))
         means = dec.cluster_means()
-        sizes = dec.cluster_sizes()
         vert = int(np.argmin(np.abs(means - (-1.0))))
-        horiz = [(float(means[i]), int(sizes[i])) for i in range(len(means))
-                 if i != vert]
-        horiz.sort(key=lambda t: -t[0])
-        foot_lam = sym_eig(traceless_shape_operator(self.foot, self.xi1),
-                           tols=self.tols).values
-        mc = mean_curvature(self.foot)
-        mu = float(np.einsum("ij,ij->", self.xi1, mc.ambient)) / self.foot.dim
+        horiz = sorted((i for i in range(len(means)) if i != vert),
+                       key=lambda i: -means[i])
+        return dec, means, vert, horiz
+
+    def spectrum(self) -> TubeSpectrum:
+        dec, means, vert, horiz = self._clusters()
+        sizes = dec.cluster_sizes()
+        foot_lam, mu, _ = _foot_spectrum(self.foot, self.xi1, self.tols)
         return TubeSpectrum(
-            lambda_hats=tuple(horiz), vertical_mult=int(sizes[vert]),
+            lambda_hats=tuple((float(means[i]), int(sizes[i])) for i in horiz),
+            vertical_mult=int(sizes[vert]),
             foot_eigenvalues=np.sort(foot_lam)[::-1], mean_term=mu,
             tube_dim=self.n_axes, source="patch",
             vertical_value=float(means[vert]))
 
-    def eigendistribution(self, which: int = 0,
-                          cluster_gap: float = TUBE_CLUSTER_GAP):
-        """Orthonormal basis of the which-th descending horizontal cluster.
+    def eigendistribution(self):
+        """Orthonormal basis of the top horizontal eigenvalue cluster.
 
         Returned in tube tangent frame coordinates (the Q basis of
         shape_operator).
         """
-        a, _, _, _ = self.shape_operator()
-        dec = sym_eig(a, tols=self.tols.with_cluster_gap(cluster_gap))
-        means = dec.cluster_means()
-        vert = int(np.argmin(np.abs(means - (-1.0))))
-        order = sorted((i for i in range(len(means)) if i != vert),
-                       key=lambda i: -means[i])
-        if which >= len(order):
+        dec, _, _, horiz = self._clusters()
+        if not horiz:
             raise InvalidInput("no such horizontal eigenvalue cluster")
-        cols = list(dec.clusters[order[which]])
-        return dec.vectors[:, cols]
+        return dec.vectors[:, list(dec.clusters[horiz[0]])]
 
     # -- pointwise hat-eigenvalues through foot data -------------------
 
-    def hat_values_at(self, params: np.ndarray,
-                      cluster_gap: float = TUBE_CLUSTER_GAP):
+    def hat_values_at(self, params: np.ndarray):
         """(hat1, hat2) at a patch point, from honestly rebuilt foot data.
 
         The formula route is applied at the displaced foot; its validity
@@ -353,19 +366,10 @@ class TubePatch:
         """
         _, p, radial = self.evaluate(params)
         local = build_orbit(self.foot.rep, p, tols=self.tols)
-        lam_tilde = sym_eig(traceless_shape_operator(local, radial),
-                            tols=self.tols.with_cluster_gap(cluster_gap)).values
-        mc = mean_curvature(local)
-        mu = float(np.einsum("ij,ij->", radial, mc.ambient)) / local.dim
-        lam = lam_tilde + mu
-        if np.min(np.abs(1.0 - lam)) < 1e-8:
+        _, _, hats = _foot_spectrum(local, radial, self.tols)
+        if hats is None:
             raise FocalDegeneracy("displaced foot eigenvalue at 1")
-        hats = lam / (1.0 - lam)
-        dec = sym_eig(np.diag(hats), tols=self.tols.with_cluster_gap(cluster_gap))
-        means = sorted(dec.cluster_means(), reverse=True)
-        if len(means) < 2:
-            return float(means[0]), float(means[0])
-        return float(means[0]), float(means[1])
+        return hats[0][0], hats[min(1, len(hats) - 1)][0]
 
 
 def tube_spectrum_direct(M: OrbitSubmanifold, xi: np.ndarray,
@@ -418,7 +422,7 @@ def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
     if spec.lambda_hats[0][1] < 2:
         raise NotApplicable("top hat-eigenvalue is simple; no integral "
                             "manifold to test along")
-    e1 = patch.eigendistribution(0)
+    e1 = patch.eigendistribution()
     _, _, jc, _ = patch.shape_operator()
     jc_inv = np.linalg.inv(jc)
     worst1 = 0.0
@@ -471,7 +475,6 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
         raise InvalidShift("shifted top eigenvalue too close to zero; "
                            "pick a larger shift")
     rep = patch.foot.rep
-    d = rep.carrier_dim
 
     def rho(params):
         q, _, radial = patch.evaluate(params)
@@ -479,22 +482,7 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
         zeta = radial - shift * q
         return rep.coords(q + (1.0 / (hat1 + shift)) * zeta)
 
-    jac = np.zeros((d, patch.n_axes))
-    for axis in range(patch.n_axes):
-        if axis < patch.n:
-            npts, weights = TANGENT_STENCIL_POINTS, _W7
-        else:
-            npts, weights = FIBER_STENCIL_POINTS, _W5
-        half = npts // 2
-        h = patch.extent / half
-        acc = np.zeros(d)
-        for k in range(npts):
-            if weights[k] == 0.0:
-                continue
-            params = np.zeros(patch.n_axes)
-            params[axis] = (k - half) * h
-            acc += weights[k] * rho(params)
-        jac[:, axis] = acc / h
+    jac = _stencil_jacobian(rho, patch.n, patch.n_axes, patch.extent)
 
     # kernel in chart parameters, then into the tube tangent frame
     kernel = gram_kernel(jac, tols)
@@ -507,7 +495,7 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     tangent_kernel = orthonormal_span(
         list((jc @ kernel.basis).T), ambient_dim=patch.n_axes,
         tol=tols.rank)
-    e1_cols = patch.eigendistribution(0)
+    e1_cols = patch.eigendistribution()
     e1 = Subspace(ambient_dim=patch.n_axes, basis=e1_cols, tol=tols.rank)
     angle = principal_angle_max(tangent_kernel, e1)
     return CausticResult(kernel_dim=int(kernel.dim),

@@ -125,6 +125,10 @@ def test_missing_required_flag_exits_two(capsys):
      "--curve", "[[1, -0.2]]"],
     ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
      "--curve", "[[1.7, 0.2]]"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--curve", "[[6, 0.2]]"],
+    ["tube-spectrum", "--rep", "product:sl-so:3,sl-so:3",
+     "--point", "veronese;veronese", "--curve", "[[0, 0.1], [6, 0.2]]"],
 ])
 def test_bad_input_exits_two(capsys, argv):
     rc = main(argv)

@@ -167,3 +167,16 @@ def test_loop_probe_logs_exactly_in_algebra(veronese, n):
     # exact transport: the logs leave the curvature algebra by round-off
     probe = loop_holonomy_probe(veronese(n))
     assert probe.containment_residual <= 1e-12
+
+
+def test_verdict_memoized_per_seed():
+    m = build_orbit(SymmetricPairRep.for_size(4), np.diag([3.0, -1, -1, -1]))
+    v0 = analyze(m)
+    assert analyze(m) is v0
+    v1 = analyze(m, seed=1)
+    assert v1 is not v0
+    assert analyze(m, seed=1) is v1
+    assert analyze(m, seed=0) is v0
+    # the seeds share one curvature tensor and one algebra
+    assert v1.curvature is v0.curvature
+    assert v1.algebra is v0.algebra is holonomy_algebra(m)

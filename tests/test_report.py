@@ -158,3 +158,31 @@ def test_holonomy_and_bound_analyses():
     assert b["bound"] == 1
     assert b["attained"]
     assert b["certificate"]["pairs"] == 1
+
+
+def test_holonomy_and_bound_share_one_pass(monkeypatch):
+    import normholo.holonomy as holonomy
+    from normholo.srep import CartanCurvature
+
+    counts = {"decomposition": 0, "curvature": 0}
+    decompose = holonomy.invariant_decomposition
+    entries = CartanCurvature.entries
+
+    def counted_decomposition(*args, **kwargs):
+        counts["decomposition"] += 1
+        return decompose(*args, **kwargs)
+
+    def counted_entries(mats):
+        counts["curvature"] += 1
+        return entries(mats)
+
+    monkeypatch.setattr(holonomy, "invariant_decomposition",
+                        counted_decomposition)
+    monkeypatch.setattr(CartanCurvature, "entries",
+                        staticmethod(counted_entries))
+    cfg = ScenarioConfig.from_dict({"rep": "sl-so:4", "point": "veronese",
+                                    "analyses": ["orbit", "holonomy",
+                                                 "bound"]})
+    report = run_scenario(cfg)
+    assert report.passed
+    assert counts == {"decomposition": 1, "curvature": 1}
