@@ -11,17 +11,9 @@ import os
 import sys
 
 from .errors import NormholoError
-from .report import (KNOWN_ANALYSES, Report, ScenarioConfig, run_scenario)
+from .report import KNOWN_ANALYSES, ScenarioConfig, _render, run_scenario
 
 _SEED_ENV = "NORMHOLO_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(_SEED_ENV, "")
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        return 0
 
 
 def _add_common(p: argparse.ArgumentParser, rep_point: bool = True) -> None:
@@ -102,12 +94,12 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
-        raw["seed"] = _default_seed()
+        # passed raw: the config parse rejects a non-integer value
+        raw["seed"] = os.environ.get(_SEED_ENV, "") or 0
     return raw
 
 
-def _emit(report: Report, out: str | None) -> None:
-    text = report.document_text()
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -125,7 +117,7 @@ def _run_single(raw: dict, analyses: tuple) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     report = run_scenario(config)
-    _emit(report, out)
+    _emit(report.document_text(), out)
     return report.exit_code
 
 
@@ -163,16 +155,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
                        "failures": [i for i, r in enumerate(reports)
                                     if not r.passed]},
            "timings": [r.timings for r in reports]}
-    from .report import _render
-    text = _render(doc)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-    if any(r.hard_error for r in reports):
-        return 1
-    return 0 if all(r.passed for r in reports) else 1
+    _emit(_render(doc), out)
+    return max((r.exit_code for r in reports), default=0)
 
 
 def main(argv: list[str] | None = None) -> int:

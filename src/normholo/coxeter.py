@@ -2,9 +2,12 @@
 
 A principal orbit with flat normal bundle carries a commuting family of
 shape operators.  Their common eigendistributions define curvature
-normals eta_i in the normal space; reflections across the hyperplanes
-eta_i-perp close (for the orbits in scope) into a finite group acting on
-the span of the normals.
+normals eta_i in the normal space.  On a principal orbit they form a
+root system: the reflections across the hyperplanes eta_i-perp permute
+the finite set of normal lines, so they generate a finite group (the
+Weyl group, S_r for sl-so:r) acting on the span of the normals.  Each
+element is keyed by the signed permutation it induces on those lines,
+an exact tuple of ints, and the closure composes keys exactly.
 """
 from __future__ import annotations
 
@@ -13,18 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ClosureCapReached, DegenerateSpectrum, InvalidInput,
-                     NotIsoparametric)
+                     NotApplicable, NotIsoparametric)
 from .linalg import DEFAULT_TOLS, Tolerances, mgs_qr, sym_eig
 from .orbit import OrbitSubmanifold, shape_operators
 
 FLATNESS_TOL = 1e-8
 CLOSURE_CAP = 10_000
-DEDUP_TOL = 1e-8
 ANGLE_TOL = 1e-6
-
-# bucket width for the closure dictionary; comfortably above product
-# round-off, comfortably below the separation of distinct elements
-_KEY_DECIMALS = 6
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,9 @@ class CurvatureNormalSet:
 
 
 def _flatness_defect(ops: np.ndarray) -> float:
-    worst = 0.0
-    for a in range(ops.shape[0]):
-        for b in range(a + 1, ops.shape[0]):
-            com = ops[a] @ ops[b] - ops[b] @ ops[a]
-            worst = max(worst, float(np.linalg.norm(com)))
-    return worst
+    prods = np.einsum("aij,bjk->abik", ops, ops)
+    coms = prods - prods.transpose(1, 0, 2, 3)
+    return float(np.max(np.linalg.norm(coms, axis=(2, 3)), initial=0.0))
 
 
 def curvature_normals(M: OrbitSubmanifold, seed: int = 0,
@@ -151,16 +146,13 @@ def curvature_normals(M: OrbitSubmanifold, seed: int = 0,
     if sum(mults) != n:
         raise DegenerateSpectrum("eigendistribution dimensions do not "
                                  "exhaust the tangent space")
-    slices = []
-    start = 0
-    for m in mults:
-        slices.append((start, start + m))
-        start += m
+    ends = np.cumsum(mults).tolist()
+    slices = tuple(zip([0] + ends[:-1], ends))
     normals = np.einsum("ra,aij->rij", coords, M.normal_frame)
     return CurvatureNormalSet(orbit=M, normals=normals, nu_coords=coords,
                               multiplicities=mults,
                               distributions=distributions,
-                              block_slices=tuple(slices),
+                              block_slices=slices,
                               residual=residual)
 
 
@@ -186,71 +178,83 @@ class ReflectionGroup:
         return self.span_basis.shape[1]
 
 
-def _element_key(mat: np.ndarray) -> tuple:
-    return tuple(np.round(mat.ravel(), _KEY_DECIMALS).tolist())
+def _line_permutation(g: np.ndarray, units: np.ndarray,
+                      angle_tol: float = ANGLE_TOL):
+    """Signed permutation that g induces on the normal lines, or None.
+
+    Returns (targets, signs) with g u_i = signs[i] u_targets[i] within
+    angle_tol, or None when the image lines do not land one-to-one on
+    the normal lines.
+    """
+    dots = units @ g @ units.T          # dots[j, i] = <u_j, g u_i>
+    targets = np.argmax(np.abs(dots), axis=0)
+    best = dots[targets, np.arange(units.shape[0])]
+    angles = np.arccos(np.clip(np.abs(best), -1.0, 1.0))
+    if len(set(targets.tolist())) < units.shape[0] \
+            or float(np.max(angles)) > angle_tol:
+        return None
+    return tuple(targets.tolist()), tuple(np.where(best < 0, -1, 1).tolist())
 
 
 def reflection_group(normals: CurvatureNormalSet,
                      cap: int = CLOSURE_CAP,
-                     dedup_tol: float = DEDUP_TOL,
                      tols: Tolerances = DEFAULT_TOLS) -> ReflectionGroup:
     """Generate and close the group of reflections across eta_i-perp.
 
-    Acts on span{eta_i} inside the normal space.  Breadth-first closure
-    with de-duplication at dedup_tol; exceeding cap elements raises
-    ClosureCapReached.  The returned group re-verifies orthogonality of
-    every element and closure of every product.
+    Acts on span{eta_i}; each element is keyed by the signed permutation
+    it induces on the normal lines (exact, since the normals span).  A
+    breadth-first closure composes keys exactly; closure_defect is the
+    largest gap between a product and the element stored under its key.
+    Raises NotApplicable when a reflection does not permute the lines,
+    ClosureCapReached past cap elements, and DegenerateSpectrum for an
+    element that is not orthogonal or does not realise its key.
     """
     if normals.count == 0:
         raise InvalidInput("no curvature normals to reflect across")
-    span, _, accepted = mgs_qr(normals.nu_coords.T, tol=tols.rank)
-    span = span[:, : len(accepted)]
+    span, _, _ = mgs_qr(normals.nu_coords.T, tol=tols.rank)
     u = normals.nu_coords @ span           # (r, s)
-    s = span.shape[1]
-    gens = np.empty((normals.count, s, s))
-    for i in range(normals.count):
-        unit = u[i] / np.linalg.norm(u[i])
-        gens[i] = np.eye(s) - 2.0 * np.outer(unit, unit)
+    units = u / np.linalg.norm(u, axis=1, keepdims=True)
+    r, s = u.shape
+    gens = np.stack([np.eye(s) - 2.0 * np.outer(v, v) for v in units])
+    gen_keys = [_line_permutation(g, units) for g in gens]
+    if any(key is None for key in gen_keys):
+        raise NotApplicable("a reflection across eta_i-perp does not "
+                            "permute the normal lines; the curvature "
+                            "normals are not a root system")
 
-    elements: list[np.ndarray] = [np.eye(s)]
-    index = {_element_key(np.eye(s)): 0}
-
-    def lookup(mat: np.ndarray) -> int | None:
-        j = index.get(_element_key(mat))
-        if j is not None and np.max(np.abs(elements[j] - mat)) <= dedup_tol:
-            return j
-        return None
-
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            for g in gens:
-                prod = elements[ei] @ g
-                if lookup(prod) is None:
-                    if len(elements) >= cap:
-                        raise ClosureCapReached(
-                            f"reflection closure exceeded {cap} elements; "
-                            "group may be infinite")
-                    index[_element_key(prod)] = len(elements)
-                    elements.append(prod)
-                    nxt.append(len(elements) - 1)
-        frontier = nxt
+    keys = [(tuple(range(r)), (1,) * r)]
+    elements = [np.eye(s)]
+    index = {keys[0]: 0}
+    closure_defect = 0.0
+    # the two lists grow in step and double as the breadth-first queue
+    for e, (te, se) in zip(elements, keys):
+        for g, (tg, sg) in zip(gens, gen_keys):
+            # (e g) u_i = sg_i se_{tg_i} u_{te[tg_i]}
+            key = (tuple(te[t] for t in tg),
+                   tuple(sg[i] * se[t] for i, t in enumerate(tg)))
+            prod = e @ g
+            j = index.get(key)
+            if j is not None:
+                closure_defect = max(closure_defect, float(np.max(
+                    np.abs(prod - elements[j]))))
+            elif len(elements) >= cap:
+                raise ClosureCapReached(
+                    f"reflection closure exceeded {cap} elements; "
+                    "group may be infinite")
+            else:
+                index[key] = len(elements)
+                keys.append(key)
+                elements.append(prod)
 
     worst_orth = max(float(np.linalg.norm(e.T @ e - np.eye(s)))
                      for e in elements)
     if worst_orth > 1e-10:
         raise DegenerateSpectrum(
             f"closure produced a non-orthogonal element ({worst_orth:.3e})")
-    closure_defect = 0.0
-    for a in elements:
-        for b in elements:
-            prod = a @ b
-            if lookup(prod) is None:
-                raise DegenerateSpectrum("closure list is not closed under "
-                                         "composition at the dedup tolerance")
-            closure_defect = max(closure_defect, float(np.max(np.abs(
-                prod - elements[lookup(prod)]))))
+    if any(_line_permutation(e, units) != key
+           for e, key in zip(elements, keys)):
+        raise DegenerateSpectrum("a closure element does not induce the "
+                                 "line permutation it was keyed by")
     return ReflectionGroup(span_basis=span, normal_span_coords=u,
                            generators=gens, elements=tuple(elements),
                            finite=True, order=len(elements),
@@ -267,16 +271,7 @@ def hyperplane_permutation_check(g: np.ndarray,
     """
     u = group.normal_span_coords
     units = u / np.linalg.norm(u, axis=1, keepdims=True)
-    hit = set()
-    for i in range(units.shape[0]):
-        img = g @ units[i]
-        dots = np.abs(units @ img)
-        j = int(np.argmax(dots))
-        angle = float(np.arccos(np.clip(dots[j], -1.0, 1.0)))
-        if angle > angle_tol or j in hit:
-            return False
-        hit.add(j)
-    return len(hit) == units.shape[0]
+    return _line_permutation(g, units, angle_tol) is not None
 
 
 def focal_displacement(normals: CurvatureNormalSet, index: int,

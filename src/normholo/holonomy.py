@@ -21,7 +21,7 @@ from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      bracket_closure, invariant_decomposition,
                      is_transitive_on_sphere, skew_span)
 from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, matrix_exp,
-                     orthogonal_log, rank_reveal)
+                     orthogonal_log, rank_reveal, subspace_distance)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
 from .srep import CartanCurvature, slice_rep_image
@@ -151,24 +151,18 @@ def slice_holonomy_distance(M: OrbitSubmanifold,
                             tols: Tolerances = DEFAULT_TOLS) -> float:
     """Subspace distance between the slice image and the holonomy algebra.
 
-    Both algebras act on nu_v in the same frame coordinates; they are
-    compared as subspaces of the skew matrices via their orthogonal
-    projectors.
+    Both algebras act on nu_v in the same frame coordinates; their
+    flattened bases are compared as subspaces of R^(K*K).
     """
     _, iso_mats = M.rep.isotropy_algebra(M.point, tols=tols)
     slice_mats = slice_rep_image(M.rep, iso_mats, M.normal_frame)
     keep = [s for s in slice_mats if np.linalg.norm(s) > tols.rank]
     k = algebra.acting_dim
-    slice_span = skew_span(keep, acting_dim=k, tol=tols.rank) if keep \
-        else LieAlgebraSpan(acting_dim=k, basis=())
-
-    def projector(span):
-        if span.dim == 0:
-            return np.zeros((k * k, k * k))
-        b = span.matrices().reshape(span.dim, -1)
-        return b.T @ b
-
-    return float(np.linalg.norm(projector(slice_span) - projector(algebra), 2))
+    slice_span = skew_span(keep, acting_dim=k, tol=tols.rank)
+    return subspace_distance(*(
+        Subspace(ambient_dim=k * k,
+                 basis=span.matrices().reshape(span.dim, k * k).T)
+        for span in (slice_span, algebra)))
 
 
 @dataclass(frozen=True)
@@ -180,8 +174,7 @@ class CartanComparison:
     residual: float        # max entrywise gap / max entry magnitude
 
 
-def cartan_comparison(M: OrbitSubmanifold,
-                      tols: Tolerances = DEFAULT_TOLS) -> CartanComparison:
+def cartan_comparison(M: OrbitSubmanifold) -> CartanComparison:
     """Match the nu_bar normal curvature to the ambient Cartan tensor.
 
     When xi -> A~_xi is a homothecy of ratio beta on nu_bar, the tensor

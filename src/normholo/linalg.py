@@ -246,20 +246,29 @@ def mgs_qr(a: np.ndarray, tol: float = DEFAULT_TOLS.rank):
     return q, np.triu(q.T @ a[:, accepted]), accepted
 
 
+def _sine_max(a: Subspace, b: Subspace) -> float:
+    """sin of the largest principal angle of the smaller space into the
+    larger, ||B - A(A^T B)||_2 with A the larger basis; 0 when empty."""
+    if a.dim < b.dim:
+        a, b = b, a
+    if b.dim == 0:
+        return 0.0
+    return float(np.linalg.norm(b.basis - a.basis @ (a.basis.T @ b.basis), 2))
+
+
 def subspace_distance(a: Subspace, b: Subspace) -> float:
-    """Spectral-norm distance between orthogonal projectors."""
+    """Spectral-norm distance between orthogonal projectors: sin of the
+    largest principal angle, or 1 when the dimensions differ."""
     if a.ambient_dim != b.ambient_dim:
         raise InvalidInput("subspaces live in different ambient spaces")
-    diff = a.basis @ a.basis.T - b.basis @ b.basis.T
-    return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
+    if a.dim != b.dim:
+        return 1.0
+    return _sine_max(a, b)
 
 
 def principal_angle_max(a: Subspace, b: Subspace) -> float:
-    """Largest principal angle between equal-dimension subspaces (radians)."""
-    if a.dim == 0 or b.dim == 0:
-        return 0.0
-    smin = float(np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)[-1])
-    return float(np.arccos(min(1.0, smin)))
+    """Largest principal angle of the smaller space into the larger."""
+    return float(np.arcsin(min(1.0, _sine_max(a, b))))
 
 
 def orthogonal_log(t: np.ndarray, terms: int = 24) -> np.ndarray:

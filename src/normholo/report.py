@@ -67,6 +67,8 @@ class ScenarioConfig:
         bad = set(tols) - set(_TOL_KEYS)
         if bad:
             raise InvalidInput(f"unknown tolerance keys: {sorted(bad)}")
+        for key, value in tols.items():
+            _positive_float(f"tolerance '{key}'", value)
         analyses = tuple(raw.get("analyses", ()))
         for a in analyses:
             if a not in KNOWN_ANALYSES:
@@ -81,11 +83,14 @@ class ScenarioConfig:
                       for seg in raw.get("curve", ()))
         point = str(raw.get("point", ""))
         for part in point.split(";"):
-            if part.strip().startswith("diag:"):
-                _diag_values(part.strip())
-        step = None if raw.get("step") is None else float(raw["step"])
-        if step is not None and not (np.isfinite(step) and step > 0.0):
-            raise InvalidInput(f"step must be positive and finite, got {step}")
+            part = part.strip()
+            if part.startswith("diag:"):
+                _diag_values(part)
+            for factor in part.split(","):
+                if factor.strip().startswith("random-regular:"):
+                    _regular_seed(factor.strip())
+        step = None if raw.get("step") is None \
+            else _positive_float("step", raw["step"])
         return cls(rep=rep,
                    point=point,
                    analyses=analyses,
@@ -114,6 +119,18 @@ class ScenarioConfig:
     def resolve_tolerances(self) -> Tolerances:
         kw = {_TOL_KEYS[k]: float(v) for k, v in self.tolerances.items()}
         return Tolerances(**{**DEFAULT_TOLS.__dict__, **kw})
+
+
+def _positive_float(name: str, value) -> float:
+    """value as a float that is finite and > 0, else InvalidInput."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if not (np.isfinite(x) and x > 0.0):
+        raise InvalidInput(f"{name} must be a positive finite number, "
+                           f"got {value!r}")
+    return x
 
 
 def _curve_segment(seg, group_dim: int | None) -> tuple:
@@ -199,6 +216,14 @@ def _diag_values(spec: str) -> np.ndarray:
     return d
 
 
+def _regular_seed(spec: str) -> int:
+    """Seed of a 'random-regular:<seed>' factor spec."""
+    try:
+        return int(spec[len("random-regular:"):])
+    except ValueError as exc:
+        raise InvalidInput(f"bad seed in '{spec}'") from exc
+
+
 def _factor_point(r: int, spec: str) -> np.ndarray:
     if spec == "veronese":
         e1 = np.zeros(r)
@@ -211,8 +236,8 @@ def _factor_point(r: int, spec: str) -> np.ndarray:
                                f"got {len(d)}")
         return np.diag(d - d.mean())
     if spec.startswith("random-regular:"):
-        seed = int(spec[len("random-regular:"):])
-        return random_regular_point(SymmetricPairRep.for_size(r), seed)
+        return random_regular_point(SymmetricPairRep.for_size(r),
+                                    _regular_seed(spec))
     raise InvalidInput(f"point spec '{spec}' not recognized; expected "
                        "veronese, diag:<values>, or random-regular:<seed>")
 

@@ -117,10 +117,6 @@ class TubeSpectrum:
     source: str               # "formula" or "patch"
     vertical_value: float = -1.0   # formula: exact; patch: measured mean
 
-    @property
-    def horizontal(self) -> tuple:
-        return self.lambda_hats
-
     def values_with_vertical(self) -> tuple:
         return self.lambda_hats + ((self.vertical_value, self.vertical_mult),)
 
@@ -381,8 +377,7 @@ def tube_spectrum_direct(M: OrbitSubmanifold, xi: np.ndarray,
     return patch.spectrum(), patch
 
 
-def spectra_agree(formula: TubeSpectrum, direct: TubeSpectrum,
-                  tol: float = 1e-4) -> float:
+def spectra_agree(formula: TubeSpectrum, direct: TubeSpectrum) -> float:
     """Max gap between matched clustered eigenvalues of the two routes.
 
     Raises InvalidInput on multiplicity mismatch; returns the max value
@@ -511,8 +506,7 @@ def normal_exponential_differential(M: OrbitSubmanifold,
 
 def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
                                    probes: int = 3, delta: float = 1e-4,
-                                   seed: int = 0,
-                                   tols: Tolerances = DEFAULT_TOLS) -> float:
+                                   seed: int = 0) -> float:
     """Cross-validate I - A_eta against finite differences.
 
     Moves the base point along seeded tangent directions, carries eta as

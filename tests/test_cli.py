@@ -129,8 +129,25 @@ def test_missing_required_flag_exits_two(capsys):
      "--curve", "[[6, 0.2]]"],
     ["tube-spectrum", "--rep", "product:sl-so:3,sl-so:3",
      "--point", "veronese;veronese", "--curve", "[[0, 0.1], [6, 0.2]]"],
+    ["coxeter", "--rep", "sl-so:3", "--point", "random-regular:abc"],
+    ["coxeter", "--rep", "product:sl-so:3,sl-so:3",
+     "--point", "veronese,random-regular:1.5"],
+    # a dict stands for a --config file with that content
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"tolerances": {"rank": "abc"}}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"tolerances": {"rank": -1}}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"tolerances": {"eig": 0}}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"tolerances": {"clusterGap": float("inf")}}],
 ])
-def test_bad_input_exits_two(capsys, argv):
+def test_bad_input_exits_two(capsys, tmp_path, argv):
+    cfg = tmp_path / "scenario.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(cfg)] + argv[i + 1:]
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
@@ -145,6 +162,16 @@ def test_seed_env_default(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert json.loads(out)["config"]["seed"] == 11
+
+
+def test_seed_env_not_integer_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("NORMHOLO_SEED", "abc")
+    rc = main(["analyze", "--rep", "sl-so:4", "--point", "veronese",
+               "--do", "orbit"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "config error" in captured.err
 
 
 def test_config_file_merged_under_flags(tmp_path, capsys):

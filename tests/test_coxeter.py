@@ -1,13 +1,18 @@
 """Curvature normals and reflection-group closure on flat-normal orbits."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from normholo.coxeter import (curvature_normals, focal_displacement,
                               hyperplane_permutation_check, reflection_group)
-from normholo.errors import ClosureCapReached, InvalidInput, NotIsoparametric
+from normholo.errors import (ClosureCapReached, InvalidInput, NotApplicable,
+                             NotIsoparametric)
 from normholo.orbit import build_orbit
-from normholo.srep import SymmetricPairRep
+from normholo.report import ScenarioConfig, run_scenario
+from normholo.srep import SymmetricPairRep, random_regular_point
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +111,63 @@ def test_normals_reproduce_eigenvalues(a2_orbit, a2_normals):
             block = vecs[:, s0:s1].T @ ops[a] @ vecs[:, s0:s1]
             want = a2_normals.nu_coords[i] @ np.eye(a2_orbit.codim)[a]
             assert np.allclose(block, want * np.eye(s1 - s0), atol=1e-9)
+
+
+def _regular_normals(sizes, seed):
+    rep = SymmetricPairRep.product(sizes)
+    return curvature_normals(build_orbit(rep, random_regular_point(rep, seed)))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_weyl_group_of_principal_orbit(r):
+    cn = _regular_normals((r,), seed=r)
+    assert cn.count == r * (r - 1) // 2
+    g = reflection_group(cn)
+    assert g.order == math.factorial(r)
+    assert g.span_dim == r - 1
+    assert g.closure_defect < 1e-10
+    assert all(hyperplane_permutation_check(e, g) for e in g.elements)
+
+
+def test_product_weyl_group_is_direct_product():
+    g = reflection_group(_regular_normals((3, 4), seed=2))
+    assert g.order == 6 * 24
+    assert g.span_dim == 2 + 3
+    assert g.closure_defect < 1e-10
+
+
+def test_normals_not_a_root_system_rejected(a2_normals):
+    # two lines 72 degrees apart: each reflection sends the other line
+    # off the set, although the generated dihedral group is finite
+    th = np.radians(72.0)
+    fake = replace(a2_normals, nu_coords=np.array([[1.0, 0.0],
+                                                   [np.cos(th), np.sin(th)]]),
+                   multiplicities=(1, 1))
+    with pytest.raises(NotApplicable):
+        reflection_group(fake)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_coxeter_report_body(r):
+    config = ScenarioConfig.from_dict({
+        "rep": f"sl-so:{r}", "point": f"random-regular:{r}",
+        "analyses": ["coxeter"], "seed": 1})
+    body = run_scenario(config).body()["analyses"]["coxeter"]
+    count = r * (r - 1) // 2
+    assert body["ok"] is True
+    assert body["normalCount"] == count
+    assert body["multiplicities"] == [1] * count
+    assert np.allclose(body["positionPairings"], -1.0, atol=1e-9)
+    angles = np.array(body["pairwiseAnglesDeg"])
+    assert np.allclose(np.diag(angles), 0.0, atol=1e-5)
+    off = angles[~np.eye(count, dtype=bool)]
+    # A_{r-1} roots meet at 60, 90 or 120 degrees
+    assert np.min(np.abs(off[:, None] - [60.0, 90.0, 120.0]), axis=1).max() \
+        < 1e-6
+    assert body["group"] == {"order": math.factorial(r), "finite": True,
+                             "spanDim": r - 1,
+                             "closureDefect": body["group"]["closureDefect"],
+                             "allElementsPermuteHyperplanes": True}
+    assert body["group"]["closureDefect"] < 1e-10
+    assert [d["orbitDim"] for d in body["singularDrops"]] \
+        == [count - 1] * count

@@ -136,6 +136,30 @@ def test_subspace_distance_and_angle():
     assert abs(principal_angle_max(plane, tilted) - theta) < 1e-9
 
 
+def test_subspace_distance_edge_cases():
+    e = np.eye(4)
+    line = orthonormal_span([e[0]])
+    plane = orthonormal_span([e[0], e[1]])
+    empty = orthonormal_span([], ambient_dim=4)
+    assert subspace_distance(line, plane) == 1.0
+    assert subspace_distance(empty, empty) == 0.0
+    assert subspace_distance(empty, line) == 1.0
+    assert principal_angle_max(line, plane) == 0.0
+    assert principal_angle_max(empty, plane) == 0.0
+
+
+def test_principal_angle_resolves_tiny_tilt():
+    e = np.eye(4)
+    plane = orthonormal_span([e[0], e[1]])
+    for theta in (1e-10, 1e-13):
+        tilted = orthonormal_span(
+            [e[0], np.cos(theta) * e[1] + np.sin(theta) * e[2]])
+        assert abs(principal_angle_max(plane, tilted) - theta) \
+            < 1e-3 * theta
+        assert abs(subspace_distance(plane, tilted) - np.sin(theta)) \
+            < 1e-3 * theta
+
+
 def test_subspace_distance_dimension_mismatch():
     a = orthonormal_span([np.array([1.0, 0.0])])
     b = orthonormal_span([np.array([1.0, 0.0, 0.0])])
