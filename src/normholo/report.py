@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .coxeter import (curvature_normals, focal_displacement,
-                      hyperplane_permutation_check, reflection_group)
+from .coxeter import curvature_normals, focal_displacement, reflection_group
 from .errors import InvalidInput, NormholoError
 from .holonomy import (analyze, commuting_certificate, loop_holonomy_probe,
                        slice_holonomy_distance)
@@ -91,13 +90,17 @@ class ScenarioConfig:
                     _regular_seed(factor.strip())
         step = None if raw.get("step") is None \
             else _positive_float("step", raw["step"])
+        direction = str(raw.get("direction", "canonical"))
+        if direction != "canonical":
+            _direction_seed(direction)
         return cls(rep=rep,
                    point=point,
                    analyses=analyses,
-                   seed=int(raw.get("seed", 0)),
+                   seed=_integer("seed", raw.get("seed", 0)),
                    tolerances=tols,
-                   n=None if raw.get("n") is None else int(raw["n"]),
-                   direction=str(raw.get("direction", "canonical")),
+                   n=None if raw.get("n") is None
+                   else _integer("n", raw["n"]),
+                   direction=direction,
                    curve=curve,
                    step=step,
                    out=raw.get("out"))
@@ -131,6 +134,30 @@ def _positive_float(name: str, value) -> float:
         raise InvalidInput(f"{name} must be a positive finite number, "
                            f"got {value!r}")
     return x
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: an int (not a bool), an integral float or an
+    integer string; anything else is InvalidInput."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
+def _direction_seed(direction: str) -> int:
+    """Seed k of a 'seed:<k>' tube direction."""
+    if not direction.startswith("seed:"):
+        raise InvalidInput(f"direction '{direction}' not recognized; "
+                           "expected canonical or seed:<k>")
+    return _integer(f"seed in direction '{direction}'",
+                    direction[len("seed:"):])
 
 
 def _curve_segment(seg, group_dim: int | None) -> tuple:
@@ -218,10 +245,7 @@ def _diag_values(spec: str) -> np.ndarray:
 
 def _regular_seed(spec: str) -> int:
     """Seed of a 'random-regular:<seed>' factor spec."""
-    try:
-        return int(spec[len("random-regular:"):])
-    except ValueError as exc:
-        raise InvalidInput(f"bad seed in '{spec}'") from exc
+    return _integer(f"seed in '{spec}'", spec[len("random-regular:"):])
 
 
 def _factor_point(r: int, spec: str) -> np.ndarray:
@@ -387,13 +411,10 @@ def _bound_analysis(M, config, tols) -> dict:
 
 
 def _tube_direction(M, config, tols) -> np.ndarray:
-    d = config.direction
-    if d == "canonical":
+    if config.direction == "canonical":
         return choose_tube_direction(M, tols=tols)
-    if d.startswith("seed:"):
-        return seeded_tube_direction(M, int(d[len("seed:"):]), tols=tols)
-    raise InvalidInput(f"direction '{d}' not recognized; expected "
-                       "canonical or seed:<k>")
+    return seeded_tube_direction(M, _direction_seed(config.direction),
+                                 tols=tols)
 
 
 def _tube_curve(M, config) -> OrbitCurve | None:
@@ -447,16 +468,17 @@ def _tube_analysis(M, config, tols) -> dict:
 
 def _coxeter_analysis(M, config, tols) -> dict:
     cn = curvature_normals(M, seed=config.seed, tols=tols)
+    # reflection_group raises DegenerateSpectrum unless every element
+    # realises its own signed permutation of the normal lines, so each
+    # element permutes the hyperplanes by construction
     grp = reflection_group(cn, tols=tols)
-    perms = [bool(hyperplane_permutation_check(e, grp))
-             for e in grp.elements]
     drops = []
     for i in range(cn.count):
         z = focal_displacement(cn, i, seed=config.seed + i + 1)
         sub = build_orbit(M.rep, z, tols=tols)
         drops.append({"normalIndex": i, "orbitDim": sub.dim,
                       "drops": sub.dim < M.dim})
-    ok = all(perms) and all(d["drops"] for d in drops)
+    ok = all(d["drops"] for d in drops)
     return {"ok": bool(ok),
             "normalCount": cn.count,
             "multiplicities": list(cn.multiplicities),
@@ -467,7 +489,7 @@ def _coxeter_analysis(M, config, tols) -> dict:
             "group": {"order": grp.order, "finite": grp.finite,
                       "spanDim": grp.span_dim,
                       "closureDefect": grp.closure_defect,
-                      "allElementsPermuteHyperplanes": all(perms)},
+                      "allElementsPermuteHyperplanes": True},
             "singularDrops": drops}
 
 

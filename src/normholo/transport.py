@@ -10,18 +10,25 @@ along a piecewise curve is therefore a product of K x K exponentials;
 :func:`exact_transport_stack` computes it, and the loop probe, the tube
 feet, the tube chart and the Veronese alpha-parallel residual use it.
 
+Each :class:`OrbitCurve` forms exp(tX) of its arcs once, on
+construction; its endpoint, the closure checks and the group factor of
+exact transport reuse those exponentials.
+
 The step-by-step scheme in :mod:`normholo.kernels` (project onto the
 next fiber, apply one midpoint correction, renormalize) is kept as the
-audited discretization behind :func:`parallel_transport_stack`.  It
-measures close to third-order endpoint convergence on the audit; the
-certified contract is the first-order one, and
-:func:`transport_convergence_audit` reports the observed order so a
-regression is visible in reports.
+audited discretization behind :func:`parallel_transport_stack`.  It also
+runs on frame coefficients: one step of the scheme is the same K x K
+map at every point of an arc, formed once per segment from the
+projections alone, never from B_X, so it stays independent of the
+exact transport it is audited against.  It measures close to
+third-order endpoint convergence on the audit; the certified contract
+is the first-order one, and :func:`transport_convergence_audit` reports
+the observed order so a regression is visible in reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,11 +60,14 @@ class OrbitCurve:
 
     segments: tuple of (X, duration) with X skew; the curve runs
     c(t) = g(t) c(0) g(t)^T where g advances by exp(tX) on each piece.
+    arc_exps holds exp(duration X) of each piece (None where the
+    duration is 0); it is formed once, on construction.
     """
 
     orbit: OrbitSubmanifold
     segments: tuple
     step: float = DEFAULT_STEP
+    arc_exps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.orbit.rep.total_size
@@ -71,6 +81,9 @@ class OrbitCurve:
         object.__setattr__(self, "segments", tuple(cleaned))
         if not self.step > 0.0:
             raise InvalidInput("step must be positive")
+        # exp(dur X) of every nonzero arc, formed once; None for dur = 0
+        object.__setattr__(self, "arc_exps", tuple(
+            matrix_exp(dur * x) if dur > 0.0 else None for x, dur in cleaned))
 
     @classmethod
     def from_tangent_coords(cls, orbit: OrbitSubmanifold, pieces: Sequence,
@@ -96,9 +109,9 @@ class OrbitCurve:
 
     def group_path_end(self) -> np.ndarray:
         g = np.eye(self.orbit.rep.total_size)
-        for x, dur in self.segments:
-            if dur > 0.0:
-                g = g @ matrix_exp(dur * x)
+        for e in self.arc_exps:
+            if e is not None:
+                g = g @ e
         return g
 
     def endpoint(self) -> np.ndarray:
@@ -124,13 +137,10 @@ def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
     s = float(radius)
     if not s > 0.0:
         raise InvalidInput("loop radius must be positive")
-    segs = [(x, s), (y, s), (-x, s), (-y, s)]
-    g = np.eye(r)
-    for z, dur in segs:
-        g = g @ matrix_exp(dur * z)
-    w = -orthogonal_log(g)
-    segs.append((w, 1.0))
-    curve = OrbitCurve(orbit=orbit, segments=tuple(segs))
+    square = OrbitCurve(orbit=orbit,
+                        segments=((x, s), (y, s), (-x, s), (-y, s)))
+    w = -orthogonal_log(square.group_path_end())
+    curve = OrbitCurve(orbit=orbit, segments=square.segments + ((w, 1.0),))
     g_end = curve.group_path_end()
     if np.linalg.norm(g_end - np.eye(r)) > 1e-9:
         raise InvalidInput("loop closure arc failed to return to identity")
@@ -299,11 +309,11 @@ def exact_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     all_samples = [cur]
     all_g = [g]
     t0 = 0.0
-    for x, dur in curve.segments:
-        if dur == 0.0:
+    for (x, dur), e in zip(curve.segments, curve.arc_exps):
+        if e is None:
             continue
         coeffs = coeffs @ matrix_exp(-dur * _arc_generator(base, x)).T
-        g = g @ matrix_exp(dur * x)
+        g = g @ e
         cur = np.einsum("mk,kij->mij", coeffs, g @ base @ g.T)
         t0 += dur
         times.append(t0)
@@ -360,10 +370,12 @@ class ConvergenceAudit:
 
 
 def _roundoff_drift_floor(curve: OrbitCurve, h: float, scale: float) -> float:
-    # Accumulated renormalization round-off grows about quadratically in
-    # the step count (the group element is never re-orthogonalized), at
-    # roughly machine epsilon per step squared.  Below this floor the
-    # halving contract is vacuous.
+    # A bound on the accumulated renormalization round-off, roughly
+    # machine epsilon per step squared: the growth that frames conjugated
+    # by the never re-orthogonalized group element would give.  The
+    # stepper keeps frame coefficients, so g does not enter the norms
+    # and the bound is conservative.  Below this floor the halving
+    # contract is vacuous.
     nsteps = sum(max(1, int(np.ceil(dur / h))) for _, dur in curve.segments
                  if dur > 0.0)
     return 1e-16 * nsteps * nsteps * (1.0 + scale)

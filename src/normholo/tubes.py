@@ -261,13 +261,14 @@ class TubePatch:
         u, w = params[:self.n], params[self.n:]
         foot = self.foot
         x = np.einsum("i,ig,gjk->jk", u, foot.m_basis, foot.rep.generators)
-        gu = matrix_exp(x)
-        p = gu @ foot.point @ gu.T
         if np.linalg.norm(u) > 0.0:
             seg = OrbitCurve(orbit=foot, segments=((x, 1.0),))
+            gu = seg.arc_exps[0]
             tau = exact_transport_stack(seg, self.xi1).xi_end
         else:
+            gu = np.eye(foot.rep.total_size)
             tau = self.xi1
+        p = gu @ foot.point @ gu.T
         # moving normal frame at p and the fiber rotation in its coords
         frames = np.einsum("ip,kpq,jq->kij", gu, foot.normal_frame, gu)
         coords = np.einsum("kij,ij->k", frames, tau)

@@ -141,6 +141,16 @@ def test_missing_required_flag_exits_two(capsys):
      "--config", {"tolerances": {"eig": 0}}],
     ["analyze", "--rep", "sl-so:4", "--point", "veronese",
      "--config", {"tolerances": {"clusterGap": float("inf")}}],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--direction", "seed:abc"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--direction", "bogus"],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"seed": 1.7}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"seed": True}],
+    ["analyze", "--do", "veronese-facts", "--config", {"n": 2.5}],
+    ["analyze", "--do", "veronese-facts", "--config", {"n": True}],
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"

@@ -109,11 +109,43 @@ def test_expm_additivity_on_commuting():
                        atol=1e-13)
 
 
+def _horner_exp(x):
+    """The exponential with a fresh identity in every Horner term."""
+    n = x.shape[0]
+    nrm = np.sqrt(np.sum(x * x))
+    s = 0
+    y = x
+    if nrm > 0.5:
+        s = int(np.ceil(np.log2(nrm / 0.5)))
+        y = x / (2.0 ** s)
+    p = np.eye(n)
+    for k in range(18, 0, -1):
+        p = np.eye(n) + (y / k) @ p
+    for _ in range(s):
+        p = p @ p
+    return p
+
+
+def test_expm_bits_match_fresh_identity_horner():
+    rng = np.random.default_rng(8)
+    for n in range(2, 11):
+        for scale in (0.05, 3.0):       # below and above the scaling norm
+            x = rng.standard_normal((n, n))
+            x *= scale / np.linalg.norm(x)
+            if n % 2:
+                x = x - x.T
+            assert np.array_equal(matrix_exp(x), _horner_exp(x))
+
+
 # -- transport stepper -----------------------------------------------------
 
 
-def _transport_reference(base_frames, xis, g0, e_half, nsteps, targets):
-    """The stepper written one vector and one frame element at a time."""
+def _transport_reference(base_frames, xis, g0, e_half, nsteps, targets,
+                         sample_stride=0):
+    """The stepper written one vector and one frame element at a time.
+
+    With sample_stride > 0 it also returns the start state and the state
+    after every sample_stride-th step and after the last step."""
     kdim = base_frames.shape[0]
     r = base_frames.shape[1]
 
@@ -131,7 +163,8 @@ def _transport_reference(base_frames, xis, g0, e_half, nsteps, targets):
     xi = xis.copy()
     drift = np.zeros(len(xis))
     min_ratio = np.ones(len(xis))
-    for _ in range(nsteps):
+    samples, g_samples = [xi.copy()], [g.copy()]
+    for step in range(nsteps):
         g_mid = g @ e_half
         f_mid = conj(g_mid)
         g = g_mid @ e_half
@@ -149,6 +182,11 @@ def _transport_reference(base_frames, xis, g0, e_half, nsteps, targets):
                     xin = xin * (targets[m] / nrm)
             xi[m] = xin
         f_prev = f_end
+        if (step + 1) % max(sample_stride, 1) == 0 or step == nsteps - 1:
+            samples.append(xi.copy())
+            g_samples.append(g.copy())
+    if sample_stride > 0:
+        return xi, g, drift, min_ratio, np.array(samples), np.array(g_samples)
     return xi, g, drift, min_ratio
 
 
@@ -172,6 +210,20 @@ def test_transport_backends_agree(v3):
     want = _transport_reference(frames, xis, g0, e_half, nsteps, targets)
     for a, b in zip(got[:4], want):
         assert np.allclose(a, b, atol=1e-12)
+
+
+def test_transport_samples_match_reference(v3):
+    frames, xis, g0, e_half, nsteps, targets = _transport_inputs(v3)
+    xi_end, g_end, drift, min_ratio, samples, g_samples, n_samp = \
+        transport_segment(frames, xis, g0, e_half, nsteps, targets,
+                          sample_stride=15)
+    want = _transport_reference(frames, xis, g0, e_half, nsteps, targets,
+                                sample_stride=15)
+    assert n_samp == len(want[4]) == 4       # start, steps 15, 30 and 40
+    for a, b in zip((xi_end, g_end, drift, min_ratio,
+                     samples[:n_samp], g_samples[:n_samp]), want):
+        assert np.allclose(a, b, atol=1e-12)
+    assert np.array_equal(samples[n_samp - 1], xi_end)
 
 
 def test_transport_segment_norms_and_samples(v3):

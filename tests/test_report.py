@@ -115,6 +115,29 @@ def test_orbit_scenario_body_is_deterministic():
     assert r1.analyses["orbit"]["homothecy"]["isHomothecy"]
 
 
+def test_transport_scenario_body_is_deterministic():
+    cfg = ScenarioConfig.from_dict({"rep": "sl-so:4", "point": "veronese",
+                                    "analyses": ["loop-probe",
+                                                 "transport-audit"],
+                                    "seed": 5, "step": 0.002})
+    bodies = [run_scenario(cfg).body_text() for _ in range(2)]
+    roundtrip = ScenarioConfig.from_dict(cfg.to_dict())
+    bodies.append(run_scenario(roundtrip).body_text())
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert '"transport-audit"' in bodies[0] and '"loop-probe"' in bodies[0]
+
+
+def test_config_integers_normalized():
+    # non-integral values are config errors; see test_cli
+    cfg = ScenarioConfig.from_dict({"seed": 12, "n": 3,
+                                    "direction": "seed:4"})
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    cfg = ScenarioConfig.from_dict({"seed": "7", "n": 4.0})
+    assert (cfg.seed, cfg.n) == (7, 4) and isinstance(cfg.n, int)
+    with pytest.raises(InvalidInput):
+        ScenarioConfig.from_dict({"seed": "1.0"})
+
+
 def test_failing_analysis_does_not_cancel_siblings():
     # veronese orbits are not isoparametric, so coxeter hard-errors
     cfg = ScenarioConfig.from_dict({"rep": "sl-so:4", "point": "veronese",

@@ -188,3 +188,40 @@ def test_sample_times_match_samples(v3, transport):
     for t, g in zip(res.times, res.g_samples):
         assert np.linalg.norm(g - matrix_exp(t * x)) <= 1e-12
     assert np.allclose(res.samples[-1], res.xis_end, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fine_step_drift_free_of_frame_roundoff(veronese, n):
+    # at h = 5e-4 the stepper's own norm loss is a few 1e-12; conjugating
+    # the frames by the accumulated g would add round-off near 1e-10
+    m = veronese(n)
+    rng = np.random.default_rng(n + 1)
+    c = rng.standard_normal(m.dim)
+    curve = OrbitCurve.from_tangent_coords(m, [(c / np.linalg.norm(c), 1.0)])
+    res = parallel_transport_normal(curve, m.nbar_frame[0], step=5e-4)
+    assert res.drift <= 1e-11
+
+
+def test_curve_exponentials_formed_once(v3, monkeypatch):
+    import normholo.transport as transport
+
+    calls = []
+    real = transport.matrix_exp
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    arcs = _two_segment_arc(v3).segments + ((v3.rep.generators[0], 0.0),)
+    monkeypatch.setattr(transport, "matrix_exp", counted)
+    curve = OrbitCurve(orbit=v3, segments=arcs)
+    assert len(calls) == 2                  # one per nonzero arc
+    calls.clear()
+    curve.group_path_end()
+    curve.endpoint()
+    curve.is_closed()
+    assert calls == []
+    res = exact_transport_stack(curve, v3.normal_frame)
+    k = v3.codim
+    assert calls == [(k, k), (k, k)]        # only the coefficient factors
+    assert np.array_equal(res.g_end, curve.group_path_end())
