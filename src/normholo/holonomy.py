@@ -206,7 +206,7 @@ class FactorVerdict:
     algebra_dim: int
     transitive: bool
     evidence: TransitivityResult
-    irreducible_by_probe: bool
+    irreducible_by_probe: bool  # Schur's verdict (name kept for the report)
 
 
 @dataclass

@@ -2,21 +2,20 @@
 
 A represented algebra is handled concretely as a span of skew matrices
 acting on R^K.  The decomposition machinery splits the action into its
-fixed set and irreducible invariant factors, and certifies
-irreducibility by probing: the smallest invariant subspace containing
-each seeded probe must exhaust its factor.
+fixed set and irreducible invariant factors.
 
 Factor *candidates* come from eigenspaces of a random symmetric element
-of the commutant.  Probe closures alone cannot isolate factors (the
-closure of a generic vector is the sum of every factor it touches), so
-the commutant supplies the split and the probes certify it.  The
-commutant is computed from a random generating pair of the algebra and
-confirmed against the full basis.
+of the commutant, computed from a random generating pair of the algebra
+and confirmed against the full basis.  Each candidate is certified by
+Schur's criterion: an invariant subspace of an orthogonal action is
+irreducible exactly when the commutant compressed to it is the scalars.
+A candidate that fails is split by a random element of its compressed
+commutant and the pieces are tested again.  On an irreducible action
+the commutant is one-dimensional and the certificate costs nothing.
 
-Bracket closures and probe closures run through one frontier routine:
-each round offers only the images of the directions the previous round
-added (their brackets with the whole span, or the algebra applied to
-them), never the whole span again.
+Bracket closures run through one frontier routine: each round offers
+only the brackets of the directions the previous round added with the
+whole span, never the whole span again.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, InvalidInput
+from .errors import DegenerateSpectrum, DimensionCapExceeded, InvalidInput
 from .linalg import (
     DEFAULT_TOLS,
     Subspace,
@@ -92,27 +91,6 @@ def skew_span(mats, acting_dim: int | None = None,
     return LieAlgebraSpan(acting_dim=acting_dim, basis=basis)
 
 
-def _frontier_closure(space: Subspace, images,
-                      cap: int | None = None) -> Subspace:
-    """Smallest span containing space and closed under images.
-
-    images(basis, start) returns, as rows, what the columns
-    basis[:, start:] (the frontier) generate together with the rest of
-    the basis.  Each round offers only the frontier's images; the
-    columns it adds are the next frontier, so nothing is offered twice.
-    Exceeding cap raises DimensionCapExceeded.
-    """
-    start = 0
-    while True:
-        if cap is not None and space.dim > cap:
-            raise DimensionCapExceeded(
-                f"closure dimension {space.dim} exceeds cap {cap}")
-        if start == space.dim:
-            return space
-        start, space = space.dim, extend_span(space,
-                                              images(space.basis, start))
-
-
 def bracket_closure(span_or_mats, cap: int | None = None,
                     tol: float = DEFAULT_TOLS.rank) -> LieAlgebraSpan:
     """Close a span of skew matrices under the commutator.
@@ -128,18 +106,24 @@ def bracket_closure(span_or_mats, cap: int | None = None,
     if cap is None:
         cap = k * (k - 1) // 2
 
-    def brackets(basis, start):
-        # every pair i < j whose later element is on the frontier
-        mats = basis.T.reshape(-1, k, k)
+    space = orthonormal_span([b.ravel() for b in span.basis],
+                             ambient_dim=k * k, tol=tol)
+    # each round offers only the brackets of the frontier (the columns
+    # the previous round added) with the whole span: every pair i < j
+    # whose later element is on the frontier, so none is offered twice
+    start = 0
+    while True:
+        if space.dim > cap:
+            raise DimensionCapExceeded(
+                f"closure dimension {space.dim} exceeds cap {cap}")
+        if start == space.dim:
+            break
+        mats = space.basis.T.reshape(-1, k, k)
         rows = []
         for i in range(len(mats)):
             later = mats[max(i + 1, start):]
             rows.append((mats[i] @ later - later @ mats[i]).reshape(-1, k * k))
-        return np.vstack(rows)
-
-    space = orthonormal_span([b.ravel() for b in span.basis],
-                             ambient_dim=k * k, tol=tol)
-    space = _frontier_closure(space, brackets, cap)
+        start, space = space.dim, extend_span(space, np.vstack(rows))
     basis = tuple(0.5 * (b - b.T) for b in space.basis.T.reshape(-1, k, k))
     return LieAlgebraSpan(acting_dim=k, basis=basis, closed=True)
 
@@ -150,8 +134,10 @@ class RepDecomposition:
 
     fixed: Subspace
     factors: tuple  # of Subspace, decreasing dimension
-    irreducible_by_probe: tuple  # of bool, parallel to factors
-    probes_per_factor: int
+    # of bool, parallel to factors: Schur's verdict (the compressed
+    # symmetric commutant is the scalars); the name is kept for the
+    # report key irreducibleByProbe
+    irreducible_by_probe: tuple
 
     @property
     def rank(self) -> int:
@@ -204,20 +190,34 @@ def _symmetric_commutant(mats, rng, tols: Tolerances):
     return list(out)
 
 
-def _probe_closure(span: LieAlgebraSpan, start: np.ndarray,
-                   within: Subspace, tol: float) -> Subspace:
-    """Smallest invariant subspace containing start, kept inside an
-    invariant ambient factor to control numerical drift."""
-    mats = span.matrices()
+def _schur_factors(cols: np.ndarray, comm, rng,
+                   tols: Tolerances) -> list:
+    """Split an invariant candidate into factors certified irreducible.
 
-    def images(basis, first):
-        imgs = mats @ basis[:, first:]           # (algebra, K, frontier)
-        rows = imgs.transpose(2, 0, 1).reshape(-1, span.acting_dim)
-        return within.project(rows.T).T
-
-    current = orthonormal_span([within.project(start)],
-                               ambient_dim=span.acting_dim, tol=tol)
-    return _frontier_closure(current, images)
+    cols are orthonormal columns of an invariant subspace U, comm a
+    basis of the symmetric commutant on the same coordinates.  By
+    Schur's criterion U is irreducible exactly when its compressed
+    commutant {U^T S U} is the scalars; otherwise the eigen-clusters of
+    a random element of it split U into invariant pieces, each tested
+    in turn.
+    """
+    comm = np.asarray(comm)
+    d = cols.shape[1]
+    comp = cols.T @ comm @ cols
+    comp -= np.einsum("pii->p", comp)[:, None, None] * np.eye(d) / d
+    _, _, vt, rank = rank_reveal(comp.reshape(len(comm), -1), tols.rank)
+    if rank == 0:
+        return [cols]
+    t = (rng.standard_normal(rank) @ vt[:rank]).reshape(d, d)
+    dec = sym_eig(0.5 * (t + t.T), tols)
+    if len(dec.clusters) == 1:
+        raise DegenerateSpectrum(
+            f"invariant candidate of dim {d} has a commutant of rank "
+            f"{rank} beyond the scalars, but a random element of it has "
+            "a single eigenvalue cluster (cluster_gap too coarse)")
+    return [f for c in dec.clusters
+            for f in _schur_factors(cols @ dec.vectors[:, list(c)], comm,
+                                    rng, tols)]
 
 
 def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
@@ -226,64 +226,47 @@ def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
     """Split the acting space into fixed set and irreducible factors.
 
     The fixed set is the common kernel of the basis (equivalently the
-    kernel of the Casimir built from the orthonormal basis).  Factors are
-    eigenspaces of a seeded random symmetric commutant element, refined
-    and certified by probe closures; factor count and dimensions are
+    kernel of the Casimir built from the orthonormal basis).  Factor
+    candidates are eigenspaces of a seeded random symmetric commutant
+    element; each is certified, or split further, by Schur's criterion
+    on its compressed commutant.  Factor count and dimensions are
     invariant under conjugating the whole algebra by a fixed orthogonal
-    matrix.
+    matrix.  Raises DegenerateSpectrum when a candidate with a
+    non-scalar commutant cannot be split at tols.cluster_gap.
     """
     k = span.acting_dim
     rng = np.random.default_rng(seed)
     if span.dim == 0:
         fixed = orthonormal_span(list(np.eye(k)), ambient_dim=k, tol=tols.rank)
         return RepDecomposition(fixed=fixed, factors=(),
-                                irreducible_by_probe=(), probes_per_factor=0)
+                                irreducible_by_probe=())
 
     stacked = np.vstack([x for x in span.basis])
     fixed = gram_kernel(stacked, tols)
     moving = fixed.complement_within(
         orthonormal_span(list(np.eye(k)), ambient_dim=k, tol=tols.rank))
 
-    candidates = []
+    factors = []
     if moving.dim > 0:
         restricted = [moving.basis.T @ x @ moving.basis for x in span.basis]
         comm = _symmetric_commutant(restricted, rng, tols)
         if len(comm) <= 1:
-            candidates.append(moving)
+            # the commutant is the scalars: the moving space is irreducible
+            factors.append(moving)
         else:
             coeffs = rng.standard_normal(len(comm))
             s_star = sum(c * s for c, s in zip(coeffs, comm))
             dec = sym_eig(0.5 * (s_star + s_star.T), tols)
             for cluster in dec.clusters:
                 cols = dec.vectors[:, list(cluster)]
-                ambient_cols = moving.basis @ cols
-                candidates.append(orthonormal_span(
-                    ambient_cols.T, ambient_dim=k, tol=tols.rank))
-
-    factors = []
-    n_probes = 0
-    queue = list(candidates)
-    while queue:
-        cand = queue.pop(0)
-        if cand.dim == 0:
-            continue
-        n_probes = max(8, cand.dim)
-        for _ in range(n_probes):
-            w = cand.project(rng.standard_normal(k))
-            if float(np.linalg.norm(w)) < 1e-12:
-                continue
-            closure = _probe_closure(span, w, cand, tols.rank)
-            if closure.dim < cand.dim:
-                queue[:0] = [closure, closure.complement_within(cand)]
-                break
-        else:
-            # kept only when every probe closure filled it
-            factors.append(cand)
+                for piece in _schur_factors(cols, comm, rng, tols):
+                    factors.append(orthonormal_span(
+                        (moving.basis @ piece).T, ambient_dim=k,
+                        tol=tols.rank))
 
     factors = tuple(sorted(factors, key=lambda f: -f.dim))
     return RepDecomposition(fixed=fixed, factors=factors,
-                            irreducible_by_probe=(True,) * len(factors),
-                            probes_per_factor=n_probes)
+                            irreducible_by_probe=(True,) * len(factors))
 
 
 @dataclass(frozen=True)

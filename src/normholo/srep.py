@@ -224,12 +224,19 @@ class CartanCurvature:
     @staticmethod
     def entries(mats) -> np.ndarray:
         """4-tensor R[a, b, c, d] = <R_{m_a, m_b} m_c, m_d> over a list of
-        symmetric matrices, via the commutator pairing."""
+        symmetric matrices, via the commutator pairing.
+
+        With C the K^2 x R^2 matrix of flattened commutators [m_a, m_b]
+        and C~ the same with each commutator transposed, the tensor is
+        -C C~^T: one GEMM.  The sign goes on the K^2 x R^2 factor, so no
+        second K^4 array is formed.
+        """
         mats = np.asarray(mats, dtype=float)
-        coms = np.einsum("aij,bjk->abik", mats, mats)
-        coms = coms - np.transpose(coms, (1, 0, 2, 3))
-        # <[A,B],[C,D]> with the transpose convention on skew matrices
-        return -np.einsum("abij,cdji->abcd", coms, coms)
+        k, r = mats.shape[0], mats.shape[-1]
+        coms = mats[:, None] @ mats[None, :]
+        coms = coms - coms.transpose(1, 0, 2, 3)
+        neg_t = -coms.transpose(0, 1, 3, 2).reshape(k * k, r * r)
+        return (coms.reshape(k * k, r * r) @ neg_t.T).reshape(k, k, k, k)
 
 
 def slice_rep_image(rep: SymmetricPairRep, isotropy_mats, frame_mats):

@@ -28,6 +28,7 @@ the observed order so a regression is visible in reports.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -139,8 +140,11 @@ def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
         raise InvalidInput("loop radius must be positive")
     square = OrbitCurve(orbit=orbit,
                         segments=((x, s), (y, s), (-x, s), (-y, s)))
-    w = -orthogonal_log(square.group_path_end())
-    curve = OrbitCurve(orbit=orbit, segments=square.segments + ((w, 1.0),))
+    w = _check_skew(-orthogonal_log(square.group_path_end()), r)
+    # the closed curve keeps the four arcs and their exponentials
+    curve = copy.copy(square)
+    object.__setattr__(curve, "segments", square.segments + ((w, 1.0),))
+    object.__setattr__(curve, "arc_exps", square.arc_exps + (matrix_exp(w),))
     g_end = curve.group_path_end()
     if np.linalg.norm(g_end - np.eye(r)) > 1e-9:
         raise InvalidInput("loop closure arc failed to return to identity")

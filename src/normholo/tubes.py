@@ -272,7 +272,7 @@ class TubePatch:
         # moving normal frame at p and the fiber rotation in its coords
         frames = np.einsum("ip,kpq,jq->kij", gu, foot.normal_frame, gu)
         coords = np.einsum("kij,ij->k", frames, tau)
-        if self.m3:
+        if self.m3 and np.any(w):  # exp(0) is exactly the identity
             h = matrix_exp(np.einsum("j,jkl->kl", w, self.fiber_dirs))
             coords = h @ coords
         radial = np.einsum("k,kij->ij", coords, frames)

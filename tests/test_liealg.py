@@ -1,13 +1,18 @@
 """Represented-algebra machinery: closure, splitting, transitivity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from normholo.errors import DimensionCapExceeded, InvalidInput
-from normholo.liealg import (_sym_frame, _symmetric_commutant,
-                             bracket_closure, invariant_decomposition,
+from normholo.errors import (DegenerateSpectrum, DimensionCapExceeded,
+                             InvalidInput)
+from normholo.liealg import (_schur_factors, _sym_frame,
+                             _symmetric_commutant, bracket_closure,
+                             invariant_decomposition,
                              is_transitive_on_sphere, skew_span)
 from normholo.linalg import DEFAULT_TOLS, gram_kernel
+from normholo.srep import SymmetricPairRep, slice_rep_image
 
 
 def _so3_generators():
@@ -192,3 +197,86 @@ def test_commutant_adds_elements_when_pair_does_not_generate():
     assert len(got) == 1
     assert np.linalg.norm(got[0] - np.eye(3) / np.sqrt(3.0)) < 1e-12 \
         or np.linalg.norm(got[0] + np.eye(3) / np.sqrt(3.0)) < 1e-12
+
+
+def _direct_sum(*reps):
+    # block-diagonal sum: element p acts by reps[0][p] (+) reps[1][p] ...
+    total = sum(r[0].shape[0] for r in reps)
+    out = np.zeros((len(reps[0]), total, total))
+    offset = 0
+    for r in reps:
+        n = r[0].shape[0]
+        out[:, offset:offset + n, offset:offset + n] = r
+        offset += n
+    return out
+
+
+def _conjugated(mats, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((mats.shape[1],) * 2))
+    return q @ mats @ q.T
+
+
+def _spin2():
+    # so(3) on traceless symmetric 3x3 matrices by commutator
+    rep = SymmetricPairRep.for_size(3)
+    return np.stack(slice_rep_image(rep, rep.generators, rep.carrier_frame))
+
+
+_SO2 = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("block, dims", [
+    (np.stack(_so3_generators()), (3, 3)),    # real type: R^3 (+) R^3
+    (_SO2, (2, 2)),                            # complex type: C (+) C
+])
+def test_diagonal_action_splits_into_equal_factors(block, dims, conjugate):
+    # an isotypic sum V (+) V: its commutant is more than the scalars,
+    # and a random element of it splits the sum into two copies of V
+    mats = _direct_sum(block, block)
+    if conjugate:
+        mats = _conjugated(mats, 7)
+    dec = invariant_decomposition(skew_span(list(mats)))
+    assert dec.rank == 0
+    assert dec.factor_dims == dims
+    assert dec.irreducible_by_probe == (True, True)
+
+
+def _probe_closure_dim(mats, v, tol=1e-8):
+    # reference: smallest invariant subspace containing v
+    basis = v[:, None] / np.linalg.norm(v)
+    while True:
+        u, s, _ = np.linalg.svd(np.hstack([basis] + [m @ basis for m in mats]),
+                                full_matrices=False)
+        rank = int(np.count_nonzero(s > tol * s[0]))
+        if rank == basis.shape[1]:
+            return rank
+        basis = u[:, :rank]
+
+
+def test_schur_test_splits_merged_non_isomorphic_candidate():
+    # spin-2 (+) spin-1 of so(3), offered as one 8-dim candidate: a probe
+    # closure fills it, but its commutant is not the scalars
+    mats = _conjugated(_direct_sum(_spin2(), np.stack(_so3_generators())), 3)
+    span = skew_span(list(mats))
+    rng = np.random.default_rng(0)
+    assert _probe_closure_dim(span.basis, rng.standard_normal(8)) == 8
+    comm = _symmetric_commutant(list(span.basis), rng, DEFAULT_TOLS)
+    assert len(comm) == 2
+    pieces = _schur_factors(np.eye(8), comm, rng, DEFAULT_TOLS)
+    assert sorted(p.shape[1] for p in pieces) == [3, 5]
+    for p in pieces:
+        proj = p @ p.T
+        assert max(np.linalg.norm(x @ proj - proj @ x) for x in mats) < 1e-10
+    assert invariant_decomposition(span).factor_dims == (5, 3)
+
+
+def test_schur_and_cluster_tests_disagree_raises():
+    # so(2) (+) so(2) on R^2 (+) R^2: the commutant has rank 1 beyond the
+    # scalars, but a cluster gap of 1e3 merges every eigenvalue
+    mats = _direct_sum(_SO2, np.zeros((1, 2, 2)))
+    mats = np.concatenate([mats, _direct_sum(np.zeros((1, 2, 2)), _SO2)])
+    tols = dataclasses.replace(DEFAULT_TOLS, cluster_gap=1e3)
+    with pytest.raises(DegenerateSpectrum):
+        invariant_decomposition(skew_span(list(mats)), tols=tols)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normholo.errors import InvalidInput
+from normholo.holonomy import adapted_curvature
+from normholo.orbit import shape_operators
 from normholo.srep import (CartanCurvature, SymmetricPairRep,
                            random_regular_point, slice_rep_image)
 
@@ -175,3 +177,16 @@ def test_cartan_entries_match_pairing():
             got = t[a, b, a, b]
             want = CartanCurvature.pairing(mats[a], mats[b], mats[a], mats[b])
             assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cartan_entries_match_einsum_on_veronese(veronese, n):
+    # Veronese r = n + 1: the one-GEMM tensor against the plain einsum
+    mats = shape_operators(veronese(n))
+    coms = np.einsum("aij,bjk->abik", mats, mats)
+    coms = coms - np.transpose(coms, (1, 0, 2, 3))
+    want = -np.einsum("abij,cdji->abcd", coms, coms)
+    got = CartanCurvature.entries(mats)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    curv = adapted_curvature(veronese(n))
+    assert max(curv.symmetry_residuals().values()) <= 1e-9 * (1.0 + curv.norm())

@@ -225,3 +225,22 @@ def test_curve_exponentials_formed_once(v3, monkeypatch):
     k = v3.codim
     assert calls == [(k, k), (k, k)]        # only the coefficient factors
     assert np.array_equal(res.g_end, curve.group_path_end())
+
+
+def test_closed_loop_reuses_arc_exponentials(v3, monkeypatch):
+    import normholo.transport as transport
+
+    calls = []
+    real = transport.matrix_exp
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(transport, "matrix_exp", counted)
+    loop = _commutator_loop(v3)
+    assert len(calls) == 5                  # four arcs and the closure arc
+    fresh = OrbitCurve(orbit=v3, segments=loop.segments)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(loop.arc_exps, fresh.arc_exps))
+    assert loop.is_closed()

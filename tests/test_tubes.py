@@ -193,3 +193,20 @@ def test_tube_chart_keeps_rank(raw):
     assert "error" not in tube
     assert tube["ok"] is True
     assert tube["agreementGap"] <= 1e-4
+
+
+def test_patch_skips_fiber_exponential_at_zero_fiber(v3_patch, monkeypatch):
+    import normholo.tubes as tubes
+    _, patch = v3_patch
+    assert patch.m3 > 0
+    calls = []
+    real = tubes.matrix_exp
+    monkeypatch.setattr(tubes, "matrix_exp",
+                        lambda x: calls.append(x.shape) or real(x))
+    params = np.zeros(patch.n_axes)
+    params[0] = 1e-3                       # foot moves, fiber stays at 0
+    patch.evaluate(params)
+    assert calls == []
+    params[patch.n] = 1e-3
+    patch.evaluate(params)
+    assert calls == [(patch.foot.codim,) * 2]
