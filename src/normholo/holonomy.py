@@ -131,6 +131,7 @@ def symmetric_system_residual(curv: AdaptedCurvature,
         return 0.0
     rng = np.random.default_rng(seed)
     t = curv.tensor
+    k = t.shape[0]
     scale = max(np.linalg.norm(t), 1e-30)
     worst = 0.0
     for _ in range(6):
@@ -141,8 +142,9 @@ def symmetric_system_residual(curv: AdaptedCurvature,
         pulled = t
         for _ in range(4):
             # contract the leading slot and cycle it to the back
-            pulled = np.tensordot(pulled, h, axes=([0], [0]))
-        worst = max(worst, float(np.linalg.norm(pulled - t) / scale))
+            pulled = pulled.reshape(k, -1).T @ h
+        worst = max(worst, float(np.linalg.norm(pulled.reshape(t.shape) - t)
+                                 / scale))
     return worst
 
 
@@ -206,7 +208,6 @@ class FactorVerdict:
     algebra_dim: int
     transitive: bool
     evidence: TransitivityResult
-    irreducible_by_probe: bool  # Schur's verdict (name kept for the report)
 
 
 @dataclass
@@ -260,12 +261,12 @@ def analyze(M: OrbitSubmanifold, seed: int = 0,
     algebra = holonomy_algebra(M, tols=tols)
     decomp = invariant_decomposition(algebra, seed=seed, tols=tols)
     factors = []
-    for sub, irr in zip(decomp.factors, decomp.irreducible_by_probe):
+    for sub in decomp.factors:
         restricted = algebra.restrict(sub)
         ev = is_transitive_on_sphere(restricted, seed=seed, tols=tols)
         factors.append(FactorVerdict(
             subspace=sub, dim=sub.dim, algebra_dim=restricted.dim,
-            transitive=ev.transitive, evidence=ev, irreducible_by_probe=irr))
+            transitive=ev.transitive, evidence=ev))
     factors = tuple(factors)
     rank = decomp.rank
     r = len(factors)

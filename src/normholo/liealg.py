@@ -4,12 +4,17 @@ A represented algebra is handled concretely as a span of skew matrices
 acting on R^K.  The decomposition machinery splits the action into its
 fixed set and irreducible invariant factors.
 
-Factor *candidates* come from eigenspaces of a random symmetric element
-of the commutant, computed from a random generating pair of the algebra
-and confirmed against the full basis.  Each candidate is certified by
-Schur's criterion: an invariant subspace of an orthogonal action is
-irreducible exactly when the commutant compressed to it is the scalars.
-A candidate that fails is split by a random element of its compressed
+One rank-revealing SVD of the stacked basis gives the fixed set (its
+kernel) and the moving space (its row space).  The symmetric commutant
+on the moving space comes from a random generating pair x, y of the
+algebra, solved on a small frame: whatever commutes with x commutes
+with x^T x, so it is block diagonal on the eigenspaces of x^T x, a
+frame of O(K) symmetric matrices for a generic x instead of all
+K(K+1)/2.  A residual check against the full basis confirms the pair.
+The moving space is then split by Schur's criterion: an invariant
+subspace of an orthogonal action is irreducible exactly when the
+commutant compressed to it is the scalars.  A subspace that fails is
+split by the eigen-clusters of a random element of its compressed
 commutant and the pieces are tested again.  On an irreducible action
 the commutant is one-dimensional and the certificate costs nothing.
 
@@ -29,8 +34,8 @@ from .linalg import (
     DEFAULT_TOLS,
     Subspace,
     Tolerances,
+    _frozen_subspace,
     extend_span,
-    gram_kernel,
     orthonormal_span,
     rank_reveal,
     sym_eig,
@@ -57,35 +62,35 @@ class LieAlgebraSpan:
     def restrict(self, space: Subspace) -> "LieAlgebraSpan":
         """Compress the action to an invariant subspace (given by columns)."""
         b = space.basis
-        mats = [b.T @ x @ b for x in self.basis]
-        return skew_span(mats, acting_dim=space.dim)
+        return skew_span(b.T @ self.matrices() @ b, acting_dim=space.dim)
 
 
 def _check_skew(mats, acting_dim=None):
-    out = []
-    for x in mats:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise InvalidInput("algebra elements must be square matrices")
-        if acting_dim is None:
-            acting_dim = x.shape[0]
-        if x.shape[0] != acting_dim:
-            raise InvalidInput("algebra elements act on inconsistent spaces")
-        scale = 1.0 + float(np.linalg.norm(x))
-        if float(np.linalg.norm(x + x.T)) > 1e-8 * scale:
-            raise InvalidInput("algebra elements must be skew-symmetric")
-        out.append(0.5 * (x - x.T))
-    return out, acting_dim
+    """Stack square matrices of one size, each skew to 1e-8 relative,
+    and return their skew parts with the acting dimension."""
+    mats = [np.asarray(x, dtype=float) for x in mats]
+    if any(x.ndim != 2 or x.shape[0] != x.shape[1] for x in mats):
+        raise InvalidInput("algebra elements must be square matrices")
+    if acting_dim is None:
+        if not mats:
+            raise InvalidInput("empty span needs an explicit acting dimension")
+        acting_dim = mats[0].shape[0]
+    if any(x.shape[0] != acting_dim for x in mats):
+        raise InvalidInput("algebra elements act on inconsistent spaces")
+    stack = np.stack(mats) if mats else np.zeros((0, acting_dim, acting_dim))
+    flip = np.transpose(stack, (0, 2, 1))
+    scale = 1.0 + np.linalg.norm(stack, axis=(1, 2))
+    if np.any(np.linalg.norm(stack + flip, axis=(1, 2)) > 1e-8 * scale):
+        raise InvalidInput("algebra elements must be skew-symmetric")
+    return 0.5 * (stack - flip), acting_dim
 
 
 def skew_span(mats, acting_dim: int | None = None,
               tol: float = DEFAULT_TOLS.rank) -> LieAlgebraSpan:
     """Orthonormalize a list of skew matrices into a span."""
     mats, acting_dim = _check_skew(mats, acting_dim)
-    if acting_dim is None:
-        raise InvalidInput("empty span needs an explicit acting dimension")
-    vecs = [m.ravel() for m in mats]
-    space = orthonormal_span(vecs, ambient_dim=acting_dim * acting_dim, tol=tol)
+    space = orthonormal_span(mats.reshape(len(mats), acting_dim * acting_dim),
+                             ambient_dim=acting_dim * acting_dim, tol=tol)
     basis = tuple(space.basis[:, j].reshape(acting_dim, acting_dim)
                   for j in range(space.dim))
     return LieAlgebraSpan(acting_dim=acting_dim, basis=basis)
@@ -133,11 +138,7 @@ class RepDecomposition:
     """Fixed set plus invariant factors of a represented algebra."""
 
     fixed: Subspace
-    factors: tuple  # of Subspace, decreasing dimension
-    # of bool, parallel to factors: Schur's verdict (the compressed
-    # symmetric commutant is the scalars); the name is kept for the
-    # report key irreducibleByProbe
-    irreducible_by_probe: tuple
+    factors: tuple  # of Subspace, decreasing dimension, each irreducible
 
     @property
     def rank(self) -> int:
@@ -158,36 +159,45 @@ def _sym_frame(n: int) -> np.ndarray:
     return frame
 
 
-def _symmetric_commutant(mats, rng, tols: Tolerances):
+def _commutant_on_frame(elements: np.ndarray, frame: np.ndarray,
+                        tols: Tolerances):
+    """Symmetric matrices in the span of frame commuting with every
+    element: the kernel of S -> ([e, S] for e in elements), with the
+    largest singular value of that map."""
+    maps = elements[:, None] @ frame - frame @ elements[:, None]
+    _, s, vt, rank = rank_reveal(
+        maps.transpose(1, 0, 2, 3).reshape(len(frame), -1).T, tols.rank)
+    out = np.einsum("jf,fab->jab", vt[rank:], frame)
+    return 0.5 * (out + np.transpose(out, (0, 2, 1))), float(s[0])
+
+
+def _symmetric_commutant(mats, rng, tols: Tolerances) -> np.ndarray:
     """Orthonormal basis of symmetric matrices commuting with every mat.
 
     Whatever commutes with x and y commutes with [x, y], so for these
-    compact algebras the kernel of S -> [x, S] over two random unit
-    elements x of the span is already the whole commutant.  A residual
-    check against every mat confirms it; failing that, one more random
-    element is imposed, up to len(mats) of them.  The kernel of the
-    stacked maps equals the kernel of their R factor, accumulated one
-    map at a time (QR of [R; next block]) so the stack is never formed.
+    compact algebras the kernel of S -> ([x, S], [y, S]) for two random
+    unit elements x, y of the span is already the whole commutant.  Such
+    an S also commutes with x^T x, so it is block diagonal on the
+    eigen-clusters of x^T x: the kernel is taken over the frame
+    v_c F v_c^T (v_c a cluster's eigenvectors, F the symmetric frame of
+    its size), O(K) matrices for a generic x.  Merging two clusters
+    (a coarse tols.cluster_gap) only enlarges that frame, so the gap
+    errs on the safe side.  A residual check against every mat confirms
+    the pair; failing that, every mat is imposed on the same frame.
     """
-    if not mats:
-        return [np.eye(0)]
-    stack = np.stack(mats)
-    frame = _sym_frame(stack.shape[1])
-    r = np.zeros((0, len(frame)))
-    for count in range(1, len(mats) + 1):
-        c = rng.standard_normal(len(mats))
-        x = np.einsum("p,pij->ij", c / np.linalg.norm(c), stack)
-        block = (x @ frame - frame @ x).reshape(len(frame), -1).T
-        r = np.linalg.qr(np.vstack([r, block]), mode="r")
-        if count < min(2, len(mats)):
-            continue
-        _, s, vt, rank = rank_reveal(r, tols.rank)
-        out = np.einsum("jf,fab->jab", vt[rank:], frame)
-        out = 0.5 * (out + np.transpose(out, (0, 2, 1)))
-        resid = max(float(np.linalg.norm(y @ out - out @ y)) for y in stack)
-        if resid <= tols.rank * (1.0 + s[0]):
-            break
-    return list(out)
+    stack = np.asarray(mats)
+    x, y = (np.einsum("p,pij->ij", c / np.linalg.norm(c), stack)
+            for c in [rng.standard_normal(len(stack)) for _ in range(2)])
+    dec = sym_eig(x.T @ x, tols)
+    frame = np.concatenate([
+        v @ _sym_frame(v.shape[1]) @ v.T
+        for v in (dec.vectors[:, list(c)] for c in dec.clusters)])
+    out, top = _commutant_on_frame(np.stack([x, y]), frame, tols)
+    resid = np.linalg.norm(stack[:, None] @ out - out @ stack[:, None],
+                           axis=(2, 3))
+    if resid.max() > tols.rank * (1.0 + top):
+        out, _ = _commutant_on_frame(stack, frame, tols)
+    return out
 
 
 def _schur_factors(cols: np.ndarray, comm, rng,
@@ -225,48 +235,31 @@ def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
                             ) -> RepDecomposition:
     """Split the acting space into fixed set and irreducible factors.
 
-    The fixed set is the common kernel of the basis (equivalently the
-    kernel of the Casimir built from the orthonormal basis).  Factor
-    candidates are eigenspaces of a seeded random symmetric commutant
-    element; each is certified, or split further, by Schur's criterion
-    on its compressed commutant.  Factor count and dimensions are
-    invariant under conjugating the whole algebra by a fixed orthogonal
-    matrix.  Raises DegenerateSpectrum when a candidate with a
-    non-scalar commutant cannot be split at tols.cluster_gap.
+    The fixed set is the common kernel of the basis and the moving
+    space its orthogonal complement, both from one rank_reveal of the
+    stacked basis.  The moving space is split by Schur's criterion on
+    the symmetric commutant of the algebra restricted to it, with
+    seeded random elements.  Factor count and dimensions are invariant
+    under conjugating the whole algebra by a fixed orthogonal matrix.
+    Raises DegenerateSpectrum when a subspace with a non-scalar
+    commutant cannot be split at tols.cluster_gap.
     """
     k = span.acting_dim
-    rng = np.random.default_rng(seed)
-    if span.dim == 0:
-        fixed = orthonormal_span(list(np.eye(k)), ambient_dim=k, tol=tols.rank)
-        return RepDecomposition(fixed=fixed, factors=(),
-                                irreducible_by_probe=())
-
-    stacked = np.vstack([x for x in span.basis])
-    fixed = gram_kernel(stacked, tols)
-    moving = fixed.complement_within(
-        orthonormal_span(list(np.eye(k)), ambient_dim=k, tol=tols.rank))
-
+    stacked = span.matrices().reshape(-1, k)
+    _, _, vt, rank = rank_reveal(stacked, tols.rank,
+                                 full=stacked.shape[0] < k)
+    fixed = _frozen_subspace(vt[rank:].T, tols.rank)
     factors = []
-    if moving.dim > 0:
-        restricted = [moving.basis.T @ x @ moving.basis for x in span.basis]
-        comm = _symmetric_commutant(restricted, rng, tols)
-        if len(comm) <= 1:
-            # the commutant is the scalars: the moving space is irreducible
-            factors.append(moving)
-        else:
-            coeffs = rng.standard_normal(len(comm))
-            s_star = sum(c * s for c, s in zip(coeffs, comm))
-            dec = sym_eig(0.5 * (s_star + s_star.T), tols)
-            for cluster in dec.clusters:
-                cols = dec.vectors[:, list(cluster)]
-                for piece in _schur_factors(cols, comm, rng, tols):
-                    factors.append(orthonormal_span(
-                        (moving.basis @ piece).T, ambient_dim=k,
-                        tol=tols.rank))
-
-    factors = tuple(sorted(factors, key=lambda f: -f.dim))
-    return RepDecomposition(fixed=fixed, factors=factors,
-                            irreducible_by_probe=(True,) * len(factors))
+    if rank:
+        moving = vt[:rank].T
+        rng = np.random.default_rng(seed)
+        comm = _symmetric_commutant(moving.T @ span.matrices() @ moving,
+                                    rng, tols)
+        factors = [_frozen_subspace(moving @ piece, tols.rank)
+                   for piece in _schur_factors(np.eye(rank), comm, rng,
+                                               tols)]
+    return RepDecomposition(
+        fixed=fixed, factors=tuple(sorted(factors, key=lambda f: -f.dim)))
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,6 @@ class Subspace:
         res = x - self.project(x)
         return float(np.linalg.norm(res)) <= t * (1.0 + float(np.linalg.norm(x)))
 
-    def complement_within(self, other: "Subspace") -> "Subspace":
-        """Orthogonal complement of self inside other (self must sit in it)."""
-        return _frozen_subspace(
-            _new_directions(other.basis, self.basis, self.tol, 1.0), self.tol)
-
 
 def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
     a = np.asarray(a, dtype=float)

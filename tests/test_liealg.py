@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from normholo import liealg
 from normholo.errors import (DegenerateSpectrum, DimensionCapExceeded,
                              InvalidInput)
+from normholo.holonomy import holonomy_algebra
 from normholo.liealg import (_schur_factors, _sym_frame,
                              _symmetric_commutant, bracket_closure,
                              invariant_decomposition,
@@ -53,7 +55,6 @@ def test_decomposition_so2_in_r3():
     dec = invariant_decomposition(skew_span([gz]))
     assert dec.rank == 1                      # the z axis is fixed
     assert dec.factor_dims == (2,)
-    assert dec.irreducible_by_probe == (True,)
 
 
 def test_decomposition_full_so3():
@@ -186,14 +187,24 @@ class _ScriptedRng:
         return self.rng.standard_normal(size)
 
 
-def test_commutant_adds_elements_when_pair_does_not_generate():
-    # two copies of one rotation generate only so(2); the full-basis
-    # residual check must reject that and impose a third element
+def test_commutant_adds_elements_when_pair_does_not_generate(monkeypatch):
+    # x = y generates only so(2), whose commutant is two-dimensional; the
+    # full-basis residual check must reject that, and the whole-basis
+    # pass on the same frame must return the scalars
+    calls = []
+    on_frame = liealg._commutant_on_frame
+
+    def counted(elements, frame, tols):
+        calls.append(len(elements))
+        return on_frame(elements, frame, tols)
+
+    monkeypatch.setattr(liealg, "_commutant_on_frame", counted)
     mats = list(skew_span(list(_so3_generators())).basis)
     e1 = np.array([1.0, 0.0, 0.0])
     rng = _ScriptedRng([e1, e1])
     got = _symmetric_commutant(mats, rng, DEFAULT_TOLS)
-    assert rng.calls == 3
+    assert rng.calls == 2
+    assert calls == [2, 3]
     assert len(got) == 1
     assert np.linalg.norm(got[0] - np.eye(3) / np.sqrt(3.0)) < 1e-12 \
         or np.linalg.norm(got[0] + np.eye(3) / np.sqrt(3.0)) < 1e-12
@@ -240,7 +251,35 @@ def test_diagonal_action_splits_into_equal_factors(block, dims, conjugate):
     dec = invariant_decomposition(skew_span(list(mats)))
     assert dec.rank == 0
     assert dec.factor_dims == dims
-    assert dec.irreducible_by_probe == (True, True)
+
+
+def _moving_algebra(span):
+    # the algebra restricted to the row space of its stacked basis
+    _, s, vt = np.linalg.svd(span.matrices().reshape(-1, span.acting_dim))
+    moving = vt[s > 1e-8 * s[0]].T
+    return moving.T @ span.matrices() @ moving
+
+
+@pytest.mark.parametrize("case", ["complex-pair", "veronese-5", "one-cluster"])
+def test_small_frame_commutant_matches_all_basis(case, veronese):
+    # x^T x with one 4-dim eigenspace (C (+) C, x = c (J (+) J) up to
+    # conjugation), the irreducible Veronese sl-so:5 holonomy algebra on
+    # its moving space, and a cluster gap that merges every eigenvalue
+    # into one cluster, i.e. the full symmetric frame
+    tols = DEFAULT_TOLS
+    if case == "complex-pair":
+        mats, want = _conjugated(_direct_sum(_SO2, _SO2), 7), 4
+    elif case == "veronese-5":
+        mats, want = _moving_algebra(holonomy_algebra(veronese(4))), 1
+    else:
+        mats = _conjugated(np.stack(_block_algebra((3, 3))), 11)
+        mats, want = skew_span(list(mats)).matrices(), 2
+        tols = dataclasses.replace(DEFAULT_TOLS, cluster_gap=1e3)
+    got = _symmetric_commutant(list(mats), np.random.default_rng(0), tols)
+    ref = _all_basis_commutant(list(mats))
+    assert len(got) == len(ref) == want
+    gap = np.linalg.norm(_projector(got) - _projector(ref), 2)
+    assert gap <= 1e-10
 
 
 def _probe_closure_dim(mats, v, tol=1e-8):

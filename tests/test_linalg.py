@@ -82,15 +82,6 @@ def test_extend_span_grows_only_with_new_directions():
     assert grown.dim == 2
 
 
-def test_complement_within():
-    amb = orthonormal_span(list(np.eye(4)))
-    sub = orthonormal_span([np.array([1.0, 1.0, 0.0, 0.0])])
-    comp = sub.complement_within(amb)
-    assert comp.dim == 3
-    for j in range(comp.dim):
-        assert abs(float(comp.basis[:, j] @ sub.basis[:, 0])) < 1e-10
-
-
 # -- kernels and rank ------------------------------------------------------
 
 
