@@ -1,10 +1,11 @@
 """Adapted normal curvature and the restricted normal holonomy algebra.
 
 Everything here works in coordinates of the orthonormal normal frame at
-the orbit base point.  The curvature endomorphisms come from the
-commutator-trace formula on shape operators; their bracket closure is
-the holonomy algebra; verdicts (fixed set, invariant factors, per-factor
-transitivity, the factor-count bound) are assembled on top.  The loop
+the orbit base point.  The curvature tensor is kept as a factor F of
+its Gram form F F^T; the curvature endomorphisms span the columns of F,
+and their bracket closure is the holonomy algebra; verdicts (fixed set,
+invariant factors, per-factor transitivity, the factor-count bound) are
+assembled on top.  The loop
 probe at the bottom is the independent cross-check: it derives holonomy
 elements from exact parallel transport around small closed loops and
 compares their logs against the curvature-generated algebra.
@@ -30,72 +31,59 @@ from .transport import closed_square_loop, transport_frame_return
 
 @dataclass(frozen=True)
 class AdaptedCurvature:
-    """Normal curvature tensor over an orthonormal frame of nu_v.
+    """Normal curvature over an orthonormal frame of nu_v, as a factor.
 
-    tensor[a, b, c, d] = -trace([A_a, A_b] [A_c, A_d]) where A_k is the
-    shape operator of the k-th frame vector.  Skew in (a,b) and (c,d),
-    symmetric under pair swap, and first-Bianchi to round-off.
+    t[a, b, c, d] = -trace([A_a, A_b] [A_c, A_d]), A_k the shape operator
+    of the k-th frame vector, is the Gram matrix of the commutators
+    (CartanCurvature.commutators).  factor is F = U diag(sigma) from
+    their thin SVD, so t = F F^T over the pair index (a, b).
     """
 
     frame: np.ndarray     # (K, R, R)
-    tensor: np.ndarray    # (K, K, K, K)
+    factor: np.ndarray    # (K*K, m)
 
     @property
     def normal_dim(self) -> int:
-        return self.tensor.shape[0]
+        return self.frame.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
-
-    def endomorphism(self, a: int, b: int) -> np.ndarray:
-        """Matrix of the curvature operator of the frame pair (a, b)."""
-        return self.tensor[a, b].T
-
-    def endomorphisms(self) -> np.ndarray:
-        """All pair endomorphisms, (K(K-1)/2, K, K), pairs a < b."""
-        a, b = np.triu_indices(self.normal_dim, 1)
-        return np.transpose(self.tensor[a, b], (0, 2, 1))
-
-    def symmetry_residuals(self) -> dict:
-        t = self.tensor
-        return {
-            "skew_first_pair": float(np.linalg.norm(t + t.transpose(1, 0, 2, 3))),
-            "skew_second_pair": float(np.linalg.norm(t + t.transpose(0, 1, 3, 2))),
-            "pair_symmetry": float(np.linalg.norm(t - t.transpose(2, 3, 0, 1))),
-            "first_bianchi": float(np.linalg.norm(
-                t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3))),
-        }
+    def norm(self) -> float:      # ||t||_F = ||sigma^2||_2
+        return float(np.linalg.norm(np.sum(self.factor ** 2, axis=0)))
 
 
 def adapted_curvature(M: OrbitSubmanifold) -> AdaptedCurvature:
-    """Curvature tensor of the normal connection over the nu_v frame,
+    """Curvature factor of the normal connection over the nu_v frame,
     computed once per orbit (kept in the orbit's cache)."""
     if "curvature" in M._cache:
         return M._cache["curvature"]
-    tensor = CartanCurvature.entries(shape_operators(M))
-    tensor.flags.writeable = False
-    result = AdaptedCurvature(frame=M.normal_frame, tensor=tensor)
-    worst = max(result.symmetry_residuals().values())
-    scale = 1.0 + result.norm()
-    if worst > 1e-9 * scale:
-        raise InvalidInput(
-            f"curvature symmetry residual {worst:.2e} exceeds tolerance; "
-            "shape operators are inconsistent")
-    M._cache["curvature"] = result
+    ops = shape_operators(M)
+    u, s, _ = np.linalg.svd(CartanCurvature.commutators(ops),
+                            full_matrices=False)
+    # the columns of C are skew in the R x R index pair, so its rank is
+    # at most R(R-1)/2 and the singular triples past that are round-off
+    r = ops.shape[-1]
+    factor = np.ascontiguousarray((u * s)[:, :r * (r - 1) // 2])
+    factor.flags.writeable = False
+    M._cache["curvature"] = result = AdaptedCurvature(
+        frame=M.normal_frame, factor=factor)
     return result
 
 
 def holonomy_algebra(M: OrbitSubmanifold,
                      tols: Tolerances = DEFAULT_TOLS) -> LieAlgebraSpan:
     """Bracket closure of the curvature endomorphisms on nu_v coords,
-    computed once per orbit and tolerances (kept in the orbit's cache)."""
+    computed once per orbit and tolerances (kept in the orbit's cache).
+
+    The endomorphism of the pair (a, b), t e_ab with its skew (c, d)
+    block transposed, spans with the others the columns of the factor;
+    offering sigma_i F_i (the eigenpairs of t) ranks them at t's scale.
+    """
     key = ("algebra", tols)
     if key not in M._cache:
         curv = adapted_curvature(M)
-        scale = max(1.0, curv.norm())
-        keep = [e for e in curv.endomorphisms()
-                if np.linalg.norm(e) > tols.rank * scale]
-        span = skew_span(keep, acting_dim=curv.normal_dim, tol=tols.rank)
+        k = curv.normal_dim
+        f = curv.factor
+        offered = (f * np.linalg.norm(f, axis=0)).T.reshape(-1, k, k)
+        span = skew_span(offered, acting_dim=k, tol=tols.rank)
         M._cache[key] = bracket_closure(span, tol=tols.rank)
     return M._cache[key]
 
@@ -125,25 +113,26 @@ def symmetric_system_residual(curv: AdaptedCurvature,
     """Invariance defect of the curvature tensor under sampled holonomy.
 
     Pulls the tensor back through h = exp(Lambda) for six random unit
-    algebra elements and reports the max relative change.
+    algebra elements, t'[abcd] = sum t[pqrs] h_pa h_qb h_rc h_sd, i.e.
+    F_i -> h^T F_i h, and reports the max of ||t' - t|| / ||t||, where
+    with [F' F] = Q [R1 R2] that gap is ||R1 R1^T - R2 R2^T||.
     """
     if algebra.dim == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    t = curv.tensor
-    k = t.shape[0]
-    scale = max(np.linalg.norm(t), 1e-30)
+    f = curv.factor
+    k, m = curv.normal_dim, f.shape[1]
+    cols = f.T.reshape(m, k, k)
+    scale = max(curv.norm(), 1e-30)
     worst = 0.0
     for _ in range(6):
         c = rng.standard_normal(algebra.dim)
         c /= np.linalg.norm(c)
-        lam = np.einsum("p,pij->ij", c, algebra.matrices())
-        h = matrix_exp(lam)
-        pulled = t
-        for _ in range(4):
-            # contract the leading slot and cycle it to the back
-            pulled = pulled.reshape(k, -1).T @ h
-        worst = max(worst, float(np.linalg.norm(pulled.reshape(t.shape) - t)
+        h = matrix_exp(np.einsum("p,pij->ij", c, algebra.matrices()))
+        pulled = (h.T @ cols @ h).reshape(m, k * k).T
+        tri = np.linalg.qr(np.hstack([pulled, f]), mode="r")
+        r1, r2 = tri[:, :m], tri[:, m:]
+        worst = max(worst, float(np.linalg.norm(r1 @ r1.T - r2 @ r2.T)
                                  / scale))
     return worst
 
@@ -331,23 +320,19 @@ def commuting_certificate(M: OrbitSubmanifold,
     cert = CommutingCertificate()
     for i, fac in enumerate(verdict.factors):
         cols = fac.subspace.basis            # (K, d) nu-frame coords
-        best = None
-        for a in range(cols.shape[1]):
-            opa = np.einsum("k,kij->ij", cols[:, a], ops)
-            for b in range(a + 1, cols.shape[1]):
-                opb = np.einsum("k,kij->ij", cols[:, b], ops)
-                com = opa @ opb - opb @ opa
-                nrm = float(np.linalg.norm(com))
-                if best is None or nrm > best[0]:
-                    best = (nrm, a, b, com)
-        if best is None or best[0] <= tols.rank:
+        fops = np.einsum("ka,kij->aij", cols, ops)
+        a, b = np.triu_indices(cols.shape[1], 1)
+        coms = fops[a] @ fops[b] - fops[b] @ fops[a]
+        norms = np.linalg.norm(coms, axis=(1, 2))
+        if not norms.size or norms.max() <= tols.rank:
             cert.flat_factors.append(i)
             continue
-        nrm, a, b, com = best
-        xi_a = np.einsum("k,kij->ij", cols[:, a], M.normal_frame)
-        xi_b = np.einsum("k,kij->ij", cols[:, b], M.normal_frame)
+        best = int(np.argmax(norms))    # first maximum in a < b order
+        xi_a, xi_b = np.einsum("ka,kij->aij", cols[:, [a[best], b[best]]],
+                               M.normal_frame)
         cert.pairs.append(CertificatePair(
-            factor_index=i, xi_a=xi_a, xi_b=xi_b, commutator=com, norm=nrm))
+            factor_index=i, xi_a=xi_a, xi_b=xi_b,
+            commutator=coms[best].copy(), norm=float(norms[best])))
     if cert.pairs:
         stacked = np.stack([p.commutator.ravel() / p.norm for p in cert.pairs])
         cert.independent = (rank_reveal(stacked.T, tols.rank)[3]

@@ -222,21 +222,21 @@ class CartanCurvature:
         return float(np.sum(CartanCurvature.evaluate(a, b, c) * d))
 
     @staticmethod
-    def entries(mats) -> np.ndarray:
-        """4-tensor R[a, b, c, d] = <R_{m_a, m_b} m_c, m_d> over a list of
-        symmetric matrices, via the commutator pairing.
-
-        With C the K^2 x R^2 matrix of flattened commutators [m_a, m_b]
-        and C~ the same with each commutator transposed, the tensor is
-        -C C~^T: one GEMM.  The sign goes on the K^2 x R^2 factor, so no
-        second K^4 array is formed.
-        """
+    def commutators(mats) -> np.ndarray:
+        """K^2 x R^2 matrix C whose row (a, b) is the flattened [m_a, m_b],
+        from one batched matrix product."""
         mats = np.asarray(mats, dtype=float)
         k, r = mats.shape[0], mats.shape[-1]
         coms = mats[:, None] @ mats[None, :]
-        coms = coms - coms.transpose(1, 0, 2, 3)
-        neg_t = -coms.transpose(0, 1, 3, 2).reshape(k * k, r * r)
-        return (coms.reshape(k * k, r * r) @ neg_t.T).reshape(k, k, k, k)
+        return (coms - coms.transpose(1, 0, 2, 3)).reshape(k * k, r * r)
+
+    @staticmethod
+    def entries(mats) -> np.ndarray:
+        """4-tensor R[a, b, c, d] = <R_{m_a, m_b} m_c, m_d> over a list of
+        symmetric matrices: the Gram matrix of their commutators."""
+        k = len(mats)
+        coms = CartanCurvature.commutators(mats)
+        return (coms @ coms.T).reshape(k, k, k, k)
 
 
 def slice_rep_image(rep: SymmetricPairRep, isotropy_mats, frame_mats):

@@ -45,6 +45,11 @@ DEFAULT_STEP = 1e-3
 # turned too fast for the step size; results past that point are noise.
 MIN_NORM_RATIO = 0.5
 
+# Steps allowed on one segment: renormalization round-off grows like
+# 1e-16 n^2 (_roundoff_drift_floor) and truncation error falls like 1/n,
+# so past 1e6 steps a finer step only adds round-off (or never ends).
+MAX_STEPS_PER_SEGMENT = 10 ** 6
+
 
 def _check_skew(x: np.ndarray, r: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -76,8 +81,9 @@ class OrbitCurve:
         for seg in self.segments:
             x, dur = seg
             dur = float(dur)
-            if dur < 0.0:
-                raise InvalidInput("segment duration must be >= 0")
+            if not (np.isfinite(dur) and dur >= 0.0):
+                raise InvalidInput(
+                    f"segment duration must be finite and >= 0, got {dur}")
             cleaned.append((_check_skew(x, r), dur))
         object.__setattr__(self, "segments", tuple(cleaned))
         if not self.step > 0.0:
@@ -240,6 +246,11 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     h = float(step) if step is not None else curve.step
     if not h > 0.0:
         raise InvalidInput("step must be positive")
+    longest = max((dur for _, dur in curve.segments), default=0.0)
+    if longest / h > MAX_STEPS_PER_SEGMENT:
+        raise InvalidInput(
+            f"step {h:.3g} needs over {MAX_STEPS_PER_SEGMENT} steps on a "
+            f"segment; use a step >= {longest / MAX_STEPS_PER_SEGMENT:.3g}")
     base, xis = _validated_stack(orbit, xis, bundle)
     targets = np.linalg.norm(xis.reshape(xis.shape[0], -1), axis=1)
 

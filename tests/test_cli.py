@@ -96,6 +96,17 @@ def test_failing_analysis_exits_one(capsys):
     assert doc["summary"]["pass"] is False
 
 
+def test_tiny_step_exits_one(capsys):
+    # a step far below the per-segment cap fails at once, not by looping
+    rc = main(["transport-audit", "--rep", "sl-so:3", "--point", "veronese",
+               "--step", "1e-300"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    err = json.loads(out)["analyses"]["transport-audit"]["error"]
+    assert err["type"] == "InvalidInput"
+    assert "steps" in err["message"]
+
+
 def test_unknown_analysis_exits_two(capsys):
     rc = main(["analyze", "--rep", "sl-so:4", "--point", "veronese",
                "--do", "bogus"])

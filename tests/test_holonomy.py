@@ -10,8 +10,11 @@ from normholo.holonomy import (adapted_curvature, analyze, cartan_comparison,
                                position_fixed_residual,
                                slice_holonomy_distance,
                                symmetric_system_residual)
-from normholo.liealg import invariant_decomposition
-from normholo.orbit import build_orbit
+from normholo.kernels import matrix_exp
+from normholo.liealg import (bracket_closure, invariant_decomposition,
+                             skew_span)
+from normholo.linalg import Subspace, subspace_distance
+from normholo.orbit import build_orbit, shape_operator, shape_operators
 from normholo.report import parse_point_spec, parse_rep_spec
 from normholo.srep import SymmetricPairRep
 
@@ -24,20 +27,63 @@ def verdicts(veronese, product_orbit, a2_orbit):
     return out
 
 
+def _tensor(curv):
+    k = curv.normal_dim
+    return (curv.factor @ curv.factor.T).reshape(k, k, k, k)
+
+
 def test_curvature_symmetries(v3):
     curv = adapted_curvature(v3)
     assert curv.normal_dim == v3.codim
-    for name, resid in curv.symmetry_residuals().items():
-        assert resid < 1e-9 * (1.0 + curv.norm()), name
-    endos = curv.endomorphisms()
+    t = _tensor(curv)
+    assert abs(curv.norm() - np.linalg.norm(t)) <= 1e-13 * curv.norm()
+    residuals = {
+        "skew_first_pair": t + t.transpose(1, 0, 2, 3),
+        "skew_second_pair": t + t.transpose(0, 1, 3, 2),
+        "pair_symmetry": t - t.transpose(2, 3, 0, 1),
+        "first_bianchi": (t + t.transpose(1, 2, 0, 3)
+                          + t.transpose(2, 0, 1, 3)),
+    }
+    for name, resid in residuals.items():
+        assert np.linalg.norm(resid) < 1e-9 * (1.0 + curv.norm()), name
+
+
+def _slice_span(curv, tol=1e-8):
+    # the curvature endomorphisms t[a, b]^T, a < b, as the span was
+    # formed from the K^4 tensor: norm prefilter, then skew_span
+    t = _tensor(curv)
     k = curv.normal_dim
-    assert endos.shape == (k * (k - 1) // 2, k, k)
-    assert np.allclose(endos, -np.transpose(endos, (0, 2, 1)), atol=1e-10)
+    a, b = np.triu_indices(k, 1)
+    endos = np.transpose(t[a, b], (0, 2, 1))
+    scale = max(1.0, curv.norm())
+    keep = [e for e in endos if np.linalg.norm(e) > tol * scale]
+    return skew_span(keep, acting_dim=k, tol=tol)
 
 
-def test_endomorphism_indexing(v3):
-    curv = adapted_curvature(v3)
-    assert np.allclose(curv.endomorphism(0, 2), curv.tensor[0, 2].T)
+def _span_distance(got, want):
+    k = got.acting_dim
+    assert got.dim == want.dim
+    return subspace_distance(*(
+        Subspace(ambient_dim=k * k,
+                 basis=span.matrices().reshape(span.dim, k * k).T)
+        for span in (got, want)))
+
+
+@pytest.mark.parametrize("name", [3, 4, "product", "a2"])
+def test_factor_span_matches_tensor_slices(veronese, product_orbit, a2_orbit,
+                                           name):
+    m = veronese(name) if isinstance(name, int) \
+        else {"product": product_orbit, "a2": a2_orbit}[name]
+    curv = adapted_curvature(m)
+    k = curv.normal_dim
+    f = curv.factor
+    got = skew_span((f * np.linalg.norm(f, axis=0)).T.reshape(-1, k, k),
+                    acting_dim=k)
+    want = _slice_span(curv)
+    assert _span_distance(got, want) <= 1e-10
+    assert _span_distance(holonomy_algebra(m),
+                          bracket_closure(want)) <= 1e-10
+    assert (got.dim == 0) == (name == "a2")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -101,14 +147,47 @@ def test_residuals_tiny(verdicts):
         assert v.symmetric_residual < 1e-12
 
 
-def test_symmetric_residual_detects_wrong_algebra(v3):
-    # curvature is not invariant under an arbitrary rotation plane
-    from normholo.liealg import skew_span
-    k = v3.codim
+def _pullback_residual(curv, algebra, seed=0):
+    # the K^5 reference: contract the leading slot of the K^4 tensor
+    # with h and cycle it to the back, four times per draw
+    rng = np.random.default_rng(seed)
+    t = _tensor(curv)
+    k = curv.normal_dim
+    worst = 0.0
+    for _ in range(6):
+        c = rng.standard_normal(algebra.dim)
+        c /= np.linalg.norm(c)
+        h = matrix_exp(np.einsum("p,pij->ij", c, algebra.matrices()))
+        pulled = t
+        for _ in range(4):
+            pulled = pulled.reshape(k, -1).T @ h
+        worst = max(worst, float(np.linalg.norm(pulled.reshape(t.shape) - t)
+                                 / np.linalg.norm(t)))
+    return worst
+
+
+def _wrong_algebra(k):
     bad = np.zeros((k, k))
     bad[0, 1], bad[1, 0] = 1.0, -1.0
+    return skew_span([bad])
+
+
+@pytest.mark.parametrize("name", [2, 3, 4, "product"])
+def test_symmetric_residual_matches_pullback(verdicts, name):
+    v = verdicts[name]
+    for seed in (0, 3):
+        got = symmetric_system_residual(v.curvature, v.algebra, seed=seed)
+        want = _pullback_residual(v.curvature, v.algebra, seed=seed)
+        assert abs(got - want) <= 1e-13
+    wrong = _wrong_algebra(v.curvature.normal_dim)
+    got = symmetric_system_residual(v.curvature, wrong)
+    assert abs(got - _pullback_residual(v.curvature, wrong)) <= 1e-13
+
+
+def test_symmetric_residual_detects_wrong_algebra(v3):
+    # curvature is not invariant under an arbitrary rotation plane
     resid = symmetric_system_residual(adapted_curvature(v3),
-                                      skew_span([bad]))
+                                      _wrong_algebra(v3.codim))
     assert resid > 1e-3
 
 
@@ -147,6 +226,46 @@ def test_commuting_certificate_product(product_orbit, verdicts):
     assert cert.independent
     assert cert.max_pairwise_commutator <= 1e-8
     assert {p.factor_index for p in cert.pairs} == {0, 1}
+
+
+def _certificate_by_loop(m, verdict, tol=1e-8):
+    # the pair search as a double loop, two einsums per pair, keeping
+    # the first strict maximum
+    ops = shape_operators(m)
+    best_norms, flat = [], []
+    for i, fac in enumerate(verdict.factors):
+        cols = fac.subspace.basis
+        best = None
+        for a in range(cols.shape[1]):
+            opa = np.einsum("k,kij->ij", cols[:, a], ops)
+            for b in range(a + 1, cols.shape[1]):
+                opb = np.einsum("k,kij->ij", cols[:, b], ops)
+                nrm = float(np.linalg.norm(opa @ opb - opb @ opa))
+                if best is None or nrm > best:
+                    best = nrm
+        if best is None or best <= tol:
+            flat.append(i)
+        else:
+            best_norms.append((i, best))
+    return best_norms, flat
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("product:sl-so:4,sl-so:4", "veronese;veronese"),
+    ("sl-so:5", "diag:3,3,-2,-2,-2"),
+])
+def test_commuting_certificate_matches_loop(rep_spec, point_spec):
+    m = _spec_orbit(rep_spec, point_spec)
+    verdict = analyze(m)
+    cert = commuting_certificate(m, verdict)
+    best_norms, flat = _certificate_by_loop(m, verdict)
+    assert cert.flat_factors == flat
+    assert [p.factor_index for p in cert.pairs] == [i for i, _ in best_norms]
+    for p, (_, nrm) in zip(cert.pairs, best_norms):
+        assert abs(p.norm - nrm) <= 1e-12 * nrm
+        a_op, b_op = (shape_operator(m, xi) for xi in (p.xi_a, p.xi_b))
+        assert np.linalg.norm(a_op @ b_op - b_op @ a_op - p.commutator) \
+            <= 1e-12 * nrm
 
 
 def test_commuting_certificate_needs_factors(a2_orbit, verdicts):

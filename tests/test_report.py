@@ -187,25 +187,27 @@ def test_holonomy_and_bound_share_one_pass(monkeypatch):
     import normholo.holonomy as holonomy
     from normholo.srep import CartanCurvature
 
-    counts = {"decomposition": 0, "curvature": 0}
+    counts = {"decomposition": 0, "commutators": 0, "entries": 0}
     decompose = holonomy.invariant_decomposition
+    commutators = CartanCurvature.commutators
     entries = CartanCurvature.entries
 
-    def counted_decomposition(*args, **kwargs):
-        counts["decomposition"] += 1
-        return decompose(*args, **kwargs)
-
-    def counted_entries(mats):
-        counts["curvature"] += 1
-        return entries(mats)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
     monkeypatch.setattr(holonomy, "invariant_decomposition",
-                        counted_decomposition)
+                        counted("decomposition", decompose))
+    monkeypatch.setattr(CartanCurvature, "commutators",
+                        staticmethod(counted("commutators", commutators)))
     monkeypatch.setattr(CartanCurvature, "entries",
-                        staticmethod(counted_entries))
+                        staticmethod(counted("entries", entries)))
     cfg = ScenarioConfig.from_dict({"rep": "sl-so:4", "point": "veronese",
                                     "analyses": ["orbit", "holonomy",
                                                  "bound"]})
     report = run_scenario(cfg)
     assert report.passed
-    assert counts == {"decomposition": 1, "curvature": 1}
+    # one curvature factor per orbit, and no K^4 tensor on this path
+    assert counts == {"decomposition": 1, "commutators": 1, "entries": 0}

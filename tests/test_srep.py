@@ -181,12 +181,19 @@ def test_cartan_entries_match_pairing():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_cartan_entries_match_einsum_on_veronese(veronese, n):
-    # Veronese r = n + 1: the one-GEMM tensor against the plain einsum
+    # Veronese r = n + 1: the Gram matrix of the commutators and its SVD
+    # factor against the plain einsum
     mats = shape_operators(veronese(n))
+    k, r = mats.shape[0], mats.shape[-1]
     coms = np.einsum("aij,bjk->abik", mats, mats)
     coms = coms - np.transpose(coms, (1, 0, 2, 3))
+    assert np.array_equal(CartanCurvature.commutators(mats),
+                          coms.reshape(k * k, r * r))
     want = -np.einsum("abij,cdji->abcd", coms, coms)
+    scale = np.max(np.abs(want))
     got = CartanCurvature.entries(mats)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    curv = adapted_curvature(veronese(n))
-    assert max(curv.symmetry_residuals().values()) <= 1e-9 * (1.0 + curv.norm())
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    f = adapted_curvature(veronese(n)).factor
+    assert f.shape == (k * k, r * (r - 1) // 2)
+    got = (f @ f.T).reshape(k, k, k, k)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale

@@ -39,6 +39,24 @@ def test_curve_validation(v3):
         OrbitCurve(orbit=v3, segments=((np.eye(4), 1.0),))
 
 
+@pytest.mark.parametrize("dur", [np.nan, np.inf])
+def test_curve_rejects_non_finite_duration(v3, dur):
+    with pytest.raises(InvalidInput, match="finite"):
+        OrbitCurve.from_tangent_coords(v3, [(np.ones(3), dur)])
+
+
+def test_tiny_step_rejected_before_stepping(v3, monkeypatch):
+    import normholo.transport as transport
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(transport, "transport_segment", no_step)
+    curve = _open_curve(v3)
+    with pytest.raises(InvalidInput, match="steps"):
+        parallel_transport_stack(curve, v3.normal_frame[:1], step=1e-300)
+
+
 def test_curve_endpoint_stays_on_sphere(v3):
     curve = _open_curve(v3)
     assert curve.total_time == 0.5
