@@ -10,8 +10,10 @@ import json
 import os
 import sys
 
-from .errors import NormholoError
-from .report import KNOWN_ANALYSES, ScenarioConfig, _render, run_scenario
+from . import __version__
+from .errors import InvalidInput, NormholoError
+from .report import (KNOWN_ANALYSES, SCHEMA_VERSION, ScenarioConfig, _render,
+                     run_scenario)
 
 _SEED_ENV = "NORMHOLO_SEED"
 
@@ -80,23 +82,62 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
+    """The --config object with the flags merged over it; InvalidInput
+    when the file is unreadable or not a JSON object, or --curve is not
+    JSON."""
     raw: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw.update(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:    # unreadable, or not JSON
+            raise InvalidInput(f"cannot load config file '{args.config}': "
+                               f"{exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidInput(f"config file '{args.config}' must hold a "
+                               f"JSON object, got {type(raw).__name__}")
     # explicit flags override file values
     for key in ("rep", "point", "n", "direction", "step", "out"):
         val = getattr(args, key, None)
         if val not in (None, ""):
             raw[key] = val
     if getattr(args, "curve", None):
-        raw["curve"] = json.loads(args.curve)
+        try:
+            raw["curve"] = json.loads(args.curve)
+        except ValueError as exc:
+            raise InvalidInput(f"--curve is not valid JSON: {exc}") from exc
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
         # passed raw: the config parse rejects a non-integer value
         raw["seed"] = os.environ.get(_SEED_ENV, "") or 0
     return raw
+
+
+_COMMAND_ANALYSIS = {"verify-veronese": "veronese-facts",
+                     "tube-spectrum": "tube", "coxeter": "coxeter",
+                     "transport-audit": "transport-audit"}
+
+
+def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
+    """The command's scenarios: one, or one per sweep grid point."""
+    if args.command == "analyze":
+        wanted = [x.strip() for x in args.do.split(",") if x.strip()]
+        return [ScenarioConfig.from_dict({**raw, "analyses": wanted})]
+    if args.command != "sweep":
+        return [ScenarioConfig.from_dict(
+            {**raw, "analyses": [_COMMAND_ANALYSIS[args.command]]})]
+    if args.analysis == "veronese-facts":
+        if not args.ns:
+            raise ValueError("sweep over veronese-facts needs --ns")
+        return [ScenarioConfig.from_dict(
+            {**raw, "n": int(n), "analyses": ["veronese-facts"]})
+            for n in args.ns.split(",")]
+    if not args.points or not args.rep:
+        raise ValueError("sweep needs --rep and --points")
+    return [ScenarioConfig.from_dict(
+        {**raw, "rep": args.rep, "point": spec.strip(),
+         "analyses": [args.analysis]}) for spec in args.points.split(";")]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -107,58 +148,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _run_single(raw: dict, analyses: tuple) -> int:
-    raw = dict(raw)
-    raw["analyses"] = list(analyses)
-    out = raw.pop("out", None)
-    try:
-        config = ScenarioConfig.from_dict(raw)
-    except (NormholoError, ValueError, TypeError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    report = run_scenario(config)
-    _emit(report.document_text(), out)
-    return report.exit_code
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    raw = _config_from_args(args)
-    out = raw.pop("out", None)
-    reports = []
-    try:
-        if args.analysis == "veronese-facts":
-            if not args.ns:
-                raise ValueError("sweep over veronese-facts needs --ns")
-            grid = [int(x) for x in args.ns.split(",")]
-            for n in grid:
-                cfg = dict(raw)
-                cfg.pop("n", None)
-                cfg.update(n=n, analyses=["veronese-facts"])
-                reports.append(run_scenario(ScenarioConfig.from_dict(cfg)))
-        else:
-            if not args.points or not args.rep:
-                raise ValueError("sweep needs --rep and --points")
-            for spec in args.points.split(";"):
-                cfg = dict(raw)
-                cfg.update(rep=args.rep, point=spec.strip(),
-                           analyses=[args.analysis])
-                reports.append(run_scenario(ScenarioConfig.from_dict(cfg)))
-    except (NormholoError, ValueError, TypeError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-
-    bodies = [r.body() for r in reports]
-    doc = {"schemaVersion": bodies[0]["schemaVersion"] if bodies else 1,
-           "toolVersion": bodies[0]["toolVersion"] if bodies else "",
-           "sweep": bodies,
-           "summary": {"pass": all(r.passed for r in reports),
-                       "failures": [i for i, r in enumerate(reports)
-                                    if not r.passed]},
-           "timings": [r.timings for r in reports]}
-    _emit(_render(doc), out)
-    return max((r.exit_code for r in reports), default=0)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -167,22 +156,27 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags already; normalize other codes
         return int(exc.code or 0)
 
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    raw = _config_from_args(args)
-    if args.command == "analyze":
-        wanted = tuple(x.strip() for x in args.do.split(",") if x.strip())
-        return _run_single(raw, wanted)
-    if args.command == "verify-veronese":
-        return _run_single(raw, ("veronese-facts",))
-    if args.command == "tube-spectrum":
-        return _run_single(raw, ("tube",))
-    if args.command == "coxeter":
-        return _run_single(raw, ("coxeter",))
-    if args.command == "transport-audit":
-        return _run_single(raw, ("transport-audit",))
-    raise AssertionError("unhandled command")
+    # every scenario parses before any runs
+    try:
+        raw = _config_from_args(args)
+        out = raw.pop("out", None)
+        configs = _scenario_configs(args, raw)
+    except (NormholoError, ValueError, TypeError) as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    reports = [run_scenario(config) for config in configs]
+    if args.command != "sweep":
+        _emit(reports[0].document_text(), out)
+        return reports[0].exit_code
+    doc = {"schemaVersion": SCHEMA_VERSION,
+           "toolVersion": __version__,
+           "sweep": [r.body() for r in reports],
+           "summary": {"pass": all(r.passed for r in reports),
+                       "failures": [i for i, r in enumerate(reports)
+                                    if not r.passed]},
+           "timings": [r.timings for r in reports]}
+    _emit(_render(doc), out)
+    return max(r.exit_code for r in reports)
 
 
 if __name__ == "__main__":

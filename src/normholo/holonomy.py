@@ -4,11 +4,11 @@ Everything here works in coordinates of the orthonormal normal frame at
 the orbit base point.  The curvature tensor is kept as a factor F of
 its Gram form F F^T; the curvature endomorphisms span the columns of F,
 and their bracket closure is the holonomy algebra; verdicts (fixed set,
-invariant factors, per-factor transitivity, the factor-count bound) are
-assembled on top.  The loop
-probe at the bottom is the independent cross-check: it derives holonomy
-elements from exact parallel transport around small closed loops and
-compares their logs against the curvature-generated algebra.
+invariant factors, per-factor transitivity, the factor-count bound, the
+slice distance) are assembled on top.  The loop probe at the bottom is
+the independent cross-check: it derives holonomy elements from exact
+parallel transport around small closed loops and compares their logs
+against the curvature-generated algebra.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
 from .srep import CartanCurvature, slice_rep_image
 from .transport import closed_square_loop, transport_frame_return
+
+# The normal holonomy of an s-orbit is its slice representation
+# (Heintze-Olmos 1992), so a slice distance within this bound (the
+# acceptance bound on that distance) classes the orbit s-orbit-compatible.
+SLICE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -214,6 +219,7 @@ class HolonomyVerdict:
     conjecture_class: str
     position_residual: float
     symmetric_residual: float
+    slice_distance: float
     seed: int
 
     @property
@@ -221,26 +227,16 @@ class HolonomyVerdict:
         return tuple(f.dim for f in self.factors)
 
 
-def _matches_projective_signature(factor: FactorVerdict) -> bool:
-    # the non-transitive irreducible phenotype of projective-plane type
-    # orbits: factor dim m(m+1)/2 - 1 with algebra dim m(m-1)/2, m >= 3
-    for m in range(3, 2 + int(np.sqrt(2 * factor.dim + 2))):
-        if factor.dim == m * (m + 1) // 2 - 1 \
-                and factor.algebra_dim == m * (m - 1) // 2 \
-                and not factor.transitive:
-            return True
-    return False
-
-
 def analyze(M: OrbitSubmanifold, seed: int = 0,
             tols: Tolerances = DEFAULT_TOLS) -> HolonomyVerdict:
     """Full holonomy verdict for an orbit, computed once per orbit, seed
     and tolerances (kept in the orbit's cache).
 
-    The conjecture class is operational, not a theorem: "transitive"
-    when a single factor covers the sphere-normal directions and acts
+    The conjecture class is read off measured facts: "transitive" when
+    a single factor covers the sphere-normal directions and acts
     transitively; "s-orbit-compatible" when the fixed set has dimension
-    at least 2 or the single factor matches the projective signature;
+    at least 2 or the slice representation matches the holonomy algebra
+    (slice distance at most SLICE_TOL), as it does on every s-orbit;
     anything else is flagged "violation-candidate" for inspection.
     """
     key = ("verdict", seed, tols)
@@ -260,13 +256,12 @@ def analyze(M: OrbitSubmanifold, seed: int = 0,
     rank = decomp.rank
     r = len(factors)
     k = curv.normal_dim
+    slice_dist = slice_holonomy_distance(M, algebra, tols=tols)
 
     if rank == 1 and r == 1 and factors[0].dim == k - 1 \
             and factors[0].transitive:
         verdict_class = "transitive"
-    elif rank >= 2:
-        verdict_class = "s-orbit-compatible"
-    elif rank == 1 and r == 1 and _matches_projective_signature(factors[0]):
+    elif rank >= 2 or slice_dist <= SLICE_TOL:
         verdict_class = "s-orbit-compatible"
     else:
         verdict_class = "violation-candidate"
@@ -277,7 +272,7 @@ def analyze(M: OrbitSubmanifold, seed: int = 0,
         bound_satisfied=(r <= M.dim // 2), conjecture_class=verdict_class,
         position_residual=position_fixed_residual(M, algebra),
         symmetric_residual=symmetric_system_residual(curv, algebra, seed=seed),
-        seed=seed)
+        slice_distance=slice_dist, seed=seed)
     return verdict
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from . import __version__
 from .coxeter import curvature_normals, focal_displacement, reflection_group
 from .errors import InvalidInput, NormholoError
-from .holonomy import (analyze, commuting_certificate, loop_holonomy_probe,
-                       slice_holonomy_distance)
+from .holonomy import analyze, commuting_certificate, loop_holonomy_probe
 from .linalg import DEFAULT_TOLS, Tolerances
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature)
@@ -31,7 +30,7 @@ from .tubes import (caustic_rank_check, choose_tube_direction, dupin_check,
                     tube_spectrum_via_formula)
 from .veronese import verify_veronese_facts
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 KNOWN_ANALYSES = ("orbit", "holonomy", "bound", "tube", "coxeter",
                   "veronese-facts", "transport-audit", "loop-probe")
@@ -96,7 +95,7 @@ class ScenarioConfig:
         return cls(rep=rep,
                    point=point,
                    analyses=analyses,
-                   seed=_integer("seed", raw.get("seed", 0)),
+                   seed=_seed("seed", raw.get("seed", 0)),
                    tolerances=tols,
                    n=None if raw.get("n") is None
                    else _integer("n", raw["n"]),
@@ -151,13 +150,20 @@ def _integer(name: str, value) -> int:
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(name: str, value) -> int:
+    """value as an RNG seed: an integer >= 0, else InvalidInput."""
+    seed = _integer(name, value)
+    if seed < 0:
+        raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
+    return seed
+
+
 def _direction_seed(direction: str) -> int:
     """Seed k of a 'seed:<k>' tube direction."""
     if not direction.startswith("seed:"):
         raise InvalidInput(f"direction '{direction}' not recognized; "
                            "expected canonical or seed:<k>")
-    return _integer(f"seed in direction '{direction}'",
-                    direction[len("seed:"):])
+    return _seed(f"seed in direction '{direction}'", direction[len("seed:"):])
 
 
 def _curve_segment(seg, group_dim: int | None) -> tuple:
@@ -245,7 +251,7 @@ def _diag_values(spec: str) -> np.ndarray:
 
 def _regular_seed(spec: str) -> int:
     """Seed of a 'random-regular:<seed>' factor spec."""
-    return _integer(f"seed in '{spec}'", spec[len("random-regular:"):])
+    return _seed(f"seed in '{spec}'", spec[len("random-regular:"):])
 
 
 def _factor_point(r: int, spec: str) -> np.ndarray:
@@ -376,10 +382,8 @@ def _orbit_analysis(M: OrbitSubmanifold, config, tols) -> dict:
 
 def _holonomy_analysis(M, config, tols) -> dict:
     verdict = analyze(M, seed=config.seed, tols=tols)
-    slice_dist = slice_holonomy_distance(M, verdict.algebra, tols=tols)
     factors = [{"dim": f.dim, "algebraDim": f.algebra_dim,
                 "transitive": f.transitive,
-                "irreducibleByProbe": True,
                 "probeOrbitDims": list(f.evidence.probe_orbit_dims)}
                for f in verdict.factors]
     return {"ok": bool(verdict.bound_satisfied),
@@ -391,7 +395,7 @@ def _holonomy_analysis(M, config, tols) -> dict:
             "boundSatisfied": verdict.bound_satisfied,
             "positionResidual": verdict.position_residual,
             "symmetricResidual": verdict.symmetric_residual,
-            "sliceHolonomyDistance": slice_dist}
+            "sliceHolonomyDistance": verdict.slice_distance}
 
 
 def _bound_analysis(M, config, tols) -> dict:
@@ -468,9 +472,6 @@ def _tube_analysis(M, config, tols) -> dict:
 
 def _coxeter_analysis(M, config, tols) -> dict:
     cn = curvature_normals(M, seed=config.seed, tols=tols)
-    # reflection_group raises DegenerateSpectrum unless every element
-    # realises its own signed permutation of the normal lines, so each
-    # element permutes the hyperplanes by construction
     grp = reflection_group(cn, tols=tols)
     drops = []
     for i in range(cn.count):
@@ -488,8 +489,7 @@ def _coxeter_analysis(M, config, tols) -> dict:
                                   for row in cn.pairwise_angles()],
             "group": {"order": grp.order, "finite": grp.finite,
                       "spanDim": grp.span_dim,
-                      "closureDefect": grp.closure_defect,
-                      "allElementsPermuteHyperplanes": True},
+                      "closureDefect": grp.closure_defect},
             "singularDrops": drops}
 
 

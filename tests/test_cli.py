@@ -5,6 +5,7 @@ import json
 import pytest
 
 from normholo.cli import main
+from normholo.report import SCHEMA_VERSION
 
 
 def _body(doc_text):
@@ -19,7 +20,7 @@ def test_analyze_orbit(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schemaVersion"] == 1
+    assert doc["schemaVersion"] == SCHEMA_VERSION
     assert doc["summary"]["pass"] is True
     assert doc["analyses"]["orbit"]["dim"] == 3
 
@@ -74,7 +75,6 @@ def test_coxeter_command(capsys):
     assert rc == 0
     cox = json.loads(out)["analyses"]["coxeter"]
     assert cox["group"]["order"] == 6
-    assert cox["group"]["allElementsPermuteHyperplanes"] is True
 
 
 def test_transport_audit_command(capsys):
@@ -162,6 +162,14 @@ def test_missing_required_flag_exits_two(capsys):
      "--config", {"seed": True}],
     ["analyze", "--do", "veronese-facts", "--config", {"n": 2.5}],
     ["analyze", "--do", "veronese-facts", "--config", {"n": True}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--do", "holonomy", "--seed", "-1"],
+    ["verify-veronese", "--n", "3", "--config", {"seed": -5}],
+    ["analyze", "--rep", "sl-so:4", "--point", "random-regular:-2"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--direction", "seed:-3"],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--curve", "[[0"],
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"
@@ -195,6 +203,39 @@ def test_seed_env_not_integer_exits_two(capsys, monkeypatch):
     assert "config error" in captured.err
 
 
+def test_seed_env_negative_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("NORMHOLO_SEED", "-5")
+    rc = main(["verify-veronese", "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
+@pytest.mark.parametrize("content,argv", [
+    (None, ["analyze", "--rep", "sl-so:4", "--point", "veronese"]),
+    ("{bad", ["analyze", "--rep", "sl-so:4", "--point", "veronese"]),
+    ("[1,2]", ["analyze", "--rep", "sl-so:4", "--point", "veronese"]),
+    (b"\xff\xfe", ["coxeter", "--rep", "sl-so:3", "--point", "diag:1,0,-1"]),
+    (None, ["sweep", "--analysis", "veronese-facts", "--ns", "2"]),
+    ("[1,2]", ["sweep", "--analysis", "veronese-facts", "--ns", "2"]),
+    ('"x"', ["verify-veronese", "--n", "2"]),
+])
+def test_unreadable_config_exits_two(capsys, tmp_path, content, argv):
+    # content None: the --config file does not exist
+    cfg = tmp_path / "scenario.json"
+    if isinstance(content, bytes):
+        cfg.write_bytes(content)
+    elif content is not None:
+        cfg.write_text(content)
+    rc = main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert str(cfg) in captured.err
+
+
 def test_config_file_merged_under_flags(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"rep": "sl-so:4", "point": "veronese",
@@ -214,6 +255,7 @@ def test_sweep_veronese(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     doc = json.loads(out)
+    assert doc["schemaVersion"] == SCHEMA_VERSION
     assert len(doc["sweep"]) == 2
     assert doc["summary"]["pass"] is True
     assert doc["sweep"][0]["config"]["n"] == 2

@@ -166,8 +166,7 @@ def test_coxeter_report_body(r):
         < 1e-6
     assert body["group"] == {"order": math.factorial(r), "finite": True,
                              "spanDim": r - 1,
-                             "closureDefect": body["group"]["closureDefect"],
-                             "allElementsPermuteHyperplanes": True}
+                             "closureDefect": body["group"]["closureDefect"]}
     assert body["group"]["closureDefect"] < 1e-10
     assert [d["orbitDim"] for d in body["singularDrops"]] \
         == [count - 1] * count

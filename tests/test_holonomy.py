@@ -140,6 +140,40 @@ def test_verdict_flat(verdicts):
     assert v.conjecture_class == "s-orbit-compatible"
 
 
+@pytest.mark.parametrize("rep,point,dims", [
+    ("sl-so:4", "diag:1,1,-1,-1", (2, 2)),
+    ("sl-so:5", "diag:3,3,-2,-2,-2", (5, 2)),
+    ("sl-so:6", "diag:1,1,1,-1,-1,-1", (5, 5)),
+    ("sl-so:6", "diag:2,2,-1,-1,-1,-1", (9, 2)),
+    ("sl-so:5", "diag:2,2,2,-3,-3", (5, 2)),
+    ("sl-so:2", "diag:1,-1", ()),
+])
+def test_verdict_rank_one_s_orbits(rep, point, dims):
+    # Grassmannians and the circle: rank one, not transitive, and the
+    # holonomy is the slice representation
+    r = parse_rep_spec(rep)
+    v = analyze(build_orbit(r, parse_point_spec(r, point)))
+    assert v.rank == 1
+    assert v.factor_dims == dims
+    assert v.slice_distance < 1e-12
+    assert v.conjecture_class == "s-orbit-compatible"
+
+
+def test_repeated_eigenvalue_orbits_never_violation():
+    # every orbit of sl-so:r is an s-orbit, degenerate ones included
+    rng = np.random.default_rng(12)
+    for _ in range(24):
+        r = int(rng.integers(3, 6))
+        # 2..r-1 distinct values, each used at least once
+        d = int(rng.integers(2, r))
+        labels = np.concatenate([np.arange(d), rng.integers(0, d, r - d)])
+        values = rng.standard_normal(d)[rng.permutation(labels)]
+        m = build_orbit(SymmetricPairRep.for_size(r),
+                        np.diag(values - values.mean()))
+        v = analyze(m, seed=int(rng.integers(100)))
+        assert v.conjecture_class != "violation-candidate", values
+
+
 def test_residuals_tiny(verdicts):
     for key in (2, 3, 4, "product"):
         v = verdicts[key]
@@ -194,7 +228,9 @@ def test_symmetric_residual_detects_wrong_algebra(v3):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_slice_matches_holonomy(veronese, n):
     m = veronese(n)
-    assert slice_holonomy_distance(m, holonomy_algebra(m)) < 1e-7
+    dist = slice_holonomy_distance(m, holonomy_algebra(m))
+    assert dist < 1e-7
+    assert analyze(m).slice_distance == dist
 
 
 def test_cartan_comparison_on_homothetic_orbits(veronese):

@@ -187,8 +187,10 @@ def test_holonomy_and_bound_share_one_pass(monkeypatch):
     import normholo.holonomy as holonomy
     from normholo.srep import CartanCurvature
 
-    counts = {"decomposition": 0, "commutators": 0, "entries": 0}
+    counts = {"decomposition": 0, "commutators": 0, "entries": 0,
+              "slice": 0}
     decompose = holonomy.invariant_decomposition
+    slice_distance = holonomy.slice_holonomy_distance
     commutators = CartanCurvature.commutators
     entries = CartanCurvature.entries
 
@@ -200,6 +202,8 @@ def test_holonomy_and_bound_share_one_pass(monkeypatch):
 
     monkeypatch.setattr(holonomy, "invariant_decomposition",
                         counted("decomposition", decompose))
+    monkeypatch.setattr(holonomy, "slice_holonomy_distance",
+                        counted("slice", slice_distance))
     monkeypatch.setattr(CartanCurvature, "commutators",
                         staticmethod(counted("commutators", commutators)))
     monkeypatch.setattr(CartanCurvature, "entries",
@@ -209,5 +213,7 @@ def test_holonomy_and_bound_share_one_pass(monkeypatch):
                                                  "bound"]})
     report = run_scenario(cfg)
     assert report.passed
-    # one curvature factor per orbit, and no K^4 tensor on this path
-    assert counts == {"decomposition": 1, "commutators": 1, "entries": 0}
+    # one curvature factor and one slice distance per orbit, and no K^4
+    # tensor on this path
+    assert counts == {"decomposition": 1, "commutators": 1, "entries": 0,
+                      "slice": 1}
