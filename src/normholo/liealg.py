@@ -20,7 +20,10 @@ the commutant is one-dimensional and the certificate costs nothing.
 
 Bracket closures run through one frontier routine: each round offers
 only the brackets of the directions the previous round added with the
-whole span, never the whole span again.
+whole span, never the whole span again.  Each element's brackets are
+offered on their own as soon as they are formed, so no round's block is
+ever stacked, and a chunk that adds nothing is certified by the
+Frobenius norm of its residual, without an SVD.
 """
 
 from __future__ import annotations
@@ -111,11 +114,13 @@ def bracket_closure(span_or_mats, cap: int | None = None,
     if cap is None:
         cap = k * (k - 1) // 2
 
-    space = orthonormal_span([b.ravel() for b in span.basis],
+    space = orthonormal_span(span.matrices().reshape(-1, k * k),
                              ambient_dim=k * k, tol=tol)
     # each round offers only the brackets of the frontier (the columns
     # the previous round added) with the whole span: every pair i < j
-    # whose later element is on the frontier, so none is offered twice
+    # whose later element is on the frontier, so none is offered twice.
+    # Element i's brackets are offered as soon as they are formed; what
+    # they add is the next round's frontier.
     start = 0
     while True:
         if space.dim > cap:
@@ -123,12 +128,13 @@ def bracket_closure(span_or_mats, cap: int | None = None,
                 f"closure dimension {space.dim} exceeds cap {cap}")
         if start == space.dim:
             break
+        end = space.dim
         mats = space.basis.T.reshape(-1, k, k)
-        rows = []
-        for i in range(len(mats)):
-            later = mats[max(i + 1, start):]
-            rows.append((mats[i] @ later - later @ mats[i]).reshape(-1, k * k))
-        start, space = space.dim, extend_span(space, np.vstack(rows))
+        for i in range(end - 1):
+            later = mats[max(i + 1, start):end]
+            rows = (mats[i] @ later - later @ mats[i]).reshape(-1, k * k)
+            space = extend_span(space, rows)
+        start = end
     basis = tuple(0.5 * (b - b.T) for b in space.basis.T.reshape(-1, k, k))
     return LieAlgebraSpan(acting_dim=k, basis=basis, closed=True)
 

@@ -2,9 +2,11 @@
 
 All inner products are trace(A^T B); on symmetric matrices this is
 trace(AB).  Spectra come from LAPACK (kernels.jacobi_eigh).  Every rank,
-span or kernel decision goes through rank_reveal: an SVD whose singular
-values count as zero when sigma <= tols.rank * (1 + scale), with scale
-taken from the input as offered.  So thresholds agree across modules.
+span or kernel decision uses rank_reveal's test: a singular value
+counts as zero when sigma <= tols.rank * (1 + scale), with scale taken
+from the input as offered.  So thresholds agree across modules.  When a
+span is extended, a residual whose Frobenius norm is already within
+that threshold has rank 0 (sigma_max <= ||R||_F) and skips the SVD.
 """
 
 from __future__ import annotations
@@ -152,16 +154,20 @@ def rank_reveal(mat: np.ndarray, tol: float = DEFAULT_TOLS.rank,
 
 
 def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
+    """The offered vectors, each raveled, as the columns of an
+    (ambient_dim, n) array: the transposed view of their stacked rows."""
+    n = len(vectors)
     if ambient_dim is None:
-        if not vecs:
+        if not n:
             raise InvalidInput("cannot infer ambient dimension of empty span")
-        ambient_dim = vecs[0].size
-    if any(v.size != ambient_dim for v in vecs):
+        ambient_dim = np.size(vectors[0])
+    try:
+        rows = np.asarray(vectors, dtype=float)
+    except ValueError as exc:   # ragged: the vectors differ in shape
+        raise InvalidInput("span vectors have inconsistent sizes") from exc
+    if rows.size != n * ambient_dim:
         raise InvalidInput("span vectors have inconsistent sizes")
-    if not vecs:
-        return np.zeros((ambient_dim, 0))
-    return np.column_stack(vecs)
+    return rows.reshape(n, ambient_dim).T
 
 
 def _new_directions(block: np.ndarray, kept: np.ndarray, tol: float,
@@ -169,10 +175,14 @@ def _new_directions(block: np.ndarray, kept: np.ndarray, tol: float,
     """Orthonormal columns for what block adds to the span of kept.
 
     The block is projected off the kept basis twice, then the residual
-    is rank-revealed against the scale of the block as offered.
+    is rank-revealed against the scale of the block as offered.  A
+    residual whose Frobenius norm is within the threshold has rank 0
+    (sigma_max <= ||R||_F), so it adds nothing without an SVD.
     """
     for _ in range(2):
         block = block - kept @ (kept.T @ block)
+    if float(np.linalg.norm(block)) <= tol * (1.0 + scale):
+        return block[:, :0]
     u, _, _, rank = rank_reveal(block, tol, scale)
     return u[:, :rank]
 
@@ -200,7 +210,11 @@ def orthonormal_span(vectors, ambient_dim: int | None = None,
 
 
 def extend_span(space: Subspace, vectors) -> Subspace:
-    """Grow a span by extra vectors; the old basis is kept as a prefix."""
+    """Grow a span by extra vectors; the old basis is kept as a prefix.
+
+    vectors is an (n, ambient_dim) array of rows (or a list of n
+    vectors); the same Subspace comes back when they add no direction.
+    """
     block = _as_columns(vectors, space.ambient_dim)
     new = _new_directions(block, space.basis, space.tol, _column_scale(block))
     if new.shape[1] == 0:

@@ -85,8 +85,15 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     frame, the rest the normal frame, and V[:n]^T / sigma the generator
     combinations whose images are the tangent frame (free of stabilizer
     components).  Tangent and normal spaces are complementary by
-    construction.
+    construction.  A point whose norm overflows is first divided by its
+    largest entry, which normalizing makes no difference to.
     """
+    point = np.asarray(point, dtype=float)
+    if normalize:
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(np.linalg.norm(point))
+        if overflows and np.all(np.isfinite(point)):
+            point = point / np.abs(point).max()
     v = rep.validate_carrier(point, tols)
     nrm = float(np.linalg.norm(v))
     if nrm < tols.rank:

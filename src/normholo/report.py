@@ -28,7 +28,7 @@ from .tubes import (caustic_rank_check, choose_tube_direction, dupin_check,
                     normal_exponential_fd_residual, seeded_tube_direction,
                     spectra_agree, tube_spectrum_direct,
                     tube_spectrum_via_formula)
-from .veronese import verify_veronese_facts
+from .veronese import FACT_NS, verify_veronese_facts
 
 SCHEMA_VERSION = 2
 
@@ -74,9 +74,14 @@ class ScenarioConfig:
                                    f"choose from {KNOWN_ANALYSES}")
         rep = str(raw.get("rep", ""))
         try:
-            group_dim = sum(r * (r - 1) // 2 for r in _block_sizes(rep))
+            sizes = _block_sizes(rep)
         except InvalidInput:    # the analyses that build the orbit say so
-            group_dim = None
+            sizes = None
+        if sizes is not None and min(sizes) < 2:
+            raise InvalidInput(f"block sizes in '{rep}' must all be at "
+                               "least 2")
+        group_dim = None if sizes is None \
+            else sum(r * (r - 1) // 2 for r in sizes)
         curve = tuple(_curve_segment(seg, group_dim)
                       for seg in raw.get("curve", ()))
         point = str(raw.get("point", ""))
@@ -92,13 +97,17 @@ class ScenarioConfig:
         direction = str(raw.get("direction", "canonical"))
         if direction != "canonical":
             _direction_seed(direction)
+        n = None if raw.get("n") is None else _integer("n", raw["n"])
+        if (n is not None and "veronese-facts" in analyses
+                and n not in FACT_NS):
+            raise InvalidInput(f"veronese-facts covers n = {FACT_NS[0]}.."
+                               f"{FACT_NS[-1]}, got {n}")
         return cls(rep=rep,
                    point=point,
                    analyses=analyses,
                    seed=_seed("seed", raw.get("seed", 0)),
                    tolerances=tols,
-                   n=None if raw.get("n") is None
-                   else _integer("n", raw["n"]),
+                   n=n,
                    direction=direction,
                    curve=curve,
                    step=step,

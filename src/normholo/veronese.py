@@ -21,6 +21,8 @@ from .transport import OrbitCurve, exact_transport_stack
 
 UNIT_TOL = 1e-10
 ALPHA_RESIDUAL_TOL = 1e-4
+# the n for which verify_veronese_facts runs its characterization suite
+FACT_NS = range(2, 7)
 
 
 def veronese_map(v: np.ndarray) -> np.ndarray:
@@ -280,8 +282,9 @@ def verify_veronese_facts(n: int, seed: int = 0,
                           tols: Tolerances = DEFAULT_TOLS
                           ) -> VeroneseFactReport:
     """Run the full characterization suite on the Veronese orbit V^n."""
-    if not 2 <= n <= 6:
-        raise InvalidInput("fact verification covers n = 2..6")
+    if n not in FACT_NS:
+        raise InvalidInput(f"fact verification covers n = {FACT_NS[0]}.."
+                           f"{FACT_NS[-1]}")
     vo = veronese_orbit(n, tols=tols)
     M = vo.orbit
     mc = mean_curvature(M)

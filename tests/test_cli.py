@@ -170,6 +170,14 @@ def test_missing_required_flag_exits_two(capsys):
      "--direction", "seed:-3"],
     ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
      "--curve", "[[0"],
+    # block sizes below 2 and a veronese-facts n outside 2..6
+    ["analyze", "--rep", "sl-so:0", "--point", "veronese"],
+    ["analyze", "--rep", "sl-so:1", "--point", "veronese", "--do", "orbit"],
+    ["analyze", "--rep", "sl-so:-3", "--point", "veronese"],
+    ["analyze", "--rep", "product:sl-so:3,sl-so:1",
+     "--point", "veronese;veronese"],
+    ["verify-veronese", "--n", "-1"],
+    ["sweep", "--analysis", "veronese-facts", "--ns", "2,7"],
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"

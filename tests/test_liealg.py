@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from normholo import liealg
+from normholo import liealg, linalg
 from normholo.errors import (DegenerateSpectrum, DimensionCapExceeded,
                              InvalidInput)
 from normholo.holonomy import holonomy_algebra
@@ -13,7 +13,8 @@ from normholo.liealg import (_schur_factors, _sym_frame,
                              _symmetric_commutant, bracket_closure,
                              invariant_decomposition,
                              is_transitive_on_sphere, skew_span)
-from normholo.linalg import DEFAULT_TOLS, gram_kernel
+from normholo.linalg import (DEFAULT_TOLS, Subspace, gram_kernel,
+                             subspace_distance)
 from normholo.srep import SymmetricPairRep, slice_rep_image
 
 
@@ -119,6 +120,75 @@ def test_frontier_closure_of_random_pair_fills_so_n(n):
     rng = np.random.default_rng(n)
     x, y = (a - a.T for a in rng.standard_normal((2, n, n)))
     assert bracket_closure([x, y]).dim == n * (n - 1) // 2
+
+
+def _counted_closure(monkeypatch, span_or_mats):
+    # bracket_closure with its extend_span calls counted: calls, calls
+    # that grew the span, and rank_reveal calls made inside them
+    counts = {"calls": 0, "grew": 0, "rank_reveal": 0}
+    inside = []
+    extend, reveal = liealg.extend_span, linalg.rank_reveal
+
+    def counted_extend(space, vectors):
+        inside.append(True)
+        try:
+            out = extend(space, vectors)
+        finally:
+            inside.pop()
+        counts["calls"] += 1
+        counts["grew"] += out is not space
+        return out
+
+    def counted_reveal(*args, **kwargs):
+        counts["rank_reveal"] += bool(inside)
+        return reveal(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "extend_span", counted_extend)
+    monkeypatch.setattr(linalg, "rank_reveal", counted_reveal)
+    return bracket_closure(span_or_mats), counts
+
+
+def test_closed_veronese_algebra_needs_no_rank_reveal(veronese, monkeypatch):
+    # sl-so:7: every chunk of brackets lies in the span, and the
+    # Frobenius certificate says so without an SVD
+    algebra = holonomy_algebra(veronese(6))
+    closed, counts = _counted_closure(monkeypatch, algebra)
+    assert closed.dim == algebra.dim
+    assert counts["calls"] == algebra.dim - 1
+    assert counts["grew"] == 0
+    assert counts["rank_reveal"] == 0
+
+
+def _block_closure(mats, tol=DEFAULT_TOLS.rank):
+    # reference: every round ranks the span and all brackets of its
+    # basis as one stacked block by one SVD
+    k = mats[0].shape[0]
+    basis = np.zeros((0, k * k))
+    block = np.stack(mats).reshape(len(mats), -1)
+    while True:
+        _, s, vt = np.linalg.svd(np.vstack([basis, block]),
+                                 full_matrices=False)
+        grown = vt[s > tol * (1.0 + s[0])]
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+        m = basis.reshape(-1, k, k)
+        block = (m[:, None] @ m[None] - m[None] @ m[:, None]).reshape(-1,
+                                                                     k * k)
+
+
+def test_streamed_closure_matches_single_block_reference(monkeypatch):
+    # a random generating pair of so(6) grows over several rounds, each
+    # chunk ranked at its own scale; the span is the reference's
+    rng = np.random.default_rng(6)
+    x, y = (a - a.T for a in rng.standard_normal((2, 6, 6)))
+    closed, counts = _counted_closure(monkeypatch, [x, y])
+    assert counts["grew"] >= 2
+    ref = _block_closure([x, y])
+    assert closed.dim == len(ref) == 15
+    got = Subspace(ambient_dim=36, basis=closed.matrices().reshape(15, 36).T)
+    assert subspace_distance(got, Subspace(ambient_dim=36, basis=ref.T)) \
+        <= 1e-10
 
 
 def _all_basis_commutant(mats, tols=DEFAULT_TOLS):

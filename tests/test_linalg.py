@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from normholo import linalg
 from normholo.errors import InvalidInput
 from normholo.linalg import (DEFAULT_TOLS, Subspace, Tolerances, bracket,
                              check_symmetric, cluster_indices, extend_span,
@@ -80,6 +81,39 @@ def test_extend_span_grows_only_with_new_directions():
     grown = extend_span(sp, [np.array([1.0, 1.0, 0.0])])
     assert same.dim == 1
     assert grown.dim == 2
+
+
+def test_extend_span_keeps_the_same_space_for_noisy_members():
+    # members of the span up to 1e-14 noise: the Frobenius norm of the
+    # residual certifies rank 0, and the very same Subspace comes back
+    rng = np.random.default_rng(5)
+    sp = orthonormal_span(rng.standard_normal((4, 30)))
+    rows = rng.standard_normal((12, 4)) @ sp.basis.T
+    rows += 1e-14 * rng.standard_normal(rows.shape)
+    assert extend_span(sp, rows) is sp
+    assert extend_span(sp, list(rows)) is sp
+
+
+def test_extend_span_frobenius_above_threshold_still_rank_zero(monkeypatch):
+    # 16 orthogonal residual columns of norm half the threshold each:
+    # ||R||_F is twice the threshold, so the SVD decides, and its
+    # largest singular value (half the threshold) gives rank 0
+    e = np.eye(20)
+    sp = orthonormal_span([e[0]])
+    threshold = DEFAULT_TOLS.rank * (1.0 + 1.0)  # rows of norm 1 + O(1e-17)
+    rows = e[0] + 0.5 * threshold * e[1:17]
+    residual = rows[:, 1:]
+    assert np.linalg.norm(residual) > threshold
+    assert np.linalg.norm(residual, 2) < threshold
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank_reveal(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rank_reveal", counted)
+    assert extend_span(sp, rows) is sp
+    assert len(calls) == 1
 
 
 # -- kernels and rank ------------------------------------------------------

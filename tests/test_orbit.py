@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from normholo.errors import InvalidInput
+from normholo.holonomy import analyze
 from normholo.orbit import (alpha_eval, build_orbit, homothecy_test,
                             isotropy_defect, mean_curvature,
                             second_fundamental_form, shape_operator,
@@ -31,6 +32,18 @@ def test_build_orbit_normalization():
     assert abs(np.linalg.norm(m.point) - 1.0) < 1e-12
     raw = build_orbit(rep, p, normalize=False)
     assert np.allclose(raw.point, p)
+
+
+def test_build_orbit_huge_point_is_the_a2_principal_orbit(a2_orbit):
+    # the plain norm of this point overflows (the suite turns the
+    # overflow RuntimeWarning into an error); normalized, it is diag(1,0,-1)
+    rep = SymmetricPairRep.for_size(3)
+    huge = build_orbit(rep, np.diag([1e300, 0.0, -1e300]))
+    assert np.array_equal(huge.point, a2_orbit.point)
+    got, want = analyze(huge), analyze(a2_orbit)
+    assert (got.rank, got.factor_dims, got.conjecture_class) == \
+        (want.rank, want.factor_dims, want.conjecture_class) == \
+        (2, (), "s-orbit-compatible")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -153,11 +153,16 @@ def test_failing_analysis_does_not_cancel_siblings():
 
 
 def test_bad_rep_reported_per_analysis():
-    cfg = ScenarioConfig.from_dict({"rep": "sl-so:1", "point": "veronese",
+    # a rep spec the config cannot parse is left to the analyses that
+    # build the orbit; a parsed block size below 2 is a config error
+    cfg = ScenarioConfig.from_dict({"rep": "su:3", "point": "veronese",
                                     "analyses": ["orbit"]})
     report = run_scenario(cfg)
     assert report.hard_error
     assert "error" in report.analyses["orbit"]
+    with pytest.raises(InvalidInput):
+        ScenarioConfig.from_dict({"rep": "sl-so:1", "point": "veronese",
+                                  "analyses": ["orbit"]})
 
 
 def test_document_contains_timings():
