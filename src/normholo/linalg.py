@@ -177,12 +177,13 @@ def _new_directions(block: np.ndarray, kept: np.ndarray, tol: float,
     The block is projected off the kept basis twice, then the residual
     is rank-revealed against the scale of the block as offered.  A
     residual whose Frobenius norm is within the threshold has rank 0
-    (sigma_max <= ||R||_F), so it adds nothing without an SVD.
+    (sigma_max <= ||R||_F), so it adds nothing without an SVD; the test
+    runs after each projection, since the second cannot raise the norm.
     """
     for _ in range(2):
         block = block - kept @ (kept.T @ block)
-    if float(np.linalg.norm(block)) <= tol * (1.0 + scale):
-        return block[:, :0]
+        if float(np.linalg.norm(block)) <= tol * (1.0 + scale):
+            return block[:, :0]
     u, _, _, rank = rank_reveal(block, tol, scale)
     return u[:, :rank]
 

@@ -76,7 +76,6 @@ class OrbitSubmanifold:
 
 
 def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
-                normalize: bool = True,
                 tols: Tolerances = DEFAULT_TOLS) -> OrbitSubmanifold:
     """Assemble the orbit through a carrier point with all frames fixed.
 
@@ -85,21 +84,21 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     frame, the rest the normal frame, and V[:n]^T / sigma the generator
     combinations whose images are the tangent frame (free of stabilizer
     components).  Tangent and normal spaces are complementary by
-    construction.  A point whose norm overflows is first divided by its
+    construction.  The point is normalized; a finite nonzero point whose
+    norm overflows or is under the rank threshold is first divided by its
     largest entry, which normalizing makes no difference to.
     """
     point = np.asarray(point, dtype=float)
-    if normalize:
-        with np.errstate(over="ignore"):
-            overflows = not np.isfinite(np.linalg.norm(point))
-        if overflows and np.all(np.isfinite(point)):
-            point = point / np.abs(point).max()
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(point))
+    if (not tols.rank <= nrm < np.inf and np.all(np.isfinite(point))
+            and np.any(point)):
+        point = point / np.abs(point).max()
     v = rep.validate_carrier(point, tols)
     nrm = float(np.linalg.norm(v))
     if nrm < tols.rank:
         raise InvalidInput("base point must be nonzero")
-    if normalize:
-        v = v / nrm
+    v = v / nrm
 
     vc = rep.coords(v)
     d = rep.carrier_dim
@@ -264,18 +263,3 @@ def isotropy_defect(m: OrbitSubmanifold, probes: int = 32,
     return IsotropyDefectResult(defect=hi - lo, min_norm=lo, max_norm=hi,
                                 probes=probes)
 
-
-def alpha_eval(m: OrbitSubmanifold, x_mat: np.ndarray,
-               y_mat: np.ndarray) -> np.ndarray:
-    """Second fundamental form on explicit tangent vectors (matrices),
-    returned as an ambient carrier matrix."""
-    imgs = m.rep.tangent_images(m.point)     # (G, D)
-    xc = m.rep.coords(np.asarray(x_mat, float))
-    yc = m.rep.coords(np.asarray(y_mat, float))
-    cx, *_ = np.linalg.lstsq(imgs.T, xc, rcond=None)
-    cy, *_ = np.linalg.lstsq(imgs.T, yc, rcond=None)
-    gx = m.rep.generator_matrix(cx)
-    gy = m.rep.generator_matrix(cy)
-    s = 0.5 * (bracket(gx, bracket(gy, m.point))
-               + bracket(gy, bracket(gx, m.point)))
-    return m.normal_vector(m.normal_coords(s))

@@ -273,7 +273,14 @@ def _factor_point(r: int, spec: str) -> np.ndarray:
         if len(d) != r:
             raise InvalidInput(f"diag point needs {r} entries, "
                                f"got {len(d)}")
-        return np.diag(d - d.mean())
+        # the mean of d / s, s a power of two near max |d|, cannot
+        # overflow, and scaling by s keeps the bits of d.mean()
+        s = np.ldexp(1.0, np.frexp(np.abs(d).max())[1] - 1)
+        with np.errstate(over="ignore"):
+            centered = d - s * np.mean(d / s)
+        if not np.all(np.isfinite(centered)):
+            raise InvalidInput(f"centered diag entries overflow in '{spec}'")
+        return np.diag(centered)
     if spec.startswith("random-regular:"):
         return random_regular_point(SymmetricPairRep.for_size(r),
                                     _regular_seed(spec))

@@ -1,4 +1,4 @@
-"""Parallel transport in the normal (or tangent) bundle of an orbit.
+"""Parallel transport in the normal bundle of an orbit.
 
 Curves on an orbit are piecewise one-parameter subgroup arcs
 c(t) = g(t) v g(t)^T with g(t) = g0 exp(tX).  Along such an arc the
@@ -8,7 +8,8 @@ xi = sum_k a_k g f_k g^T is parallel exactly when a' = -B_X a, where
 B_X[k, l] = <f_k, [X, f_l]> is a constant K x K skew matrix.  Transport
 along a piecewise curve is therefore a product of K x K exponentials;
 :func:`exact_transport_stack` computes it, and the loop probe, the tube
-feet, the tube chart and the Veronese alpha-parallel residual use it.
+feet and the tube chart use it, and on the tangent frame it gives the
+closed-form nabla alpha of :func:`normholo.veronese.parallel_alpha_residual`.
 
 Each :class:`OrbitCurve` forms exp(tX) of its arcs once, on
 construction; its endpoint, the closure checks and the group factor of
@@ -172,7 +173,6 @@ class TransportResult:
     min_ratio: float
     step: float                  # stepper step; 0.0 for exact transport
     end_holonomy_defect: float | None = None
-    bundle: str = "normal"       # "normal" or "tangent"
 
     @property
     def xi_end(self) -> np.ndarray:
@@ -180,11 +180,10 @@ class TransportResult:
 
     def fiber_residual(self) -> float:
         """Max distance of the sampled vectors from the sampled fibers."""
-        base = (self.curve.orbit.tangent_frame if self.bundle == "tangent"
-                else self.curve.orbit.normal_frame)
         worst = 0.0
         for g, xis in zip(self.g_samples, self.samples):
-            frames = np.einsum("ip,kpq,jq->kij", g, base, g)
+            frames = np.einsum("ip,kpq,jq->kij", g,
+                               self.curve.orbit.normal_frame, g)
             coeffs = np.einsum("kij,mij->mk", frames, xis)
             recon = np.einsum("mk,kij->mij", coeffs, frames)
             gap = float(np.max(np.linalg.norm(
@@ -193,32 +192,23 @@ class TransportResult:
         return worst
 
 
-def _validate_in_fiber(orbit: OrbitSubmanifold, xi: np.ndarray,
-                       frame: np.ndarray, label: str) -> np.ndarray:
-    xi = np.asarray(xi, dtype=np.float64)
-    r = orbit.rep.total_size
-    if xi.shape != (r, r):
-        raise InvalidInput(f"{label} vector shape {xi.shape}, expected {(r, r)}")
-    coeffs = np.einsum("kij,ij->k", frame, xi)
-    recon = np.einsum("k,kij->ij", coeffs, frame)
-    if np.linalg.norm(xi - recon) > 1e-8 * (1.0 + np.linalg.norm(xi)):
-        raise InvalidInput(f"vector does not lie in the {label} space at c(0)")
-    return xi
-
-
-def _validated_stack(orbit: OrbitSubmanifold, xis: np.ndarray,
-                     bundle: str) -> tuple:
-    """(base frame of the bundle, (M, R, R) stack in the start fiber)."""
-    if bundle not in ("normal", "tangent"):
-        raise InvalidInput("bundle must be 'normal' or 'tangent'")
-    base = (orbit.tangent_frame if bundle == "tangent"
-            else orbit.normal_frame)
+def _validated_stack(orbit: OrbitSubmanifold, xis: np.ndarray) -> np.ndarray:
+    """The (M, R, R) stack, each vector checked to lie in the start fiber."""
     xis = np.asarray(xis, dtype=np.float64)
     if xis.ndim == 2:
         xis = xis[None, :, :]
-    for m in range(xis.shape[0]):
-        _validate_in_fiber(orbit, xis[m], base, bundle)
-    return base, xis
+    r = orbit.rep.total_size
+    if xis.shape[1:] != (r, r):
+        raise InvalidInput(f"normal vector shape {xis.shape[1:]}, "
+                           f"expected {(r, r)}")
+    frame = orbit.normal_frame
+    recon = np.einsum("mk,kij->mij",
+                      np.einsum("kij,mij->mk", frame, xis), frame)
+    flat = xis.reshape(xis.shape[0], -1)
+    gaps = np.linalg.norm((xis - recon).reshape(flat.shape), axis=1)
+    if np.any(gaps > 1e-8 * (1.0 + np.linalg.norm(flat, axis=1))):
+        raise InvalidInput("vector does not lie in the normal space at c(0)")
+    return xis
 
 
 def _with_end_defect(result: TransportResult) -> TransportResult:
@@ -231,12 +221,9 @@ def _with_end_defect(result: TransportResult) -> TransportResult:
 
 def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
                              step: float | None = None,
-                             samples_per_segment: int = 16,
-                             bundle: str = "normal") -> TransportResult:
-    """Transport a stack of vectors along the curve with the stepper.
+                             samples_per_segment: int = 16) -> TransportResult:
+    """Transport a stack of normal vectors along the curve with the stepper.
 
-    bundle selects the normal bundle (default) or the tangent bundle,
-    where the same projection scheme realizes Levi-Civita transport.
     Norms are renormalized to their initial values after every step; the
     accumulated pre-renormalization drift and the worst single-step norm
     ratio are reported.  A ratio below MIN_NORM_RATIO aborts with
@@ -251,7 +238,7 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         raise InvalidInput(
             f"step {h:.3g} needs over {MAX_STEPS_PER_SEGMENT} steps on a "
             f"segment; use a step >= {longest / MAX_STEPS_PER_SEGMENT:.3g}")
-    base, xis = _validated_stack(orbit, xis, bundle)
+    xis = _validated_stack(orbit, xis)
     targets = np.linalg.norm(xis.reshape(xis.shape[0], -1), axis=1)
 
     r = orbit.rep.total_size
@@ -271,8 +258,8 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         stride = max(1, nsteps // max(1, samples_per_segment))
         e_half = matrix_exp(0.5 * hseg * x)
         cur, g, seg_drift, seg_ratio, samples, g_samples, n_samp = \
-            transport_segment(base, cur, g, e_half, nsteps, targets,
-                              sample_stride=stride)
+            transport_segment(orbit.normal_frame, cur, g, e_half, nsteps,
+                              targets, sample_stride=stride)
         drift += float(np.max(seg_drift))
         min_ratio = min(min_ratio, float(np.min(seg_ratio)))
         # sample 0 is the segment's start state, already recorded; sample
@@ -294,7 +281,7 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         curve=curve, xis_start=xis, xis_end=cur, g_end=g,
         times=np.array(times), samples=np.array(all_samples),
         g_samples=np.array(all_g), drift=drift, min_ratio=float(min_ratio),
-        step=h, bundle=bundle))
+        step=h))
 
 
 def _arc_generator(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -307,16 +294,17 @@ def _arc_generator(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("kij,lij->kl", frame, images)
 
 
-def exact_transport_stack(curve: OrbitCurve, xis: np.ndarray,
-                          bundle: str = "normal") -> TransportResult:
-    """Transport a stack of vectors along the curve exactly.
+def exact_transport_stack(curve: OrbitCurve,
+                          xis: np.ndarray) -> TransportResult:
+    """Transport a stack of normal vectors along the curve exactly.
 
     On each arc the frame coefficients advance by exp(-t B_X) (see the
     module docstring), so the result carries only round-off: drift 0,
     norm ratio 1, step 0.  Samples are taken at the start and at the end
     of every nonzero segment.
     """
-    base, xis = _validated_stack(curve.orbit, xis, bundle)
+    base = curve.orbit.normal_frame
+    xis = _validated_stack(curve.orbit, xis)
     coeffs = np.einsum("kij,mij->mk", base, xis)
     g = np.eye(curve.orbit.rep.total_size)
     cur = xis.copy()
@@ -338,8 +326,7 @@ def exact_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     return _with_end_defect(TransportResult(
         curve=curve, xis_start=xis, xis_end=cur, g_end=g,
         times=np.array(times), samples=np.array(all_samples),
-        g_samples=np.array(all_g), drift=0.0, min_ratio=1.0, step=0.0,
-        bundle=bundle))
+        g_samples=np.array(all_g), drift=0.0, min_ratio=1.0, step=0.0))
 
 
 def parallel_transport_normal(curve: OrbitCurve, xi0: np.ndarray,
@@ -348,15 +335,6 @@ def parallel_transport_normal(curve: OrbitCurve, xi0: np.ndarray,
     """Transport a single normal vector; see parallel_transport_stack."""
     return parallel_transport_stack(curve, np.asarray(xi0)[None], step=step,
                                     samples_per_segment=samples_per_segment)
-
-
-def parallel_transport_tangent(curve: OrbitCurve, x0: np.ndarray,
-                               step: float | None = None,
-                               samples_per_segment: int = 16) -> TransportResult:
-    """Levi-Civita transport of a single tangent vector."""
-    return parallel_transport_stack(curve, np.asarray(x0)[None], step=step,
-                                    samples_per_segment=samples_per_segment,
-                                    bundle="tangent")
 
 
 def transport_frame_return(curve: OrbitCurve) -> np.ndarray:

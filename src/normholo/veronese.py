@@ -4,6 +4,10 @@ The quadratic map Q(u) = u u^t sends the unit sphere of R^r to rank-one
 projectors; its traceless centering rho_tilde lands in the carrier of
 the conjugation representation, where the image is exactly the orbit of
 a two-eigenvalue matrix with multiplicities (1, r-1).
+
+Among the checks, alpha is parallel on the Veronese orbits (they are
+extrinsically symmetric, Ferus 1980); nabla alpha is closed-form
+algebra on the alpha tensor, see :func:`parallel_alpha_residual`.
 """
 from __future__ import annotations
 
@@ -14,10 +18,10 @@ import numpy as np
 from .errors import InvalidInput
 from .holonomy import HolonomyVerdict, analyze
 from .linalg import DEFAULT_TOLS, Tolerances, matrix_exp, sym_eig
-from .orbit import (OrbitSubmanifold, alpha_eval, build_orbit, homothecy_test,
-                    mean_curvature)
+from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
+                    mean_curvature, second_fundamental_form)
 from .srep import SymmetricPairRep
-from .transport import OrbitCurve, exact_transport_stack
+from .transport import _arc_generator
 
 UNIT_TOL = 1e-10
 ALPHA_RESIDUAL_TOL = 1e-4
@@ -192,42 +196,25 @@ def congruence_residual(n: int, samples: int = 20, seed: int = 0) -> float:
     return worst
 
 
-def parallel_alpha_residual(M: OrbitSubmanifold, curves: int = 3,
-                            seed: int = 0, delta: float = 1e-3,
-                            tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Finite-difference norm of the covariant derivative of alpha.
+def parallel_alpha_residual(M: OrbitSubmanifold) -> float:
+    """Frobenius norm of nabla alpha at the base point, over all frames.
 
-    Carries the tangent and normal frames parallelly to +-delta along
-    seeded orbit curves, evaluates alpha there in the transported
-    frames, and central-differences the component tensor.  Vanishes (to
-    FD truncation) exactly when alpha is parallel.
+    alpha is equivariant and transport along exp(tX) is exp(-t B_X) in
+    frame coefficients (see :mod:`normholo.transport`).  So with B^T_m,
+    B^N_m the generators of X_m (whose image is e_m) on the tangent and
+    normal frames, (nabla_m alpha)[i, j, a] is, up to sign, the sum over
+    k, b of B^T_m[k, i] alpha[k, j, a] + B^T_m[k, j] alpha[i, k, a]
+    + B^N_m[b, a] alpha[i, j, b].  It vanishes exactly when alpha is
+    parallel.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(curves):
-        c = rng.standard_normal(M.dim)
-        c /= np.linalg.norm(c)
-        x = np.einsum("g,gjk->jk", c @ M.m_basis, M.rep.generators)
-        tensors = []
-        for sgn in (1.0, -1.0):
-            curve = OrbitCurve(orbit=M, segments=((sgn * x, delta),))
-            rt = exact_transport_stack(curve, M.tangent_frame,
-                                       bundle="tangent")
-            rn = exact_transport_stack(curve, M.normal_frame)
-            g = rt.g_end
-            local = build_orbit(M.rep, g @ M.point @ g.T, normalize=False,
-                                tols=tols)
-            f = np.zeros((M.dim, M.dim, M.codim))
-            for i in range(M.dim):
-                for j in range(i, M.dim):
-                    a_ij = alpha_eval(local, rt.xis_end[i], rt.xis_end[j])
-                    comps = np.einsum("aij,ij->a", rn.xis_end, a_ij)
-                    f[i, j] = comps
-                    f[j, i] = comps
-            tensors.append(f)
-        worst = max(worst, float(np.linalg.norm(
-            (tensors[0] - tensors[1]) / (2.0 * delta))))
-    return worst
+    alpha = second_fundamental_form(M)
+    gens = np.einsum("mg,gij->mij", M.m_basis, M.rep.generators)
+    bt = np.stack([_arc_generator(M.tangent_frame, x) for x in gens])
+    bn = np.stack([_arc_generator(M.normal_frame, x) for x in gens])
+    nabla = (np.einsum("mki,kja->mija", bt, alpha)
+             + np.einsum("mkj,ika->mija", bt, alpha)
+             + np.einsum("mba,ijb->mija", bn, alpha))
+    return float(np.linalg.norm(nabla))
 
 
 @dataclass(frozen=True)
@@ -292,7 +279,7 @@ def verify_veronese_facts(n: int, seed: int = 0,
     verdict = analyze(M, seed=seed, tols=tols)
     factor_dim = verdict.factor_dims[0] if verdict.factors else 0
     transitive = bool(verdict.factors and verdict.factors[0].transitive)
-    alpha_res = parallel_alpha_residual(M, seed=seed, tols=tols)
+    alpha_res = parallel_alpha_residual(M)
     return VeroneseFactReport(
         n=n, r=vo.r, dim=M.dim, codim=M.codim,
         minimal_in_sphere=mc.minimal_in_sphere,

@@ -5,7 +5,7 @@ import pytest
 
 from normholo.errors import InvalidInput
 from normholo.holonomy import analyze
-from normholo.orbit import (alpha_eval, build_orbit, homothecy_test,
+from normholo.orbit import (build_orbit, homothecy_test,
                             isotropy_defect, mean_curvature,
                             second_fundamental_form, shape_operator,
                             shape_operators, traceless_shape,
@@ -30,8 +30,7 @@ def test_build_orbit_normalization():
     p = np.diag([4.0, -2.0, -2.0])
     m = build_orbit(rep, p)
     assert abs(np.linalg.norm(m.point) - 1.0) < 1e-12
-    raw = build_orbit(rep, p, normalize=False)
-    assert np.allclose(raw.point, p)
+    assert np.allclose(m.point, p / np.linalg.norm(p))
 
 
 def test_build_orbit_huge_point_is_the_a2_principal_orbit(a2_orbit):
@@ -44,6 +43,14 @@ def test_build_orbit_huge_point_is_the_a2_principal_orbit(a2_orbit):
     assert (got.rank, got.factor_dims, got.conjecture_class) == \
         (want.rank, want.factor_dims, want.conjecture_class) == \
         (2, (), "s-orbit-compatible")
+
+
+def test_build_orbit_tiny_point_is_the_a2_principal_orbit(a2_orbit):
+    # the plain norm 1.4e-9 is under the rank threshold; normalized, the
+    # point is diag(1, 0, -1)
+    rep = SymmetricPairRep.for_size(3)
+    tiny = build_orbit(rep, np.diag([1e-9, 0.0, -1e-9]))
+    assert np.array_equal(tiny.point, a2_orbit.point)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -91,8 +98,13 @@ def test_shape_operators_symmetric(v3):
 def test_alpha_symmetry_and_eval(v3):
     alpha = second_fundamental_form(v3)
     assert np.allclose(alpha, np.transpose(alpha, (1, 0, 2)), atol=1e-12)
+    # alpha(X.v, Y.v) = P_normal(([X,[Y,v]] + [Y,[X,v]]) / 2)
+    v = v3.point
     for i, j in [(0, 0), (0, 2), (1, 2)]:
-        direct = alpha_eval(v3, v3.tangent_frame[i], v3.tangent_frame[j])
+        x, y = v3.generator(i), v3.generator(j)
+        xy = x @ (y @ v - v @ y) - (y @ v - v @ y) @ x
+        yx = y @ (x @ v - v @ x) - (x @ v - v @ x) @ y
+        direct = v3.normal_vector(v3.normal_coords(0.5 * (xy + yx)))
         from_frame = np.einsum("a,aij->ij", alpha[i, j], v3.normal_frame)
         assert np.allclose(direct, from_frame, atol=1e-9)
 

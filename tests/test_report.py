@@ -5,6 +5,7 @@ import pytest
 
 from normholo.errors import InvalidInput
 from normholo.linalg import DEFAULT_TOLS
+from normholo.orbit import build_orbit
 from normholo.report import (Report, ScenarioConfig, _render, parse_point_spec,
                              parse_rep_spec, run_scenario)
 
@@ -67,6 +68,17 @@ def test_point_spec_parsing():
         parse_point_spec(rep, "diag:1,2")
     with pytest.raises(InvalidInput):
         parse_point_spec(rep, "circle")
+
+
+def test_diag_centering_does_not_overflow():
+    rep = parse_rep_spec("sl-so:3")
+    huge = build_orbit(rep, parse_point_spec(rep,
+                                             "diag:1.5e308,1.5e308,-1e308"))
+    plain = build_orbit(rep, parse_point_spec(rep, "diag:1.5,1.5,-1"))
+    assert np.allclose(huge.point, plain.point, rtol=0.0, atol=1e-15)
+    assert (huge.dim, huge.codim) == (plain.dim, plain.codim) == (2, 3)
+    with pytest.raises(InvalidInput, match="1.7e308"):
+        parse_point_spec(rep, "diag:1.7e308,1.7e308,-1.7e308")
 
 
 def test_product_point_spec():

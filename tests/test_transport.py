@@ -1,4 +1,4 @@
-"""Normal and tangent parallel transport along orbit curves."""
+"""Normal parallel transport along orbit curves."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from normholo.transport import (OrbitCurve, closed_square_loop,
                                 exact_transport_stack,
                                 parallel_transport_normal,
                                 parallel_transport_stack,
-                                parallel_transport_tangent,
                                 traceless_spectra_along,
                                 transport_convergence_audit,
                                 transport_frame_return)
@@ -95,20 +94,10 @@ def test_transport_preserves_gram(v3):
     assert float(np.max(np.abs(g1 - g0))) < 1e-8
 
 
-def test_tangent_transport(v3):
-    curve = _open_curve(v3)
-    res = parallel_transport_tangent(curve, v3.tangent_frame[0], step=1e-3)
-    assert res.bundle == "tangent"
-    assert abs(np.linalg.norm(res.xi_end) - 1.0) < 1e-12
-    assert res.fiber_residual() < 1e-8
-
-
 def test_transport_rejects_wrong_fiber(v3):
     curve = _open_curve(v3)
     with pytest.raises(InvalidInput):
         parallel_transport_normal(curve, v3.tangent_frame[0])
-    with pytest.raises(InvalidInput):
-        parallel_transport_tangent(curve, v3.normal_frame[0])
     with pytest.raises(InvalidInput):
         parallel_transport_normal(curve, v3.nbar_frame[0], step=-1.0)
 
@@ -169,15 +158,15 @@ def _two_segment_arc(orbit):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("bundle", ["normal", "tangent"])
+@pytest.mark.parametrize("stack", ["normal", "nbar"])
 @pytest.mark.parametrize("closed", [False, True])
-def test_stepper_matches_exact_transport(veronese, n, bundle, closed):
+def test_stepper_matches_exact_transport(veronese, n, stack, closed):
     m = veronese(n)
     curve = _commutator_loop(m) if closed else _two_segment_arc(m)
-    frame = m.tangent_frame if bundle == "tangent" else m.normal_frame
-    stepped = parallel_transport_stack(curve, frame, step=1e-3,
-                                       bundle=bundle)
-    exact = exact_transport_stack(curve, frame, bundle=bundle)
+    # the whole normal frame, or the sphere-normal part of it
+    frame = m.normal_frame if stack == "normal" else m.nbar_frame
+    stepped = parallel_transport_stack(curve, frame, step=1e-3)
+    exact = exact_transport_stack(curve, frame)
     assert float(np.max(np.abs(stepped.xis_end - exact.xis_end))) <= 1e-9
     assert np.allclose(stepped.g_end, exact.g_end, atol=1e-12)
     assert exact.drift == 0.0 and exact.min_ratio == 1.0

@@ -6,6 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normholo.errors import InvalidInput
+from normholo.kernels import matrix_exp
+from normholo.orbit import build_orbit, second_fundamental_form
+from normholo.report import parse_point_spec, parse_rep_spec
+from normholo.transport import (OrbitCurve, _arc_generator,
+                                exact_transport_stack)
 from normholo.veronese import (congruence_residual, equivariance_residual,
                                immersion_scaling_residuals,
                                minimal_dimension_scan,
@@ -99,6 +104,62 @@ def test_alpha_parallel_on_veronese(v3):
 
 def test_alpha_not_parallel_on_regular_orbit(a2_orbit):
     assert parallel_alpha_residual(a2_orbit) > 0.1
+
+
+def _spec_orbit(rep_spec, point_spec):
+    rep = parse_rep_spec(rep_spec)
+    return build_orbit(rep, parse_point_spec(rep, point_spec))
+
+
+def _fd_nabla_alpha(m, delta=1e-3):
+    """Central differences of alpha in parallel frames along each e_m.
+
+    At g = exp(+-delta X_m), alpha comes from the orbit rebuilt at
+    g v g^T in its own frames, re-expressed in the transported frames:
+    the normal frame carried by exact transport, the tangent frame as
+    exp(-+delta B^T) coefficients conjugated by g.
+    """
+    out = []
+    for x in np.einsum("mg,gij->mij", m.m_basis, m.rep.generators):
+        bt = _arc_generator(m.tangent_frame, x)
+        tensors = []
+        for sgn in (1.0, -1.0):
+            curve = OrbitCurve(orbit=m, segments=((sgn * x, delta),))
+            normal = exact_transport_stack(curve, m.normal_frame)
+            g = normal.g_end
+            tangent = np.einsum("ki,kpq->ipq",
+                                matrix_exp(-sgn * delta * bt),
+                                g @ m.tangent_frame @ g.T)
+            local = build_orbit(m.rep, g @ m.point @ g.T)
+            p = np.einsum("kpq,ipq->ki", local.tangent_frame, tangent)
+            q = np.einsum("cpq,apq->ca", local.normal_frame,
+                          normal.xis_end)
+            tensors.append(np.einsum("ki,lj,cb,klc->ijb", p, p, q,
+                                     second_fundamental_form(local)))
+        out.append((tensors[0] - tensors[1]) / (2.0 * delta))
+    return float(np.linalg.norm(np.array(out)))
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:3", "diag:1,0,-1"),
+    ("sl-so:4", "random-regular:0"),
+    ("sl-so:5", "diag:1,1,0,-1,-1"),
+])
+def test_closed_form_nabla_alpha_matches_finite_differences(rep_spec,
+                                                            point_spec):
+    m = _spec_orbit(rep_spec, point_spec)
+    closed = parallel_alpha_residual(m)
+    assert closed > 0.1
+    assert abs(_fd_nabla_alpha(m) - closed) <= 1e-4 * closed
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    *((f"sl-so:{n + 1}", "veronese") for n in range(2, 7)),
+    ("sl-so:4", "diag:1,1,-1,-1"),
+    ("sl-so:5", "diag:2,2,-1,-1,-1"),
+])
+def test_alpha_parallel_on_two_eigenvalue_orbits(rep_spec, point_spec):
+    assert parallel_alpha_residual(_spec_orbit(rep_spec, point_spec)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
