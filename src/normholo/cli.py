@@ -1,11 +1,13 @@
 """Command-line front end; writes deterministic JSON reports.
 
 Exit codes: 0 all analyses passed, 1 an analysis failed or hard-errored
-(report still written), 2 configuration did not parse.
+(report still written), 2 configuration did not parse or --out could
+not be opened.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -54,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="formula vs patch tube spectra, plus the "
                             "derivative and caustic checks")
     _add_common(p)
-    p.add_argument("--direction", default="canonical",
-                   help="canonical | seed:<k>")
+    p.add_argument("--direction", default=None,
+                   help="canonical (the default) | seed:<k>")
     p.add_argument("--curve", default=None,
                    help="JSON list of [generatorIndex, t] segments")
 
@@ -129,23 +131,30 @@ def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
             {**raw, "analyses": [_COMMAND_ANALYSIS[args.command]]})]
     if args.analysis == "veronese-facts":
         if not args.ns:
-            raise ValueError("sweep over veronese-facts needs --ns")
+            raise InvalidInput("sweep over veronese-facts needs --ns")
         return [ScenarioConfig.from_dict(
-            {**raw, "n": int(n), "analyses": ["veronese-facts"]})
+            {**raw, "n": n, "analyses": ["veronese-facts"]})
             for n in args.ns.split(",")]
     if not args.points or not args.rep:
-        raise ValueError("sweep needs --rep and --points")
+        raise InvalidInput("sweep needs --rep and --points")
     return [ScenarioConfig.from_dict(
         {**raw, "rep": args.rep, "point": spec.strip(),
          "analyses": [args.analysis]}) for spec in args.points.split(";")]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _document(command: str, configs: list) -> tuple:
+    """Run the scenarios; (document text, exit code)."""
+    reports = [run_scenario(config) for config in configs]
+    if command != "sweep":
+        return reports[0].document_text(), reports[0].exit_code
+    doc = {"schemaVersion": SCHEMA_VERSION,
+           "toolVersion": __version__,
+           "sweep": [r.body() for r in reports],
+           "summary": {"pass": all(r.passed for r in reports),
+                       "failures": [i for i, r in enumerate(reports)
+                                    if not r.passed]},
+           "timings": [r.timings for r in reports]}
+    return _render(doc), max(r.exit_code for r in reports)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,27 +165,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags already; normalize other codes
         return int(exc.code or 0)
 
-    # every scenario parses before any runs
+    # every scenario parses, and --out opens, before any runs
     try:
-        raw = _config_from_args(args)
-        out = raw.pop("out", None)
-        configs = _scenario_configs(args, raw)
-    except (NormholoError, ValueError, TypeError) as exc:
+        configs = _scenario_configs(args, _config_from_args(args))
+        out = configs[0].out
+        sink = open(out, "w", encoding="utf-8") if out else None
+    except (NormholoError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    reports = [run_scenario(config) for config in configs]
-    if args.command != "sweep":
-        _emit(reports[0].document_text(), out)
-        return reports[0].exit_code
-    doc = {"schemaVersion": SCHEMA_VERSION,
-           "toolVersion": __version__,
-           "sweep": [r.body() for r in reports],
-           "summary": {"pass": all(r.passed for r in reports),
-                       "failures": [i for i, r in enumerate(reports)
-                                    if not r.passed]},
-           "timings": [r.timings for r in reports]}
-    _emit(_render(doc), out)
-    return max(r.exit_code for r in reports)
+    with sink or contextlib.nullcontext(sys.stdout) as fh:
+        text, code = _document(args.command, configs)
+        fh.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -178,12 +178,11 @@ class ReflectionGroup:
         return self.span_basis.shape[1]
 
 
-def _line_permutation(g: np.ndarray, units: np.ndarray,
-                      angle_tol: float = ANGLE_TOL):
+def _line_permutation(g: np.ndarray, units: np.ndarray):
     """Signed permutation that g induces on the normal lines, or None.
 
     Returns (targets, signs) with g u_i = signs[i] u_targets[i] within
-    angle_tol, or None when the image lines do not land one-to-one on
+    ANGLE_TOL, or None when the image lines do not land one-to-one on
     the normal lines.
     """
     dots = units @ g @ units.T          # dots[j, i] = <u_j, g u_i>
@@ -191,7 +190,7 @@ def _line_permutation(g: np.ndarray, units: np.ndarray,
     best = dots[targets, np.arange(units.shape[0])]
     angles = np.arccos(np.clip(np.abs(best), -1.0, 1.0))
     if len(set(targets.tolist())) < units.shape[0] \
-            or float(np.max(angles)) > angle_tol:
+            or float(np.max(angles)) > ANGLE_TOL:
         return None
     return tuple(targets.tolist()), tuple(np.where(best < 0, -1, 1).tolist())
 
@@ -262,26 +261,25 @@ def reflection_group(normals: CurvatureNormalSet,
 
 
 def hyperplane_permutation_check(g: np.ndarray,
-                                 group: ReflectionGroup,
-                                 angle_tol: float = ANGLE_TOL) -> bool:
+                                 group: ReflectionGroup) -> bool:
     """Whether g maps the set of normal lines onto itself.
 
     g acts in the span basis.  Each image line must land on some normal
-    line within angle_tol, and the assignment must be a bijection.
+    line within ANGLE_TOL, and the assignment must be a bijection.
     """
     u = group.normal_span_coords
     units = u / np.linalg.norm(u, axis=1, keepdims=True)
-    return _line_permutation(g, units, angle_tol) is not None
+    return _line_permutation(g, units) is not None
 
 
 def focal_displacement(normals: CurvatureNormalSet, index: int,
-                       seed: int = 0, attempts: int = 16) -> np.ndarray:
+                       seed: int = 0) -> np.ndarray:
     """A carrier point v + xi with <xi, eta_index> = 1, generic otherwise.
 
     Orbits through such points lose the index-th eigendistribution from
     their tangent space, so their dimension drops strictly.  The seeded
-    in-hyperplane component is retried until the point is clear of the
-    other focal hyperplanes.
+    in-hyperplane component is redrawn, up to 16 times, until the point
+    is clear of the other focal hyperplanes.
     """
     if not 0 <= index < normals.count:
         raise InvalidInput("curvature normal index out of range")
@@ -290,7 +288,7 @@ def focal_displacement(normals: CurvatureNormalSet, index: int,
     eta = coords[index]
     base = eta / float(eta @ eta)
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(16):
         h = rng.standard_normal(coords.shape[1])
         h -= (h @ eta) / (eta @ eta) * eta
         xi = base + 0.25 * h / max(np.linalg.norm(h), 1e-12)
@@ -299,4 +297,4 @@ def focal_displacement(normals: CurvatureNormalSet, index: int,
         if others.size == 0 or np.min(others) > 1e-2:
             return M.point + M.normal_vector(xi)
     raise InvalidInput("could not find a displacement clear of the other "
-                       "focal hyperplanes; widen attempts")
+                       "focal hyperplanes in 16 draws")

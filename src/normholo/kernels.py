@@ -121,7 +121,7 @@ def _step_matrix(base_frames, e_half):
 
 
 def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
-                      sample_stride=0, max_samples=0):
+                      sample_stride=0):
     """Run the transport stepper along one curve segment.
 
     base_frames: (K, R, R) orthonormal frame of the bundle at the orbit
@@ -138,10 +138,7 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
     targets = _as_f64(targets)
     r = base_frames.shape[1]
     mdim = xis.shape[0]
-    if sample_stride > 0:
-        cap = max_samples if max_samples > 0 else (nsteps // sample_stride + 2)
-    else:
-        cap = 1
+    cap = nsteps // sample_stride + 2 if sample_stride > 0 else 1
     samples = np.zeros((cap, mdim, r, r))
     g_samples = np.zeros((cap, r, r))
 
@@ -180,10 +177,9 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
 
         if sample_stride > 0 and ((step + 1) % sample_stride == 0
                                   or step == nsteps - 1):
-            if n_samp < cap:
-                samples[n_samp] = vectors(a, g)
-                g_samples[n_samp] = g
-                n_samp += 1
+            samples[n_samp] = vectors(a, g)
+            g_samples[n_samp] = g
+            n_samp += 1
 
     drift = np.where(live, drift, 0.0)[:, 0]
     min_ratio = np.where(live, np.minimum(1.0, low / t_col), 1.0)[:, 0]

@@ -281,7 +281,7 @@ def principal_angle_max(a: Subspace, b: Subspace) -> float:
     return float(np.arcsin(min(1.0, _sine_max(a, b))))
 
 
-def orthogonal_log(t: np.ndarray, terms: int = 24) -> np.ndarray:
+def orthogonal_log(t: np.ndarray) -> np.ndarray:
     """Principal log of an orthogonal matrix close to the identity.
 
     Series in e = t - id; callers keep ||e|| well below 1, where 24
@@ -294,16 +294,17 @@ def orthogonal_log(t: np.ndarray, terms: int = 24) -> np.ndarray:
         raise InvalidInput("orthogonal_log expects a near-identity matrix")
     out = np.zeros_like(e)
     power = np.eye(n)
-    for k in range(1, terms + 1):
+    for k in range(1, 25):
         power = power @ e
         out += ((-1.0) ** (k + 1) / k) * power
     return 0.5 * (out - out.T)
 
 
-def polar_orthogonalize(t: np.ndarray, sweeps: int = 12) -> np.ndarray:
-    """Nearest orthogonal matrix via Newton iteration for the polar factor."""
+def polar_orthogonalize(t: np.ndarray) -> np.ndarray:
+    """Nearest orthogonal matrix via at most 12 Newton steps for the polar
+    factor."""
     q = np.asarray(t, dtype=float).copy()
-    for _ in range(sweeps):
+    for _ in range(12):
         qi = np.linalg.inv(q)
         q_next = 0.5 * (q + qi.T)
         if float(np.linalg.norm(q_next - q)) < 1e-15:

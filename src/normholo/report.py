@@ -38,12 +38,18 @@ KNOWN_ANALYSES = ("orbit", "holonomy", "bound", "tube", "coxeter",
 _CONFIG_KEYS = {"rep", "point", "analyses", "seed", "tolerances", "n",
                 "direction", "curve", "step", "out"}
 _TOL_KEYS = {"sym": "sym", "eig": "eig", "rank": "rank",
-             "clusterGap": "cluster_gap", "cluster_gap": "cluster_gap"}
+             "clusterGap": "cluster_gap"}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario description; round-trips through to_dict."""
+    """Scenario description; round-trips through to_dict.
+
+    Construction parses the specs once, and any spec that does not parse
+    raises InvalidInput: the rep and the point when an analysis builds
+    the orbit, the veronese-facts n, the tube direction, and the curve
+    against the rep's group dimension.
+    """
 
     rep: str = ""
     point: str = ""
@@ -55,63 +61,66 @@ class ScenarioConfig:
     curve: tuple = ()
     step: float | None = None
     out: str | None = None
+    # parsed from the specs on construction; base_point is read-only and
+    # direction_seed is None for the canonical direction
+    representation: SymmetricPairRep | None = field(
+        default=None, init=False, compare=False, repr=False)
+    base_point: np.ndarray | None = field(
+        default=None, init=False, compare=False, repr=False)
+    direction_seed: int | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        group_dim = None
+        if any(a != "veronese-facts" for a in self.analyses):
+            rep = parse_rep_spec(self.rep)
+            point = parse_point_spec(rep, self.point)
+            point.flags.writeable = False
+            object.__setattr__(self, "representation", rep)
+            object.__setattr__(self, "base_point", point)
+            group_dim = rep.group_dim
+        if "veronese-facts" in self.analyses and self.n not in FACT_NS:
+            raise InvalidInput(f"veronese-facts needs n in {FACT_NS[0]}.."
+                               f"{FACT_NS[-1]}, got {self.n}")
+        if self.direction != "canonical":
+            if not self.direction.startswith("seed:"):
+                raise InvalidInput(f"direction '{self.direction}' not "
+                                   "recognized; expected canonical or "
+                                   "seed:<k>")
+            object.__setattr__(self, "direction_seed", _seed(
+                f"seed in direction '{self.direction}'",
+                self.direction[len("seed:"):]))
+        curve = _typed("curve", self.curve, (list, tuple), "a list")
+        object.__setattr__(self, "curve", tuple(
+            _curve_segment(seg, group_dim) for seg in curve))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-        tols = dict(raw.get("tolerances", {}))
+        tols = dict(_typed("tolerances", raw.get("tolerances", {}), dict,
+                           "an object"))
         bad = set(tols) - set(_TOL_KEYS)
         if bad:
             raise InvalidInput(f"unknown tolerance keys: {sorted(bad)}")
         for key, value in tols.items():
             _positive_float(f"tolerance '{key}'", value)
-        analyses = tuple(raw.get("analyses", ()))
+        analyses = tuple(_typed("analyses", raw.get("analyses", ()),
+                                (list, tuple), "a list"))
         for a in analyses:
             if a not in KNOWN_ANALYSES:
                 raise InvalidInput(f"unknown analysis '{a}'; "
                                    f"choose from {KNOWN_ANALYSES}")
-        rep = str(raw.get("rep", ""))
-        try:
-            sizes = _block_sizes(rep)
-        except InvalidInput:    # the analyses that build the orbit say so
-            sizes = None
-        if sizes is not None and min(sizes) < 2:
-            raise InvalidInput(f"block sizes in '{rep}' must all be at "
-                               "least 2")
-        group_dim = None if sizes is None \
-            else sum(r * (r - 1) // 2 for r in sizes)
-        curve = tuple(_curve_segment(seg, group_dim)
-                      for seg in raw.get("curve", ()))
-        point = str(raw.get("point", ""))
-        for part in point.split(";"):
-            part = part.strip()
-            if part.startswith("diag:"):
-                _diag_values(part)
-            for factor in part.split(","):
-                if factor.strip().startswith("random-regular:"):
-                    _regular_seed(factor.strip())
-        step = None if raw.get("step") is None \
-            else _positive_float("step", raw["step"])
-        direction = str(raw.get("direction", "canonical"))
-        if direction != "canonical":
-            _direction_seed(direction)
-        n = None if raw.get("n") is None else _integer("n", raw["n"])
-        if (n is not None and "veronese-facts" in analyses
-                and n not in FACT_NS):
-            raise InvalidInput(f"veronese-facts covers n = {FACT_NS[0]}.."
-                               f"{FACT_NS[-1]}, got {n}")
-        return cls(rep=rep,
-                   point=point,
-                   analyses=analyses,
-                   seed=_seed("seed", raw.get("seed", 0)),
-                   tolerances=tols,
-                   n=n,
-                   direction=direction,
-                   curve=curve,
-                   step=step,
-                   out=raw.get("out"))
+        kw = {key: _typed(key, raw[key], str, "a string")
+              for key in ("rep", "point", "direction", "out")
+              if raw.get(key) is not None}
+        if raw.get("n") is not None:
+            kw["n"] = _integer("n", raw["n"])
+        if raw.get("step") is not None:
+            kw["step"] = _positive_float("step", raw["step"])
+        return cls(analyses=analyses, seed=_seed("seed", raw.get("seed", 0)),
+                   tolerances=tols, curve=raw.get("curve", ()), **kw)
 
     def to_dict(self) -> dict:
         d = {"rep": self.rep, "point": self.point,
@@ -132,11 +141,19 @@ class ScenarioConfig:
         return Tolerances(**{**DEFAULT_TOLS.__dict__, **kw})
 
 
+def _typed(name: str, value, types, what: str):
+    """value when it is one of types, else InvalidInput naming the field."""
+    if not isinstance(value, types):
+        raise InvalidInput(f"{name} must be {what}, got "
+                           f"{type(value).__name__}")
+    return value
+
+
 def _positive_float(name: str, value) -> float:
     """value as a float that is finite and > 0, else InvalidInput."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = float("nan")
     if not (np.isfinite(x) and x > 0.0):
         raise InvalidInput(f"{name} must be a positive finite number, "
@@ -167,21 +184,13 @@ def _seed(name: str, value) -> int:
     return seed
 
 
-def _direction_seed(direction: str) -> int:
-    """Seed k of a 'seed:<k>' tube direction."""
-    if not direction.startswith("seed:"):
-        raise InvalidInput(f"direction '{direction}' not recognized; "
-                           "expected canonical or seed:<k>")
-    return _seed(f"seed in direction '{direction}'", direction[len("seed:"):])
-
-
 def _curve_segment(seg, group_dim: int | None) -> tuple:
     """A [generatorIndex, t] pair: integral index >= 0 and below the
     group dimension (when known), finite t >= 0."""
     try:
         gi, t = seg
         index, t = float(gi), float(t)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput("curve segments are [generatorIndex, t] pairs, "
                            f"got {seg!r}") from exc
     if isinstance(gi, bool) or not (np.isfinite(index) and index >= 0
@@ -199,68 +208,32 @@ def _curve_segment(seg, group_dim: int | None) -> tuple:
 
 def parse_rep_spec(spec: str) -> SymmetricPairRep:
     """'sl-so:<r>' or 'product:sl-so:<r1>,sl-so:<r2>,...'."""
-    return SymmetricPairRep.product(_block_sizes(spec))
-
-
-def _block_sizes(spec: str) -> tuple:
-    """Block sizes r_i of a rep spec."""
     spec = spec.strip()
-    parts = spec[len("product:"):].split(",") \
-        if spec.startswith("product:") else [spec]
-    return tuple(_block_size(p) for p in parts)
-
-
-def _block_size(part: str) -> int:
-    part = part.strip()
-    if not part.startswith("sl-so:"):
-        raise InvalidInput(f"representation spec '{part}' not recognized; "
-                           "expected sl-so:<r>")
-    try:
-        return int(part[len("sl-so:"):])
-    except ValueError as exc:
-        raise InvalidInput(f"bad block size in '{part}'") from exc
+    sizes = []
+    for part in (spec[len("product:"):].split(",")
+                 if spec.startswith("product:") else [spec]):
+        part = part.strip()
+        if not part.startswith("sl-so:"):
+            raise InvalidInput(f"representation spec '{part}' not "
+                               "recognized; expected sl-so:<r>")
+        try:
+            sizes.append(int(part[len("sl-so:"):]))
+        except ValueError as exc:
+            raise InvalidInput(f"bad block size in '{part}'") from exc
+    return SymmetricPairRep.product(sizes)
 
 
 def parse_point_spec(rep: SymmetricPairRep, spec: str) -> np.ndarray:
-    """Base point from 'veronese', 'diag:...', or 'random-regular:<seed>'.
-
-    Products take one factor spec per block, separated by ';' (or ','
-    when no factor uses a comma list).
-    """
-    spec = spec.strip()
-    blocks = rep.sizes
-    if len(blocks) == 1:
-        return _factor_point(blocks[0], spec)
-    if ";" in spec:
-        parts = [p.strip() for p in spec.split(";")]
-    else:
-        parts = [p.strip() for p in spec.split(",")]
-    if len(parts) != len(blocks):
+    """Base point from 'veronese', 'diag:...', or 'random-regular:<seed>';
+    products take one factor spec per block, separated by ';'."""
+    parts = [p.strip() for p in spec.split(";")]
+    if len(parts) != len(rep.sizes):
         raise InvalidInput(f"point spec has {len(parts)} factors, "
-                           f"representation has {len(blocks)}")
-    mats = [_factor_point(b, p) for b, p in zip(blocks, parts)]
+                           f"representation has {len(rep.sizes)}")
     out = np.zeros((rep.total_size, rep.total_size))
-    o = 0
-    for b, m in zip(blocks, mats):
-        out[o:o + b, o:o + b] = m
-        o += b
+    for sl, r, part in zip(rep.block_slices, rep.sizes, parts):
+        out[sl, sl] = _factor_point(r, part)
     return out
-
-
-def _diag_values(spec: str) -> np.ndarray:
-    """Entries of a 'diag:v1,v2,...' factor spec; all must be finite."""
-    try:
-        d = np.array([float(x) for x in spec[len("diag:"):].split(",")])
-    except ValueError as exc:
-        raise InvalidInput(f"bad diag entries in '{spec}'") from exc
-    if not np.all(np.isfinite(d)):
-        raise InvalidInput(f"diag entries must be finite, got '{spec}'")
-    return d
-
-
-def _regular_seed(spec: str) -> int:
-    """Seed of a 'random-regular:<seed>' factor spec."""
-    return _seed(f"seed in '{spec}'", spec[len("random-regular:"):])
 
 
 def _factor_point(r: int, spec: str) -> np.ndarray:
@@ -269,7 +242,12 @@ def _factor_point(r: int, spec: str) -> np.ndarray:
         e1[0] = 1.0
         return np.outer(e1, e1) - np.eye(r) / r
     if spec.startswith("diag:"):
-        d = _diag_values(spec)
+        try:
+            d = np.array([float(x) for x in spec[len("diag:"):].split(",")])
+        except ValueError as exc:
+            raise InvalidInput(f"bad diag entries in '{spec}'") from exc
+        if not np.all(np.isfinite(d)):
+            raise InvalidInput(f"diag entries must be finite, got '{spec}'")
         if len(d) != r:
             raise InvalidInput(f"diag point needs {r} entries, "
                                f"got {len(d)}")
@@ -282,8 +260,8 @@ def _factor_point(r: int, spec: str) -> np.ndarray:
             raise InvalidInput(f"centered diag entries overflow in '{spec}'")
         return np.diag(centered)
     if spec.startswith("random-regular:"):
-        return random_regular_point(SymmetricPairRep.for_size(r),
-                                    _regular_seed(spec))
+        seed = _seed(f"seed in '{spec}'", spec[len("random-regular:"):])
+        return random_regular_point(SymmetricPairRep.for_size(r), seed)
     raise InvalidInput(f"point spec '{spec}' not recognized; expected "
                        "veronese, diag:<values>, or random-regular:<seed>")
 
@@ -431,10 +409,9 @@ def _bound_analysis(M, config, tols) -> dict:
 
 
 def _tube_direction(M, config, tols) -> np.ndarray:
-    if config.direction == "canonical":
+    if config.direction_seed is None:
         return choose_tube_direction(M, tols=tols)
-    return seeded_tube_direction(M, _direction_seed(config.direction),
-                                 tols=tols)
+    return seeded_tube_direction(M, config.direction_seed, tols=tols)
 
 
 def _tube_curve(M, config) -> OrbitCurve | None:
@@ -510,8 +487,6 @@ def _coxeter_analysis(M, config, tols) -> dict:
 
 
 def _veronese_analysis(M, config, tols) -> dict:
-    if config.n is None:
-        raise InvalidInput("veronese-facts needs config field n")
     rep = verify_veronese_facts(config.n, seed=config.seed, tols=tols)
     return {"ok": rep.all_pass(),
             "n": rep.n, "r": rep.r,
@@ -587,12 +562,10 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     orbit: OrbitSubmanifold | None = None
     orbit_error: NormholoError | None = None
-    needs_orbit = [a for a in config.analyses if a != "veronese-facts"]
-    if needs_orbit:
+    if config.representation is not None:
         try:
-            rep = parse_rep_spec(config.rep)
-            point = parse_point_spec(rep, config.point)
-            orbit = build_orbit(rep, point, tols=tols)
+            orbit = build_orbit(config.representation, config.base_point,
+                                tols=tols)
         except NormholoError as exc:
             orbit_error = exc
 
@@ -600,8 +573,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         t0 = time.perf_counter()
         try:
             if name != "veronese-facts" and orbit is None:
-                raise orbit_error or InvalidInput(
-                    "analysis needs --rep and --point")
+                raise orbit_error
             analyses[name] = _ANALYSES[name](orbit, config, tols)
         except NormholoError as exc:
             hard_error = True

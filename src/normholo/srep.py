@@ -254,10 +254,10 @@ def slice_rep_image(rep: SymmetricPairRep, isotropy_mats, frame_mats):
     return out
 
 
-def random_regular_point(rep: SymmetricPairRep, seed: int,
-                         min_gap: float = 0.05) -> np.ndarray:
-    """Seeded traceless diagonal with distinct eigenvalues in every block,
-    normalized to unit carrier norm."""
+def random_regular_point(rep: SymmetricPairRep, seed: int) -> np.ndarray:
+    """Seeded traceless diagonal with distinct eigenvalues in every block
+    (gaps at least 0.05 max(1, max |d|)), normalized to unit carrier
+    norm."""
     rng = np.random.default_rng(seed)
     n = rep.total_size
     for _ in range(256):
@@ -267,7 +267,7 @@ def random_regular_point(rep: SymmetricPairRep, seed: int,
             d = rng.standard_normal(r)
             d -= d.mean()
             d_sorted = np.sort(d)
-            if np.min(np.diff(d_sorted)) < min_gap * max(1.0, np.max(np.abs(d))):
+            if np.min(np.diff(d_sorted)) < 0.05 * max(1.0, np.max(np.abs(d))):
                 ok = False
                 break
             mat[sl, sl] = np.diag(d)

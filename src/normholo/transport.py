@@ -410,10 +410,10 @@ def transport_convergence_audit(curve: OrbitCurve, xi0: np.ndarray,
                             drift_halving_ok=ok)
 
 
-def traceless_spectra_along(result: TransportResult, vector_index: int = 0,
-                            max_points: int = 12,
+def traceless_spectra_along(result: TransportResult,
                             tols: Tolerances = Tolerances()) -> tuple:
-    """Spectra of the traceless shape operator along a transported vector.
+    """Spectra of the traceless shape operator along the first transported
+    vector, at no more than 12 of its samples.
 
     Rebuilds the orbit data honestly at sampled curve points instead of
     pushing the base-point operator forward, so transport error shows up
@@ -422,16 +422,16 @@ def traceless_spectra_along(result: TransportResult, vector_index: int = 0,
     """
     orbit = result.curve.orbit
     n_samples = result.samples.shape[0]
-    if n_samples <= max_points:
+    if n_samples <= 12:
         idx = np.arange(n_samples)
     else:
-        idx = np.unique(np.linspace(0, n_samples - 1, max_points).astype(int))
+        idx = np.unique(np.linspace(0, n_samples - 1, 12).astype(int))
     times = result.times[idx]
     spectra = []
     for i in idx:
         g = result.g_samples[i]
         point = g @ orbit.point @ g.T
         local = build_orbit(orbit.rep, point, tols=tols)
-        xi = result.samples[i, vector_index]
+        xi = result.samples[i, 0]
         spectra.append(sym_eig(traceless_shape_operator(local, xi)).values)
     return times, np.array(spectra)

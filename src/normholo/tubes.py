@@ -39,19 +39,20 @@ TUBE_CLUSTER_GAP = 1e-3
 
 PATCH_EXTENT = 0.02
 SAFETY_MARGIN = 0.2
+DUPIN_STEP = 5e-3         # central-difference step of dupin_check
 
 # 6th-order and 4th-order central first-derivative weights
 _W7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _W5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def choose_tube_direction(M: OrbitSubmanifold, safety: float = SAFETY_MARGIN,
+def choose_tube_direction(M: OrbitSubmanifold,
                           tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Normal direction whose shape operator has the (2, n-2) spectrum.
 
     Solves for xi in nu-bar with A_xi having eigenvalue 1/2 on a plane
     and -1/(n-2) on the complement, then scales so the largest shape
-    eigenvalue is (1 - safety)/2.  Requires n >= 3 (the multiplicity
+    eigenvalue is (1 - SAFETY_MARGIN)/2.  Requires n >= 3 (the multiplicity
     pattern needs both blocks nonempty) and the shape map on nu-bar to
     be a homothecy (invertibility of the solve).
     """
@@ -80,18 +81,17 @@ def choose_tube_direction(M: OrbitSubmanifold, safety: float = SAFETY_MARGIN,
     if np.max(np.abs(achieved - want)) > 1e2 * tols.eig:
         raise InvalidInput("tube direction solve missed the target spectrum; "
                            "orbit is outside the supported family")
-    scale = (1.0 - safety) / (2.0 * np.max(np.abs(achieved)))
+    scale = (1.0 - SAFETY_MARGIN) / (2.0 * np.max(np.abs(achieved)))
     return scale * xi
 
 
 def seeded_tube_direction(M: OrbitSubmanifold, seed: int,
-                          safety: float = SAFETY_MARGIN,
                           tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Random nu-bar direction scaled to the same shape-eigenvalue cap.
 
     Unlike choose_tube_direction this makes no spectrum demand; it just
     draws a generic direction and rescales so the largest traceless
-    shape eigenvalue is (1 - safety)/2, keeping the tube radius inside
+    shape eigenvalue is (1 - SAFETY_MARGIN)/2, keeping the tube radius inside
     the focal-free band.
     """
     rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ def seeded_tube_direction(M: OrbitSubmanifold, seed: int,
     if top < tols.eig:
         raise DegenerateSpectrum("seeded direction has a null shape "
                                  "operator; pick another seed")
-    return (1.0 - safety) / (2.0 * top) * xi
+    return (1.0 - SAFETY_MARGIN) / (2.0 * top) * xi
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,6 @@ class DupinResult:
 def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
                 curve: OrbitCurve | None = None,
                 patch: TubePatch | None = None,
-                fd_step: float = 5e-3,
                 tols: Tolerances = DEFAULT_TOLS) -> DupinResult:
     """Constancy of hat1 (and hat2) along the top eigendistribution.
 
@@ -426,15 +425,15 @@ def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
     for col in range(e1.shape[1]):
         vel = jc_inv @ e1[:, col]
         nrm = np.linalg.norm(jc @ vel)
-        plus = patch.hat_values_at(fd_step * vel)
-        minus = patch.hat_values_at(-fd_step * vel)
-        d1 = abs(plus[0] - minus[0]) / (2.0 * fd_step * nrm)
-        d2 = abs(plus[1] - minus[1]) / (2.0 * fd_step * nrm)
+        plus = patch.hat_values_at(DUPIN_STEP * vel)
+        minus = patch.hat_values_at(-DUPIN_STEP * vel)
+        d1 = abs(plus[0] - minus[0]) / (2.0 * DUPIN_STEP * nrm)
+        d2 = abs(plus[1] - minus[1]) / (2.0 * DUPIN_STEP * nrm)
         worst1 = max(worst1, float(d1))
         worst2 = max(worst2, float(d2))
     return DupinResult(max_hat1_derivative=worst1,
                        max_hat2_derivative=worst2,
-                       directions_tested=e1.shape[1], step=fd_step)
+                       directions_tested=e1.shape[1], step=DUPIN_STEP)
 
 
 @dataclass

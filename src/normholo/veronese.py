@@ -46,22 +46,14 @@ def rho_tilde(v: np.ndarray) -> np.ndarray:
     return q - np.eye(r) / r
 
 
-def veronese_type_point(r: int, scale: float = 1.0,
-                        normalize: bool = False) -> np.ndarray:
-    """scale * (e1 e1^t - Id/r), the two-eigenvalue base point.
-
-    normalize rescales to unit carrier norm after applying scale (the
-    sign of scale survives; the two orbits in a sphere are scale > 0
-    and scale < 0).
-    """
+def veronese_type_point(r: int, scale: float = 1.0) -> np.ndarray:
+    """scale * (e1 e1^t - Id/r), the two-eigenvalue base point; the two
+    orbits in a sphere are scale > 0 and scale < 0."""
     if r < 3:
         raise InvalidInput("veronese-type points need r >= 3")
     if scale == 0.0:
         raise InvalidInput("scale must be nonzero")
-    s = float(scale) * (np.diag(np.eye(r)[0]) - np.eye(r) / r)
-    if normalize:
-        s = s / np.linalg.norm(s)
-    return s
+    return float(scale) * (np.diag(np.eye(r)[0]) - np.eye(r) / r)
 
 
 @dataclass(frozen=True)

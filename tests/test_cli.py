@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, determinism, output."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["summary"]["pass"] is True
+
+
+def test_unwritable_out_exits_two_before_running(tmp_path, capsys,
+                                                 monkeypatch):
+    import normholo.cli as cli
+
+    def no_run(config):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    rc = main(["analyze", "--rep", "sl-so:4", "--point", "veronese",
+               "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
+def test_orbit_that_cannot_be_built_exits_one(capsys):
+    # the specs parse; the orbit of a zero point fails its analysis
+    rc = main(["analyze", "--rep", "sl-so:3", "--point", "diag:0,0,0",
+               "--do", "orbit"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["analyses"]["orbit"]["error"]["type"] == "InvalidInput"
 
 
 def test_verify_veronese(capsys):
@@ -142,7 +169,7 @@ def test_missing_required_flag_exits_two(capsys):
      "--point", "veronese;veronese", "--curve", "[[0, 0.1], [6, 0.2]]"],
     ["coxeter", "--rep", "sl-so:3", "--point", "random-regular:abc"],
     ["coxeter", "--rep", "product:sl-so:3,sl-so:3",
-     "--point", "veronese,random-regular:1.5"],
+     "--point", "veronese;random-regular:1.5"],
     # a dict stands for a --config file with that content
     ["analyze", "--rep", "sl-so:4", "--point", "veronese",
      "--config", {"tolerances": {"rank": "abc"}}],
@@ -178,6 +205,23 @@ def test_missing_required_flag_exits_two(capsys):
      "--point", "veronese;veronese"],
     ["verify-veronese", "--n", "-1"],
     ["sweep", "--analysis", "veronese-facts", "--ns", "2,7"],
+    # specs that only an analysis-time parse used to catch
+    ["analyze", "--rep", "sl-so:3", "--point", "diag:1,2"],
+    ["analyze", "--rep", "sl-so:3", "--point", "foo"],
+    ["analyze", "--rep", "sl-so:abc", "--point", "veronese"],
+    ["analyze", "--rep", "product:sl-so:3,sl-so:3", "--point", "veronese"],
+    ["analyze", "--do", "orbit"],
+    ["analyze", "--do", "veronese-facts"],
+    # fields of the wrong JSON type
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"tolerances": [1]}],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"curve": 5}],
+    ["analyze", "--point", "veronese", "--config", {"rep": 4}],
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"direction": 2}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"out": 5}],
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"
@@ -284,3 +328,22 @@ def test_sweep_requires_grid(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "config error" in captured.err
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text[text.index("## Command line"):]
+    block = section[section.index("```sh\n") + 6:]
+    block = block[:block.index("```")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("normholo ")]
+
+
+def test_readme_commands_run(capsys):
+    # every example of the README's command-line block parses and passes
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

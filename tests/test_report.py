@@ -164,17 +164,56 @@ def test_failing_analysis_does_not_cancel_siblings():
     assert report.body()["summary"]["failures"] == ["coxeter"]
 
 
-def test_bad_rep_reported_per_analysis():
-    # a rep spec the config cannot parse is left to the analyses that
-    # build the orbit; a parsed block size below 2 is a config error
-    cfg = ScenarioConfig.from_dict({"rep": "su:3", "point": "veronese",
-                                    "analyses": ["orbit"]})
-    report = run_scenario(cfg)
-    assert report.hard_error
-    assert "error" in report.analyses["orbit"]
+def test_bad_rep_is_config_error():
+    # every spec parses on construction: a rep that does not parse is a
+    # config error, not a failed analysis
+    for rep in ("su:3", "sl-so:1"):
+        with pytest.raises(InvalidInput):
+            ScenarioConfig.from_dict({"rep": rep, "point": "veronese",
+                                      "analyses": ["orbit"]})
+
+
+def test_direct_config_parses_specs():
     with pytest.raises(InvalidInput):
-        ScenarioConfig.from_dict({"rep": "sl-so:1", "point": "veronese",
-                                  "analyses": ["orbit"]})
+        ScenarioConfig(rep="su:3", point="veronese", analyses=("orbit",))
+    with pytest.raises(InvalidInput):
+        ScenarioConfig(rep="sl-so:4", point="veronese", analyses=("tube",),
+                       curve=((6, 0.1),))
+    with pytest.raises(InvalidInput):
+        ScenarioConfig(analyses=("veronese-facts",))
+    cfg = ScenarioConfig(rep="sl-so:4", point="veronese", analyses=("tube",),
+                         direction="seed:3", curve=[[1.0, 0.2]])
+    assert cfg.representation.group_dim == 6
+    assert cfg.direction_seed == 3
+    assert cfg.curve == ((1, 0.2),)
+    assert not cfg.base_point.flags.writeable
+    # parsed fields stay out of equality and the round trip
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    # the specs are parsed only where an analysis needs them
+    facts = ScenarioConfig(rep="su:3", analyses=("veronese-facts",), n=2)
+    assert facts.representation is None and facts.base_point is None
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("tolerances", [1], "tolerances must be an object"),
+    ("curve", 5, "curve must be a list"),
+    ("analyses", "orbit", "analyses must be a list"),
+    ("rep", 4, "rep must be a string"),
+    ("point", ["veronese"], "point must be a string"),
+    ("direction", 2, "direction must be a string"),
+    ("out", 5, "out must be a string"),
+])
+def test_wrong_field_type_names_the_field(key, value, message):
+    with pytest.raises(InvalidInput, match=message):
+        ScenarioConfig.from_dict({key: value})
+
+
+def test_removed_spec_aliases():
+    with pytest.raises(InvalidInput, match="cluster_gap"):
+        ScenarioConfig.from_dict({"tolerances": {"cluster_gap": 1e-4}})
+    rep = parse_rep_spec("product:sl-so:3,sl-so:3")
+    with pytest.raises(InvalidInput, match="1 factors"):
+        parse_point_spec(rep, "veronese,veronese")
 
 
 def test_document_contains_timings():

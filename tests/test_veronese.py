@@ -51,8 +51,8 @@ def test_type_point_validation():
         veronese_type_point(2)
     with pytest.raises(InvalidInput):
         veronese_type_point(4, scale=0.0)
-    s = veronese_type_point(4, scale=-2.0, normalize=True)
-    assert abs(np.linalg.norm(s) - 1.0) < 1e-12
+    s = veronese_type_point(4, scale=-2.0)
+    assert np.allclose(s, -2.0 * veronese_type_point(4), rtol=0, atol=0)
     assert np.linalg.eigvalsh(s)[0] < 0  # negative scale flips the split
 
 
