@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .errors import InvalidInput, NormholoError
 from .report import (KNOWN_ANALYSES, SCHEMA_VERSION, ScenarioConfig, _render,
-                     run_scenario)
+                     parse_rep_spec, run_scenario)
 
 _SEED_ENV = "NORMHOLO_SEED"
 
@@ -78,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", default=None,
                    help="comma list of n values (veronese-facts)")
     p.add_argument("--points", default=None,
-                   help="';'-separated point specs (other analyses)")
+                   help="';'-separated point specs (other analyses); a "
+                        "product rep takes one factor spec per block, so "
+                        "its points are read that many specs at a time")
     p.add_argument("--rep", default="", help="representation for --points")
     return top
 
@@ -137,9 +139,15 @@ def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
             for n in args.ns.split(",")]
     if not args.points or not args.rep:
         raise InvalidInput("sweep needs --rep and --points")
+    # a product point takes one factor spec per block: group them
+    blocks = len(parse_rep_spec(args.rep).sizes)
+    specs = [spec.strip() for spec in args.points.split(";")]
+    if len(specs) % blocks:
+        raise InvalidInput(f"--points has {len(specs)} factor specs, not a "
+                           f"multiple of the {blocks} blocks of --rep")
     return [ScenarioConfig.from_dict(
-        {**raw, "rep": args.rep, "point": spec.strip(),
-         "analyses": [args.analysis]}) for spec in args.points.split(";")]
+        {**raw, "rep": args.rep, "point": ";".join(specs[i:i + blocks]),
+         "analyses": [args.analysis]}) for i in range(0, len(specs), blocks)]
 
 
 def _document(command: str, configs: list) -> tuple:

@@ -25,7 +25,7 @@ from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, matrix_exp,
                      orthogonal_log, rank_reveal, subspace_distance)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
-from .srep import CartanCurvature, slice_rep_image
+from .srep import CartanCurvature, frame_action
 from .transport import closed_square_loop, transport_frame_return
 
 # The normal holonomy of an s-orbit is its slice representation
@@ -102,16 +102,6 @@ def position_fixed_residual(M: OrbitSubmanifold,
     return float(max(np.linalg.norm(x @ vc) for x in algebra.basis))
 
 
-def fiber_orbit_dimension(algebra: LieAlgebraSpan, xi_coords: np.ndarray,
-                          tols: Tolerances = DEFAULT_TOLS) -> int:
-    """Dimension of the algebra orbit through a normal coordinate vector."""
-    xi_coords = np.asarray(xi_coords, dtype=np.float64)
-    if algebra.dim == 0:
-        return 0
-    img = np.column_stack([x @ xi_coords for x in algebra.basis])
-    return rank_reveal(img, tols.rank)[3]
-
-
 def symmetric_system_residual(curv: AdaptedCurvature,
                               algebra: LieAlgebraSpan,
                               seed: int = 0) -> float:
@@ -151,7 +141,8 @@ def slice_holonomy_distance(M: OrbitSubmanifold,
     flattened bases are compared as subspaces of R^(K*K).
     """
     _, iso_mats = M.rep.isotropy_algebra(M.point, tols=tols)
-    slice_mats = slice_rep_image(M.rep, iso_mats, M.normal_frame)
+    images = frame_action(iso_mats, M.normal_frame)
+    slice_mats = 0.5 * (images - images.transpose(0, 2, 1))
     keep = [s for s in slice_mats if np.linalg.norm(s) > tols.rank]
     k = algebra.acting_dim
     slice_span = skew_span(keep, acting_dim=k, tol=tols.rank)
@@ -381,8 +372,8 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         if nrm < 1e-8:
             continue
         c2 /= nrm
-        x = np.einsum("g,gij->ij", c1 @ M.m_basis, M.rep.generators)
-        y = np.einsum("g,gij->ij", c2 @ M.m_basis, M.rep.generators)
+        x = np.einsum("i,ijk->jk", c1, M.m_generators)
+        y = np.einsum("i,ijk->jk", c2, M.m_generators)
         loop = closed_square_loop(M, x, y, loop_radius)
         lam = orthogonal_log(transport_frame_return(loop))
         nrm = np.linalg.norm(lam)

@@ -12,9 +12,12 @@ orbit's fixed frames:
   removed (orbits of a norm-preserving action lie in a sphere, so the
   position vector is always normal)
 
-The second fundamental form uses the symmetrized second-order action
-alpha(X.v, Y.v) = P_normal(([X,[Y,v]] + [Y,[X,v]]) / 2), which does not
-depend on the choice of representatives.
+The orbit also keeps its m-generators: the so(r) elements X_i with
+[X_i, v] = e_i, free of stabilizer components.  They lift tangent
+coordinates to curve generators, and the second fundamental form is
+their symmetrized action read between the frames,
+alpha(e_i, e_j) = P_normal(([X_i, e_j] + [X_j, e_i]) / 2), which does
+not depend on the choice of representatives.
 """
 
 from __future__ import annotations
@@ -28,18 +31,16 @@ from .linalg import (
     DEFAULT_TOLS,
     Subspace,
     Tolerances,
-    bracket,
     orthonormal_span,
     rank_reveal,
 )
-from .srep import SymmetricPairRep
+from .srep import SymmetricPairRep, frame_action
 
 
 @dataclass
 class OrbitSubmanifold:
     rep: SymmetricPairRep
     point: np.ndarray            # carrier matrix, the base point
-    coords: np.ndarray           # carrier coordinates of the point
     dim: int
     tangent: Subspace
     normal: Subspace
@@ -47,16 +48,13 @@ class OrbitSubmanifold:
     tangent_frame: np.ndarray    # (n, R, R)
     normal_frame: np.ndarray     # (K, R, R)
     nbar_frame: np.ndarray       # (K-1, R, R) when the point is nonzero
-    m_basis: np.ndarray          # (n, G) generator coefficients
+    m_generators: np.ndarray     # (n, R, R): [X_i, v] = e_i
     tols: Tolerances = DEFAULT_TOLS
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def codim(self) -> int:
         return self.normal.dim
-
-    def generator(self, i: int) -> np.ndarray:
-        return self.rep.generator_matrix(self.m_basis[i])
 
     def normal_coords(self, mat: np.ndarray) -> np.ndarray:
         return np.einsum("ij,kij->k", np.asarray(mat, float),
@@ -83,10 +81,11 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     gives everything: its kept left singular vectors are the tangent
     frame, the rest the normal frame, and V[:n]^T / sigma the generator
     combinations whose images are the tangent frame (free of stabilizer
-    components).  Tangent and normal spaces are complementary by
-    construction.  The point is normalized; a finite nonzero point whose
-    norm overflows or is under the rank threshold is first divided by its
-    largest entry, which normalizing makes no difference to.
+    components), formed once as the m-generators.  Tangent and normal
+    spaces are complementary by construction.  The point is normalized;
+    a finite nonzero point whose norm overflows or is under the rank
+    threshold is first divided by its largest entry, which normalizing
+    makes no difference to.
     """
     point = np.asarray(point, dtype=float)
     with np.errstate(over="ignore"):
@@ -103,10 +102,12 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     vc = rep.coords(v)
     d = rep.carrier_dim
 
-    u, s, vt, n = rank_reveal(rep.tangent_images(v).T, tols.rank, full=True)
+    images = frame_action(rep.generators, rep.carrier_frame, v[None])
+    u, s, vt, n = rank_reveal(images[..., 0].T, tols.rank, full=True)
     if n == 0:
         raise InvalidInput("base point is fixed by the whole group")
-    m_basis = vt[:n] / s[:n, None]
+    m_generators = np.einsum("mg,gij->mij", vt[:n] / s[:n, None],
+                             rep.generators)
     tangent = Subspace(ambient_dim=d, basis=u[:, :n], tol=tols.rank)
     normal = Subspace(ambient_dim=d, basis=u[:, n:], tol=tols.rank)
 
@@ -120,26 +121,20 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     nbar_frame = np.einsum("dk,dij->kij", normal_bar.basis, frame)
 
     return OrbitSubmanifold(
-        rep=rep, point=v, coords=vc, dim=n,
+        rep=rep, point=v, dim=n,
         tangent=tangent, normal=normal, normal_bar=normal_bar,
         tangent_frame=tangent_frame, normal_frame=normal_frame,
-        nbar_frame=nbar_frame, m_basis=m_basis, tols=tols)
+        nbar_frame=nbar_frame, m_generators=m_generators, tols=tols)
 
 
 def second_fundamental_form(m: OrbitSubmanifold) -> np.ndarray:
     """alpha[i, j, a] = <alpha(e_i, e_j), xi_a> over the orbit frames."""
     if "alpha" in m._cache:
         return m._cache["alpha"]
-    n = m.dim
-    gens = [m.generator(i) for i in range(n)]
-    alpha = np.zeros((n, n, m.normal.dim))
-    for i in range(n):
-        for j in range(i, n):
-            s = 0.5 * (bracket(gens[i], m.tangent_frame[j])
-                       + bracket(gens[j], m.tangent_frame[i]))
-            row = m.normal_coords(s)
-            alpha[i, j] = row
-            alpha[j, i] = row
+    # f[i, j, a] = <xi_a, [X_i, e_j]>; alpha is its symmetrization in (i, j)
+    f = frame_action(m.m_generators, m.normal_frame,
+                     m.tangent_frame).transpose(0, 2, 1)
+    alpha = 0.5 * (f + f.transpose(1, 0, 2))
     alpha.flags.writeable = False
     m._cache["alpha"] = alpha
     return alpha

@@ -509,7 +509,7 @@ def _transport_audit_analysis(M, config, tols) -> dict:
     rng = np.random.default_rng(config.seed)
     c = rng.standard_normal(M.dim)
     c /= np.linalg.norm(c)
-    x = np.einsum("g,gjk->jk", c @ M.m_basis, M.rep.generators)
+    x = np.einsum("i,ijk->jk", c, M.m_generators)
     step = DEFAULT_STEP if config.step is None else config.step
     curve = OrbitCurve(orbit=M, segments=((x, 1.0),), step=step)
     xi = M.nbar_frame[0]

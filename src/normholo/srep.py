@@ -12,6 +12,13 @@ Cross-blocks are exact zeros.  The carrier frame is fixed once per
 instance: per block, off-diagonal pairs (E_ij + E_ji)/sqrt(2) in
 lexicographic order followed by the orthonormal traceless-diagonal
 ladder.  All coordinates in this package refer to that frame.
+
+:func:`frame_action` reads the infinitesimal action ad(X) = [X, .]
+between two frames of carrier matrices.  It is the one operator behind
+the tangent images and the isotropy algebra here, the second fundamental
+form of :mod:`normholo.orbit`, the transport generators B_X of
+:mod:`normholo.transport` and the slice representation of
+:mod:`normholo.holonomy`.
 """
 
 from __future__ import annotations
@@ -21,14 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (
-    DEFAULT_TOLS,
-    Subspace,
-    Tolerances,
-    bracket,
-    gram_kernel,
-    orthonormal_span,
-)
+from .linalg import DEFAULT_TOLS, Tolerances, bracket, gram_kernel
 
 
 def _block_carrier_frame(r: int, offset: int, total: int):
@@ -144,39 +144,6 @@ class SymmetricPairRep:
 
     # -- infinitesimal action ----------------------------------------------
 
-    def act(self, gen_coeffs: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """Action of an algebra element (generator coefficients) on a
-        carrier matrix."""
-        x = np.einsum("g,gij->ij", np.asarray(gen_coeffs, float),
-                      self.generators)
-        return bracket(x, mat)
-
-    def generator_matrix(self, gen_coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("g,gij->ij", np.asarray(gen_coeffs, float),
-                         self.generators)
-
-    def tangent_images(self, v: np.ndarray) -> np.ndarray:
-        """(G, D) array: carrier coordinates of [X_g, v] per generator."""
-        v = np.asarray(v, dtype=float)
-        imgs = self.generators @ v - v[None, :, :] @ self.generators
-        return np.einsum("gij,dij->gd", imgs, self.carrier_frame)
-
-    def tangent_space(self, v: np.ndarray,
-                      tols: Tolerances = DEFAULT_TOLS) -> Subspace:
-        rows = self.tangent_images(v)
-        return orthonormal_span(rows, ambient_dim=self.carrier_dim,
-                                tol=tols.rank)
-
-    def normal_space(self, v: np.ndarray,
-                     tols: Tolerances = DEFAULT_TOLS) -> Subspace:
-        """Carrier elements commuting with v: the kernel of x -> [x, v]."""
-        v = self.validate_carrier(v, tols)
-        cols = []
-        for d in range(self.carrier_dim):
-            cols.append(bracket(self.carrier_frame[d], v).ravel())
-        mat = np.column_stack(cols)
-        return gram_kernel(mat, tols)
-
     def isotropy_algebra(self, v: np.ndarray,
                          tols: Tolerances = DEFAULT_TOLS):
         """Generator-coefficient basis of the stabilizer subalgebra.
@@ -185,10 +152,10 @@ class SymmetricPairRep:
         matrices are the corresponding skew elements.
         """
         v = self.validate_carrier(v, tols)
-        mat = self.tangent_images(v).T  # (D, G): coefficients -> image
-        ker = gram_kernel(mat, tols)
-        mats = [self.generator_matrix(ker.basis[:, j]) for j in range(ker.dim)]
-        return ker, mats
+        # (G, D, 1): carrier coordinates of [X_g, v]
+        images = frame_action(self.generators, self.carrier_frame, v[None])
+        ker = gram_kernel(images[..., 0].T, tols)
+        return ker, list(np.einsum("gk,gij->kij", ker.basis, self.generators))
 
     # -- test support -------------------------------------------------------
 
@@ -206,6 +173,25 @@ class SymmetricPairRep:
         new_frame.flags.writeable = False
         return SymmetricPairRep(sizes=self.sizes, carrier_frame=new_frame,
                                 generators=self.generators)
+
+
+def frame_action(xs, out_frame, in_frame=None) -> np.ndarray:
+    """(G, K_out, K_in) array F[g, a, b] = <out_a, [X_g, in_b]>.
+
+    The isotropy action ad(X) = [X, .] of a stack of so(R) elements,
+    read from the span of in_frame into the span of out_frame (stacks
+    of carrier matrices; in_frame defaults to out_frame).  On one
+    orthonormal frame each F[g] is skew for skew X_g: it is the
+    constant generator B_X of frame transport along exp(tX), and on the
+    normal frame of an orbit it is the slice representation of the
+    stabilizer and the Nomizu map of the normal connection.  xs may be
+    empty.
+    """
+    out_frame = np.asarray(out_frame, dtype=float)
+    in_frame = out_frame if in_frame is None else np.asarray(in_frame, float)
+    x = np.asarray(xs, dtype=float).reshape(-1, 1, *out_frame.shape[1:])
+    images = x @ in_frame - in_frame @ x
+    return np.einsum("aij,gbij->gab", out_frame, images)
 
 
 class CartanCurvature:
@@ -237,21 +223,6 @@ class CartanCurvature:
         k = len(mats)
         coms = CartanCurvature.commutators(mats)
         return (coms @ coms.T).reshape(k, k, k, k)
-
-
-def slice_rep_image(rep: SymmetricPairRep, isotropy_mats, frame_mats):
-    """Matrices of the isotropy action restricted to the span of
-    frame_mats (an orthonormal family of carrier matrices).
-
-    Entry [a, b] of the output for W is <[W, f_b], f_a>.
-    """
-    frame = np.asarray(frame_mats, dtype=float)
-    out = []
-    for w in isotropy_mats:
-        imgs = w @ frame - frame @ w
-        s = np.einsum("bij,aij->ab", imgs, frame)
-        out.append(0.5 * (s - s.T))
-    return out
 
 
 def random_regular_point(rep: SymmetricPairRep, seed: int) -> np.ndarray:

@@ -5,7 +5,8 @@ c(t) = g(t) v g(t)^T with g(t) = g0 exp(tX).  Along such an arc the
 bundle moves by conjugation: with a fixed orthonormal frame f_k of the
 fiber at v, the frame g f_k g^T stays exactly orthonormal, and a field
 xi = sum_k a_k g f_k g^T is parallel exactly when a' = -B_X a, where
-B_X[k, l] = <f_k, [X, f_l]> is a constant K x K skew matrix.  Transport
+B_X[k, l] = <f_k, [X, f_l]> is a constant K x K skew matrix, the
+:func:`normholo.srep.frame_action` of X on the frame.  Transport
 along a piecewise curve is therefore a product of K x K exponentials;
 :func:`exact_transport_stack` computes it, and the loop probe, the tube
 feet and the tube chart use it, and on the tangent frame it gives the
@@ -39,6 +40,7 @@ from .errors import InvalidInput, TransportDiverged
 from .kernels import matrix_exp, transport_segment
 from .linalg import Tolerances, orthogonal_log, sym_eig
 from .orbit import OrbitSubmanifold, build_orbit, traceless_shape_operator
+from .srep import frame_action
 
 DEFAULT_STEP = 1e-3
 
@@ -99,16 +101,15 @@ class OrbitCurve:
         """Build segments from tangent coordinates at the base point.
 
         Each piece is (coeffs, duration); coeffs are coordinates in the
-        orbit tangent frame and are lifted to so(r) through the m-basis.
+        orbit tangent frame and are lifted to so(r) through the orbit's
+        m-generators.
         """
         segs = []
         for coeffs, dur in pieces:
             c = np.asarray(coeffs, dtype=np.float64)
             if c.shape != (orbit.dim,):
                 raise InvalidInput("tangent coefficient length mismatch")
-            x = np.einsum("g,gij->ij", c @ orbit.m_basis,
-                          orbit.rep.generators)
-            segs.append((x, dur))
+            segs.append((np.einsum("i,ijk->jk", c, orbit.m_generators), dur))
         return cls(orbit=orbit, segments=tuple(segs), step=step)
 
     @property
@@ -284,16 +285,6 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         step=h))
 
 
-def _arc_generator(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B_X[k, l] = <f_k, [X, f_l]>, skew for skew X.
-
-    Frame coefficients of a parallel field along g0 exp(tX) satisfy
-    a' = -B_X a.
-    """
-    images = x[None] @ frame - frame @ x[None]
-    return np.einsum("kij,lij->kl", frame, images)
-
-
 def exact_transport_stack(curve: OrbitCurve,
                           xis: np.ndarray) -> TransportResult:
     """Transport a stack of normal vectors along the curve exactly.
@@ -304,6 +295,7 @@ def exact_transport_stack(curve: OrbitCurve,
     of every nonzero segment.
     """
     base = curve.orbit.normal_frame
+    arc_gens = frame_action([x for x, _ in curve.segments], base)
     xis = _validated_stack(curve.orbit, xis)
     coeffs = np.einsum("kij,mij->mk", base, xis)
     g = np.eye(curve.orbit.rep.total_size)
@@ -312,10 +304,10 @@ def exact_transport_stack(curve: OrbitCurve,
     all_samples = [cur]
     all_g = [g]
     t0 = 0.0
-    for (x, dur), e in zip(curve.segments, curve.arc_exps):
+    for (_, dur), e, b in zip(curve.segments, curve.arc_exps, arc_gens):
         if e is None:
             continue
-        coeffs = coeffs @ matrix_exp(-dur * _arc_generator(base, x)).T
+        coeffs = coeffs @ matrix_exp(-dur * b).T
         g = g @ e
         cur = np.einsum("mk,kij->mij", coeffs, g @ base @ g.T)
         t0 += dur

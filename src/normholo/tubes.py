@@ -24,9 +24,9 @@ from .errors import (DegenerateSpectrum, FocalDegeneracy, InvalidInput,
                      InvalidShift, NotApplicable, PatchDegenerate)
 from .holonomy import holonomy_algebra
 from .liealg import LieAlgebraSpan
-from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, gram_kernel,
-                     matrix_exp, orthonormal_span, principal_angle_max,
-                     rank_reveal, sym_eig)
+from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, cluster_indices,
+                     gram_kernel, matrix_exp, orthonormal_span,
+                     principal_angle_max, rank_reveal, sym_eig)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
                     traceless_shape_operator)
@@ -168,11 +168,10 @@ def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray,
     lam = lam_tilde + mu
     if np.min(np.abs(1.0 - lam)) < 1e-8:
         return lam_tilde, mu, None
-    dec = sym_eig(np.diag(lam / (1.0 - lam)),
-                  tols=tols.with_cluster_gap(TUBE_CLUSTER_GAP))
-    hats = sorted(zip(dec.cluster_means(), dec.cluster_sizes()),
-                  key=lambda t: -t[0])
-    return lam_tilde, mu, tuple((float(v), int(m)) for v, m in hats)
+    hat = np.sort(lam / (1.0 - lam))
+    clusters = cluster_indices(hat, TUBE_CLUSTER_GAP)
+    return lam_tilde, mu, tuple((float(np.mean(hat[list(c)])), len(c))
+                                for c in reversed(clusters))
 
 
 def _stencil_jacobian(fn, n: int, n_axes: int, extent: float) -> np.ndarray:
@@ -260,7 +259,7 @@ class TubePatch:
             raise InvalidInput("parameter length mismatch")
         u, w = params[:self.n], params[self.n:]
         foot = self.foot
-        x = np.einsum("i,ig,gjk->jk", u, foot.m_basis, foot.rep.generators)
+        x = np.einsum("i,ijk->jk", u, foot.m_generators)
         if np.linalg.norm(u) > 0.0:
             seg = OrbitCurve(orbit=foot, segments=((x, 1.0),))
             gu = seg.arc_exps[0]
@@ -362,6 +361,10 @@ class TubePatch:
         certifies at the base point.
         """
         _, p, radial = self.evaluate(params)
+        return self._hat_values(p, radial)
+
+    def _hat_values(self, p: np.ndarray, radial: np.ndarray):
+        """(hat1, hat2) of the radial vector at the displaced foot p."""
         local = build_orbit(self.foot.rep, p, tols=self.tols)
         _, _, hats = _foot_spectrum(local, radial, self.tols)
         if hats is None:
@@ -472,8 +475,8 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     rep = patch.foot.rep
 
     def rho(params):
-        q, _, radial = patch.evaluate(params)
-        hat1, _ = patch.hat_values_at(params)
+        q, p, radial = patch.evaluate(params)
+        hat1, _ = patch._hat_values(p, radial)
         zeta = radial - shift * q
         return rep.coords(q + (1.0 / (hat1 + shift)) * zeta)
 
@@ -519,7 +522,7 @@ def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
     for _ in range(probes):
         c = rng.standard_normal(M.dim)
         c /= np.linalg.norm(c)
-        x = np.einsum("i,ig,gjk->jk", c, M.m_basis, M.rep.generators)
+        x = np.einsum("i,ijk->jk", c, M.m_generators)
         vals = []
         for sgn in (1.0, -1.0):
             seg = OrbitCurve(orbit=M, segments=((sgn * x, delta),))

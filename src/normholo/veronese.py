@@ -7,7 +7,9 @@ a two-eigenvalue matrix with multiplicities (1, r-1).
 
 Among the checks, alpha is parallel on the Veronese orbits (they are
 extrinsically symmetric, Ferus 1980); nabla alpha is closed-form
-algebra on the alpha tensor, see :func:`parallel_alpha_residual`.
+algebra on the alpha tensor and the frame actions
+(:func:`normholo.srep.frame_action`) of the orbit's m-generators, see
+:func:`parallel_alpha_residual`.
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ from .holonomy import HolonomyVerdict, analyze
 from .linalg import DEFAULT_TOLS, Tolerances, matrix_exp, sym_eig
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, second_fundamental_form)
-from .srep import SymmetricPairRep
-from .transport import _arc_generator
+from .srep import SymmetricPairRep, frame_action
 
 UNIT_TOL = 1e-10
 ALPHA_RESIDUAL_TOL = 1e-4
@@ -193,16 +194,15 @@ def parallel_alpha_residual(M: OrbitSubmanifold) -> float:
 
     alpha is equivariant and transport along exp(tX) is exp(-t B_X) in
     frame coefficients (see :mod:`normholo.transport`).  So with B^T_m,
-    B^N_m the generators of X_m (whose image is e_m) on the tangent and
-    normal frames, (nabla_m alpha)[i, j, a] is, up to sign, the sum over
-    k, b of B^T_m[k, i] alpha[k, j, a] + B^T_m[k, j] alpha[i, k, a]
-    + B^N_m[b, a] alpha[i, j, b].  It vanishes exactly when alpha is
-    parallel.
+    B^N_m the frame actions of the m-generator X_m (whose image is e_m)
+    on the tangent and normal frames, (nabla_m alpha)[i, j, a] is, up to
+    sign, the sum over k, b of B^T_m[k, i] alpha[k, j, a]
+    + B^T_m[k, j] alpha[i, k, a] + B^N_m[b, a] alpha[i, j, b].  It
+    vanishes exactly when alpha is parallel.
     """
     alpha = second_fundamental_form(M)
-    gens = np.einsum("mg,gij->mij", M.m_basis, M.rep.generators)
-    bt = np.stack([_arc_generator(M.tangent_frame, x) for x in gens])
-    bn = np.stack([_arc_generator(M.normal_frame, x) for x in gens])
+    bt = frame_action(M.m_generators, M.tangent_frame)
+    bn = frame_action(M.m_generators, M.normal_frame)
     nabla = (np.einsum("mki,kja->mija", bt, alpha)
              + np.einsum("mkj,ika->mija", bt, alpha)
              + np.einsum("mba,ijb->mija", bn, alpha))

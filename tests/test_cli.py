@@ -323,6 +323,23 @@ def test_sweep_points(capsys):
     assert len(doc["sweep"]) == 2
 
 
+def test_sweep_product_points(capsys):
+    # a product point is two ';'-separated factor specs, read in pairs
+    rc = main(["sweep", "--analysis", "orbit",
+               "--rep", "product:sl-so:3,sl-so:3",
+               "--points", "veronese;veronese;veronese;diag:1,0,-1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert [b["config"]["point"] for b in doc["sweep"]] == [
+        "veronese;veronese", "veronese;diag:1,0,-1"]
+    rc = main(["sweep", "--analysis", "orbit",
+               "--rep", "product:sl-so:3,sl-so:3",
+               "--points", "veronese;veronese;veronese"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "config error" in captured.err and captured.out == ""
+
+
 def test_sweep_requires_grid(capsys):
     rc = main(["sweep", "--analysis", "veronese-facts"])
     captured = capsys.readouterr()

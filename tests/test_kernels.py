@@ -195,7 +195,7 @@ def _transport_inputs(v3):
     rng = np.random.default_rng(2)
     c = rng.standard_normal(v3.dim)
     c /= np.linalg.norm(c)
-    x = np.einsum("g,gij->ij", c @ v3.m_basis, v3.rep.generators)
+    x = np.einsum("i,ijk->jk", c, v3.m_generators)
     nsteps = 40
     h = 0.5 / nsteps
     e_half = matrix_exp(0.5 * h * x)

@@ -15,7 +15,7 @@ from normholo.liealg import (_schur_factors, _sym_frame,
                              is_transitive_on_sphere, skew_span)
 from normholo.linalg import (DEFAULT_TOLS, Subspace, gram_kernel,
                              subspace_distance)
-from normholo.srep import SymmetricPairRep, slice_rep_image
+from normholo.srep import SymmetricPairRep, frame_action
 
 
 def _so3_generators():
@@ -301,7 +301,7 @@ def _conjugated(mats, seed):
 def _spin2():
     # so(3) on traceless symmetric 3x3 matrices by commutator
     rep = SymmetricPairRep.for_size(3)
-    return np.stack(slice_rep_image(rep, rep.generators, rep.carrier_frame))
+    return frame_action(rep.generators, rep.carrier_frame)
 
 
 _SO2 = np.array([[[0.0, -1.0], [1.0, 0.0]]])

@@ -10,7 +10,7 @@ from normholo.orbit import (build_orbit, homothecy_test,
                             second_fundamental_form, shape_operator,
                             shape_operators, traceless_shape,
                             traceless_shape_operator)
-from normholo.srep import SymmetricPairRep
+from normholo.srep import SymmetricPairRep, random_regular_point
 
 
 def test_build_orbit_rejects_zero_point():
@@ -74,7 +74,7 @@ def test_regular_orbit_dimensions(a2_orbit):
 
 def test_generator_reproduces_tangent_frame(v3):
     for i in range(v3.dim):
-        x = v3.generator(i)
+        x = v3.m_generators[i]
         img = x @ v3.point - v3.point @ x
         assert np.allclose(img, v3.tangent_frame[i], atol=1e-10)
 
@@ -95,18 +95,22 @@ def test_shape_operators_symmetric(v3):
     assert np.allclose(ops, np.transpose(ops, (0, 2, 1)), atol=1e-10)
 
 
-def test_alpha_symmetry_and_eval(v3):
-    alpha = second_fundamental_form(v3)
-    assert np.allclose(alpha, np.transpose(alpha, (1, 0, 2)), atol=1e-12)
-    # alpha(X.v, Y.v) = P_normal(([X,[Y,v]] + [Y,[X,v]]) / 2)
-    v = v3.point
-    for i, j in [(0, 0), (0, 2), (1, 2)]:
-        x, y = v3.generator(i), v3.generator(j)
-        xy = x @ (y @ v - v @ y) - (y @ v - v @ y) @ x
-        yx = y @ (x @ v - v @ x) - (x @ v - v @ x) @ y
-        direct = v3.normal_vector(v3.normal_coords(0.5 * (xy + yx)))
-        from_frame = np.einsum("a,aij->ij", alpha[i, j], v3.normal_frame)
-        assert np.allclose(direct, from_frame, atol=1e-9)
+def test_alpha_symmetry_and_eval(v3, a2_orbit):
+    # alpha(X.v, Y.v) = P_normal(([X,[Y,v]] + [Y,[X,v]]) / 2), pair by
+    # pair, and exactly symmetric in (i, j)
+    rep = SymmetricPairRep.for_size(5)
+    regular = build_orbit(rep, random_regular_point(rep, seed=3))
+    for m in (v3, a2_orbit, regular):
+        alpha = second_fundamental_form(m)
+        assert np.array_equal(alpha, np.transpose(alpha, (1, 0, 2)))
+        v = m.point
+        want = np.zeros_like(alpha)
+        for i, x in enumerate(m.m_generators):
+            for j, y in enumerate(m.m_generators):
+                xy = x @ (y @ v - v @ y) - (y @ v - v @ y) @ x
+                yx = y @ (x @ v - v @ x) - (x @ v - v @ x) @ y
+                want[i, j] = m.normal_coords(0.5 * (xy + yx))
+        assert np.max(np.abs(alpha - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from normholo.errors import InvalidInput
 from normholo.holonomy import adapted_curvature
-from normholo.orbit import shape_operators
-from normholo.srep import (CartanCurvature, SymmetricPairRep,
-                           random_regular_point, slice_rep_image)
+from normholo.orbit import build_orbit, shape_operators
+from normholo.srep import (CartanCurvature, SymmetricPairRep, frame_action,
+                           random_regular_point)
 
 
 def test_single_block_dimensions():
@@ -84,20 +84,35 @@ def test_validate_carrier_rejections():
     assert np.allclose(rep.validate_carrier(ok), ok)
 
 
-def test_act_matches_generator_bracket():
-    rep = SymmetricPairRep.for_size(4)
+def _random_frame(rep, k, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((rep.carrier_dim, k)))
+    return np.einsum("dk,dij->kij", q, rep.carrier_frame)
+
+
+def test_frame_action_matches_bracket_loop():
+    rep = SymmetricPairRep.product((3, 2))
     rng = np.random.default_rng(7)
-    c = rng.standard_normal(rep.group_dim)
-    v = rep.matrix(rng.standard_normal(rep.carrier_dim))
-    x = rep.generator_matrix(c)
-    assert np.allclose(rep.act(c, v), x @ v - v @ x, atol=1e-12)
+    xs = np.einsum("pg,gij->pij", rng.standard_normal((4, rep.group_dim)),
+                   rep.generators)
+    out, inn = _random_frame(rep, 3, rng), _random_frame(rep, 5, rng)
+    want = np.zeros((4, 3, 5))
+    for g, x in enumerate(xs):
+        for a, f in enumerate(out):
+            for b, e in enumerate(inn):
+                want[g, a, b] = np.sum(f * (x @ e - e @ x))
+    got = frame_action(xs, out, inn)
+    assert got.shape == (4, 3, 5)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert frame_action([], out, inn).shape == (0, 3, 5)
+    # ad(X) is skew on the carrier, so on one frame every F[g] is skew
+    same = frame_action(xs, out)
+    assert np.allclose(same, -np.transpose(same, (0, 2, 1)), atol=1e-13)
 
 
 def test_tangent_normal_split():
     rep = SymmetricPairRep.for_size(4)
-    v = random_regular_point(rep, seed=11)
-    tan = rep.tangent_space(v)
-    nor = rep.normal_space(v)
+    orbit = build_orbit(rep, random_regular_point(rep, seed=11))
+    tan, nor = orbit.tangent, orbit.normal
     assert tan.dim + nor.dim == rep.carrier_dim
     cross = tan.basis.T @ nor.basis
     assert float(np.max(np.abs(cross))) < 1e-10
@@ -120,12 +135,12 @@ def test_isotropy_dimensions():
         assert np.allclose(w @ v - v @ w, 0.0, atol=1e-10)
 
 
-def test_slice_rep_image_is_skew():
+def test_isotropy_frame_action_is_skew():
     rep = SymmetricPairRep.for_size(3)
     v = np.diag([2.0, -1.0, -1.0]) / 3.0
     _, mats = rep.isotropy_algebra(v)
     frame = rep.carrier_frame[:3]
-    for s in slice_rep_image(rep, mats, frame):
+    for s in frame_action(mats, frame):
         assert np.allclose(s, -s.T, atol=1e-12)
 
 
@@ -135,7 +150,7 @@ def test_frame_rotation_preserves_structure():
     q, _ = np.linalg.qr(rng.standard_normal((rep.carrier_dim,) * 2))
     rot = rep.with_frame_rotation(q)
     v = random_regular_point(rep, seed=0)
-    assert rot.tangent_space(v).dim == rep.tangent_space(v).dim
+    assert build_orbit(rot, v).dim == build_orbit(rep, v).dim
     x = rng.standard_normal(rep.carrier_dim)
     assert np.allclose(rot.matrix(rot.coords(rep.matrix(x))), rep.matrix(x),
                        atol=1e-10)

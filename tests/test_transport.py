@@ -22,8 +22,7 @@ def _open_curve(orbit, duration=0.5):
 
 
 def _commutator_loop(orbit, radius=0.2):
-    x = np.einsum("g,gij->ij", orbit.m_basis[0], orbit.rep.generators)
-    y = np.einsum("g,gij->ij", orbit.m_basis[1], orbit.rep.generators)
+    x, y = orbit.m_generators[:2]
     return closed_square_loop(orbit, x, y, radius=radius)
 
 

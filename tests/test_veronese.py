@@ -9,8 +9,8 @@ from normholo.errors import InvalidInput
 from normholo.kernels import matrix_exp
 from normholo.orbit import build_orbit, second_fundamental_form
 from normholo.report import parse_point_spec, parse_rep_spec
-from normholo.transport import (OrbitCurve, _arc_generator,
-                                exact_transport_stack)
+from normholo.srep import frame_action
+from normholo.transport import OrbitCurve, exact_transport_stack
 from normholo.veronese import (congruence_residual, equivariance_residual,
                                immersion_scaling_residuals,
                                minimal_dimension_scan,
@@ -120,8 +120,8 @@ def _fd_nabla_alpha(m, delta=1e-3):
     exp(-+delta B^T) coefficients conjugated by g.
     """
     out = []
-    for x in np.einsum("mg,gij->mij", m.m_basis, m.rep.generators):
-        bt = _arc_generator(m.tangent_frame, x)
+    for x, bt in zip(m.m_generators, frame_action(m.m_generators,
+                                                  m.tangent_frame)):
         tensors = []
         for sgn in (1.0, -1.0):
             curve = OrbitCurve(orbit=m, segments=((sgn * x, delta),))
