@@ -20,7 +20,7 @@ from .linalg import DEFAULT_TOLS, Tolerances
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature)
 from .srep import SymmetricPairRep, random_regular_point
-from .transport import (DEFAULT_STEP, OrbitCurve, exact_transport_stack,
+from .transport import (DEFAULT_STEP, OrbitCurve, exact_transport_vector,
                         parallel_transport_normal, traceless_spectra_along,
                         transport_convergence_audit)
 from .tubes import (caustic_rank_check, choose_tube_direction, dupin_check,
@@ -301,7 +301,9 @@ def _render(value) -> str:
     if isinstance(value, float):
         if not np.isfinite(value):
             return '"%s"' % repr(value)
-        return "%.17g" % value
+        text = "%.17g" % value
+        # keep integral floats floats: -1.0 would read back as the int -1
+        return text + ".0" if text.lstrip("-").isdigit() else text
     if isinstance(value, str):
         out = value.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\r", "\\r")
@@ -515,15 +517,14 @@ def _transport_audit_analysis(M, config, tols) -> dict:
     xi = M.nbar_frame[0]
     audit = transport_convergence_audit(curve, xi)
     res = parallel_transport_normal(curve, xi)
-    exact = exact_transport_stack(curve, xi)
     _, spectra = traceless_spectra_along(res, tols=tols)
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     return {"ok": bool(audit.drift_halving_ok),
             "steps": list(audit.steps),
             "drifts": list(audit.drifts),
             "endpointGaps": list(audit.endpoint_gaps),
-            "exactEndpointGap": float(np.linalg.norm(res.xi_end
-                                                     - exact.xi_end)),
+            "exactEndpointGap": float(np.linalg.norm(
+                res.xi_end - exact_transport_vector(curve, xi))),
             "orderEstimate": audit.order_estimate,
             "driftHalvingOk": audit.drift_halving_ok,
             "eigenvalueDrift": eig_drift,

@@ -7,10 +7,13 @@ fiber at v, the frame g f_k g^T stays exactly orthonormal, and a field
 xi = sum_k a_k g f_k g^T is parallel exactly when a' = -B_X a, where
 B_X[k, l] = <f_k, [X, f_l]> is a constant K x K skew matrix, the
 :func:`normholo.srep.frame_action` of X on the frame.  Transport
-along a piecewise curve is therefore a product of K x K exponentials;
-:func:`exact_transport_stack` computes it, and the loop probe, the tube
-feet and the tube chart use it, and on the tangent frame it gives the
-closed-form nabla alpha of :func:`normholo.veronese.parallel_alpha_residual`.
+along a piecewise curve is therefore one K x K orthogonal matrix, a
+product of exponentials: :func:`exact_transport` returns it, the loop
+probe's frame return, the tube feet and the tube chart carry frame
+coefficients through it, and :func:`exact_transport_vector` maps one
+normal vector to the curve end.  On the tangent frame the same
+generators give the closed-form nabla alpha of
+:func:`normholo.veronese.parallel_alpha_residual`.
 
 Each :class:`OrbitCurve` forms exp(tX) of its arcs once, on
 construction; its endpoint, the closure checks and the group factor of
@@ -161,7 +164,7 @@ def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
 
 @dataclass
 class TransportResult:
-    """Outcome of transporting a stack of normal vectors along a curve."""
+    """Outcome of transporting a stack of normal vectors with the stepper."""
 
     curve: OrbitCurve
     xis_start: np.ndarray        # (M, R, R)
@@ -172,7 +175,7 @@ class TransportResult:
     g_samples: np.ndarray        # (S, R, R)
     drift: float                 # max pre-renormalization norm drift
     min_ratio: float
-    step: float                  # stepper step; 0.0 for exact transport
+    step: float
     end_holonomy_defect: float | None = None
 
     @property
@@ -285,40 +288,29 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         step=h))
 
 
-def exact_transport_stack(curve: OrbitCurve,
-                          xis: np.ndarray) -> TransportResult:
-    """Transport a stack of normal vectors along the curve exactly.
+def exact_transport(curve: OrbitCurve) -> np.ndarray:
+    """The K x K orthogonal transport matrix of the curve in frame coefficients.
 
-    On each arc the frame coefficients advance by exp(-t B_X) (see the
-    module docstring), so the result carries only round-off: drift 0,
-    norm ratio 1, step 0.  Samples are taken at the start and at the end
-    of every nonzero segment.
+    T = prod_i exp(-t_i B_{X_i}) with later arcs on the left (see the
+    module docstring): a normal vector with coefficients a on the frame
+    at c(0) arrives as g (sum_k (T a)_k f_k) g^T, g the group path end.
     """
-    base = curve.orbit.normal_frame
-    arc_gens = frame_action([x for x, _ in curve.segments], base)
-    xis = _validated_stack(curve.orbit, xis)
-    coeffs = np.einsum("kij,mij->mk", base, xis)
-    g = np.eye(curve.orbit.rep.total_size)
-    cur = xis.copy()
-    times = [0.0]
-    all_samples = [cur]
-    all_g = [g]
-    t0 = 0.0
+    arc_gens = frame_action([x for x, _ in curve.segments],
+                            curve.orbit.normal_frame)
+    t = np.eye(curve.orbit.codim)
     for (_, dur), e, b in zip(curve.segments, curve.arc_exps, arc_gens):
-        if e is None:
-            continue
-        coeffs = coeffs @ matrix_exp(-dur * b).T
-        g = g @ e
-        cur = np.einsum("mk,kij->mij", coeffs, g @ base @ g.T)
-        t0 += dur
-        times.append(t0)
-        all_samples.append(cur)
-        all_g.append(g)
+        if e is not None:
+            t = matrix_exp(-dur * b) @ t
+    return t
 
-    return _with_end_defect(TransportResult(
-        curve=curve, xis_start=xis, xis_end=cur, g_end=g,
-        times=np.array(times), samples=np.array(all_samples),
-        g_samples=np.array(all_g), drift=0.0, min_ratio=1.0, step=0.0))
+
+def exact_transport_vector(curve: OrbitCurve, xi: np.ndarray) -> np.ndarray:
+    """Exact parallel translate of one normal vector to the curve end."""
+    orbit = curve.orbit
+    start = orbit.normal_coords(_validated_stack(orbit, xi)[0])
+    coeffs = exact_transport(curve) @ start
+    g = curve.group_path_end()
+    return g @ orbit.normal_vector(coeffs) @ g.T
 
 
 def parallel_transport_normal(curve: OrbitCurve, xi0: np.ndarray,
@@ -333,14 +325,18 @@ def transport_frame_return(curve: OrbitCurve) -> np.ndarray:
     """Coefficient matrix of the transported normal frame for a closed curve.
 
     Returns the K x K matrix O with O[k, l] = <tau(f_l), f_k>, the
-    holonomy element of the loop expressed in the base normal frame.
-    The transport is exact, so O is orthogonal to round-off.
+    holonomy element of the loop expressed in the base normal frame:
+    O = A T with T the exact transport matrix and A[k, m] =
+    <f_k, g f_m g^T> the slice image of the group path end g, which
+    turns the moving frame back to the base frame when g fixes c(0).
+    O is orthogonal to round-off.
     """
     if not curve.is_closed():
         raise InvalidInput("frame return requires a closed curve")
-    orbit = curve.orbit
-    res = exact_transport_stack(curve, orbit.normal_frame)
-    return np.einsum("kij,lij->kl", orbit.normal_frame, res.xis_end)
+    frame = curve.orbit.normal_frame
+    g = curve.group_path_end()
+    slice_image = np.einsum("kij,mij->km", frame, g @ frame @ g.T)
+    return slice_image @ exact_transport(curve)
 
 
 @dataclass

@@ -30,7 +30,8 @@ from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, cluster_indices,
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
                     traceless_shape_operator)
-from .transport import OrbitCurve, exact_transport_stack
+from .transport import (OrbitCurve, _validated_stack, exact_transport,
+                        exact_transport_vector)
 
 # Spectra on finite-difference patches carry noise around 1e-7, far
 # above the dense-arithmetic cluster gap; this one is deliberately
@@ -126,15 +127,17 @@ class TubeSpectrum:
 
 def _foot_data(M: OrbitSubmanifold, xi: np.ndarray,
                curve: OrbitCurve | None, tols: Tolerances):
-    """Transport xi to the curve end and rebuild orbit data there."""
+    """Transport xi to the curve end and rebuild orbit data there.
+
+    Raises InvalidInput, before any other work, when xi does not lie in
+    the normal space at the base point.
+    """
     if curve is None or curve.total_time == 0.0:
-        return M, np.asarray(xi, dtype=np.float64), np.eye(M.rep.total_size)
+        return M, _validated_stack(M, xi)[0]
     if curve.orbit is not M:
         raise InvalidInput("curve is based on a different orbit")
-    res = exact_transport_stack(curve, xi)
-    g = res.g_end
-    foot = build_orbit(M.rep, g @ M.point @ g.T, tols=tols)
-    return foot, res.xi_end, g
+    xi1 = exact_transport_vector(curve, xi)
+    return build_orbit(M.rep, curve.endpoint(), tols=tols), xi1
 
 
 def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
@@ -206,7 +209,7 @@ def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
     focal point and raises FocalDegeneracy.  The vertical eigenvalue is
     -1 exactly, with the fiber-orbit dimension as multiplicity.
     """
-    foot, xi1, _ = _foot_data(M, xi, curve, tols)
+    foot, xi1 = _foot_data(M, xi, curve, tols)
     lam_tilde, mu, hats = _foot_spectrum(foot, xi1, tols)
     if hats is None:
         raise FocalDegeneracy("foot eigenvalue at 1; tube focalizes")
@@ -233,17 +236,15 @@ class TubePatch:
                  tols: Tolerances = DEFAULT_TOLS):
         self.tols = tols
         self.extent = float(extent)
-        foot, xi1, g = _foot_data(M, xi, curve, tols)
-        self.orbit = M
+        foot, xi1 = _foot_data(M, xi, curve, tols)
         self.foot = foot
         self.xi1 = xi1
-        self.g_end = g
+        self.xi1_coords = foot.normal_coords(xi1)
         self.algebra = holonomy_algebra(foot, tols=tols)
         self.fiber_dirs, self.m3 = _fiber_directions(foot, xi1,
                                                      self.algebra, tols)
         self.n = foot.dim
         self.n_axes = self.n + self.m3
-        self.q0 = foot.point + xi1
         self._axis_cache = None
         self._shape_cache = None
 
@@ -260,21 +261,20 @@ class TubePatch:
         u, w = params[:self.n], params[self.n:]
         foot = self.foot
         x = np.einsum("i,ijk->jk", u, foot.m_generators)
+        # coordinates of the radial vector in the moving normal frame
+        # gu f_k gu^T: xi1's, transported along exp(X) and fiber-rotated
         if np.linalg.norm(u) > 0.0:
             seg = OrbitCurve(orbit=foot, segments=((x, 1.0),))
             gu = seg.arc_exps[0]
-            tau = exact_transport_stack(seg, self.xi1).xi_end
+            coords = exact_transport(seg) @ self.xi1_coords
         else:
             gu = np.eye(foot.rep.total_size)
-            tau = self.xi1
-        p = gu @ foot.point @ gu.T
-        # moving normal frame at p and the fiber rotation in its coords
-        frames = np.einsum("ip,kpq,jq->kij", gu, foot.normal_frame, gu)
-        coords = np.einsum("kij,ij->k", frames, tau)
+            coords = self.xi1_coords
         if self.m3 and np.any(w):  # exp(0) is exactly the identity
             h = matrix_exp(np.einsum("j,jkl->kl", w, self.fiber_dirs))
             coords = h @ coords
-        radial = np.einsum("k,kij->ij", coords, frames)
+        p = gu @ foot.point @ gu.T
+        radial = gu @ foot.normal_vector(coords) @ gu.T
         return p + radial, p, radial
 
     def _axis_stencils(self):
@@ -526,9 +526,7 @@ def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
         vals = []
         for sgn in (1.0, -1.0):
             seg = OrbitCurve(orbit=M, segments=((sgn * x, delta),))
-            res = exact_transport_stack(seg, eta)
-            g = res.g_end
-            vals.append(g @ M.point @ g.T + res.xi_end)
+            vals.append(seg.endpoint() + exact_transport_vector(seg, eta))
         fd = (vals[0] - vals[1]) / (2.0 * delta)
         predicted = np.einsum("i,ijk->jk", expected @ c, M.tangent_frame)
         worst = max(worst, float(np.linalg.norm(fd - predicted)))

@@ -1,5 +1,7 @@
 """Scenario parsing, deterministic rendering, report orchestration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,13 @@ def test_product_point_spec():
 
 def test_render_formatting():
     out = _render({"b": 1.5, "a": True, "c": None, "d": [1, 2.0]})
-    assert out == '{"a":true,"b":1.5,"c":null,"d":[1,2]}'
+    assert out == '{"a":true,"b":1.5,"c":null,"d":[1,2.0]}'
     assert _render(0.1) == "0.10000000000000001"
+    assert _render(-1.0) == "-1.0"
+    assert _render(-0.0) == "-0.0"
+    assert _render(1e20) == "1e+20"
+    assert _render(3) == "3"
+    assert isinstance(json.loads(_render(-1.0)), float)
     assert _render(float("nan")) == '"nan"'
     assert _render("a\"b\nc") == '"a\\"b\\nc"'
 
@@ -101,7 +108,7 @@ def test_render_formatting():
 def test_render_coerces_numpy():
     out = _render({"x": np.float64(0.5), "n": np.int64(3),
                    "b": np.bool_(True), "v": np.arange(2.0)})
-    assert out == '{"b":true,"n":3,"v":[0,1],"x":0.5}'
+    assert out == '{"b":true,"n":3,"v":[0.0,1.0],"x":0.5}'
 
 
 def test_render_rejects_unknown_types():

@@ -106,6 +106,25 @@ def test_curve_must_match_orbit(v3, v4, v3_xi):
         tube_spectrum_via_formula(v3, v3_xi, curve=wrong)
 
 
+@pytest.mark.parametrize("route", [tube_spectrum_via_formula,
+                                   tube_spectrum_direct])
+@pytest.mark.parametrize("with_curve", [False, True])
+def test_non_normal_direction_rejected_before_work(v3, route, with_curve,
+                                                  monkeypatch):
+    import normholo.tubes as tubes
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("tube work ran on a non-normal direction")
+
+    monkeypatch.setattr(tubes, "build_orbit", no_work)
+    monkeypatch.setattr(tubes, "holonomy_algebra", no_work)
+    xi = 0.1 * v3.nbar_frame[0] + 1e-3 * v3.tangent_frame[0]
+    curve = OrbitCurve.from_tangent_coords(v3, [(np.eye(v3.dim)[0], 0.2)]) \
+        if with_curve else None
+    with pytest.raises(InvalidInput, match="normal space"):
+        route(v3, xi, curve=curve)
+
+
 def test_spectra_agree_rejects_multiplicity_mismatch():
     a = TubeSpectrum(lambda_hats=((0.25, 2), (-0.3, 1)), vertical_mult=2,
                      foot_eigenvalues=np.zeros(3), mean_term=0.0,

@@ -10,7 +10,7 @@ from normholo.kernels import matrix_exp
 from normholo.orbit import build_orbit, second_fundamental_form
 from normholo.report import parse_point_spec, parse_rep_spec
 from normholo.srep import frame_action
-from normholo.transport import OrbitCurve, exact_transport_stack
+from normholo.transport import OrbitCurve, exact_transport
 from normholo.veronese import (congruence_residual, equivariance_residual,
                                immersion_scaling_residuals,
                                minimal_dimension_scan,
@@ -125,15 +125,15 @@ def _fd_nabla_alpha(m, delta=1e-3):
         tensors = []
         for sgn in (1.0, -1.0):
             curve = OrbitCurve(orbit=m, segments=((sgn * x, delta),))
-            normal = exact_transport_stack(curve, m.normal_frame)
-            g = normal.g_end
+            g = curve.group_path_end()
+            normal = np.einsum("ma,mpq->apq", exact_transport(curve),
+                               g @ m.normal_frame @ g.T)
             tangent = np.einsum("ki,kpq->ipq",
                                 matrix_exp(-sgn * delta * bt),
                                 g @ m.tangent_frame @ g.T)
             local = build_orbit(m.rep, g @ m.point @ g.T)
             p = np.einsum("kpq,ipq->ki", local.tangent_frame, tangent)
-            q = np.einsum("cpq,apq->ca", local.normal_frame,
-                          normal.xis_end)
+            q = np.einsum("cpq,apq->ca", local.normal_frame, normal)
             tensors.append(np.einsum("ki,lj,cb,klc->ijb", p, p, q,
                                      second_fundamental_form(local)))
         out.append((tensors[0] - tensors[1]) / (2.0 * delta))
