@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ClosureCapReached, DegenerateSpectrum, InvalidInput,
                      NotApplicable, NotIsoparametric)
-from .linalg import DEFAULT_TOLS, Tolerances, mgs_qr, sym_eig
+from .linalg import mgs_qr, sym_eig
 from .orbit import OrbitSubmanifold, shape_operators
 
 FLATNESS_TOL = 1e-8
@@ -67,8 +67,8 @@ def _flatness_defect(ops: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(coms, axis=(2, 3)), initial=0.0))
 
 
-def curvature_normals(M: OrbitSubmanifold, seed: int = 0,
-                      tols: Tolerances = DEFAULT_TOLS) -> CurvatureNormalSet:
+def curvature_normals(M: OrbitSubmanifold,
+                      seed: int = 0) -> CurvatureNormalSet:
     """Simultaneously diagonalize the shape operators of a flat-normal
     orbit and recover the curvature normals.
 
@@ -85,6 +85,7 @@ def curvature_normals(M: OrbitSubmanifold, seed: int = 0,
             "curvature normals need a principal isoparametric orbit")
     n = M.dim
     k = ops.shape[0]
+    tols = M.tols
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(k)
     gen = np.einsum("a,aij->ij", w, ops)
@@ -196,8 +197,7 @@ def _line_permutation(g: np.ndarray, units: np.ndarray):
 
 
 def reflection_group(normals: CurvatureNormalSet,
-                     cap: int = CLOSURE_CAP,
-                     tols: Tolerances = DEFAULT_TOLS) -> ReflectionGroup:
+                     cap: int = CLOSURE_CAP) -> ReflectionGroup:
     """Generate and close the group of reflections across eta_i-perp.
 
     Acts on span{eta_i}; each element is keyed by the signed permutation
@@ -210,7 +210,7 @@ def reflection_group(normals: CurvatureNormalSet,
     """
     if normals.count == 0:
         raise InvalidInput("no curvature normals to reflect across")
-    span, _, _ = mgs_qr(normals.nu_coords.T, tol=tols.rank)
+    span, _, _ = mgs_qr(normals.nu_coords.T, tol=normals.orbit.tols.rank)
     u = normals.nu_coords @ span           # (r, s)
     units = u / np.linalg.norm(u, axis=1, keepdims=True)
     r, s = u.shape

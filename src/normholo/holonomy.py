@@ -21,8 +21,8 @@ from .errors import InvalidInput, NotApplicable
 from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      bracket_closure, invariant_decomposition,
                      is_transitive_on_sphere, skew_span)
-from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, matrix_exp,
-                     orthogonal_log, rank_reveal, subspace_distance)
+from .linalg import (Subspace, matrix_exp, orthogonal_log, rank_reveal,
+                     subspace_distance)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
 from .srep import CartanCurvature, frame_action
@@ -73,24 +73,22 @@ def adapted_curvature(M: OrbitSubmanifold) -> AdaptedCurvature:
     return result
 
 
-def holonomy_algebra(M: OrbitSubmanifold,
-                     tols: Tolerances = DEFAULT_TOLS) -> LieAlgebraSpan:
+def holonomy_algebra(M: OrbitSubmanifold) -> LieAlgebraSpan:
     """Bracket closure of the curvature endomorphisms on nu_v coords,
-    computed once per orbit and tolerances (kept in the orbit's cache).
+    computed once per orbit (kept in the orbit's cache).
 
     The endomorphism of the pair (a, b), t e_ab with its skew (c, d)
     block transposed, spans with the others the columns of the factor;
     offering sigma_i F_i (the eigenpairs of t) ranks them at t's scale.
     """
-    key = ("algebra", tols)
-    if key not in M._cache:
+    if "algebra" not in M._cache:
         curv = adapted_curvature(M)
         k = curv.normal_dim
         f = curv.factor
         offered = (f * np.linalg.norm(f, axis=0)).T.reshape(-1, k, k)
-        span = skew_span(offered, acting_dim=k, tol=tols.rank)
-        M._cache[key] = bracket_closure(span, tol=tols.rank)
-    return M._cache[key]
+        span = skew_span(offered, acting_dim=k, tol=M.tols.rank)
+        M._cache["algebra"] = bracket_closure(span, tol=M.tols.rank)
+    return M._cache["algebra"]
 
 
 def position_fixed_residual(M: OrbitSubmanifold,
@@ -133,19 +131,18 @@ def symmetric_system_residual(curv: AdaptedCurvature,
 
 
 def slice_holonomy_distance(M: OrbitSubmanifold,
-                            algebra: LieAlgebraSpan,
-                            tols: Tolerances = DEFAULT_TOLS) -> float:
+                            algebra: LieAlgebraSpan) -> float:
     """Subspace distance between the slice image and the holonomy algebra.
 
     Both algebras act on nu_v in the same frame coordinates; their
     flattened bases are compared as subspaces of R^(K*K).
     """
-    _, iso_mats = M.rep.isotropy_algebra(M.point, tols=tols)
+    _, iso_mats = M.rep.isotropy_algebra(M.point, tols=M.tols)
     images = frame_action(iso_mats, M.normal_frame)
     slice_mats = 0.5 * (images - images.transpose(0, 2, 1))
-    keep = [s for s in slice_mats if np.linalg.norm(s) > tols.rank]
+    keep = [s for s in slice_mats if np.linalg.norm(s) > M.tols.rank]
     k = algebra.acting_dim
-    slice_span = skew_span(keep, acting_dim=k, tol=tols.rank)
+    slice_span = skew_span(keep, acting_dim=k, tol=M.tols.rank)
     return subspace_distance(*(
         Subspace(ambient_dim=k * k,
                  basis=span.matrices().reshape(span.dim, k * k).T)
@@ -218,10 +215,9 @@ class HolonomyVerdict:
         return tuple(f.dim for f in self.factors)
 
 
-def analyze(M: OrbitSubmanifold, seed: int = 0,
-            tols: Tolerances = DEFAULT_TOLS) -> HolonomyVerdict:
-    """Full holonomy verdict for an orbit, computed once per orbit, seed
-    and tolerances (kept in the orbit's cache).
+def analyze(M: OrbitSubmanifold, seed: int = 0) -> HolonomyVerdict:
+    """Full holonomy verdict for an orbit, computed once per orbit and
+    seed (kept in the orbit's cache).
 
     The conjecture class is read off measured facts: "transitive" when
     a single factor covers the sphere-normal directions and acts
@@ -230,16 +226,16 @@ def analyze(M: OrbitSubmanifold, seed: int = 0,
     (slice distance at most SLICE_TOL), as it does on every s-orbit;
     anything else is flagged "violation-candidate" for inspection.
     """
-    key = ("verdict", seed, tols)
+    key = ("verdict", seed)
     if key in M._cache:
         return M._cache[key]
     curv = adapted_curvature(M)
-    algebra = holonomy_algebra(M, tols=tols)
-    decomp = invariant_decomposition(algebra, seed=seed, tols=tols)
+    algebra = holonomy_algebra(M)
+    decomp = invariant_decomposition(algebra, seed=seed, tols=M.tols)
     factors = []
     for sub in decomp.factors:
         restricted = algebra.restrict(sub)
-        ev = is_transitive_on_sphere(restricted, seed=seed, tols=tols)
+        ev = is_transitive_on_sphere(restricted, seed=seed, tols=M.tols)
         factors.append(FactorVerdict(
             subspace=sub, dim=sub.dim, algebra_dim=restricted.dim,
             transitive=ev.transitive, evidence=ev))
@@ -247,7 +243,7 @@ def analyze(M: OrbitSubmanifold, seed: int = 0,
     rank = decomp.rank
     r = len(factors)
     k = curv.normal_dim
-    slice_dist = slice_holonomy_distance(M, algebra, tols=tols)
+    slice_dist = slice_holonomy_distance(M, algebra)
 
     if rank == 1 and r == 1 and factors[0].dim == k - 1 \
             and factors[0].transitive:
@@ -289,17 +285,18 @@ class CommutingCertificate:
 
 
 def commuting_certificate(M: OrbitSubmanifold,
-                          verdict: HolonomyVerdict | None = None,
-                          tols: Tolerances = DEFAULT_TOLS) -> CommutingCertificate:
+                          verdict: HolonomyVerdict | None = None
+                          ) -> CommutingCertificate:
     """Search each holonomy factor for a non-commuting shape pair.
 
     For factor i the pair (xi_i, xi_i') maximizing |[A_xi, A_xi']| over
     the factor frame is recorded; factors where every commutator is at
-    most tols.rank are flagged as flat anomalies.  The collected commutators
-    are certified linearly independent and pairwise commuting.
+    most the orbit's rank threshold are flagged as flat anomalies.  The
+    collected commutators are certified linearly independent and
+    pairwise commuting.
     """
     if verdict is None:
-        verdict = analyze(M, tols=tols)
+        verdict = analyze(M)
     if not verdict.factors:
         raise InvalidInput("no holonomy factors to certify")
     ops = shape_operators(M)
@@ -310,7 +307,7 @@ def commuting_certificate(M: OrbitSubmanifold,
         a, b = np.triu_indices(cols.shape[1], 1)
         coms = fops[a] @ fops[b] - fops[b] @ fops[a]
         norms = np.linalg.norm(coms, axis=(1, 2))
-        if not norms.size or norms.max() <= tols.rank:
+        if not norms.size or norms.max() <= M.tols.rank:
             cert.flat_factors.append(i)
             continue
         best = int(np.argmax(norms))    # first maximum in a < b order
@@ -321,7 +318,7 @@ def commuting_certificate(M: OrbitSubmanifold,
             commutator=coms[best].copy(), norm=float(norms[best])))
     if cert.pairs:
         stacked = np.stack([p.commutator.ravel() / p.norm for p in cert.pairs])
-        cert.independent = (rank_reveal(stacked.T, tols.rank)[3]
+        cert.independent = (rank_reveal(stacked.T, M.tols.rank)[3]
                             == len(cert.pairs))
         cs = [p.commutator / p.norm for p in cert.pairs]
         cert.max_pairwise_commutator = max(
@@ -343,18 +340,22 @@ class LoopProbeResult:
 
 def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
                         count: int = 12, seed: int = 0,
-                        algebra: LieAlgebraSpan | None = None,
-                        tols: Tolerances = DEFAULT_TOLS) -> LoopProbeResult:
+                        algebra: LieAlgebraSpan | None = None
+                        ) -> LoopProbeResult:
     """Transport the normal frame around seeded square loops.
 
     Each loop's frame-return map comes from exact transport, so it is
     orthogonal to round-off; its log is extracted and the logs
-    bracket-closed.  The containment residual is the max
-    relative distance of a log from the curvature algebra; for the
-    orbits in scope the closed span reproduces that algebra.
+    bracket-closed.  The containment residual is the max relative
+    distance of a nonzero log from the curvature algebra (a zero log, as
+    on a flat normal bundle, lies in any algebra); for the orbits in
+    scope the closed span reproduces that algebra.  Raises NotApplicable
+    when dim M < 2, where no loop spans a square.
     """
+    if M.dim < 2:
+        raise NotApplicable("loops need an orbit of dimension >= 2")
     if algebra is None:
-        algebra = holonomy_algebra(M, tols=tols)
+        algebra = holonomy_algebra(M)
     rng = np.random.default_rng(seed)
     k = M.codim
     logs = []
@@ -376,6 +377,7 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         y = np.einsum("i,ijk->jk", c2, M.m_generators)
         loop = closed_square_loop(M, x, y, loop_radius)
         lam = orthogonal_log(transport_frame_return(loop))
+        logs.append(lam)
         nrm = np.linalg.norm(lam)
         if nrm < 1e-12:
             continue
@@ -385,11 +387,8 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
             worst = max(worst, float(np.linalg.norm(resid) / nrm))
         else:
             worst = max(worst, 1.0)
-        logs.append(lam)
-    if not logs:
-        raise InvalidInput("no non-trivial loops produced; widen the radius")
-    raw = skew_span(logs, acting_dim=k, tol=tols.rank)
-    closed = bracket_closure(raw, tol=tols.rank)
+    raw = skew_span(logs, acting_dim=k, tol=M.tols.rank)
+    closed = bracket_closure(raw, tol=M.tols.rank)
     return LoopProbeResult(span=closed, raw_dim=raw.dim,
                            logs=np.stack(logs), containment_residual=worst,
                            loop_radius=loop_radius)

@@ -44,6 +44,8 @@ from .linalg import (
     sym_eig,
 )
 
+TRANSITIVITY_PROBES = 8   # seeded unit vectors is_transitive_on_sphere tests
+
 
 @dataclass(frozen=True)
 class LieAlgebraSpan:
@@ -275,8 +277,7 @@ class TransitivityResult:
     sphere_dim: int
 
 
-def is_transitive_on_sphere(span: LieAlgebraSpan, probes: int = 8,
-                            seed: int = 0,
+def is_transitive_on_sphere(span: LieAlgebraSpan, seed: int = 0,
                             tols: Tolerances = DEFAULT_TOLS) -> TransitivityResult:
     """Probe whether the algebra's orbits fill spheres in the acting space.
 
@@ -289,7 +290,7 @@ def is_transitive_on_sphere(span: LieAlgebraSpan, probes: int = 8,
     rng = np.random.default_rng(seed)
     dims = []
     ok = True
-    for _ in range(probes):
+    for _ in range(TRANSITIVITY_PROBES):
         u = rng.standard_normal(k)
         u /= np.linalg.norm(u)
         img = np.column_stack([x @ u for x in span.basis]) \

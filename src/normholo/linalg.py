@@ -79,10 +79,10 @@ class Subspace:
     def coords(self, x: np.ndarray) -> np.ndarray:
         return self.basis.T @ x
 
-    def contains(self, x: np.ndarray, tol: float | None = None) -> bool:
-        t = self.tol if tol is None else tol
+    def contains(self, x: np.ndarray) -> bool:
         res = x - self.project(x)
-        return float(np.linalg.norm(res)) <= t * (1.0 + float(np.linalg.norm(x)))
+        return (float(np.linalg.norm(res))
+                <= self.tol * (1.0 + float(np.linalg.norm(x))))
 
 
 def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:

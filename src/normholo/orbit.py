@@ -27,14 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (
-    DEFAULT_TOLS,
-    Subspace,
-    Tolerances,
-    orthonormal_span,
-    rank_reveal,
-)
+from .linalg import DEFAULT_TOLS, Tolerances, orthonormal_span, rank_reveal
 from .srep import SymmetricPairRep, frame_action
+
+SPHERE_TOL = 1e-8       # sphere residual of a minimal-in-sphere orbit
+GRAM_TOL = 1e-8         # relative Gram residual of a homothecy
+ISOTROPY_PROBES = 32    # tangent directions isotropy_defect samples
 
 
 @dataclass
@@ -42,9 +40,6 @@ class OrbitSubmanifold:
     rep: SymmetricPairRep
     point: np.ndarray            # carrier matrix, the base point
     dim: int
-    tangent: Subspace
-    normal: Subspace
-    normal_bar: Subspace
     tangent_frame: np.ndarray    # (n, R, R)
     normal_frame: np.ndarray     # (K, R, R)
     nbar_frame: np.ndarray       # (K-1, R, R) when the point is nonzero
@@ -54,7 +49,24 @@ class OrbitSubmanifold:
 
     @property
     def codim(self) -> int:
-        return self.normal.dim
+        return len(self.normal_frame)
+
+    def normal_stack(self, xis: np.ndarray) -> np.ndarray:
+        """The (M, R, R) stack of xis, each checked to lie in nu_v."""
+        xis = np.asarray(xis, dtype=np.float64)
+        if xis.ndim == 2:
+            xis = xis[None, :, :]
+        r = self.rep.total_size
+        if xis.shape[1:] != (r, r):
+            raise InvalidInput(f"normal vector shape {xis.shape[1:]}, "
+                               f"expected {(r, r)}")
+        flat = xis.reshape(len(xis), -1)
+        frame = self.normal_frame.reshape(self.codim, -1)
+        for x, res in zip(flat, flat - flat @ frame.T @ frame):
+            if np.linalg.norm(res) > self.tols.rank * (1 + np.linalg.norm(x)):
+                raise InvalidInput("vector does not lie in the normal space "
+                                   "at the base point")
+        return xis
 
     def normal_coords(self, mat: np.ndarray) -> np.ndarray:
         return np.einsum("ij,kij->k", np.asarray(mat, float),
@@ -108,23 +120,21 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
         raise InvalidInput("base point is fixed by the whole group")
     m_generators = np.einsum("mg,gij->mij", vt[:n] / s[:n, None],
                              rep.generators)
-    tangent = Subspace(ambient_dim=d, basis=u[:, :n], tol=tols.rank)
-    normal = Subspace(ambient_dim=d, basis=u[:, n:], tol=tols.rank)
+    normal = u[:, n:]
 
     vdir = vc / np.linalg.norm(vc)
-    nbar_cols = normal.basis - np.outer(vdir, vdir @ normal.basis)
+    nbar_cols = normal - np.outer(vdir, vdir @ normal)
     normal_bar = orthonormal_span(nbar_cols.T, ambient_dim=d, tol=tols.rank)
 
     frame = rep.carrier_frame
-    tangent_frame = np.einsum("dn,dij->nij", tangent.basis, frame)
-    normal_frame = np.einsum("dk,dij->kij", normal.basis, frame)
+    tangent_frame = np.einsum("dn,dij->nij", u[:, :n], frame)
+    normal_frame = np.einsum("dk,dij->kij", normal, frame)
     nbar_frame = np.einsum("dk,dij->kij", normal_bar.basis, frame)
 
     return OrbitSubmanifold(
-        rep=rep, point=v, dim=n,
-        tangent=tangent, normal=normal, normal_bar=normal_bar,
-        tangent_frame=tangent_frame, normal_frame=normal_frame,
-        nbar_frame=nbar_frame, m_generators=m_generators, tols=tols)
+        rep=rep, point=v, dim=n, tangent_frame=tangent_frame,
+        normal_frame=normal_frame, nbar_frame=nbar_frame,
+        m_generators=m_generators, tols=tols)
 
 
 def second_fundamental_form(m: OrbitSubmanifold) -> np.ndarray:
@@ -157,10 +167,7 @@ def shape_operator(m: OrbitSubmanifold, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 1:
         xi = m.rep.matrix(xi)
-    nu = m.normal_coords(xi)
-    resid = float(np.linalg.norm(xi - m.normal_vector(nu)))
-    if resid > m.tols.rank * (1.0 + float(np.linalg.norm(xi))):
-        raise InvalidInput("vector is not normal to the orbit")
+    nu = m.normal_coords(m.normal_stack(xi)[0])
     return np.einsum("k,kij->ij", nu, shape_operators(m))
 
 
@@ -186,8 +193,7 @@ class MeanCurvatureResult:
     minimal_in_sphere: bool
 
 
-def mean_curvature(m: OrbitSubmanifold,
-                   tol: float = 1e-8) -> MeanCurvatureResult:
+def mean_curvature(m: OrbitSubmanifold) -> MeanCurvatureResult:
     alpha = second_fundamental_form(m)
     h = np.einsum("iik->k", alpha)
     h_mat = m.normal_vector(h)
@@ -201,7 +207,7 @@ def mean_curvature(m: OrbitSubmanifold,
     return MeanCurvatureResult(nu_coords=h, ambient=h_mat,
                                radial_component=radial,
                                sphere_residual=resid,
-                               minimal_in_sphere=resid <= tol)
+                               minimal_in_sphere=resid <= SPHERE_TOL)
 
 
 @dataclass(frozen=True)
@@ -211,9 +217,9 @@ class HomothecyResult:
     gram_residual: float       # relative deviation of the Gram matrix
 
 
-def homothecy_test(m: OrbitSubmanifold, tol: float = 1e-8) -> HomothecyResult:
+def homothecy_test(m: OrbitSubmanifold) -> HomothecyResult:
     """Check that xi -> A~_xi is a homothecy on the sphere-normal space."""
-    kbar = m.normal_bar.dim
+    kbar = len(m.nbar_frame)
     if kbar == 0:
         return HomothecyResult(False, 0.0, np.inf)
     ops = []
@@ -225,7 +231,7 @@ def homothecy_test(m: OrbitSubmanifold, tol: float = 1e-8) -> HomothecyResult:
     if beta2 <= 0.0:
         return HomothecyResult(False, 0.0, np.inf)
     resid = float(np.linalg.norm(gram - beta2 * np.eye(kbar))) / beta2
-    return HomothecyResult(is_homothecy=resid <= tol,
+    return HomothecyResult(is_homothecy=resid <= GRAM_TOL,
                            ratio=float(np.sqrt(beta2)),
                            gram_residual=resid)
 
@@ -238,7 +244,7 @@ class IsotropyDefectResult:
     probes: int
 
 
-def isotropy_defect(m: OrbitSubmanifold, probes: int = 32,
+def isotropy_defect(m: OrbitSubmanifold,
                     seed: int = 0) -> IsotropyDefectResult:
     """Spread of |alpha(X, X)| over seeded unit tangent directions.
 
@@ -248,7 +254,7 @@ def isotropy_defect(m: OrbitSubmanifold, probes: int = 32,
     alpha = second_fundamental_form(m)
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, -np.inf
-    for _ in range(probes):
+    for _ in range(ISOTROPY_PROBES):
         x = rng.standard_normal(m.dim)
         x /= np.linalg.norm(x)
         w = np.einsum("ijk,i,j->k", alpha, x, x)
@@ -256,5 +262,5 @@ def isotropy_defect(m: OrbitSubmanifold, probes: int = 32,
         lo = min(lo, nrm)
         hi = max(hi, nrm)
     return IsotropyDefectResult(defect=hi - lo, min_norm=lo, max_norm=hi,
-                                probes=probes)
+                                probes=ISOTROPY_PROBES)
 

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import __version__
 from .coxeter import curvature_normals, focal_displacement, reflection_group
-from .errors import InvalidInput, NormholoError
-from .holonomy import analyze, commuting_certificate, loop_holonomy_probe
+from .errors import InvalidInput, NormholoError, NotApplicable
+from .holonomy import (CommutingCertificate, analyze, commuting_certificate,
+                       loop_holonomy_probe)
 from .linalg import DEFAULT_TOLS, Tolerances
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature)
@@ -356,13 +357,13 @@ class Report:
 # individual analyses
 
 
-def _orbit_analysis(M: OrbitSubmanifold, config, tols) -> dict:
+def _orbit_analysis(M: OrbitSubmanifold, config) -> dict:
     mc = mean_curvature(M)
     hom = homothecy_test(M)
     iso = isotropy_defect(M, seed=config.seed)
     return {"ok": True,
             "dim": M.dim, "codim": M.codim,
-            "sphereNormalDim": M.normal_bar.dim,
+            "sphereNormalDim": len(M.nbar_frame),
             "ambientDim": M.rep.carrier_dim,
             "meanCurvature": {
                 "radialComponent": mc.radial_component,
@@ -376,8 +377,8 @@ def _orbit_analysis(M: OrbitSubmanifold, config, tols) -> dict:
                                "maxNorm": iso.max_norm}}
 
 
-def _holonomy_analysis(M, config, tols) -> dict:
-    verdict = analyze(M, seed=config.seed, tols=tols)
+def _holonomy_analysis(M, config) -> dict:
+    verdict = analyze(M, seed=config.seed)
     factors = [{"dim": f.dim, "algebraDim": f.algebra_dim,
                 "transitive": f.transitive,
                 "probeOrbitDims": list(f.evidence.probe_orbit_dims)}
@@ -394,9 +395,11 @@ def _holonomy_analysis(M, config, tols) -> dict:
             "sliceHolonomyDistance": verdict.slice_distance}
 
 
-def _bound_analysis(M, config, tols) -> dict:
-    verdict = analyze(M, seed=config.seed, tols=tols)
-    cert = commuting_certificate(M, verdict=verdict, tols=tols)
+def _bound_analysis(M, config) -> dict:
+    verdict = analyze(M, seed=config.seed)
+    # a flat normal bundle has no factor and nothing to certify
+    cert = (commuting_certificate(M, verdict=verdict) if verdict.factors
+            else CommutingCertificate())
     bound = M.dim // 2
     return {"ok": bool(verdict.bound_satisfied),
             "rank": verdict.rank,
@@ -410,10 +413,10 @@ def _bound_analysis(M, config, tols) -> dict:
                 "maxPairwiseCommutator": cert.max_pairwise_commutator}}
 
 
-def _tube_direction(M, config, tols) -> np.ndarray:
+def _tube_direction(M, config) -> np.ndarray:
     if config.direction_seed is None:
-        return choose_tube_direction(M, tols=tols)
-    return seeded_tube_direction(M, config.direction_seed, tols=tols)
+        return choose_tube_direction(M)
+    return seeded_tube_direction(M, config.direction_seed)
 
 
 def _tube_curve(M, config) -> OrbitCurve | None:
@@ -433,22 +436,22 @@ def _spectrum_dict(spec) -> dict:
             "source": spec.source}
 
 
-def _tube_analysis(M, config, tols) -> dict:
-    xi = _tube_direction(M, config, tols)
+def _tube_analysis(M, config) -> dict:
+    xi = _tube_direction(M, config)
     curve = _tube_curve(M, config)
-    formula = tube_spectrum_via_formula(M, xi, curve=curve, tols=tols)
-    direct, patch = tube_spectrum_direct(M, xi, curve=curve, tols=tols)
+    formula = tube_spectrum_via_formula(M, xi, curve=curve)
+    direct, patch = tube_spectrum_direct(M, xi, curve=curve)
     gap = spectra_agree(formula, direct)
     out = {"formula": _spectrum_dict(formula),
            "direct": _spectrum_dict(direct),
            "agreementGap": gap,
            "multiplicityTotal": direct.multiplicity_total()}
     if formula.lambda_hats and formula.lambda_hats[0][1] >= 2:
-        dup = dupin_check(M, xi, patch=patch, tols=tols)
+        dup = dupin_check(M, xi, patch=patch)
         out["dupin"] = {"maxHat1Derivative": dup.max_hat1_derivative,
                         "maxHat2Derivative": dup.max_hat2_derivative,
                         "directionsTested": dup.directions_tested}
-        ca = caustic_rank_check(M, xi, patch=patch, tols=tols)
+        ca = caustic_rank_check(M, xi, patch=patch)
         out["caustic"] = {"kernelDim": ca.kernel_dim,
                           "kernelAngleToE1": ca.kernel_angle_to_e1,
                           "shift": ca.shift,
@@ -465,13 +468,13 @@ def _tube_analysis(M, config, tols) -> dict:
     return out
 
 
-def _coxeter_analysis(M, config, tols) -> dict:
-    cn = curvature_normals(M, seed=config.seed, tols=tols)
-    grp = reflection_group(cn, tols=tols)
+def _coxeter_analysis(M, config) -> dict:
+    cn = curvature_normals(M, seed=config.seed)
+    grp = reflection_group(cn)
     drops = []
     for i in range(cn.count):
         z = focal_displacement(cn, i, seed=config.seed + i + 1)
-        sub = build_orbit(M.rep, z, tols=tols)
+        sub = build_orbit(M.rep, z, tols=M.tols)
         drops.append({"normalIndex": i, "orbitDim": sub.dim,
                       "drops": sub.dim < M.dim})
     ok = all(d["drops"] for d in drops)
@@ -488,8 +491,9 @@ def _coxeter_analysis(M, config, tols) -> dict:
             "singularDrops": drops}
 
 
-def _veronese_analysis(M, config, tols) -> dict:
-    rep = verify_veronese_facts(config.n, seed=config.seed, tols=tols)
+def _veronese_analysis(M, config) -> dict:
+    rep = verify_veronese_facts(config.n, seed=config.seed,
+                                tols=config.resolve_tolerances())
     return {"ok": rep.all_pass(),
             "n": rep.n, "r": rep.r,
             "dim": rep.dim, "codim": rep.codim,
@@ -507,7 +511,10 @@ def _veronese_analysis(M, config, tols) -> dict:
             "failures": list(rep.failures())}
 
 
-def _transport_audit_analysis(M, config, tols) -> dict:
+def _transport_audit_analysis(M, config) -> dict:
+    if len(M.nbar_frame) == 0:
+        raise NotApplicable("the orbit has no sphere-normal direction "
+                            "to transport")
     rng = np.random.default_rng(config.seed)
     c = rng.standard_normal(M.dim)
     c /= np.linalg.norm(c)
@@ -517,7 +524,7 @@ def _transport_audit_analysis(M, config, tols) -> dict:
     xi = M.nbar_frame[0]
     audit = transport_convergence_audit(curve, xi)
     res = parallel_transport_normal(curve, xi)
-    _, spectra = traceless_spectra_along(res, tols=tols)
+    _, spectra = traceless_spectra_along(res)
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     return {"ok": bool(audit.drift_halving_ok),
             "steps": list(audit.steps),
@@ -532,8 +539,8 @@ def _transport_audit_analysis(M, config, tols) -> dict:
             "minNormRatio": res.min_ratio}
 
 
-def _loop_probe_analysis(M, config, tols) -> dict:
-    probe = loop_holonomy_probe(M, seed=config.seed, tols=tols)
+def _loop_probe_analysis(M, config) -> dict:
+    probe = loop_holonomy_probe(M, seed=config.seed)
     return {"ok": bool(probe.containment_residual <= 1e-4),
             "spanDim": probe.span.dim,
             "rawDim": probe.raw_dim,
@@ -556,7 +563,6 @@ _ANALYSES = {
 
 def run_scenario(config: ScenarioConfig) -> Report:
     """Execute the configured analyses; failures never cancel siblings."""
-    tols = config.resolve_tolerances()
     analyses: dict = {}
     timings: dict = {}
     hard_error = False
@@ -566,7 +572,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
     if config.representation is not None:
         try:
             orbit = build_orbit(config.representation, config.base_point,
-                                tols=tols)
+                                tols=config.resolve_tolerances())
         except NormholoError as exc:
             orbit_error = exc
 
@@ -575,7 +581,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         try:
             if name != "veronese-facts" and orbit is None:
                 raise orbit_error
-            analyses[name] = _ANALYSES[name](orbit, config, tols)
+            analyses[name] = _ANALYSES[name](orbit, config)
         except NormholoError as exc:
             hard_error = True
             analyses[name] = {"ok": False,

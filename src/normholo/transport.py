@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidInput, TransportDiverged
 from .kernels import matrix_exp, transport_segment
-from .linalg import Tolerances, orthogonal_log, sym_eig
+from .linalg import orthogonal_log, sym_eig
 from .orbit import OrbitSubmanifold, build_orbit, traceless_shape_operator
 from .srep import frame_action
 
@@ -50,6 +50,8 @@ DEFAULT_STEP = 1e-3
 # A projection step that eats more than half the vector means the fiber
 # turned too fast for the step size; results past that point are noise.
 MIN_NORM_RATIO = 0.5
+
+CLOSURE_TOL = 1e-9   # endpoint-to-base-point distance of a closed curve
 
 # Steps allowed on one segment: renormalization round-off grows like
 # 1e-16 n^2 (_roundoff_drift_floor) and truncation error falls like 1/n,
@@ -130,8 +132,9 @@ class OrbitCurve:
         g = self.group_path_end()
         return g @ self.orbit.point @ g.T
 
-    def is_closed(self, tol: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(self.endpoint() - self.orbit.point) <= tol)
+    def is_closed(self) -> bool:
+        return bool(np.linalg.norm(self.endpoint() - self.orbit.point)
+                    <= CLOSURE_TOL)
 
 
 def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
@@ -196,25 +199,6 @@ class TransportResult:
         return worst
 
 
-def _validated_stack(orbit: OrbitSubmanifold, xis: np.ndarray) -> np.ndarray:
-    """The (M, R, R) stack, each vector checked to lie in the start fiber."""
-    xis = np.asarray(xis, dtype=np.float64)
-    if xis.ndim == 2:
-        xis = xis[None, :, :]
-    r = orbit.rep.total_size
-    if xis.shape[1:] != (r, r):
-        raise InvalidInput(f"normal vector shape {xis.shape[1:]}, "
-                           f"expected {(r, r)}")
-    frame = orbit.normal_frame
-    recon = np.einsum("mk,kij->mij",
-                      np.einsum("kij,mij->mk", frame, xis), frame)
-    flat = xis.reshape(xis.shape[0], -1)
-    gaps = np.linalg.norm((xis - recon).reshape(flat.shape), axis=1)
-    if np.any(gaps > 1e-8 * (1.0 + np.linalg.norm(flat, axis=1))):
-        raise InvalidInput("vector does not lie in the normal space at c(0)")
-    return xis
-
-
 def _with_end_defect(result: TransportResult) -> TransportResult:
     if result.curve.is_closed():
         n = result.xis_start.shape[0]
@@ -242,7 +226,7 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         raise InvalidInput(
             f"step {h:.3g} needs over {MAX_STEPS_PER_SEGMENT} steps on a "
             f"segment; use a step >= {longest / MAX_STEPS_PER_SEGMENT:.3g}")
-    xis = _validated_stack(orbit, xis)
+    xis = orbit.normal_stack(xis)
     targets = np.linalg.norm(xis.reshape(xis.shape[0], -1), axis=1)
 
     r = orbit.rep.total_size
@@ -307,7 +291,7 @@ def exact_transport(curve: OrbitCurve) -> np.ndarray:
 def exact_transport_vector(curve: OrbitCurve, xi: np.ndarray) -> np.ndarray:
     """Exact parallel translate of one normal vector to the curve end."""
     orbit = curve.orbit
-    start = orbit.normal_coords(_validated_stack(orbit, xi)[0])
+    start = orbit.normal_coords(orbit.normal_stack(xi)[0])
     coeffs = exact_transport(curve) @ start
     g = curve.group_path_end()
     return g @ orbit.normal_vector(coeffs) @ g.T
@@ -398,8 +382,7 @@ def transport_convergence_audit(curve: OrbitCurve, xi0: np.ndarray,
                             drift_halving_ok=ok)
 
 
-def traceless_spectra_along(result: TransportResult,
-                            tols: Tolerances = Tolerances()) -> tuple:
+def traceless_spectra_along(result: TransportResult) -> tuple:
     """Spectra of the traceless shape operator along the first transported
     vector, at no more than 12 of its samples.
 
@@ -419,7 +402,7 @@ def traceless_spectra_along(result: TransportResult,
     for i in idx:
         g = result.g_samples[i]
         point = g @ orbit.point @ g.T
-        local = build_orbit(orbit.rep, point, tols=tols)
+        local = build_orbit(orbit.rep, point, tols=orbit.tols)
         xi = result.samples[i, 0]
         spectra.append(sym_eig(traceless_shape_operator(local, xi)).values)
     return times, np.array(spectra)

@@ -24,31 +24,32 @@ from .errors import (DegenerateSpectrum, FocalDegeneracy, InvalidInput,
                      InvalidShift, NotApplicable, PatchDegenerate)
 from .holonomy import holonomy_algebra
 from .liealg import LieAlgebraSpan
-from .linalg import (DEFAULT_TOLS, Subspace, Tolerances, cluster_indices,
-                     gram_kernel, matrix_exp, orthonormal_span,
-                     principal_angle_max, rank_reveal, sym_eig)
+from .linalg import (Subspace, cluster_indices, gram_kernel, matrix_exp,
+                     orthonormal_span, principal_angle_max, rank_reveal,
+                     sym_eig)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
                     traceless_shape_operator)
-from .transport import (OrbitCurve, _validated_stack, exact_transport,
-                        exact_transport_vector)
+from .transport import OrbitCurve, exact_transport, exact_transport_vector
 
 # Spectra on finite-difference patches carry noise around 1e-7, far
 # above the dense-arithmetic cluster gap; this one is deliberately
 # looser than the default in linalg.
 TUBE_CLUSTER_GAP = 1e-3
 
-PATCH_EXTENT = 0.02
+PATCH_EXTENT = 0.02       # half-width of the tube chart's stencils
 SAFETY_MARGIN = 0.2
 DUPIN_STEP = 5e-3         # central-difference step of dupin_check
+FD_PROBES = 3             # tangent directions of the normal-exp FD check
+FD_DELTA = 1e-4           # its central-difference step
+EQUIVALENCE_TOL = 1e-6    # hat-value agreement in equivalence_one_check
 
 # 6th-order and 4th-order central first-derivative weights
 _W7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _W5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def choose_tube_direction(M: OrbitSubmanifold,
-                          tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def choose_tube_direction(M: OrbitSubmanifold) -> np.ndarray:
     """Normal direction whose shape operator has the (2, n-2) spectrum.
 
     Solves for xi in nu-bar with A_xi having eigenvalue 1/2 on a plane
@@ -79,15 +80,14 @@ def choose_tube_direction(M: OrbitSubmanifold,
     xi = np.einsum("k,kij->ij", c, M.nbar_frame)
     achieved = sym_eig(traceless_shape_operator(M, xi)).values
     want = np.sort(np.diag(target))
-    if np.max(np.abs(achieved - want)) > 1e2 * tols.eig:
+    if np.max(np.abs(achieved - want)) > 1e2 * M.tols.eig:
         raise InvalidInput("tube direction solve missed the target spectrum; "
                            "orbit is outside the supported family")
     scale = (1.0 - SAFETY_MARGIN) / (2.0 * np.max(np.abs(achieved)))
     return scale * xi
 
 
-def seeded_tube_direction(M: OrbitSubmanifold, seed: int,
-                          tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def seeded_tube_direction(M: OrbitSubmanifold, seed: int) -> np.ndarray:
     """Random nu-bar direction scaled to the same shape-eigenvalue cap.
 
     Unlike choose_tube_direction this makes no spectrum demand; it just
@@ -96,11 +96,11 @@ def seeded_tube_direction(M: OrbitSubmanifold, seed: int,
     the focal-free band.
     """
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(M.normal_bar.dim)
+    c = rng.standard_normal(len(M.nbar_frame))
     xi = np.einsum("k,kij->ij", c, M.nbar_frame)
     top = float(np.max(np.abs(
-        sym_eig(traceless_shape_operator(M, xi), tols=tols).values)))
-    if top < tols.eig:
+        sym_eig(traceless_shape_operator(M, xi), tols=M.tols).values)))
+    if top < M.tols.eig:
         raise DegenerateSpectrum("seeded direction has a null shape "
                                  "operator; pick another seed")
     return (1.0 - SAFETY_MARGIN) / (2.0 * top) * xi
@@ -111,14 +111,17 @@ class TubeSpectrum:
     """Clustered radial shape spectrum of a holonomy tube."""
 
     lambda_hats: tuple        # ((value, multiplicity), ...) descending
-    vertical_mult: int        # multiplicity of the fiber eigenvalue
+    vertical_mult: int        # multiplicity of the fiber eigenvalue, m3
     foot_eigenvalues: np.ndarray
     mean_term: float
     tube_dim: int
     source: str               # "formula" or "patch"
-    vertical_value: float = -1.0   # formula: exact; patch: measured mean
+    vertical_value: float = -1.0   # measured mean on a patch with m3 > 0
 
     def values_with_vertical(self) -> tuple:
+        """lambda_hats plus the vertical entry, left out when m3 = 0."""
+        if not self.vertical_mult:
+            return self.lambda_hats
         return self.lambda_hats + ((self.vertical_value, self.vertical_mult),)
 
     def multiplicity_total(self) -> int:
@@ -126,22 +129,22 @@ class TubeSpectrum:
 
 
 def _foot_data(M: OrbitSubmanifold, xi: np.ndarray,
-               curve: OrbitCurve | None, tols: Tolerances):
+               curve: OrbitCurve | None):
     """Transport xi to the curve end and rebuild orbit data there.
 
     Raises InvalidInput, before any other work, when xi does not lie in
     the normal space at the base point.
     """
     if curve is None or curve.total_time == 0.0:
-        return M, _validated_stack(M, xi)[0]
+        return M, M.normal_stack(xi)[0]
     if curve.orbit is not M:
         raise InvalidInput("curve is based on a different orbit")
     xi1 = exact_transport_vector(curve, xi)
-    return build_orbit(M.rep, curve.endpoint(), tols=tols), xi1
+    return build_orbit(M.rep, curve.endpoint(), tols=M.tols), xi1
 
 
 def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
-                      algebra: LieAlgebraSpan, tols: Tolerances):
+                      algebra: LieAlgebraSpan):
     """Algebra elements whose action on xi1 spans the fiber tangent.
 
     The right singular vectors of the fiber images: their images are
@@ -151,13 +154,12 @@ def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
         return np.zeros((0, foot.codim, foot.codim)), 0
     coords = foot.normal_coords(xi1)
     images = np.einsum("pij,j->ip", algebra.matrices(), coords)
-    _, _, vt, m3 = rank_reveal(images, tols.rank)
+    _, _, vt, m3 = rank_reveal(images, foot.tols.rank)
     lams = np.einsum("jp,pkl->jkl", vt[:m3], algebra.matrices())
     return lams, m3
 
 
-def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray,
-                   tols: Tolerances):
+def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray):
     """Foot data of the normal vector xi at foot through s -> s/(1-s).
 
     Returns (lam_tilde, mu, hats): the traceless shape spectrum of xi,
@@ -165,7 +167,8 @@ def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray,
     ((value, multiplicity), ...) descending, or None when a foot
     eigenvalue sits at 1 (a focal point).
     """
-    lam_tilde = sym_eig(traceless_shape_operator(foot, xi), tols=tols).values
+    lam_tilde = sym_eig(traceless_shape_operator(foot, xi),
+                        tols=foot.tols).values
     mc = mean_curvature(foot)
     mu = float(np.einsum("ij,ij->", xi, mc.ambient)) / foot.dim
     lam = lam_tilde + mu
@@ -200,21 +203,21 @@ def _stencil_jacobian(fn, n: int, n_axes: int, extent: float) -> np.ndarray:
 
 
 def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
-                              curve: OrbitCurve | None = None,
-                              tols: Tolerances = DEFAULT_TOLS) -> TubeSpectrum:
+                              curve: OrbitCurve | None = None
+                              ) -> TubeSpectrum:
     """Tube spectrum from foot data through s -> s/(1-s).
 
     Foot eigenvalues are the traceless shape spectrum of the transported
     vector plus the mean-curvature term; a foot eigenvalue at 1 is a
     focal point and raises FocalDegeneracy.  The vertical eigenvalue is
-    -1 exactly, with the fiber-orbit dimension as multiplicity.
+    -1 exactly, with the fiber-orbit dimension m3 as multiplicity (no
+    vertical entry when m3 = 0).
     """
-    foot, xi1 = _foot_data(M, xi, curve, tols)
-    lam_tilde, mu, hats = _foot_spectrum(foot, xi1, tols)
+    foot, xi1 = _foot_data(M, xi, curve)
+    lam_tilde, mu, hats = _foot_spectrum(foot, xi1)
     if hats is None:
         raise FocalDegeneracy("foot eigenvalue at 1; tube focalizes")
-    algebra = holonomy_algebra(foot, tols=tols)
-    _, m3 = _fiber_directions(foot, xi1, algebra, tols)
+    _, m3 = _fiber_directions(foot, xi1, holonomy_algebra(foot))
     return TubeSpectrum(
         lambda_hats=hats, vertical_mult=m3,
         foot_eigenvalues=np.sort(lam_tilde)[::-1],
@@ -231,18 +234,13 @@ class TubePatch:
     """
 
     def __init__(self, M: OrbitSubmanifold, xi: np.ndarray,
-                 curve: OrbitCurve | None = None,
-                 extent: float = PATCH_EXTENT,
-                 tols: Tolerances = DEFAULT_TOLS):
-        self.tols = tols
-        self.extent = float(extent)
-        foot, xi1 = _foot_data(M, xi, curve, tols)
+                 curve: OrbitCurve | None = None):
+        foot, xi1 = _foot_data(M, xi, curve)
         self.foot = foot
         self.xi1 = xi1
         self.xi1_coords = foot.normal_coords(xi1)
-        self.algebra = holonomy_algebra(foot, tols=tols)
-        self.fiber_dirs, self.m3 = _fiber_directions(foot, xi1,
-                                                     self.algebra, tols)
+        self.algebra = holonomy_algebra(foot)
+        self.fiber_dirs, self.m3 = _fiber_directions(foot, xi1, self.algebra)
         self.n = foot.dim
         self.n_axes = self.n + self.m3
         self._axis_cache = None
@@ -288,7 +286,7 @@ class TubePatch:
             return np.concatenate([rep.coords(q), rep.coords(radial)])
 
         both = _stencil_jacobian(q_and_radial, self.n, self.n_axes,
-                                 self.extent)
+                                 PATCH_EXTENT)
         d = rep.carrier_dim
         self._axis_cache = (both[:d], both[d:])
         return self._axis_cache
@@ -306,10 +304,10 @@ class TubePatch:
         if self._shape_cache is not None:
             return self._shape_cache
         jac, dnormal = self._axis_stencils()
-        q_frame, _, _, rank = rank_reveal(jac, self.tols.rank)
+        q_frame, _, _, rank = rank_reveal(jac, self.foot.tols.rank)
         if rank < self.n_axes:
             raise PatchDegenerate("tube chart Jacobian lost rank; "
-                                  "shrink the extent or move the base point")
+                                  "move the base point")
         jc = q_frame.T @ jac
         b = -(q_frame.T @ dnormal)
         a = b @ np.linalg.inv(jc)
@@ -320,11 +318,13 @@ class TubePatch:
 
     def _clusters(self):
         """Clustered radial spectrum as (dec, means, vert, horiz): vert is
-        the cluster nearest -1, horiz the others by descending value."""
+        the cluster nearest -1, or None when there is no fiber (m3 = 0),
+        horiz the others by descending value."""
         a, _, _, _ = self.shape_operator()
-        dec = sym_eig(a, tols=self.tols.with_cluster_gap(TUBE_CLUSTER_GAP))
+        dec = sym_eig(a, tols=self.foot.tols.with_cluster_gap(
+            TUBE_CLUSTER_GAP))
         means = dec.cluster_means()
-        vert = int(np.argmin(np.abs(means - (-1.0))))
+        vert = int(np.argmin(np.abs(means - (-1.0)))) if self.m3 else None
         horiz = sorted((i for i in range(len(means)) if i != vert),
                        key=lambda i: -means[i])
         return dec, means, vert, horiz
@@ -332,13 +332,13 @@ class TubePatch:
     def spectrum(self) -> TubeSpectrum:
         dec, means, vert, horiz = self._clusters()
         sizes = dec.cluster_sizes()
-        foot_lam, mu, _ = _foot_spectrum(self.foot, self.xi1, self.tols)
+        foot_lam, mu, _ = _foot_spectrum(self.foot, self.xi1)
         return TubeSpectrum(
             lambda_hats=tuple((float(means[i]), int(sizes[i])) for i in horiz),
-            vertical_mult=int(sizes[vert]),
+            vertical_mult=0 if vert is None else int(sizes[vert]),
             foot_eigenvalues=np.sort(foot_lam)[::-1], mean_term=mu,
             tube_dim=self.n_axes, source="patch",
-            vertical_value=float(means[vert]))
+            vertical_value=-1.0 if vert is None else float(means[vert]))
 
     def eigendistribution(self):
         """Orthonormal basis of the top horizontal eigenvalue cluster.
@@ -365,19 +365,17 @@ class TubePatch:
 
     def _hat_values(self, p: np.ndarray, radial: np.ndarray):
         """(hat1, hat2) of the radial vector at the displaced foot p."""
-        local = build_orbit(self.foot.rep, p, tols=self.tols)
-        _, _, hats = _foot_spectrum(local, radial, self.tols)
+        local = build_orbit(self.foot.rep, p, tols=self.foot.tols)
+        _, _, hats = _foot_spectrum(local, radial)
         if hats is None:
             raise FocalDegeneracy("displaced foot eigenvalue at 1")
         return hats[0][0], hats[min(1, len(hats) - 1)][0]
 
 
 def tube_spectrum_direct(M: OrbitSubmanifold, xi: np.ndarray,
-                         curve: OrbitCurve | None = None,
-                         extent: float = PATCH_EXTENT,
-                         tols: Tolerances = DEFAULT_TOLS):
+                         curve: OrbitCurve | None = None):
     """Patch-based tube spectrum; returns (TubeSpectrum, TubePatch)."""
-    patch = TubePatch(M, xi, curve=curve, extent=extent, tols=tols)
+    patch = TubePatch(M, xi, curve=curve)
     return patch.spectrum(), patch
 
 
@@ -406,16 +404,15 @@ class DupinResult:
 
 
 def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
-                curve: OrbitCurve | None = None,
-                patch: TubePatch | None = None,
-                tols: Tolerances = DEFAULT_TOLS) -> DupinResult:
+                patch: TubePatch | None = None) -> DupinResult:
     """Constancy of hat1 (and hat2) along the top eigendistribution.
 
     Central differences of the hat-eigenvalues along each E1 frame
-    direction on the tube patch; requires multiplicity >= 2.
+    direction on the tube patch (by default the patch at xi on M);
+    requires multiplicity >= 2.
     """
     if patch is None:
-        patch = TubePatch(M, xi, curve=curve, tols=tols)
+        patch = TubePatch(M, xi)
     spec = patch.spectrum()
     if spec.lambda_hats[0][1] < 2:
         raise NotApplicable("top hat-eigenvalue is simple; no integral "
@@ -450,22 +447,22 @@ class CausticResult:
 
 
 def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
-                       curve: OrbitCurve | None = None,
                        patch: TubePatch | None = None,
-                       shift: float | None = None,
-                       tols: Tolerances = DEFAULT_TOLS) -> CausticResult:
+                       shift: float | None = None) -> CausticResult:
     """Kernel of the caustic map q + (hat1 + c)^{-1} (radial - c q).
 
     The shift c replaces the radial normal by radial - c q (q is also
     normal; its shape operator is -Id), moving every hat-eigenvalue up
     by c so the top one is bounded away from zero.  The differential is
-    taken by stencils over the patch; the kernel must be the top
-    eigendistribution.
+    taken by stencils over the patch (by default the patch at xi on M);
+    the kernel must be the top eigendistribution.
     """
     if patch is None:
-        patch = TubePatch(M, xi, curve=curve, tols=tols)
-    # the vertical eigenvalue is -1 exactly; the patch only measures it
-    hats = [v for v, _ in patch.spectrum().lambda_hats] + [-1.0]
+        patch = TubePatch(M, xi)
+    hats = [v for v, _ in patch.spectrum().lambda_hats]
+    if patch.m3:
+        # the vertical eigenvalue is -1 exactly; the patch only measures it
+        hats.append(-1.0)
     if shift is None:
         shift = max(0.0, -min(hats)) + 1.0
     shifted = [h + shift for h in hats]
@@ -480,9 +477,10 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
         zeta = radial - shift * q
         return rep.coords(q + (1.0 / (hat1 + shift)) * zeta)
 
-    jac = _stencil_jacobian(rho, patch.n, patch.n_axes, patch.extent)
+    jac = _stencil_jacobian(rho, patch.n, patch.n_axes, PATCH_EXTENT)
 
     # kernel in chart parameters, then into the tube tangent frame
+    tols = patch.foot.tols
     kernel = gram_kernel(jac, tols)
     _, _, jc, _ = patch.shape_operator()
     positive = all(s > 0 for s in shifted)
@@ -508,7 +506,6 @@ def normal_exponential_differential(M: OrbitSubmanifold,
 
 
 def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
-                                   probes: int = 3, delta: float = 1e-4,
                                    seed: int = 0) -> float:
     """Cross-validate I - A_eta against finite differences.
 
@@ -519,31 +516,31 @@ def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
     expected = normal_exponential_differential(M, eta)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(FD_PROBES):
         c = rng.standard_normal(M.dim)
         c /= np.linalg.norm(c)
         x = np.einsum("i,ijk->jk", c, M.m_generators)
         vals = []
         for sgn in (1.0, -1.0):
-            seg = OrbitCurve(orbit=M, segments=((sgn * x, delta),))
+            seg = OrbitCurve(orbit=M, segments=((sgn * x, FD_DELTA),))
             vals.append(seg.endpoint() + exact_transport_vector(seg, eta))
-        fd = (vals[0] - vals[1]) / (2.0 * delta)
+        fd = (vals[0] - vals[1]) / (2.0 * FD_DELTA)
         predicted = np.einsum("i,ijk->jk", expected @ c, M.tangent_frame)
         worst = max(worst, float(np.linalg.norm(fd - predicted)))
     return worst
 
 
-def equivalence_one_check(spectra, tol: float = 1e-6) -> bool:
+def equivalence_one_check(spectra) -> bool:
     """Literal biconditional of the eigenvalue equivalence over pairs.
 
-    For every pair of tube spectra: hat1 values agree within tol iff
-    hat2 values agree within tol.
+    For every pair of tube spectra: hat1 values agree within
+    EQUIVALENCE_TOL iff hat2 values agree within it.
     """
     hats = [(s.lambda_hats[0][0], s.lambda_hats[1][0]) for s in spectra]
     for i in range(len(hats)):
         for j in range(i + 1, len(hats)):
-            first = abs(hats[i][0] - hats[j][0]) <= tol
-            second = abs(hats[i][1] - hats[j][1]) <= tol
+            first = abs(hats[i][0] - hats[j][0]) <= EQUIVALENCE_TOL
+            second = abs(hats[i][1] - hats[j][1]) <= EQUIVALENCE_TOL
             if first != second:
                 return False
     return True

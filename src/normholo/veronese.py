@@ -26,6 +26,8 @@ from .srep import SymmetricPairRep, frame_action
 
 UNIT_TOL = 1e-10
 ALPHA_RESIDUAL_TOL = 1e-4
+MAP_SAMPLES = 8           # draws of the map checks, seeded with 0
+CONGRUENCE_SAMPLES = 20
 # the n for which verify_veronese_facts runs its characterization suite
 FACT_NS = range(2, 7)
 
@@ -67,13 +69,12 @@ class VeroneseOrbit:
     orbit: OrbitSubmanifold
 
 
-def veronese_orbit(n: int, scale: float = 1.0,
-                   tols: Tolerances = DEFAULT_TOLS) -> VeroneseOrbit:
+def veronese_orbit(n: int, tols: Tolerances = DEFAULT_TOLS) -> VeroneseOrbit:
     """Build the orbit of a Veronese-type point on the unit sphere."""
     if n < 2:
         raise InvalidInput("veronese orbits start at n = 2")
     r = n + 1
-    s = veronese_type_point(r, scale=scale)
+    s = veronese_type_point(r)
     dec = sym_eig(s, tols=tols)
     mults = sorted(dec.cluster_sizes())
     if mults != [1, r - 1]:
@@ -98,9 +99,7 @@ class MinimalDimensionScan:
         return self.formula_dims == self.built_dims
 
 
-def minimal_dimension_scan(r: int,
-                           tols: Tolerances = DEFAULT_TOLS
-                           ) -> MinimalDimensionScan:
+def minimal_dimension_scan(r: int) -> MinimalDimensionScan:
     """k(r-k) against measured orbit dimensions, k = 1..r-1.
 
     Sample points carry eigenvalue (r-k) with multiplicity k and -k with
@@ -114,7 +113,7 @@ def minimal_dimension_scan(r: int,
     built = []
     for k in splits:
         diag = np.array([float(r - k)] * k + [-float(k)] * (r - k))
-        built.append(build_orbit(rep, np.diag(diag), tols=tols).dim)
+        built.append(build_orbit(rep, np.diag(diag)).dim)
     built = tuple(built)
     mn = min(formula)
     argmins = tuple(k for k, d in zip(splits, formula) if d == mn)
@@ -123,12 +122,12 @@ def minimal_dimension_scan(r: int,
                                 argmin_splits=argmins)
 
 
-def equivariance_residual(n: int, samples: int = 8, seed: int = 0) -> float:
+def equivariance_residual(n: int) -> float:
     """max |rho_tilde(g v) - g rho_tilde(v) g^t| over sampled (v, g)."""
     r = n + 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(MAP_SAMPLES):
         v = rng.standard_normal(r)
         v /= np.linalg.norm(v)
         x = rng.standard_normal((r, r))
@@ -139,18 +138,17 @@ def equivariance_residual(n: int, samples: int = 8, seed: int = 0) -> float:
     return worst
 
 
-def immersion_scaling_residuals(n: int, samples: int = 8,
-                                seed: int = 0) -> tuple[float, float]:
+def immersion_scaling_residuals(n: int) -> tuple[float, float]:
     """Gram defects of dQ on sphere tangent spaces, both conventions.
 
     Returns (half-trace isometry residual, global-trace sqrt(2)-homothety
     residual); dQ_v(w) = v w^t + w v^t on w in v-perp.
     """
     r = n + 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     iso_worst = 0.0
     hom_worst = 0.0
-    for _ in range(samples):
+    for _ in range(MAP_SAMPLES):
         v = rng.standard_normal(r)
         v /= np.linalg.norm(v)
         q, _ = np.linalg.qr(v.reshape(-1, 1), mode="complete")
@@ -165,7 +163,7 @@ def immersion_scaling_residuals(n: int, samples: int = 8,
     return iso_worst, hom_worst
 
 
-def congruence_residual(n: int, samples: int = 20, seed: int = 0) -> float:
+def congruence_residual(n: int) -> float:
     """Alignment residual of rho_tilde samples against the orbit point.
 
     For each sampled unit v the frame of rho_tilde(v) (top eigenvector
@@ -174,9 +172,9 @@ def congruence_residual(n: int, samples: int = 20, seed: int = 0) -> float:
     """
     r = n + 1
     s = veronese_type_point(r)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(CONGRUENCE_SAMPLES):
         v = rng.standard_normal(r)
         v /= np.linalg.norm(v)
         z = rho_tilde(v)
@@ -268,7 +266,7 @@ def verify_veronese_facts(n: int, seed: int = 0,
     M = vo.orbit
     mc = mean_curvature(M)
     hom = homothecy_test(M)
-    verdict = analyze(M, seed=seed, tols=tols)
+    verdict = analyze(M, seed=seed)
     factor_dim = verdict.factor_dims[0] if verdict.factors else 0
     transitive = bool(verdict.factors and verdict.factors[0].transitive)
     alpha_res = parallel_alpha_residual(M)

@@ -115,6 +115,34 @@ def test_transport_audit_command(capsys):
     assert 0.0 < audit["exactEndpointGap"] <= 1e-9
 
 
+def test_flat_normal_bundle_passes_probe_and_bound(capsys):
+    rc = main(["analyze", "--rep", "sl-so:3", "--point", "diag:1,0,-1",
+               "--do", "holonomy,bound,loop-probe,coxeter"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    probe = doc["analyses"]["loop-probe"]
+    assert (probe["spanDim"], probe["rawDim"], probe["loopCount"]) \
+        == (0, 0, 12)
+    assert probe["containmentResidual"] == 0.0
+    assert doc["analyses"]["bound"]["certificate"]["pairs"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--do", "transport-audit", "--point", "veronese"],
+    ["sweep", "--analysis", "transport-audit", "--points", "veronese"],
+])
+def test_transport_audit_without_sphere_normal_direction(capsys, argv):
+    # the sl-so:2 orbit is a circle whose only normal is the position
+    rc = main(argv + ["--rep", "sl-so:2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    body = doc["sweep"][0] if "sweep" in doc else doc
+    err = body["analyses"]["transport-audit"]["error"]
+    assert err["type"] == "NotApplicable"
+
+
 def test_failing_analysis_exits_one(capsys):
     rc = main(["coxeter", "--rep", "sl-so:4", "--point", "veronese"])
     out = capsys.readouterr().out

@@ -325,6 +325,22 @@ def test_loop_probe_logs_exactly_in_algebra(veronese, n):
     assert probe.containment_residual <= 1e-12
 
 
+def test_loop_probe_on_flat_normal_bundle(a2_orbit):
+    # every loop of a flat normal bundle returns the identity, whose zero
+    # log lies in the (zero) curvature algebra
+    probe = loop_holonomy_probe(a2_orbit)
+    assert probe.logs.shape[0] == 12
+    assert probe.span.dim == probe.raw_dim == 0
+    assert probe.containment_residual == 0.0
+
+
+def test_loop_probe_needs_two_dimensions():
+    circle = build_orbit(SymmetricPairRep.for_size(2), np.diag([1.0, -1.0]))
+    assert circle.dim == 1
+    with pytest.raises(NotApplicable, match="dimension"):
+        loop_holonomy_probe(circle)
+
+
 def test_verdict_memoized_per_seed():
     m = build_orbit(SymmetricPairRep.for_size(4), np.diag([3.0, -1, -1, -1]))
     v0 = analyze(m)

@@ -58,7 +58,7 @@ def test_rank_one_orbit_dimensions(veronese, n):
     m = veronese(n)
     assert m.dim == n
     assert m.codim == n * (n + 1) // 2
-    assert m.normal_bar.dim == m.codim - 1
+    assert len(m.nbar_frame) == m.codim - 1
     gram = np.einsum("aij,bij->ab", m.tangent_frame, m.tangent_frame)
     assert np.allclose(gram, np.eye(n), atol=1e-10)
     # sphere-normal directions are orthogonal to the position
@@ -69,7 +69,7 @@ def test_rank_one_orbit_dimensions(veronese, n):
 def test_regular_orbit_dimensions(a2_orbit):
     assert a2_orbit.dim == 3
     assert a2_orbit.codim == 2
-    assert a2_orbit.normal_bar.dim == 1
+    assert len(a2_orbit.nbar_frame) == 1
 
 
 def test_generator_reproduces_tangent_frame(v3):
@@ -175,7 +175,7 @@ def test_coordinate_helpers_roundtrip(v3):
     nu = rng.standard_normal(v3.codim)
     xi = v3.normal_vector(nu)
     assert np.allclose(v3.normal_coords(xi), nu, atol=1e-12)
-    nb = rng.standard_normal(v3.normal_bar.dim)
+    nb = rng.standard_normal(len(v3.nbar_frame))
     eta = v3.nbar_vector(nb)
     assert np.allclose(v3.nbar_coords(eta), nb, atol=1e-12)
 

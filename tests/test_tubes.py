@@ -170,6 +170,39 @@ def test_caustic_rejects_bad_shift(v3, v3_xi, v3_patch):
         caustic_rank_check(v3, v3_xi, patch=patch, shift=1.04)
 
 
+def test_tube_without_fiber(a2_orbit):
+    # on a flat normal bundle the holonomy moves xi nowhere (m3 = 0), so
+    # neither route has a vertical eigenvalue
+    xi = seeded_tube_direction(a2_orbit, seed=2)
+    formula = tube_spectrum_via_formula(a2_orbit, xi)
+    direct, patch = tube_spectrum_direct(a2_orbit, xi)
+    assert formula.vertical_mult == direct.vertical_mult == patch.m3 == 0
+    assert direct.vertical_value == -1.0
+    assert direct.values_with_vertical() == direct.lambda_hats
+    assert len(direct.lambda_hats) == direct.tube_dim == 3
+    assert spectra_agree(formula, direct) <= 1e-12
+    # with no vertical -1 the shift lifts only the horizontal values
+    hats = [v for v, _ in direct.lambda_hats]
+    res = caustic_rank_check(a2_orbit, xi, patch=patch)
+    assert res.shift == max(0.0, -min(hats)) + 1.0 < 2.0
+    assert res.kernel_dim == 1 and res.kernel_angle_to_e1 <= 1e-8
+
+
+@pytest.mark.parametrize("rep, point", [
+    ("sl-so:4", "random-regular:3"),
+    ("product:sl-so:2,sl-so:2", "veronese;veronese"),
+])
+def test_seeded_tube_without_fiber_passes(rep, point):
+    cfg = ScenarioConfig.from_dict({"rep": rep, "point": point,
+                                    "analyses": ["tube"],
+                                    "direction": "seed:2"})
+    tube = run_scenario(cfg).analyses["tube"]
+    assert tube["ok"], tube
+    assert tube["formula"]["verticalMult"] == 0
+    assert tube["direct"]["verticalMult"] == 0
+    assert tube["agreementGap"] <= 1e-12
+
+
 def test_normal_exponential_differential(v3, v3_xi):
     d = normal_exponential_differential(v3, v3_xi)
     svals = np.sort(np.linalg.svd(d)[1])
