@@ -349,9 +349,12 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
     bracket-closed.  The containment residual is the max relative
     distance of a nonzero log from the curvature algebra (a zero log, as
     on a flat normal bundle, lies in any algebra); for the orbits in
-    scope the closed span reproduces that algebra.  Raises NotApplicable
-    when dim M < 2, where no loop spans a square.
+    scope the closed span reproduces that algebra.  Raises InvalidInput
+    when count < 1, and NotApplicable when dim M < 2, where no loop spans
+    a square.
     """
+    if count < 1:
+        raise InvalidInput(f"loop count must be at least 1, got {count}")
     if M.dim < 2:
         raise NotApplicable("loops need an orbit of dimension >= 2")
     if algebra is None:

@@ -3,8 +3,8 @@ parallel-transport stepper.
 
 The eigensolver is LAPACK's (``numpy.linalg.eigh``) with a sign
 convention on the eigenvectors; the exponential is scaled Taylor with
-repeated squaring; the stepper is a vectorized update of whole vector
-stacks.
+repeated squaring, on one matrix or a stack; the stepper advances whole
+vector stacks a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "jacobi_eigh",
     "matrix_exp",
     "transport_segment",
@@ -50,26 +51,55 @@ def jacobi_eigh(a):
 # evaluation leaves a remainder around 1e-23, then the result is squared
 # back.  exp(0) is exactly the identity.  The identity is built once and
 # added in place after each Horner product, which gives the same bits as
-# a fresh identity per term.
+# a fresh identity per term.  A stack of two or more runs its Taylor
+# sums as batched products, with each matrix scaled by its own power of
+# two and squared back only as often as that scaling needs, so every
+# slice has the bits of the 2-D call on that matrix.  A stack of one
+# takes the 2-D path, whose plain products cost less than batched ones.
 
 
-def matrix_exp(x):
-    """exp of a square matrix via scaled Taylor with repeated squaring."""
-    x = _as_f64(x)
-    n = x.shape[0]
-    nrm = np.sqrt(np.sum(x * x))
-    s = 0
-    y = x
+def _squarings(nrm):
+    """Squarings that bring a Frobenius norm nrm down to _EXPM_THETA."""
     if nrm > _EXPM_THETA:
-        s = int(np.ceil(np.log2(nrm / _EXPM_THETA)))
-        y = x / (2.0 ** s)
-    eye = np.eye(n)
+        return int(np.ceil(np.log2(nrm / _EXPM_THETA)))
+    return 0
+
+
+def _taylor(y, eye):
     p = eye
     for k in range(_EXPM_ORDER, 0, -1):
         p = (y / k) @ p
         p += eye
+    return p
+
+
+def _square(p, s):
     for _ in range(s):
         p = p @ p
+    return p
+
+
+def _expm_one(x, eye):
+    s = _squarings(np.sqrt(np.sum(x * x)))
+    return _square(_taylor(x / 2.0 ** s if s else x, eye), s)
+
+
+def matrix_exp(x):
+    """exp of a square matrix, or of each matrix of an (N, n, n) stack,
+    via scaled Taylor with repeated squaring."""
+    x = _as_f64(x)
+    n = x.shape[-1]
+    eye = np.eye(n)
+    if x.ndim == 2:
+        return _expm_one(x, eye)
+    if len(x) == 1:
+        return _expm_one(x[0], eye)[None]
+    s = [_squarings(v)
+         for v in np.sqrt(np.sum((x * x).reshape(len(x), n * n), axis=1))]
+    p = _taylor(x / np.array([2.0 ** k for k in s])[:, None, None], eye)
+    for j, k in enumerate(s):
+        if k:
+            p[j] = _square(p[j], k)
     return p
 
 
@@ -95,10 +125,19 @@ def matrix_exp(x):
 # step at g to the fibers of the first step at the identity, so in
 # coefficients a of xi = sum_k a_k g f_k g^T every step is one fixed
 # K x K map a' = S a.  S is formed once per segment by stepping each
-# base frame element at g = I; the loop then multiplies coefficients,
-# renormalizes them and advances g.  Vectors are formed as matrices
-# only at samples and at the end, renormalized there to the target
-# norm, so the round-off of g never reaches the frame coefficients.
+# base frame element at g = I.  Renormalizing is a scalar per vector
+# and commutes with S, so the steps are evaluated in blocks of up to
+# BLOCK: with a renormalized at the block start, the iterates inside the
+# block are a S^i, formed in one batched product with the powers of S,
+# and g advances by powers of E = e_half^2.  The pre-renormalization
+# norm of step i is |(a S^(i-1)) S| / |a S^(i-1)| times the target: the
+# one-step growth of a known vector, so the drift carries one-step
+# round-off, not the i-fold round-off of a power.  Vectors are formed
+# as matrices only at samples and at the end, renormalized there to the
+# target norm, so the round-off of g never reaches the frame
+# coefficients.
+
+BLOCK = 64
 
 
 def _conjugate(g, frames):
@@ -120,6 +159,20 @@ def _step_matrix(base_frames, e_half):
     return np.einsum("jpq,kpq->jk", f_end, stepped)
 
 
+def _powers(m, count):
+    """(count + 1, n, n) stack m^0, m^1, ..., m^count, by doubling."""
+    pows = np.empty((count + 1,) + m.shape)
+    pows[0] = np.eye(len(m))
+    if count:
+        pows[1] = m
+    done = 1
+    while done < count:
+        take = min(done, count - done)
+        pows[done + 1:done + 1 + take] = pows[1:1 + take] @ pows[done]
+        done += take
+    return pows
+
+
 def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
                       sample_stride=0):
     """Run the transport stepper along one curve segment.
@@ -136,6 +189,7 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
     g = _as_f64(g0).copy()
     e_half = _as_f64(e_half)
     targets = _as_f64(targets)
+    nsteps = int(nsteps)
     r = base_frames.shape[1]
     mdim = xis.shape[0]
     cap = nsteps // sample_stride + 2 if sample_stride > 0 else 1
@@ -144,22 +198,25 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
 
     # renormalizing factor per vector: 1 where the target is <= 0 (skip)
     # or the norm is 0
-    live = (targets > 0.0)[:, None]
-    t_col = np.where(live, targets[:, None], 1.0)
+    live = targets > 0.0
+    t_row = np.where(live, targets, 1.0)
 
     def rescale(nrm):
-        return t_col / np.where(live & (nrm > 0.0), nrm, t_col)
+        return t_row / np.where(live & (nrm > 0.0), nrm, t_row)
 
     def vectors(a, g):
         xi = np.einsum("mk,kij->mij", a, _conjugate(g, base_frames))
-        nrm = np.sqrt(np.einsum("mij,mij->m", xi, xi))[:, None]
-        return xi * rescale(nrm)[:, :, None]
+        nrm = np.sqrt(np.einsum("mij,mij->m", xi, xi))
+        return xi * rescale(nrm)[:, None, None]
 
     step_t = _step_matrix(base_frames, e_half).T
+    span = min(BLOCK, nsteps)
+    s_pows = _powers(step_t, max(span - 1, 0))     # S^0 .. S^(span-1)
+    e_pows = _powers(e_half @ e_half, span)        # E^0 .. E^span
 
     a = np.einsum("kij,mij->mk", _conjugate(g, base_frames), xis)
-    drift = np.zeros((mdim, 1))
-    low = np.full((mdim, 1), np.inf)
+    drift = np.zeros(mdim)
+    low = np.full(mdim, np.inf)
 
     n_samp = 0
     if sample_stride > 0:
@@ -167,21 +224,34 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
         g_samples[0] = g
         n_samp = 1
 
-    for step in range(int(nsteps)):
-        a = a @ step_t
-        nrm = np.sqrt(np.einsum("mk,mk->m", a, a))[:, None]
-        np.minimum(low, nrm, out=low)
-        drift += np.abs(nrm - t_col)
-        a *= rescale(nrm)
-        g = (g @ e_half) @ e_half
+    for done in range(0, nsteps, BLOCK):
+        m = min(BLOCK, nsteps - done)
+        a = a * rescale(np.sqrt(np.einsum("mk,mk->m", a, a)))[:, None]
+        # row i: the iterate after i steps, and after one more
+        before = a @ s_pows[:m]
+        after = before @ step_t
+        n_before = np.sqrt(np.einsum("imk,imk->im", before, before))
+        n_after = np.sqrt(np.einsum("imk,imk->im", after, after))
+        nrm = t_row * n_after / np.where(n_before > 0.0, n_before, 1.0)
+        low = np.minimum(low, np.min(nrm, axis=0))
+        drift += np.sum(np.abs(nrm - t_row), axis=0)
 
-        if sample_stride > 0 and ((step + 1) % sample_stride == 0
-                                  or step == nsteps - 1):
-            samples[n_samp] = vectors(a, g)
-            g_samples[n_samp] = g
-            n_samp += 1
+        if sample_stride > 0:
+            # steps done + j of this block that close a stride, and the
+            # last step of the segment
+            js = list(range(sample_stride - done % sample_stride, m + 1,
+                            sample_stride))
+            if done + m == nsteps and m not in js:
+                js.append(m)
+            for j in js:
+                g_samples[n_samp] = g @ e_pows[j]
+                samples[n_samp] = vectors(after[j - 1], g_samples[n_samp])
+                n_samp += 1
 
-    drift = np.where(live, drift, 0.0)[:, 0]
-    min_ratio = np.where(live, np.minimum(1.0, low / t_col), 1.0)[:, 0]
+        a = after[m - 1]
+        g = g @ e_pows[m]
+
+    drift = np.where(live, drift, 0.0)
+    min_ratio = np.where(live, np.minimum(1.0, low / t_row), 1.0)
     xi = vectors(a, g) if nsteps > 0 else xis.copy()
     return xi, g, drift, min_ratio, samples, g_samples, n_samp

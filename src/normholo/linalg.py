@@ -132,6 +132,8 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InvalidInput("matrix_exp needs a square matrix")
+    if not np.sum(x * x) < np.inf:          # inf or NaN entries, or overflow
+        raise InvalidInput("matrix_exp needs finite entries")
     return _expm_core(x)
 
 

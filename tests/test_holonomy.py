@@ -341,6 +341,18 @@ def test_loop_probe_needs_two_dimensions():
         loop_holonomy_probe(circle)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_loop_probe_needs_a_loop(v3, count, monkeypatch):
+    import normholo.holonomy as holonomy
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("a loop was built")
+
+    monkeypatch.setattr(holonomy, "closed_square_loop", no_loop)
+    with pytest.raises(InvalidInput, match="count"):
+        loop_holonomy_probe(v3, count=count)
+
+
 def test_verdict_memoized_per_seed():
     m = build_orbit(SymmetricPairRep.for_size(4), np.diag([3.0, -1, -1, -1]))
     v0 = analyze(m)

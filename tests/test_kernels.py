@@ -3,12 +3,14 @@
 import inspect
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from normholo import kernels
-from normholo.kernels import jacobi_eigh, matrix_exp, transport_segment
+from normholo.kernels import (BLOCK, jacobi_eigh, matrix_exp,
+                              transport_segment)
 
 
 def _random_sym(n, seed):
@@ -137,6 +139,38 @@ def test_expm_bits_match_fresh_identity_horner():
             assert np.array_equal(matrix_exp(x), _horner_exp(x))
 
 
+def _mixed_stack(n, seed):
+    """Matrices whose scaling needs 0, 1, ..., 6 squarings, and a zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for nrm in (0.3, 0.8, 1.7, 3.1, 6.5, 12.0, 25.0, 0.0):
+        x = rng.standard_normal((n, n))
+        if n % 2 and n > 1:
+            x = x - x.T
+        out.append(x * (nrm / np.linalg.norm(x)))
+    return np.array(out)
+
+
+def test_expm_stack_slices_match_2d_bits():
+    for n in range(1, 10):
+        stack = _mixed_stack(n, n)
+        got = matrix_exp(stack)
+        assert got.shape == stack.shape
+        for x, p in zip(stack, got):
+            assert np.array_equal(p, matrix_exp(x))
+
+
+def test_expm_stack_zero_slice_is_identity():
+    got = matrix_exp(_mixed_stack(5, 1))
+    assert np.array_equal(got[-1], np.eye(5))
+
+
+def test_expm_empty_and_single_stacks():
+    assert matrix_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    x = _mixed_stack(4, 2)[4]
+    assert np.array_equal(matrix_exp(x[None]), matrix_exp(x)[None])
+
+
 # -- transport stepper -----------------------------------------------------
 
 
@@ -190,18 +224,41 @@ def _transport_reference(base_frames, xis, g0, e_half, nsteps, targets,
     return xi, g, drift, min_ratio
 
 
-def _transport_inputs(v3):
-    """A short real segment on the Veronese threefold."""
+def _transport_inputs(v3, nsteps=40, h=0.5 / 40, count=2):
+    """A real segment of nsteps steps of length h on the Veronese
+    threefold, transporting count sphere-normal frame vectors."""
     rng = np.random.default_rng(2)
     c = rng.standard_normal(v3.dim)
     c /= np.linalg.norm(c)
     x = np.einsum("i,ijk->jk", c, v3.m_generators)
-    nsteps = 40
-    h = 0.5 / nsteps
     e_half = matrix_exp(0.5 * h * x)
-    xis = v3.nbar_frame[:2].copy()
-    targets = np.linalg.norm(xis.reshape(2, -1), axis=1)
+    xis = v3.nbar_frame[:count].copy()
+    targets = np.linalg.norm(xis.reshape(count, -1), axis=1)
     return v3.normal_frame, xis, np.eye(4), e_half, nsteps, targets
+
+
+def _drift_atol(nsteps):
+    # the reference conjugates its frames by the accumulated g, whose
+    # round-off biases each step's norm by a growing number of ulps: its
+    # drift carries round-off near 1e-16 n^2 per unit target
+    return max(1e-12, 2e-16 * nsteps ** 2)
+
+
+def _assert_state_matches(got, want, nsteps):
+    """(xi_end, g_end, drift, min_ratio) against the reference's."""
+    for a, b in zip(got[:2] + got[3:4], want[:2] + want[3:4]):
+        assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(got[2], want[2], rtol=0.0, atol=_drift_atol(nsteps))
+
+
+def _assert_matches_reference(got, want, nsteps):
+    _assert_state_matches(got, want, nsteps)
+    xi_end, g_end, _, _, samples, g_samples, n_samp = got
+    assert n_samp == len(want[4])
+    assert np.allclose(samples[:n_samp], want[4], atol=1e-12)
+    assert np.allclose(g_samples[:n_samp], want[5], atol=1e-12)
+    assert np.array_equal(samples[n_samp - 1], xi_end)
+    assert np.array_equal(g_samples[n_samp - 1], g_end)
 
 
 def test_transport_backends_agree(v3):
@@ -249,3 +306,69 @@ def test_backend_flag_exposed():
     source = inspect.getsource(kernels)
     assert "NORMHOLO_NUMBA" not in source
     assert "numba" not in source
+
+
+@pytest.mark.parametrize("nsteps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                    3 * BLOCK + 5])
+def test_blocked_stepper_matches_reference(v3, nsteps):
+    frames, xis, g0, e_half, _, targets = _transport_inputs(v3, nsteps)
+    got = transport_segment(frames, xis, g0, e_half, nsteps, targets)
+    want = _transport_reference(frames, xis, g0, e_half, nsteps, targets)
+    _assert_state_matches(got, want, nsteps)
+    # a stride that divides no block: samples straddle block boundaries
+    got = transport_segment(frames, xis, g0, e_half, nsteps, targets,
+                            sample_stride=15)
+    _assert_matches_reference(got, _transport_reference(
+        frames, xis, g0, e_half, nsteps, targets, sample_stride=15), nsteps)
+
+
+def test_one_sample_stride_over_blocks(v3):
+    nsteps = 2 * BLOCK + 3
+    frames, xis, g0, e_half, _, targets = _transport_inputs(v3, nsteps)
+    got = transport_segment(frames, xis, g0, e_half, nsteps, targets,
+                            sample_stride=nsteps)
+    assert got[6] == 2                       # the start and the end
+    _assert_matches_reference(got, _transport_reference(
+        frames, xis, g0, e_half, nsteps, targets, sample_stride=nsteps),
+        nsteps)
+
+
+def test_stack_with_unrenormalized_vector(v3):
+    # three vectors from a rotated start; the middle one has target 0, so
+    # it is never renormalized and reports no drift
+    nsteps = BLOCK + 7
+    frames, xis, _, e_half, _, targets = _transport_inputs(v3, nsteps,
+                                                           count=3)
+    g0 = matrix_exp(0.3 * v3.m_generators[1])
+    xis = g0[None] @ xis @ g0.T[None]
+    targets[1] = 0.0
+    got = transport_segment(frames, xis, g0, e_half, nsteps, targets,
+                            sample_stride=10)
+    want = _transport_reference(frames, xis, g0, e_half, nsteps, targets,
+                                sample_stride=10)
+    _assert_matches_reference(got, want, nsteps)
+    assert got[2][1] == 0.0 and got[3][1] == 1.0
+    assert got[2][0] > 0.0 and got[2][2] > 0.0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+def test_drift_matches_extended_precision(v3):
+    # 1000 steps of 1e-3: the per-step norm loss is a few ulp, so the
+    # drift sits at round-off.  The stepper reads each loss as the growth
+    # of a known vector and agrees with a long-double iteration of the
+    # same step map; reading the norm of a vector renormalized in double
+    # precision biased the drift low by several percent.
+    frames, xis, g0, e_half, nsteps, targets = _transport_inputs(
+        v3, nsteps=1000, h=1e-3, count=1)
+    drift = transport_segment(frames, xis, g0, e_half, nsteps, targets)[2][0]
+    step = kernels._step_matrix(frames, e_half).astype(np.longdouble)
+    a = np.einsum("kij,ij->k", frames, xis[0]).astype(np.longdouble)
+    target = np.longdouble(targets[0])
+    want = np.longdouble(0.0)
+    for _ in range(nsteps):
+        a = step @ a
+        nrm = np.sqrt(np.sum(a * a))
+        want += abs(nrm - target)
+        a *= target / nrm
+    assert abs(drift - float(want)) <= 1e-3 * float(want)

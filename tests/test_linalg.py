@@ -203,6 +203,14 @@ def test_orthogonal_log_roundtrip():
     assert np.allclose(orthogonal_log(matrix_exp(x)), x, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_matrix_exp_rejects_non_finite(bad):
+    x = np.zeros((3, 3))
+    x[0, 2] = bad
+    with pytest.raises(InvalidInput, match="finite"):
+        matrix_exp(x)
+
+
 def test_orthogonal_log_rejects_far_matrix():
     with pytest.raises(InvalidInput):
         orthogonal_log(-np.eye(3))

@@ -215,20 +215,30 @@ def test_fine_step_drift_free_of_frame_roundoff(veronese, n):
     assert res.drift <= 1e-11
 
 
-def test_curve_exponentials_formed_once(v3, monkeypatch):
+def _count_exponentials(monkeypatch):
+    """Record the shape of every matrix_exp argument the transport module
+    passes."""
     import normholo.transport as transport
 
     calls = []
     real = transport.matrix_exp
 
     def counted(x):
-        calls.append(x.shape)
+        calls.append(np.shape(x))
         return real(x)
 
-    arcs = _two_segment_arc(v3).segments + ((v3.rep.generators[0], 0.0),)
     monkeypatch.setattr(transport, "matrix_exp", counted)
+    return calls
+
+
+def test_curve_exponentials_formed_once(v3, monkeypatch):
+    arcs = _two_segment_arc(v3).segments + ((v3.rep.generators[0], 0.0),)
+    calls = _count_exponentials(monkeypatch)
     curve = OrbitCurve(orbit=v3, segments=arcs)
-    assert len(calls) == 2                  # one per nonzero arc
+    assert calls == [(2, 4, 4)]             # one stack of the nonzero arcs
+    assert curve.arc_exps[2] is None
+    for (x, dur), e in zip(arcs[:2], curve.arc_exps):
+        assert np.array_equal(e, matrix_exp(dur * x))
     calls.clear()
     curve.group_path_end()
     curve.endpoint()
@@ -236,24 +246,60 @@ def test_curve_exponentials_formed_once(v3, monkeypatch):
     assert calls == []
     t = exact_transport(curve)
     k = v3.codim
-    assert calls == [(k, k), (k, k)]        # only the coefficient factors
+    assert calls == [(3, k, k)]             # the coefficient factors, once
     assert np.allclose(t.T @ t, np.eye(k), atol=1e-13)
+    # the zero arc's factor is exactly the identity
+    calls.clear()
+    assert np.array_equal(t, exact_transport(
+        OrbitCurve(orbit=v3, segments=arcs[:2])))
 
 
 def test_closed_loop_reuses_arc_exponentials(v3, monkeypatch):
-    import normholo.transport as transport
-
-    calls = []
-    real = transport.matrix_exp
-
-    def counted(x):
-        calls.append(x.shape)
-        return real(x)
-
-    monkeypatch.setattr(transport, "matrix_exp", counted)
+    calls = _count_exponentials(monkeypatch)
     loop = _commutator_loop(v3)
-    assert len(calls) == 5                  # four arcs and the closure arc
+    assert calls == [(4, 4, 4), (4, 4)]     # four arcs, then the closure arc
     fresh = OrbitCurve(orbit=v3, segments=loop.segments)
     assert all(np.array_equal(a, b)
                for a, b in zip(loop.arc_exps, fresh.arc_exps))
     assert loop.is_closed()
+
+
+def test_curve_without_arcs(v3):
+    curve = OrbitCurve(orbit=v3, segments=((v3.rep.generators[0], 0.0),))
+    assert curve.arc_exps == (None,)
+    assert np.array_equal(exact_transport(curve), np.eye(v3.codim))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_curve_rejects_non_finite_generator(v3, bad):
+    x = v3.rep.generators[0].copy()
+    x[0, 1], x[1, 0] = bad, -bad
+    with pytest.raises(InvalidInput, match="finite"):
+        OrbitCurve(orbit=v3, segments=((x, 1.0),))
+    with pytest.raises(InvalidInput, match="finite"):
+        closed_square_loop(v3, x, v3.rep.generators[1], radius=0.1)
+
+
+@pytest.mark.parametrize("step", [np.inf, np.nan, -1e-3])
+def test_non_finite_step_rejected(v3, step):
+    curve = _open_curve(v3)
+    with pytest.raises(InvalidInput, match="finite and positive"):
+        parallel_transport_stack(curve, v3.nbar_frame[:1], step=step)
+    with pytest.raises(InvalidInput, match="finite and positive"):
+        transport_convergence_audit(curve, v3.nbar_frame[0], step=step)
+    with pytest.raises(InvalidInput, match="finite and positive"):
+        OrbitCurve(orbit=v3, segments=curve.segments, step=step)
+
+
+def test_single_sample_per_long_segment(v3):
+    # one sample per segment over more steps than one block: the start
+    # and the end state only
+    curve = _open_curve(v3, duration=0.3)
+    res = parallel_transport_normal(curve, v3.nbar_frame[0], step=1e-3,
+                                    samples_per_segment=1)
+    assert list(res.times) == [0.0, 0.3]
+    assert res.samples.shape[0] == res.g_samples.shape[0] == 2
+    assert np.array_equal(res.samples[-1], res.xis_end)
+    assert np.array_equal(res.g_samples[-1], res.g_end)
+    exact = exact_transport_vector(curve, v3.nbar_frame[0])
+    assert float(np.max(np.abs(res.xi_end - exact))) <= 1e-9
