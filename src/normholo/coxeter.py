@@ -7,7 +7,12 @@ root system: the reflections across the hyperplanes eta_i-perp permute
 the finite set of normal lines, so they generate a finite group (the
 Weyl group, S_r for sl-so:r) acting on the span of the normals.  Each
 element is keyed by the signed permutation it induces on those lines,
-an exact tuple of ints, and the closure composes keys exactly.
+an exact int vector, and the closure composes keys exactly.  The
+closure is breadth-first and runs one level at a time: the keys of all
+(element, generator) pairs of a level are composed by fancy indexing
+and looked up in one dict, and the products are batched matmuls, so the
+Python work per pair is one dict lookup.  Each temporary block holds at
+most _CHUNK_FLOATS floats.
 """
 from __future__ import annotations
 
@@ -23,6 +28,9 @@ from .orbit import OrbitSubmanifold, shape_operators
 FLATNESS_TOL = 1e-8
 CLOSURE_CAP = 10_000
 ANGLE_TOL = 1e-6
+# floats per temporary block of the closure: pairs per batched product
+# and elements per line-map check are sized to stay under it
+_CHUNK_FLOATS = 8192
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,9 @@ def curvature_normals(M: OrbitSubmanifold,
         for a in range(k):
             new_blocks = []
             for blk in blocks:
+                if len(blk) == 1:       # a 1x1 block is scalar already
+                    new_blocks.append(blk)
+                    continue
                 vb = vectors[:, blk]
                 b = vb.T @ ops[a] @ vb
                 sub = sym_eig(0.5 * (b + b.T), tols=tols)
@@ -179,21 +190,21 @@ class ReflectionGroup:
         return self.span_basis.shape[1]
 
 
-def _line_permutation(g: np.ndarray, units: np.ndarray):
-    """Signed permutation that g induces on the normal lines, or None.
+def _line_maps(stack: np.ndarray, units: np.ndarray):
+    """Signed line maps of an (N, s, s) stack, and which of them are valid.
 
-    Returns (targets, signs) with g u_i = signs[i] u_targets[i] within
-    ANGLE_TOL, or None when the image lines do not land one-to-one on
-    the normal lines.
+    maps[k, i] = sign * (target + 1) with g_k u_i = sign u_target within
+    ANGLE_TOL; ok[k] is False when the image lines of g_k do not land one
+    to one on the normal lines.
     """
-    dots = units @ g @ units.T          # dots[j, i] = <u_j, g u_i>
-    targets = np.argmax(np.abs(dots), axis=0)
-    best = dots[targets, np.arange(units.shape[0])]
+    r = units.shape[0]
+    dots = units @ stack @ units.T      # dots[k, j, i] = <u_j, g_k u_i>
+    targets = np.argmax(np.abs(dots), axis=1)
+    best = dots[np.arange(len(dots))[:, None], targets, np.arange(r)]
     angles = np.arccos(np.clip(np.abs(best), -1.0, 1.0))
-    if len(set(targets.tolist())) < units.shape[0] \
-            or float(np.max(angles)) > ANGLE_TOL:
-        return None
-    return tuple(targets.tolist()), tuple(np.where(best < 0, -1, 1).tolist())
+    ok = (np.sort(targets, axis=1) == np.arange(r)).all(axis=1)
+    ok &= np.max(angles, axis=1) <= ANGLE_TOL
+    return np.where(best < 0, -1, 1) * (targets + 1), ok
 
 
 def reflection_group(normals: CurvatureNormalSet,
@@ -201,12 +212,18 @@ def reflection_group(normals: CurvatureNormalSet,
     """Generate and close the group of reflections across eta_i-perp.
 
     Acts on span{eta_i}; each element is keyed by the signed permutation
-    it induces on the normal lines (exact, since the normals span).  A
-    breadth-first closure composes keys exactly; closure_defect is the
-    largest gap between a product and the element stored under its key.
-    Raises NotApplicable when a reflection does not permute the lines,
-    ClosureCapReached past cap elements, and DegenerateSpectrum for an
-    element that is not orthogonal or does not realise its key.
+    it induces on the normal lines (exact, since the normals span),
+    stored as the int vector sign * (target + 1).  The breadth-first
+    closure runs one level at a time: fancy indexing composes the keys
+    of the level's (element, generator) pairs, one dict looks them up,
+    and batched matmuls over chunks of pairs form the products.  New
+    elements are appended in (element, generator) queue order, so the
+    elements and closure_defect (the largest gap between a product and
+    the element stored under its key) are those of a pair-by-pair
+    closure.  Raises NotApplicable when a
+    reflection does not permute the lines, ClosureCapReached past cap
+    elements, and DegenerateSpectrum for an element that is not
+    orthogonal or does not realise its key.
     """
     if normals.count == 0:
         raise InvalidInput("no curvature normals to reflect across")
@@ -214,49 +231,80 @@ def reflection_group(normals: CurvatureNormalSet,
     u = normals.nu_coords @ span           # (r, s)
     units = u / np.linalg.norm(u, axis=1, keepdims=True)
     r, s = u.shape
-    gens = np.stack([np.eye(s) - 2.0 * np.outer(v, v) for v in units])
-    gen_keys = [_line_permutation(g, units) for g in gens]
-    if any(key is None for key in gen_keys):
+    gens = np.eye(s) - 2.0 * (units[:, :, None] * units[:, None, :])
+    gen_maps, gen_ok = _line_maps(gens, units)
+    if not gen_ok.all():
         raise NotApplicable("a reflection across eta_i-perp does not "
                             "permute the normal lines; the curvature "
                             "normals are not a root system")
+    # (e g) u_i = sg_i se_{tg_i} u_{te[tg_i]}: key(e g)[i] = sg_i key(e)[tg_i]
+    gen_signs = np.where(gen_maps < 0, -1, 1)
+    gen_targets = gen_maps * gen_signs - 1
+    as_bytes = np.dtype((np.void, r * gen_maps.itemsize))
+    pair_chunk = max(1, _CHUNK_FLOATS // (s * s))   # (pairs, s, s) blocks
+    line_chunk = max(1, _CHUNK_FLOATS // (r * r))   # (elements, r, r) blocks
 
-    keys = [(tuple(range(r)), (1,) * r)]
-    elements = [np.eye(s)]
-    index = {keys[0]: 0}
+    stack = np.eye(s)[None]                # every element, in queue order
+    keys = [np.arange(1, r + 1)[None]]     # their keys, one block a level
+    index = {keys[0].tobytes(): 0}
     closure_defect = 0.0
-    # the two lists grow in step and double as the breadth-first queue
-    for e, (te, se) in zip(elements, keys):
-        for g, (tg, sg) in zip(gens, gen_keys):
-            # (e g) u_i = sg_i se_{tg_i} u_{te[tg_i]}
-            key = (tuple(te[t] for t in tg),
-                   tuple(sg[i] * se[t] for i, t in enumerate(tg)))
-            prod = e @ g
-            j = index.get(key)
-            if j is not None:
-                closure_defect = max(closure_defect, float(np.max(
-                    np.abs(prod - elements[j]))))
-            elif len(elements) >= cap:
-                raise ClosureCapReached(
-                    f"reflection closure exceeded {cap} elements; "
-                    "group may be infinite")
-            else:
-                index[key] = len(elements)
-                keys.append(key)
-                elements.append(prod)
+    start = 0                              # stack[start:] is the last level
+    while start < len(stack):
+        level, level_keys = stack[start:], keys[-1]
+        first = len(stack)
+        # pair q is (element q // r of the level, generator q % r)
+        refs = []
+        for lo in range(0, len(level), line_chunk):
+            pair_keys = level_keys[lo:lo + line_chunk][:, gen_targets] \
+                * gen_signs
+            refs += [index.setdefault(key, len(index)) for key in
+                     pair_keys.reshape(-1, r).view(as_bytes).ravel().tolist()]
+        if len(index) > cap:
+            raise ClosureCapReached(
+                f"reflection closure exceeded {cap} elements; "
+                "group may be infinite")
+        # new keys are numbered in queue order, so a pair adds an element
+        # exactly where the running maximum of refs rises past first - 1
+        refs = np.array(refs)
+        top = np.maximum.accumulate(refs)
+        adds = np.flatnonzero((np.diff(top, prepend=first - 1) > 0)
+                              & (top >= first))
+        a, b = adds // r, adds % r
+        keys.append(level_keys[a[:, None], gen_targets[b]] * gen_signs[b])
+        new = np.empty((len(adds), s, s))
+        for lo in range(0, len(adds), pair_chunk):
+            q = slice(lo, lo + pair_chunk)
+            new[q] = level[a[q]] @ gens[b[q]]
+        stack = np.concatenate([stack, new])
+        start = first
+        compared = np.ones(len(refs), dtype=bool)
+        compared[adds] = False
+        compared = np.flatnonzero(compared)
+        for lo in range(0, len(compared), pair_chunk):
+            q = compared[lo:lo + pair_chunk]
+            gap = np.abs(level[q // r] @ gens[q % r] - stack[refs[q]])
+            closure_defect = max(closure_defect, float(np.max(gap)))
 
-    worst_orth = max(float(np.linalg.norm(e.T @ e - np.eye(s)))
-                     for e in elements)
+    keys = np.concatenate(keys)
+    worst_orth = 0.0
+    keys_ok = True
+    for lo in range(0, len(stack), line_chunk):
+        block = stack[lo:lo + line_chunk]
+        gram = np.swapaxes(block, 1, 2) @ block - np.eye(s)
+        worst_orth = max(worst_orth, float(np.max(
+            np.linalg.norm(gram, axis=(1, 2)))))
+        maps, ok = _line_maps(block, units)
+        keys_ok = keys_ok and bool(ok.all()) \
+            and bool((maps == keys[lo:lo + len(block)]).all())
     if worst_orth > 1e-10:
         raise DegenerateSpectrum(
             f"closure produced a non-orthogonal element ({worst_orth:.3e})")
-    if any(_line_permutation(e, units) != key
-           for e, key in zip(elements, keys)):
+    if not keys_ok:
         raise DegenerateSpectrum("a closure element does not induce the "
                                  "line permutation it was keyed by")
     return ReflectionGroup(span_basis=span, normal_span_coords=u,
-                           generators=gens, elements=tuple(elements),
-                           finite=True, order=len(elements),
+                           generators=gens, elements=tuple(stack),
+                           finite=True, order=len(stack),
                            closure_defect=closure_defect)
 
 
@@ -269,7 +317,7 @@ def hyperplane_permutation_check(g: np.ndarray,
     """
     u = group.normal_span_coords
     units = u / np.linalg.norm(u, axis=1, keepdims=True)
-    return _line_permutation(g, units) is not None
+    return bool(_line_maps(np.asarray(g, dtype=float)[None], units)[1][0])
 
 
 def focal_displacement(normals: CurvatureNormalSet, index: int,

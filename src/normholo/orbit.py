@@ -61,6 +61,9 @@ class OrbitSubmanifold:
             raise InvalidInput(f"normal vector shape {xis.shape[1:]}, "
                                f"expected {(r, r)}")
         flat = xis.reshape(len(xis), -1)
+        # negated so that NaN, for which every comparison is False, fails
+        if not np.max(np.abs(flat), initial=0.0) <= np.finfo(float).max:
+            raise InvalidInput("normal vector needs finite entries")
         frame = self.normal_frame.reshape(self.codim, -1)
         for x, res in zip(flat, flat - flat @ frame.T @ frame):
             if np.linalg.norm(res) > self.tols.rank * (1 + np.linalg.norm(x)):

@@ -7,6 +7,7 @@ bodies.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -268,29 +269,21 @@ def _factor_point(r: int, spec: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rendering
-
-
-def _coerce(value):
-    """Recursively turn numpy containers into plain Python values."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_coerce(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _coerce(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_coerce(v) for v in value]
-    return value
+# deterministic rendering: one recursive pass over the tree, numpy leaves
+# converted where they are met
 
 
 def _render(value) -> str:
-    """JSON text with sorted keys and %.17g floats."""
-    value = _coerce(value)
+    """JSON text with sorted keys and %.17g floats.
+
+    One pass over the tree: a numpy leaf is converted at the node that
+    renders it (an array through tolist(), a numpy scalar through item()),
+    and a tuple renders as a list.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    elif isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return "null"
     if value is True:
@@ -300,7 +293,7 @@ def _render(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             return '"%s"' % repr(value)
         text = "%.17g" % value
         # keep integral floats floats: -1.0 would read back as the int -1
@@ -310,11 +303,11 @@ def _render(value) -> str:
         out = out.replace("\n", "\\n").replace("\r", "\\r")
         out = out.replace("\t", "\\t")
         return f'"{out}"'
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join(_render(v) for v in value) + "]"
     if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ",".join(f'{_render(str(k))}:{_render(v)}'
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        return "{" + ",".join(f'{_render(k)}:{_render(v)}'
                               for k, v in items) + "}"
     raise InvalidInput(f"cannot render {type(value).__name__} into a report")
 

@@ -109,6 +109,87 @@ def test_render_coerces_numpy():
     out = _render({"x": np.float64(0.5), "n": np.int64(3),
                    "b": np.bool_(True), "v": np.arange(2.0)})
     assert out == '{"b":true,"n":3,"v":[0.0,1.0],"x":0.5}'
+    # a 0-d array renders as its scalar
+    assert _render(np.array(2.0)) == "2.0"
+
+
+def _reference_coerce(value):
+    """The two-pass renderer's first pass, kept as the oracle."""
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.ndarray):
+        return [_reference_coerce(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {str(k): _reference_coerce(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_coerce(v) for v in value]
+    return value
+
+
+def _reference_render(value) -> str:
+    """Coerce the whole subtree at every node, then render it."""
+    value = _reference_coerce(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            return '"%s"' % repr(value)
+        text = "%.17g" % value
+        return text + ".0" if text.lstrip("-").isdigit() else text
+    if isinstance(value, str):
+        out = value.replace("\\", "\\\\").replace('"', '\\"')
+        out = out.replace("\n", "\\n").replace("\r", "\\r")
+        out = out.replace("\t", "\\t")
+        return f'"{out}"'
+    if isinstance(value, list):
+        return "[" + ",".join(_reference_render(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ",".join(f'{_reference_render(str(k))}:'
+                              f'{_reference_render(v)}'
+                              for k, v in items) + "}"
+    raise InvalidInput(f"cannot render {type(value).__name__} into a report")
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {"b": [np.float64(0.1), (np.int64(2), np.arange(3.0))],
+           "c": (np.bool_(False), [np.float32(0.1), {"d": np.ones(2)}])}},
+    np.arange(6.0).reshape(2, 3) / 7.0,
+    [np.bool_(True), np.int64(-5), np.float32(1.5), np.float32(0.1)],
+    [float("nan"), float("inf"), -float("inf"), np.float64(np.nan),
+     np.array([np.inf, -np.inf, np.nan])],
+    [-1.0, 2.0, 1e20, -0.0, np.float64(3.0), np.array([4.0, -5.0])],
+    {1: "one", "2": np.int64(2), 3.5: (1, 2)},
+    ("tuple", ("nested", np.array([1.0])), np.array([[True, False]])),
+    {"s": "a\"b\nc\t\\", "n": None, "e": [], "m": {}},
+])
+def test_render_matches_two_pass_renderer(value):
+    assert _render(value) == _reference_render(value)
+
+
+@pytest.mark.parametrize("raw", [
+    {"rep": "sl-so:4", "point": "random-regular:1",
+     "analyses": ["orbit", "holonomy", "coxeter"], "seed": 1},
+    {"rep": "product:sl-so:3,sl-so:3", "point": "veronese;veronese",
+     "analyses": ["orbit", "holonomy", "bound"], "seed": 1},
+    {"rep": "sl-so:3", "point": "veronese",
+     "analyses": ["loop-probe", "transport-audit"], "seed": 1},
+], ids=["sweep-small", "holonomy-large", "transport-loops"])
+def test_document_text_matches_two_pass_renderer(raw):
+    report = run_scenario(ScenarioConfig.from_dict(raw))
+    doc = report.body()
+    doc["timings"] = report.timings
+    assert report.document_text() == _reference_render(doc)
 
 
 def test_render_rejects_unknown_types():

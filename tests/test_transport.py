@@ -5,6 +5,7 @@ import pytest
 
 from normholo.errors import InvalidInput
 from normholo.kernels import matrix_exp
+from normholo.orbit import shape_operator
 from normholo.transport import (OrbitCurve, closed_square_loop,
                                 exact_transport, exact_transport_vector,
                                 parallel_transport_normal,
@@ -303,3 +304,15 @@ def test_single_sample_per_long_segment(v3):
     assert np.array_equal(res.g_samples[-1], res.g_end)
     exact = exact_transport_vector(curve, v3.nbar_frame[0])
     assert float(np.max(np.abs(res.xi_end - exact))) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normal_vector_needs_finite_entries(v3, bad):
+    xi = v3.nbar_frame[0].copy()
+    xi[0, 1] = xi[1, 0] = bad
+    curve = _open_curve(v3)
+    for call in (lambda: parallel_transport_normal(curve, xi),
+                 lambda: exact_transport_vector(curve, xi),
+                 lambda: shape_operator(v3, xi)):
+        with pytest.raises(InvalidInput, match="finite entries"):
+            call()
