@@ -11,7 +11,7 @@ that threshold has rank 0 (sigma_max <= ||R||_F) and skips the SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class Tolerances:
     eig: float = 1e-9
     rank: float = 1e-8
     cluster_gap: float = 1e-6
-
-    def with_cluster_gap(self, gap: float) -> "Tolerances":
-        return replace(self, cluster_gap=gap)
 
 
 DEFAULT_TOLS = Tolerances()
@@ -128,10 +125,11 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 def matrix_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaled Taylor, exact identity at zero)."""
+    """Matrix exponential of a square matrix or of each matrix of an
+    (N, n, n) stack (scaled Taylor, exact identity at zero)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise InvalidInput("matrix_exp needs a square matrix")
+    if x.ndim not in (2, 3) or x.shape[-2] != x.shape[-1]:
+        raise InvalidInput("matrix_exp needs square matrices")
     if not np.sum(x * x) < np.inf:          # inf or NaN entries, or overflow
         raise InvalidInput("matrix_exp needs finite entries")
     return _expm_core(x)

@@ -117,7 +117,7 @@ class SymmetricPairRep:
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat, dtype=float)
-        return np.einsum("dij,ij->d", self.carrier_frame, mat)
+        return np.einsum("dij,...ij->...d", self.carrier_frame, mat)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()

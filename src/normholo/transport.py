@@ -9,14 +9,14 @@ B_X[k, l] = <f_k, [X, f_l]> is a constant K x K skew matrix, the
 :func:`normholo.srep.frame_action` of X on the frame.  Transport
 along a piecewise curve is therefore one K x K orthogonal matrix, a
 product of exponentials: :func:`exact_transport` returns it, the loop
-probe's frame return, the tube feet and the tube chart carry frame
-coefficients through it, and :func:`exact_transport_vector` maps one
-normal vector to the curve end.  On the tangent frame the same
-generators give the closed-form nabla alpha of
+probe's frame return and the tube feet carry frame coefficients through
+it, :func:`exact_transport_vector` maps one normal vector to the curve
+end, and the tube chart stacks one-arc factors exp(-B_X).  On the
+tangent frame the same generators give the closed-form nabla alpha of
 :func:`normholo.veronese.parallel_alpha_residual`.
 
 Each :class:`OrbitCurve` forms exp(tX) of all its arcs once, on
-construction, in one batched :func:`normholo.kernels.matrix_exp` call;
+construction, in one batched :func:`normholo.linalg.matrix_exp` call;
 its endpoint, the closure checks and the group factor of exact
 transport reuse those exponentials, and :func:`exact_transport` forms
 its coefficient factors in one such call.
@@ -44,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, TransportDiverged
-from .kernels import matrix_exp, transport_segment
-from .linalg import orthogonal_log, sym_eig
+from .kernels import transport_segment
+from .linalg import matrix_exp, orthogonal_log, sym_eig
 from .orbit import OrbitSubmanifold, build_orbit, traceless_shape_operator
 from .srep import frame_action
 

@@ -8,6 +8,13 @@ formula route) and by finite differences on an honestly constructed
 local patch of the tube (the direct route).  The two must agree; the
 direct route is the oracle for the formula.
 
+Every finite difference here (the patch stencils, the Dupin, caustic
+and normal-exponential checks) reads one chart, the normal exponential
+q(u, w) = g_u (v + xi(u, w)) g_u^T with g_u = exp(sum_i u_i X_i) and xi
+the radial vector carried by exact transport and turned in the fiber.
+_chart evaluates a whole stack of (u, w), one stacked exponential each
+for the arcs, the transports and the fiber rotations.
+
 Patch evaluation never pushes base-point operators forward: every foot
 is rebuilt with build_orbit and every fiber direction is re-expressed in
 the moving frame, so discretization error shows up in the comparisons
@@ -16,7 +23,7 @@ instead of cancelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +37,8 @@ from .linalg import (Subspace, cluster_indices, gram_kernel, matrix_exp,
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
                     traceless_shape_operator)
-from .transport import OrbitCurve, exact_transport, exact_transport_vector
+from .srep import frame_action
+from .transport import OrbitCurve, exact_transport_vector
 
 # Spectra on finite-difference patches carry noise around 1e-7, far
 # above the dense-arithmetic cluster gap; this one is deliberately
@@ -95,6 +103,9 @@ def seeded_tube_direction(M: OrbitSubmanifold, seed: int) -> np.ndarray:
     shape eigenvalue is (1 - SAFETY_MARGIN)/2, keeping the tube radius inside
     the focal-free band.
     """
+    if len(M.nbar_frame) == 0:
+        raise NotApplicable("the orbit has no sphere-normal direction "
+                            "for a tube")
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(len(M.nbar_frame))
     xi = np.einsum("k,kij->ij", c, M.nbar_frame)
@@ -180,26 +191,43 @@ def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray):
                                 for c in reversed(clusters))
 
 
+def _chart(orbit: OrbitSubmanifold, coords: np.ndarray, us: np.ndarray,
+           fiber: np.ndarray | None = None):
+    """Stacks (q, p, radial) of q = p + radial, p = g v g^T, for an
+    (N, n) stack us of foot coordinates: g = exp(sum_i u_i X_i) over the
+    m-generators, and radial = g xi g^T where xi has frame coefficients
+    exp(fiber) exp(-B_X) coords (no rotation when fiber is None).
+    """
+    x = np.einsum("ni,ijk->njk", us, orbit.m_generators)
+    g = matrix_exp(x)
+    c = matrix_exp(-frame_action(x, orbit.normal_frame)) @ coords
+    if fiber is not None:
+        c = np.einsum("nkl,nl->nk", matrix_exp(fiber), c)
+    gt = np.swapaxes(g, 1, 2)
+    p = g @ orbit.point @ gt
+    radial = g @ np.einsum("nk,kij->nij", c, orbit.normal_frame) @ gt
+    return p + radial, p, radial
+
+
 def _stencil_jacobian(fn, n: int, n_axes: int, extent: float) -> np.ndarray:
     """Central-difference Jacobian of fn at the chart origin.
 
     The n foot axes take the 7-point stencil, the fiber axes the
-    5-point one, each over [-extent, extent].
+    5-point one, each over [-extent, extent].  fn maps an (N, n_axes)
+    stack of chart parameters to one row per point; it is called once,
+    on the stencil points of every axis.
     """
-    cols = []
+    points, coef = [], []
     for axis in range(n_axes):
         weights = _W7 if axis < n else _W5
         half = len(weights) // 2
         h = extent / half
-        acc = 0.0
-        for k, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            params = np.zeros(n_axes)
-            params[axis] = (k - half) * h
-            acc = acc + w * fn(params)
-        cols.append(acc / h)
-    return np.column_stack(cols)
+        for k in np.flatnonzero(weights):
+            points.append(np.zeros(n_axes))
+            points[-1][axis] = (k - half) * h
+            coef.append(np.zeros(n_axes))
+            coef[-1][axis] = weights[k] / h
+    return fn(np.array(points)).T @ np.array(coef)
 
 
 def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
@@ -229,8 +257,8 @@ class TubePatch:
 
     Parameters are n foot coordinates (tangent frame of the foot orbit)
     and m3 fiber coordinates (holonomy directions applied to the radial
-    vector).  evaluate() returns honest tube points; the radial shape
-    operator comes from axis stencils.
+    vector).  evaluate() returns honest tube points for a stack of
+    parameters; the radial shape operator comes from axis stencils.
     """
 
     def __init__(self, M: OrbitSubmanifold, xi: np.ndarray,
@@ -249,31 +277,17 @@ class TubePatch:
     # -- geometry evaluation -------------------------------------------
 
     def evaluate(self, params: np.ndarray):
-        """Tube point for chart parameters (foot coords + fiber coords).
+        """Tube points for an (N, n_axes) stack of chart parameters, foot
+        coordinates first, then fiber coordinates.
 
-        Returns (q, foot_point, radial) as carrier matrices.
+        Returns the stacks (q, foot_point, radial) of carrier matrices.
         """
         params = np.asarray(params, dtype=np.float64)
-        if params.shape != (self.n_axes,):
-            raise InvalidInput("parameter length mismatch")
-        u, w = params[:self.n], params[self.n:]
-        foot = self.foot
-        x = np.einsum("i,ijk->jk", u, foot.m_generators)
-        # coordinates of the radial vector in the moving normal frame
-        # gu f_k gu^T: xi1's, transported along exp(X) and fiber-rotated
-        if np.linalg.norm(u) > 0.0:
-            seg = OrbitCurve(orbit=foot, segments=((x, 1.0),))
-            gu = seg.arc_exps[0]
-            coords = exact_transport(seg) @ self.xi1_coords
-        else:
-            gu = np.eye(foot.rep.total_size)
-            coords = self.xi1_coords
-        if self.m3 and np.any(w):  # exp(0) is exactly the identity
-            h = matrix_exp(np.einsum("j,jkl->kl", w, self.fiber_dirs))
-            coords = h @ coords
-        p = gu @ foot.point @ gu.T
-        radial = gu @ foot.normal_vector(coords) @ gu.T
-        return p + radial, p, radial
+        if params.ndim != 2 or params.shape[1] != self.n_axes:
+            raise InvalidInput("chart parameters must be an (N, n_axes) stack")
+        fiber = np.einsum("nj,jkl->nkl", params[:, self.n:],
+                          self.fiber_dirs) if self.m3 else None
+        return _chart(self.foot, self.xi1_coords, params[:, :self.n], fiber)
 
     def _axis_stencils(self):
         """First derivatives of q and of the radial field along each axis."""
@@ -283,7 +297,7 @@ class TubePatch:
 
         def q_and_radial(params):
             q, _, radial = self.evaluate(params)
-            return np.concatenate([rep.coords(q), rep.coords(radial)])
+            return np.concatenate([rep.coords(q), rep.coords(radial)], axis=1)
 
         both = _stencil_jacobian(q_and_radial, self.n, self.n_axes,
                                  PATCH_EXTENT)
@@ -321,8 +335,8 @@ class TubePatch:
         the cluster nearest -1, or None when there is no fiber (m3 = 0),
         horiz the others by descending value."""
         a, _, _, _ = self.shape_operator()
-        dec = sym_eig(a, tols=self.foot.tols.with_cluster_gap(
-            TUBE_CLUSTER_GAP))
+        dec = sym_eig(a, tols=replace(self.foot.tols,
+                                      cluster_gap=TUBE_CLUSTER_GAP))
         means = dec.cluster_means()
         vert = int(np.argmin(np.abs(means - (-1.0)))) if self.m3 else None
         horiz = sorted((i for i in range(len(means)) if i != vert),
@@ -353,18 +367,13 @@ class TubePatch:
 
     # -- pointwise hat-eigenvalues through foot data -------------------
 
-    def hat_values_at(self, params: np.ndarray):
-        """(hat1, hat2) at a patch point, from honestly rebuilt foot data.
-
-        The formula route is applied at the displaced foot; its validity
-        at displaced points is exactly what the direct-vs-formula check
-        certifies at the base point.
-        """
-        _, p, radial = self.evaluate(params)
-        return self._hat_values(p, radial)
-
     def _hat_values(self, p: np.ndarray, radial: np.ndarray):
-        """(hat1, hat2) of the radial vector at the displaced foot p."""
+        """(hat1, hat2) of the radial vector at the displaced foot p.
+
+        The foot data are rebuilt honestly at p and the formula route is
+        applied there; its validity at displaced points is exactly what
+        the direct-vs-formula check certifies at the base point.
+        """
         local = build_orbit(self.foot.rep, p, tols=self.foot.tols)
         _, _, hats = _foot_spectrum(local, radial)
         if hats is None:
@@ -419,21 +428,16 @@ def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
                             "manifold to test along")
     e1 = patch.eigendistribution()
     _, _, jc, _ = patch.shape_operator()
-    jc_inv = np.linalg.inv(jc)
-    worst1 = 0.0
-    worst2 = 0.0
-    for col in range(e1.shape[1]):
-        vel = jc_inv @ e1[:, col]
-        nrm = np.linalg.norm(jc @ vel)
-        plus = patch.hat_values_at(DUPIN_STEP * vel)
-        minus = patch.hat_values_at(-DUPIN_STEP * vel)
-        d1 = abs(plus[0] - minus[0]) / (2.0 * DUPIN_STEP * nrm)
-        d2 = abs(plus[1] - minus[1]) / (2.0 * DUPIN_STEP * nrm)
-        worst1 = max(worst1, float(d1))
-        worst2 = max(worst2, float(d2))
-    return DupinResult(max_hat1_derivative=worst1,
-                       max_hat2_derivative=worst2,
-                       directions_tested=e1.shape[1], step=DUPIN_STEP)
+    vels = (np.linalg.inv(jc) @ e1).T        # one chart velocity per row
+    nrms = np.linalg.norm(vels @ jc.T, axis=1)
+    _, p, radial = patch.evaluate(DUPIN_STEP * np.concatenate([vels, -vels]))
+    hats = np.array([patch._hat_values(pt, rv) for pt, rv in zip(p, radial)])
+    k = len(vels)
+    slopes = np.abs(hats[:k] - hats[k:]) / (2.0 * DUPIN_STEP * nrms[:, None])
+    worst1, worst2 = np.max(slopes, axis=0)
+    return DupinResult(max_hat1_derivative=float(worst1),
+                       max_hat2_derivative=float(worst2),
+                       directions_tested=k, step=DUPIN_STEP)
 
 
 @dataclass
@@ -473,9 +477,10 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
 
     def rho(params):
         q, p, radial = patch.evaluate(params)
-        hat1, _ = patch._hat_values(p, radial)
+        hat1 = np.array([patch._hat_values(pt, rv)[0]
+                         for pt, rv in zip(p, radial)])
         zeta = radial - shift * q
-        return rep.coords(q + (1.0 / (hat1 + shift)) * zeta)
+        return rep.coords(q + (1.0 / (hat1 + shift))[:, None, None] * zeta)
 
     jac = _stencil_jacobian(rho, patch.n, patch.n_axes, PATCH_EXTENT)
 
@@ -514,20 +519,14 @@ def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
     must match (I - A_eta) applied to the direction.
     """
     expected = normal_exponential_differential(M, eta)
+    coords = M.normal_coords(M.normal_stack(eta)[0])
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(FD_PROBES):
-        c = rng.standard_normal(M.dim)
-        c /= np.linalg.norm(c)
-        x = np.einsum("i,ijk->jk", c, M.m_generators)
-        vals = []
-        for sgn in (1.0, -1.0):
-            seg = OrbitCurve(orbit=M, segments=((sgn * x, FD_DELTA),))
-            vals.append(seg.endpoint() + exact_transport_vector(seg, eta))
-        fd = (vals[0] - vals[1]) / (2.0 * FD_DELTA)
-        predicted = np.einsum("i,ijk->jk", expected @ c, M.tangent_frame)
-        worst = max(worst, float(np.linalg.norm(fd - predicted)))
-    return worst
+    c = rng.standard_normal((FD_PROBES, M.dim))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    q, _, _ = _chart(M, coords, FD_DELTA * np.concatenate([c, -c]))
+    fd = (q[:FD_PROBES] - q[FD_PROBES:]) / (2.0 * FD_DELTA)
+    predicted = np.einsum("pi,ijk->pjk", c @ expected.T, M.tangent_frame)
+    return float(np.max(np.linalg.norm(fd - predicted, axis=(1, 2))))
 
 
 def equivalence_one_check(spectra) -> bool:

@@ -211,6 +211,24 @@ def test_matrix_exp_rejects_non_finite(bad):
         matrix_exp(x)
 
 
+def test_matrix_exp_takes_stacks_and_rejects_one_nan_slice():
+    x = np.zeros((4, 3, 3))
+    x[:, 0, 1] = [0.0, 0.3, -1.2, 4.0]
+    x[:, 1, 0] = -x[:, 0, 1]
+    got = matrix_exp(x)
+    for e, xi in zip(got, x):
+        assert np.array_equal(e, matrix_exp(xi))
+    x[2, 1, 2] = np.nan
+    with pytest.raises(InvalidInput, match="finite"):
+        matrix_exp(x)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 4), (1, 2, 3, 3)])
+def test_matrix_exp_rejects_non_square_shapes(shape):
+    with pytest.raises(InvalidInput, match="square"):
+        matrix_exp(np.zeros(shape))
+
+
 def test_orthogonal_log_rejects_far_matrix():
     with pytest.raises(InvalidInput):
         orthogonal_log(-np.eye(3))

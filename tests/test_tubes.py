@@ -5,11 +5,13 @@ import pytest
 
 from normholo.errors import (FocalDegeneracy, InvalidInput, InvalidShift,
                              NotApplicable)
+from normholo.linalg import matrix_exp
 from normholo.orbit import build_orbit
 from normholo.report import ScenarioConfig, run_scenario
 from normholo.srep import SymmetricPairRep
-from normholo.transport import OrbitCurve
-from normholo.tubes import (TubeSpectrum, caustic_rank_check,
+from normholo.transport import (OrbitCurve, exact_transport,
+                                exact_transport_vector)
+from normholo.tubes import (TubePatch, TubeSpectrum, caustic_rank_check,
                             choose_tube_direction, dupin_check,
                             equivalence_one_check,
                             normal_exponential_differential,
@@ -247,18 +249,84 @@ def test_tube_chart_keeps_rank(raw):
     assert tube["agreementGap"] <= 1e-4
 
 
-def test_patch_skips_fiber_exponential_at_zero_fiber(v3_patch, monkeypatch):
-    import normholo.tubes as tubes
-    _, patch = v3_patch
+def _chart_point(patch, params):
+    """One tube point built the per-point way: a one-arc curve, its
+    exact transport coefficients and a fiber exponential."""
+    foot = patch.foot
+    u, w = params[:patch.n], params[patch.n:]
+    seg = OrbitCurve.from_tangent_coords(foot, [(u, 1.0)])
+    coords = exact_transport(seg) @ patch.xi1_coords
+    coords = matrix_exp(np.einsum("j,jkl->kl", w, patch.fiber_dirs)) @ coords
+    g = seg.group_path_end()
+    p = g @ foot.point @ g.T
+    radial = g @ foot.normal_vector(coords) @ g.T
+    return p + radial, p, radial
+
+
+def _curved_tube_patch(v3, v3_xi):
+    """The patch of the curved sl-so:4 tube in test_tube_chart_keeps_rank."""
+    curve = OrbitCurve(orbit=v3, step=1e-3, segments=(
+        (v3.rep.generators[2], 0.2289646992846347),
+        (v3.rep.generators[1], 0.2710353007153653)))
+    return TubePatch(v3, v3_xi, curve=curve)
+
+
+@pytest.mark.parametrize("which", ["v3", "curved"])
+def test_chart_matches_per_point_construction(which, v3, v3_xi, v3_patch):
+    patch = v3_patch[1] if which == "v3" else _curved_tube_patch(v3, v3_xi)
+    assert patch.m3 > 0
+    rng = np.random.default_rng(3)
+    params = 0.02 * rng.standard_normal((6, patch.n_axes))
+    params[1, :patch.n] = 0.0          # fiber only
+    params[2, patch.n:] = 0.0          # foot only
+    params[3] = 0.0                    # the chart origin
+    got = patch.evaluate(params)
+    for i, row in enumerate(params):
+        for stack, want in zip(got, _chart_point(patch, row)):
+            assert np.max(np.abs(stack[i] - want)) <= 1e-14
+    # at the origin the chart is exactly the foot and the radial vector
+    assert np.array_equal(got[1][3], patch.foot.point)
+    assert np.array_equal(got[2][3], patch.foot.normal_vector(
+        patch.xi1_coords))
+
+
+def test_chart_matches_curve_endpoint_and_transport(v3, v3_xi):
+    from normholo.tubes import _chart
+    c = np.array([[0.6, -0.3, 0.2], [0.0, 1.0, -0.5]])
+    delta = 1e-3
+    q, _, _ = _chart(v3, v3.normal_coords(v3_xi),
+                     delta * np.concatenate([c, -c]))
+    for i, coeffs in enumerate(np.concatenate([c, -c])):
+        seg = OrbitCurve.from_tangent_coords(v3, [(coeffs, delta)])
+        want = seg.endpoint() + exact_transport_vector(seg, v3_xi)
+        assert np.max(np.abs(q[i] - want)) <= 1e-14
+
+
+def test_patch_stencils_take_three_exponential_calls(v3, v3_xi,
+                                                     monkeypatch):
+    import normholo.linalg as linalg
+    patch = TubePatch(v3, v3_xi)
     assert patch.m3 > 0
     calls = []
-    real = tubes.matrix_exp
-    monkeypatch.setattr(tubes, "matrix_exp",
+    real = linalg._expm_core
+    monkeypatch.setattr(linalg, "_expm_core",
                         lambda x: calls.append(x.shape) or real(x))
-    params = np.zeros(patch.n_axes)
-    params[0] = 1e-3                       # foot moves, fiber stays at 0
-    patch.evaluate(params)
-    assert calls == []
-    params[patch.n] = 1e-3
-    patch.evaluate(params)
-    assert calls == [(patch.foot.codim,) * 2]
+    patch._axis_stencils()
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (2, 6), (1, 1, 5)])
+def test_evaluate_rejects_bad_parameter_shapes(v3_patch, shape):
+    _, patch = v3_patch
+    assert patch.n_axes == 5
+    with pytest.raises(InvalidInput):
+        patch.evaluate(np.zeros(shape))
+
+
+def test_seeded_tube_needs_a_sphere_normal_direction():
+    config = ScenarioConfig.from_dict({"rep": "sl-so:2", "point": "veronese",
+                                       "analyses": ["tube"],
+                                       "direction": "seed:1"})
+    tube = run_scenario(config).analyses["tube"]
+    assert tube["error"]["type"] == "NotApplicable"
+    assert "sphere-normal" in tube["error"]["message"]
