@@ -45,8 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run selected analyses on one orbit")
     _add_common(p)
-    p.add_argument("--do", default="orbit",
-                   help="comma list from: " + ",".join(KNOWN_ANALYSES))
+    p.add_argument("--do", default=None,
+                   help="comma list from: " + ",".join(KNOWN_ANALYSES)
+                        + " (default: the --config file's analyses, else "
+                          "orbit)")
 
     p = sub.add_parser("verify-veronese", help="fact suite for one n")
     _add_common(p, rep_point=False)
@@ -126,10 +128,15 @@ _COMMAND_ANALYSIS = {"verify-veronese": "veronese-facts",
 def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
     """The command's scenarios: one, or one per sweep grid point."""
     if args.command == "analyze":
-        wanted = [x.strip() for x in args.do.split(",") if x.strip()]
-        if not wanted:
-            raise InvalidInput(f"--do '{args.do}' names no analysis")
-        return [ScenarioConfig.from_dict({**raw, "analyses": wanted})]
+        # --do overrides the file's "analyses"; with neither, run orbit
+        if args.do is not None:
+            raw = {**raw, "analyses": [x.strip() for x in args.do.split(",")
+                                       if x.strip()]}
+        config = ScenarioConfig.from_dict({"analyses": ["orbit"], **raw})
+        if not config.analyses:
+            raise InvalidInput("--do or the config's analyses name no "
+                               "analysis")
+        return [config]
     if args.command != "sweep":
         return [ScenarioConfig.from_dict(
             {**raw, "analyses": [_COMMAND_ANALYSIS[args.command]]})]

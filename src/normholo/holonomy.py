@@ -7,8 +7,9 @@ and their bracket closure is the holonomy algebra; verdicts (fixed set,
 invariant factors, per-factor transitivity, the factor-count bound, the
 slice distance) are assembled on top.  The loop probe at the bottom is
 the independent cross-check: it derives holonomy elements from exact
-parallel transport around small closed loops and compares their logs
-against the curvature-generated algebra.
+parallel transport around small closed loops, all closed and
+transported as one stack, and compares their logs against the
+curvature-generated algebra.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linalg import (Subspace, matrix_exp, orthogonal_log, rank_reveal,
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
                     shape_operators)
 from .srep import CartanCurvature, frame_action
-from .transport import closed_square_loop, transport_frame_return
+from .transport import square_loop_returns
 
 # The normal holonomy of an s-orbit is its slice representation
 # (Heintze-Olmos 1992), so a slice distance within this bound (the
@@ -351,12 +352,12 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         raise NotApplicable("loops need an orbit of dimension >= 2")
     if algebra is None:
         algebra = holonomy_algebra(M)
+    # every (c1, c2) pair is drawn first, in the order and with the
+    # rejections of one loop at a time; then all loops close as one stack
     rng = np.random.default_rng(seed)
-    k = M.codim
-    logs = []
-    worst = 0.0
+    pairs = []
     attempts = 0
-    while len(logs) < count and attempts < 4 * count + 8:
+    while len(pairs) < count and attempts < 4 * count + 8:
         attempts += 1
         c1 = rng.standard_normal(M.dim)
         c1 /= np.linalg.norm(c1)
@@ -365,19 +366,18 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         nrm = np.linalg.norm(c2)
         if nrm < 1e-8:
             continue
-        c2 /= nrm
-        x = np.einsum("i,ijk->jk", c1, M.m_generators)
-        y = np.einsum("i,ijk->jk", c2, M.m_generators)
-        loop = closed_square_loop(M, x, y, loop_radius)
-        lam = orthogonal_log(transport_frame_return(loop))
-        logs.append(lam)
+        pairs.append((c1, c2 / nrm))
+    xs, ys = np.einsum("lci,ijk->cljk", np.array(pairs), M.m_generators)
+    logs = orthogonal_log(square_loop_returns(M, xs, ys, loop_radius))
+    worst = 0.0
+    for lam in logs:
         nrm = np.linalg.norm(lam)
         if nrm < 1e-12:
             continue
         resid = lam.ravel() - algebra.space.project(lam.ravel())
         worst = max(worst, float(np.linalg.norm(resid) / nrm))
-    raw = skew_span(logs, acting_dim=k, tol=M.tols.rank)
+    raw = skew_span(logs, acting_dim=M.codim, tol=M.tols.rank)
     closed = bracket_closure(raw, tol=M.tols.rank)
     return LoopProbeResult(span=closed, raw_dim=raw.dim,
-                           logs=np.stack(logs), containment_residual=worst,
+                           logs=logs, containment_residual=worst,
                            loop_radius=loop_radius)

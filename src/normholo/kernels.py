@@ -27,7 +27,8 @@ def _as_f64(a):
 
 
 def jacobi_eigh(a):
-    """Eigendecomposition of a symmetric matrix (LAPACK).
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a
+    stack (LAPACK).
 
     Returns (w, V) with eigenvalues ascending and orthonormal columns;
     each eigenvector's largest-magnitude entry is made positive so the
@@ -35,12 +36,15 @@ def jacobi_eigh(a):
     benchmark's per-layer metrics refer to it.
     """
     a = _as_f64(a)
-    n = a.shape[0]
+    n = a.shape[-1]
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
+        return np.zeros(a.shape[:-1]), np.zeros(a.shape)
     w, vecs = np.linalg.eigh(a)
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
-    vecs = vecs * np.where(peak < 0.0, -1.0, 1.0)
+    mats = vecs.reshape(-1, n, n)
+    peak = mats[np.arange(len(mats))[:, None], np.abs(mats).argmax(axis=1),
+                np.arange(n)]
+    vecs = vecs * np.where(peak < 0.0, -1.0, 1.0).reshape(w.shape[:-1]
+                                                           + (1, n))
     return w, vecs
 
 

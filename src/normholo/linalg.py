@@ -83,13 +83,17 @@ class Subspace:
 
 
 def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
+    """Symmetric part of a square matrix, or of each matrix of an
+    (N, n, n) stack, after checking each for symmetry."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    scale = 1.0 + float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > tol * scale:
+    at = np.swapaxes(a, -2, -1)
+    d = np.array([a, a - at])
+    size, asym = np.sqrt(np.einsum("k...ij,k...ij->k...", d, d))
+    if (asym > tol * (1.0 + size)).any():
         raise InvalidInput("matrix is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> tuple:
@@ -137,17 +141,21 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
 
 def rank_reveal(mat: np.ndarray, tol: float = DEFAULT_TOLS.rank,
                 scale: float | None = None, full: bool = False):
-    """SVD of a matrix with its numerical rank.
+    """SVD of a matrix, or of each matrix of a stack, with its
+    numerical rank.
 
     Every rank, span and kernel decision of the package goes through
     this one test: a singular value is zero when it is at most
     tol * (1 + scale).  scale measures the input as offered (the
     largest singular value unless given), never a residual.  Returns
-    (u, s, vt, rank), singular values descending; full asks for square
-    u and vt.
+    (u, s, vt, rank), singular values descending, rank an int array
+    over a stack; full asks for square u and vt.
     """
     u, s, vt = np.linalg.svd(np.asarray(mat, dtype=float),
                              full_matrices=full)
+    if s.ndim > 1:
+        scale = s[:, :1] if scale is None else scale
+        return u, s, vt, (s > tol * (1.0 + scale)).sum(axis=1)
     if scale is None:
         scale = float(s[0]) if s.size else 0.0
     return u, s, vt, int(np.count_nonzero(s > tol * (1.0 + scale)))
@@ -282,22 +290,26 @@ def principal_angle_max(a: Subspace, b: Subspace) -> float:
 
 
 def orthogonal_log(t: np.ndarray) -> np.ndarray:
-    """Principal log of an orthogonal matrix close to the identity.
+    """Principal log of an orthogonal matrix close to the identity, or of
+    each matrix of an (L, n, n) stack.
 
     Series in e = t - id; callers keep ||e|| well below 1, where 24
-    terms are far past machine precision.
+    terms are far past machine precision.  Every matrix is checked.
     """
     t = np.asarray(t, dtype=float)
-    n = t.shape[0]
+    if t.ndim not in (2, 3) or t.shape[-2] != t.shape[-1]:
+        raise InvalidInput("orthogonal_log needs square matrices")
+    n = t.shape[-1]
     e = t - np.eye(n)
-    if float(np.linalg.norm(e)) > 0.7:
+    # negated so that NaN, for which every comparison is False, fails
+    if not np.all(np.linalg.norm(e, axis=(-2, -1)) <= 0.7):
         raise InvalidInput("orthogonal_log expects a near-identity matrix")
     out = np.zeros_like(e)
     power = np.eye(n)
     for k in range(1, 25):
         power = power @ e
         out += ((-1.0) ** (k + 1) / k) * power
-    return 0.5 * (out - out.T)
+    return 0.5 * (out - np.swapaxes(out, -2, -1))
 
 
 def polar_orthogonalize(t: np.ndarray) -> np.ndarray:

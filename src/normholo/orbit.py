@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOLS, Tolerances, orthonormal_span, rank_reveal
+from .kernels import jacobi_eigh
+from .linalg import (DEFAULT_TOLS, Tolerances, check_symmetric,
+                     orthonormal_span, rank_reveal)
 from .srep import SymmetricPairRep, frame_action
 
 SPHERE_TOL = 1e-8       # sphere residual of a minimal-in-sphere orbit
@@ -60,15 +62,7 @@ class OrbitSubmanifold:
         if xis.shape[1:] != (r, r):
             raise InvalidInput(f"normal vector shape {xis.shape[1:]}, "
                                f"expected {(r, r)}")
-        flat = xis.reshape(len(xis), -1)
-        # negated so that NaN, for which every comparison is False, fails
-        if not np.max(np.abs(flat), initial=0.0) <= np.finfo(float).max:
-            raise InvalidInput("normal vector needs finite entries")
-        frame = self.normal_frame.reshape(self.codim, -1)
-        for x, res in zip(flat, flat - flat @ frame.T @ frame):
-            if np.linalg.norm(res) > self.tols.rank * (1 + np.linalg.norm(x)):
-                raise InvalidInput("vector does not lie in the normal space "
-                                   "at the base point")
+        _normal_coords(self.normal_frame, xis, self.tols.rank)
         return xis
 
     def normal_coords(self, mat: np.ndarray) -> np.ndarray:
@@ -88,6 +82,59 @@ class OrbitSubmanifold:
                          self.nbar_frame)
 
 
+def _normal_coords(frames: np.ndarray, xis: np.ndarray, tol: float):
+    """(M, K) coefficients of each xis[m] on one (K, R, R) normal frame,
+    or on frames[m]; InvalidInput unless each is finite and in the span
+    to the relative tolerance tol."""
+    flat = xis.reshape(len(xis), -1)
+    if not np.isfinite(flat).all():
+        raise InvalidInput("normal vector needs finite entries")
+    fr = frames.reshape(*frames.shape[:-2], -1)
+    coords = (fr @ flat[:, :, None])[:, :, 0]
+    for x, res in zip(flat, flat - (coords[:, None, :] @ fr)[:, 0]):
+        if np.linalg.norm(res) > tol * (1 + np.linalg.norm(x)):
+            raise InvalidInput("vector does not lie in the normal space "
+                               "at the base point")
+    return coords
+
+
+def _tangent_svds(rep: SymmetricPairRep, points: np.ndarray,
+                  tols: Tolerances):
+    """(v, u, s, vt, ranks): the points of an (N, R, R) stack, each
+    checked and normalized as build_orbit documents, and one stacked SVD
+    of their tangent-image maps with a rank per point (rank_reveal)."""
+    vs = []
+    for point in np.asarray(points, dtype=float):
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(point))
+        if (not tols.rank <= nrm < np.inf and np.all(np.isfinite(point))
+                and np.any(point)):
+            point = point / np.abs(point).max()
+        v = rep.validate_carrier(point, tols)
+        nrm = float(np.linalg.norm(v))
+        if nrm < tols.rank:
+            raise InvalidInput("base point must be nonzero")
+        vs.append(v / nrm)
+    v = np.array(vs)
+    # (G, D, N): carrier coordinates of [X_g, v_p]
+    images = frame_action(rep.generators, rep.carrier_frame, v)
+    u, s, vt, ranks = rank_reveal(images.transpose(2, 1, 0), tols.rank,
+                                  full=True)
+    if ranks.min() == 0:
+        raise InvalidInput("base point is fixed by the whole group")
+    return v, u, s, vt, ranks
+
+
+def _orbit_frames(rep: SymmetricPairRep, u, s, vt, n: int):
+    """m-generators, tangent frames and normal frames of a stack of orbits
+    of dimension n from their tangent SVDs (see build_orbit)."""
+    frame = rep.carrier_frame
+    return (np.einsum("pmg,gij->pmij", vt[:, :n] / s[:, :n, None],
+                      rep.generators),
+            np.einsum("pdn,dij->pnij", u[:, :, :n], frame),
+            np.einsum("pdk,dij->pkij", u[:, :, n:], frame))
+
+
 def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
                 tols: Tolerances = DEFAULT_TOLS) -> OrbitSubmanifold:
     """Assemble the orbit through a carrier point with all frames fixed.
@@ -100,44 +147,62 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     spaces are complementary by construction.  The point is normalized;
     a finite nonzero point whose norm overflows or is under the rank
     threshold is first divided by its largest entry, which normalizing
-    makes no difference to.
+    makes no difference to.  The frames come from the core that
+    traceless_spectra_at runs on whole stacks, here on a stack of one.
     """
-    point = np.asarray(point, dtype=float)
-    with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(point))
-    if (not tols.rank <= nrm < np.inf and np.all(np.isfinite(point))
-            and np.any(point)):
-        point = point / np.abs(point).max()
-    v = rep.validate_carrier(point, tols)
-    nrm = float(np.linalg.norm(v))
-    if nrm < tols.rank:
-        raise InvalidInput("base point must be nonzero")
-    v = v / nrm
+    v, u, s, vt, ranks = _tangent_svds(
+        rep, np.asarray(point, dtype=float)[None], tols)
+    n = int(ranks[0])
+    m_generators, tangent_frame, normal_frame = (
+        a[0] for a in _orbit_frames(rep, u, s, vt, n))
 
-    vc = rep.coords(v)
-    d = rep.carrier_dim
-
-    images = frame_action(rep.generators, rep.carrier_frame, v[None])
-    u, s, vt, n = rank_reveal(images[..., 0].T, tols.rank, full=True)
-    if n == 0:
-        raise InvalidInput("base point is fixed by the whole group")
-    m_generators = np.einsum("mg,gij->mij", vt[:n] / s[:n, None],
-                             rep.generators)
-    normal = u[:, n:]
-
+    normal = u[0, :, n:]
+    vc = rep.coords(v[0])
     vdir = vc / np.linalg.norm(vc)
     nbar_cols = normal - np.outer(vdir, vdir @ normal)
-    normal_bar = orthonormal_span(nbar_cols.T, ambient_dim=d, tol=tols.rank)
-
-    frame = rep.carrier_frame
-    tangent_frame = np.einsum("dn,dij->nij", u[:, :n], frame)
-    normal_frame = np.einsum("dk,dij->kij", normal, frame)
-    nbar_frame = np.einsum("dk,dij->kij", normal_bar.basis, frame)
+    normal_bar = orthonormal_span(nbar_cols.T, ambient_dim=rep.carrier_dim,
+                                  tol=tols.rank)
+    nbar_frame = np.einsum("dk,dij->kij", normal_bar.basis, rep.carrier_frame)
 
     return OrbitSubmanifold(
-        rep=rep, point=v, dim=n, tangent_frame=tangent_frame,
+        rep=rep, point=v[0], dim=n, tangent_frame=tangent_frame,
         normal_frame=normal_frame, nbar_frame=nbar_frame,
         m_generators=m_generators, tols=tols)
+
+
+def traceless_spectra_at(rep: SymmetricPairRep, points: np.ndarray,
+                         xis: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+    """Traceless shape spectrum of xis[i] at the orbit rebuilt through
+    points[i], and its mean term <xi_i, H>/n = tr(A_xi)/n.
+
+    build_orbit, traceless_shape_operator and sym_eig at every point of
+    the (N, R, R) stacks, evaluated as one tangent SVD and, per group of
+    points of equal orbit dimension, one second fundamental form, one
+    normal-space check at tols.rank, one symmetric check and one
+    eigensolve.  Returns a list of N ascending spectra and an (N,) array
+    of mean terms; raises InvalidInput wherever build_orbit would, or
+    when an xi is not finite or not normal at its point.
+    """
+    v, u, s, vt, ranks = _tangent_svds(rep, points, tols)
+    xis = np.asarray(xis, dtype=float)
+    if xis.shape != v.shape:
+        raise InvalidInput(f"normal vector stack shape {xis.shape}, "
+                           f"expected {v.shape}")
+    spectra, means = [None] * len(v), np.empty(len(v))
+    for n in np.unique(ranks):
+        at = np.flatnonzero(ranks == n)
+        m_gens, tangent, normal = _orbit_frames(rep, u[at], s[at], vt[at], n)
+        nu = _normal_coords(normal, xis[at], tols.rank)
+        # f[p, i, j, a] = <xi_a, [X_i, e_j]>; alpha symmetrizes (i, j)
+        f = frame_action(m_gens, normal, tangent).transpose(0, 1, 3, 2)
+        alpha = 0.5 * (f + f.transpose(0, 2, 1, 3))
+        a = np.einsum("pk,pijk->pij", nu, alpha)
+        means[at] = np.trace(a, axis1=1, axis2=2) / n
+        traceless = a - means[at, None, None] * np.eye(n)
+        w, _ = jacobi_eigh(check_symmetric(traceless, tols.sym))
+        for p, row in zip(at, w):
+            spectra[p] = row
+    return spectra, means
 
 
 def second_fundamental_form(m: OrbitSubmanifold) -> np.ndarray:

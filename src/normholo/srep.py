@@ -185,13 +185,17 @@ def frame_action(xs, out_frame, in_frame=None) -> np.ndarray:
     constant generator B_X of frame transport along exp(tX), and on the
     normal frame of an orbit it is the slice representation of the
     stabilizer and the Nomizu map of the normal connection.  xs may be
-    empty.
+    empty.  Leading axes in front of (G, R, R) and (K, R, R) broadcast:
+    N orbits' generators and frames give an (N, G, K_out, K_in) array.
     """
     out_frame = np.asarray(out_frame, dtype=float)
     in_frame = out_frame if in_frame is None else np.asarray(in_frame, float)
-    x = np.asarray(xs, dtype=float).reshape(-1, 1, *out_frame.shape[1:])
-    images = x @ in_frame - in_frame @ x
-    return np.einsum("aij,gbij->gab", out_frame, images)
+    x = np.asarray(xs, dtype=float)
+    r = out_frame.shape[-1]
+    x = x[..., None, :, :] if x.ndim > 2 else x.reshape(-1, 1, r, r)
+    fr = in_frame[..., None, :, :, :]
+    images = x @ fr - fr @ x
+    return np.einsum("...aij,...gbij->...gab", out_frame, images)
 
 
 class CartanCurvature:

@@ -19,7 +19,12 @@ Each :class:`OrbitCurve` forms exp(tX) of all its arcs once, on
 construction, in one batched :func:`normholo.linalg.matrix_exp` call;
 its endpoint, the closure checks and the group factor of exact
 transport reuse those exponentials, and :func:`exact_transport` forms
-its coefficient factors in one such call.
+its coefficient factors in one such call.  The frame return and the
+square loops are written for stacks of curves: :func:`square_loop_returns`
+closes L loops and returns their frame returns with one call each for
+the side exponentials, the closure logs and arcs, and the transports,
+and :func:`closed_square_loop` and :func:`transport_frame_return` are
+that code on a stack of one.
 
 The step-by-step scheme in :mod:`normholo.kernels` (project onto the
 next fiber, apply one midpoint correction, renormalize) is kept as the
@@ -37,7 +42,6 @@ the observed order so a regression is visible in reports.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,8 +49,8 @@ import numpy as np
 
 from .errors import InvalidInput, TransportDiverged
 from .kernels import transport_segment
-from .linalg import matrix_exp, orthogonal_log, sym_eig
-from .orbit import OrbitSubmanifold, build_orbit, traceless_shape_operator
+from .linalg import matrix_exp, orthogonal_log
+from .orbit import OrbitSubmanifold, traceless_spectra_at
 from .srep import frame_action
 
 DEFAULT_STEP = 1e-3
@@ -63,14 +67,17 @@ CLOSURE_TOL = 1e-9   # endpoint-to-base-point distance of a closed curve
 MAX_STEPS_PER_SEGMENT = 10 ** 6
 
 
-def _check_skew(x: np.ndarray, r: int) -> np.ndarray:
+def _check_skew(x: np.ndarray, r: int, ndim: int = 2) -> np.ndarray:
+    """x checked as a finite skew (r, r) generator, or an (L, r, r) stack
+    of them with ndim=3."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (r, r):
+    if x.ndim != ndim or x.shape[-2:] != (r, r):
         raise InvalidInput(f"generator shape {x.shape}, expected {(r, r)}")
-    nrm = np.linalg.norm(x)
-    if not nrm < np.inf:                    # inf or NaN entries, or overflow
+    nrm = np.linalg.norm(x, axis=(-2, -1))
+    if not (nrm < np.inf).all():            # inf or NaN entries, or overflow
         raise InvalidInput("curve generator must be finite")
-    if np.linalg.norm(x + x.T) > 1e-10 * (1.0 + nrm):
+    skew_gap = np.linalg.norm(x + np.swapaxes(x, -2, -1), axis=(-2, -1))
+    if (skew_gap > 1e-10 * (1.0 + nrm)).any():
         raise InvalidInput("curve generator is not skew-symmetric")
     return x
 
@@ -149,8 +156,47 @@ class OrbitCurve:
         return g @ self.orbit.point @ g.T
 
     def is_closed(self) -> bool:
-        return bool(np.linalg.norm(self.endpoint() - self.orbit.point)
-                    <= CLOSURE_TOL)
+        return _all_closed(self.orbit.point, self.group_path_end()[None])
+
+    def _arcs(self):
+        """Arc generators and durations as a stack of one curve."""
+        r = self.orbit.rep.total_size
+        return (np.array([x for x, _ in self.segments]).reshape(1, -1, r, r),
+                np.array([[dur for _, dur in self.segments]]))
+
+
+def _all_closed(point: np.ndarray, g_ends: np.ndarray) -> bool:
+    """Whether each group path end of the stack fixes the base point."""
+    ends = g_ends @ point @ np.swapaxes(g_ends, 1, 2)
+    return bool(np.all(np.linalg.norm(ends - point, axis=(1, 2))
+                       <= CLOSURE_TOL))
+
+
+def _square_closures(orbit: OrbitSubmanifold, xs: np.ndarray,
+                     ys: np.ndarray, radius: float):
+    """Arc generators, durations, arc exponentials and group path ends
+    of the loops of closed_square_loop on (L, R, R) stacks xs, ys; each
+    path end is checked to be the identity within 1e-9.  The 4L sides,
+    the L defect logs and the L closure arcs take one call each."""
+    r = orbit.rep.total_size
+    xs = _check_skew(xs, r, ndim=3)
+    ys = _check_skew(ys, r, ndim=3)
+    s = float(radius)
+    if not s > 0.0:
+        raise InvalidInput("loop radius must be positive")
+    sides = np.stack([xs, ys, -xs, -ys], axis=1)
+    exps = matrix_exp(s * sides.reshape(-1, r, r)).reshape(sides.shape)
+    g = np.eye(r)
+    for j in range(4):
+        g = g @ exps[:, j]
+    w = _check_skew(-orthogonal_log(g), r, ndim=3)
+    closing = matrix_exp(w)
+    g = g @ closing
+    if not np.all(np.linalg.norm(g - np.eye(r), axis=(1, 2)) <= 1e-9):
+        raise InvalidInput("loop closure arc failed to return to identity")
+    return (np.concatenate([sides, w[:, None]], axis=1),
+            np.array([s, s, s, s, 1.0]),
+            np.concatenate([exps, closing[:, None]], axis=1), g)
 
 
 def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
@@ -160,24 +206,18 @@ def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
     The four-arc group commutator misses the identity by O(s^2); a fifth
     arc along -log of the defect closes the loop exactly up to the log
     series truncation.  The result is a null-homotopic loop at the base
-    point suitable for holonomy probes.
+    point suitable for holonomy probes; square_loop_returns evaluates a
+    whole stack of them without forming curves.
     """
-    r = orbit.rep.total_size
-    x = _check_skew(x, r)
-    y = _check_skew(y, r)
-    s = float(radius)
-    if not s > 0.0:
-        raise InvalidInput("loop radius must be positive")
-    square = OrbitCurve(orbit=orbit,
-                        segments=((x, s), (y, s), (-x, s), (-y, s)))
-    w = _check_skew(-orthogonal_log(square.group_path_end()), r)
-    # the closed curve keeps the four arcs and their exponentials
-    curve = copy.copy(square)
-    object.__setattr__(curve, "segments", square.segments + ((w, 1.0),))
-    object.__setattr__(curve, "arc_exps", square.arc_exps + (matrix_exp(w),))
-    g_end = curve.group_path_end()
-    if np.linalg.norm(g_end - np.eye(r)) > 1e-9:
-        raise InvalidInput("loop closure arc failed to return to identity")
+    gens, durs, exps, _ = _square_closures(
+        orbit, np.asarray(x, dtype=float)[None],
+        np.asarray(y, dtype=float)[None], radius)
+    # the curve keeps the arcs' exponentials instead of forming them again
+    curve = object.__new__(OrbitCurve)
+    for name, value in (("orbit", orbit), ("step", DEFAULT_STEP),
+                        ("segments", tuple(zip(gens[0], map(float, durs)))),
+                        ("arc_exps", tuple(exps[0]))):
+        object.__setattr__(curve, name, value)
     return curve
 
 
@@ -286,6 +326,34 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
         step=h))
 
 
+def _exact_transports(orbit: OrbitSubmanifold, gens: np.ndarray,
+                      durs: np.ndarray) -> np.ndarray:
+    """(L, K, K) exact transports of L curves from their (L, S, R, R) arc
+    generators and durations, one exponential call for all L S arcs."""
+    l, n_arcs, r, _ = gens.shape
+    k = orbit.codim
+    b = frame_action(gens.reshape(-1, r, r), orbit.normal_frame)
+    durs = np.broadcast_to(durs, (l, n_arcs)).reshape(-1, 1, 1)
+    exps = matrix_exp(-durs * b).reshape(l, n_arcs, k, k)
+    t = np.tile(np.eye(k), (l, 1, 1))
+    # a zero-duration arc contributes exp(0) = I exactly, and I @ t = t
+    for j in range(n_arcs):
+        t = exps[:, j] @ t
+    return t
+
+
+def _frame_returns(orbit: OrbitSubmanifold, gens: np.ndarray,
+                   durs: np.ndarray, g_ends: np.ndarray) -> np.ndarray:
+    """(L, K, K) frame returns O = A T (transport_frame_return) of L
+    closed curves from their arcs and (L, R, R) group path ends."""
+    if not _all_closed(orbit.point, g_ends):
+        raise InvalidInput("frame return requires a closed curve")
+    frame = orbit.normal_frame
+    moved = g_ends[:, None] @ frame @ np.swapaxes(g_ends, 1, 2)[:, None]
+    slice_image = np.einsum("kij,lmij->lkm", frame, moved)
+    return slice_image @ _exact_transports(orbit, gens, durs)
+
+
 def exact_transport(curve: OrbitCurve) -> np.ndarray:
     """The K x K orthogonal transport matrix of the curve in frame coefficients.
 
@@ -293,14 +361,7 @@ def exact_transport(curve: OrbitCurve) -> np.ndarray:
     module docstring): a normal vector with coefficients a on the frame
     at c(0) arrives as g (sum_k (T a)_k f_k) g^T, g the group path end.
     """
-    gens = frame_action([x for x, _ in curve.segments],
-                        curve.orbit.normal_frame)
-    durs = np.array([dur for _, dur in curve.segments])
-    t = np.eye(curve.orbit.codim)
-    # a zero-duration arc contributes exp(0) = I exactly, and I @ t = t
-    for e in matrix_exp(-durs[:, None, None] * gens):
-        t = e @ t
-    return t
+    return _exact_transports(curve.orbit, *curve._arcs())[0]
 
 
 def exact_transport_vector(curve: OrbitCurve, xi: np.ndarray) -> np.ndarray:
@@ -330,12 +391,17 @@ def transport_frame_return(curve: OrbitCurve) -> np.ndarray:
     turns the moving frame back to the base frame when g fixes c(0).
     O is orthogonal to round-off.
     """
-    if not curve.is_closed():
-        raise InvalidInput("frame return requires a closed curve")
-    frame = curve.orbit.normal_frame
-    g = curve.group_path_end()
-    slice_image = np.einsum("kij,mij->km", frame, g @ frame @ g.T)
-    return slice_image @ exact_transport(curve)
+    return _frame_returns(curve.orbit, *curve._arcs(),
+                          curve.group_path_end()[None])[0]
+
+
+def square_loop_returns(orbit: OrbitSubmanifold, xs: np.ndarray,
+                        ys: np.ndarray, radius: float) -> np.ndarray:
+    """transport_frame_return(closed_square_loop(orbit, x, y, radius)) for
+    each x, y of the (L, R, R) stacks, evaluated as one stack with every
+    check of both."""
+    gens, durs, _, g_ends = _square_closures(orbit, xs, ys, radius)
+    return _frame_returns(orbit, gens, durs, g_ends)
 
 
 @dataclass
@@ -401,7 +467,8 @@ def traceless_spectra_along(result: TransportResult) -> tuple:
     """Spectra of the traceless shape operator along the first transported
     vector, at no more than 12 of its samples.
 
-    Rebuilds the orbit data honestly at sampled curve points instead of
+    Rebuilds the orbit data honestly at the sampled curve points, in one
+    traceless_spectra_at call with the orbit's tolerances, instead of
     pushing the base-point operator forward, so transport error shows up
     as eigenvalue drift.  Returns (times, spectra) with spectra of shape
     (S, dim M).
@@ -412,12 +479,8 @@ def traceless_spectra_along(result: TransportResult) -> tuple:
         idx = np.arange(n_samples)
     else:
         idx = np.unique(np.linspace(0, n_samples - 1, 12).astype(int))
-    times = result.times[idx]
-    spectra = []
-    for i in idx:
-        g = result.g_samples[i]
-        point = g @ orbit.point @ g.T
-        local = build_orbit(orbit.rep, point, tols=orbit.tols)
-        xi = result.samples[i, 0]
-        spectra.append(sym_eig(traceless_shape_operator(local, xi)).values)
-    return times, np.array(spectra)
+    g = result.g_samples[idx]
+    points = g @ orbit.point @ np.swapaxes(g, 1, 2)
+    spectra, _ = traceless_spectra_at(orbit.rep, points,
+                                      result.samples[idx, 0], orbit.tols)
+    return result.times[idx], np.array(spectra)

@@ -16,9 +16,10 @@ _chart evaluates a whole stack of (u, w), one stacked exponential each
 for the arcs, the transports and the fiber rotations.
 
 Patch evaluation never pushes base-point operators forward: every foot
-is rebuilt with build_orbit and every fiber direction is re-expressed in
-the moving frame, so discretization error shows up in the comparisons
-instead of cancelling.
+is rebuilt (the displaced feet of the Dupin and caustic checks as one
+stack each, by traceless_spectra_at) and every fiber direction is
+re-expressed in the moving frame, so discretization error shows up in
+the comparisons instead of cancelling.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import (Subspace, cluster_indices, gram_kernel, matrix_exp,
                      sym_eig)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, shape_operator, shape_operators,
-                    traceless_shape_operator)
+                    traceless_shape_operator, traceless_spectra_at)
 from .srep import frame_action
 from .transport import OrbitCurve, exact_transport_vector
 
@@ -169,24 +170,27 @@ def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
 
 
 def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray):
-    """Foot data of the normal vector xi at foot through s -> s/(1-s).
-
-    Returns (lam_tilde, mu, hats): the traceless shape spectrum of xi,
-    the mean-curvature term, and the clustered hat-eigenvalues as
-    ((value, multiplicity), ...) descending, or None when a foot
-    eigenvalue sits at 1 (a focal point).
-    """
+    """(lam_tilde, mu): the traceless shape spectrum of the normal vector
+    xi at foot and its mean-curvature term."""
     lam_tilde = sym_eig(traceless_shape_operator(foot, xi),
                         tols=foot.tols).values
     mc = mean_curvature(foot)
-    mu = float(np.einsum("ij,ij->", xi, mc.ambient)) / foot.dim
-    lam = lam_tilde + mu
-    if np.min(np.abs(1.0 - lam)) < 1e-8:
-        return lam_tilde, mu, None
-    hat = np.sort(lam / (1.0 - lam))
-    clusters = cluster_indices(hat, TUBE_CLUSTER_GAP)
-    return lam_tilde, mu, tuple((float(np.mean(hat[list(c)])), len(c))
-                                for c in reversed(clusters))
+    return lam_tilde, float(np.einsum("ij,ij->", xi, mc.ambient)) / foot.dim
+
+
+def _hat_clusters(lams, where: str) -> list:
+    """Clustered hat-eigenvalues s/(1-s) of each row of foot eigenvalues
+    as ((value, multiplicity), ...) descending; FocalDegeneracy when an
+    eigenvalue of any row sits at 1 (a focal point)."""
+    out = []
+    for lam in lams:
+        if np.min(np.abs(1.0 - lam)) < 1e-8:
+            raise FocalDegeneracy(f"{where} eigenvalue at 1; tube focalizes")
+        hat = np.sort(lam / (1.0 - lam))
+        out.append(tuple((float(np.mean(hat[list(c)])), len(c))
+                         for c in reversed(cluster_indices(
+                             hat, TUBE_CLUSTER_GAP))))
+    return out
 
 
 def _chart(orbit: OrbitSubmanifold, coords: np.ndarray, us: np.ndarray,
@@ -240,9 +244,8 @@ def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
     vertical entry when m3 = 0).
     """
     foot, xi1 = _foot_data(M, xi, curve)
-    lam_tilde, mu, hats = _foot_spectrum(foot, xi1)
-    if hats is None:
-        raise FocalDegeneracy("foot eigenvalue at 1; tube focalizes")
+    lam_tilde, mu = _foot_spectrum(foot, xi1)
+    hats, = _hat_clusters([lam_tilde + mu], "foot")
     _, m3 = _fiber_directions(foot, xi1, holonomy_algebra(foot))
     return TubeSpectrum(
         lambda_hats=hats, vertical_mult=m3,
@@ -344,7 +347,7 @@ class TubePatch:
     def spectrum(self) -> TubeSpectrum:
         dec, means, vert, horiz = self._clusters()
         sizes = dec.cluster_sizes()
-        foot_lam, mu, _ = _foot_spectrum(self.foot, self.xi1)
+        foot_lam, mu = _foot_spectrum(self.foot, self.xi1)
         return TubeSpectrum(
             lambda_hats=tuple((float(means[i]), int(sizes[i])) for i in horiz),
             vertical_mult=0 if vert is None else int(sizes[vert]),
@@ -365,18 +368,20 @@ class TubePatch:
 
     # -- pointwise hat-eigenvalues through foot data -------------------
 
-    def _hat_values(self, p: np.ndarray, radial: np.ndarray):
-        """(hat1, hat2) of the radial vector at the displaced foot p.
+    def _hat_values(self, p: np.ndarray, radial: np.ndarray) -> np.ndarray:
+        """(N, 2) array of (hat1, hat2) of radial[i] at the displaced foot
+        p[i].
 
-        The foot data are rebuilt honestly at p and the formula route is
-        applied there; its validity at displaced points is exactly what
-        the direct-vs-formula check certifies at the base point.
+        The foot data are rebuilt honestly at every p[i] (one stack) and
+        the formula route is applied there; its validity at displaced
+        points is exactly what the direct-vs-formula check certifies at
+        the base point.
         """
-        local = build_orbit(self.foot.rep, p, tols=self.foot.tols)
-        _, _, hats = _foot_spectrum(local, radial)
-        if hats is None:
-            raise FocalDegeneracy("displaced foot eigenvalue at 1")
-        return hats[0][0], hats[min(1, len(hats) - 1)][0]
+        spectra, means = traceless_spectra_at(self.foot.rep, p, radial,
+                                              self.foot.tols)
+        hats = _hat_clusters([lam + mu for lam, mu in zip(spectra, means)],
+                             "displaced foot")
+        return np.array([(h[0][0], h[min(1, len(h) - 1)][0]) for h in hats])
 
 
 def tube_spectrum_direct(M: OrbitSubmanifold, xi: np.ndarray,
@@ -429,7 +434,7 @@ def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
     vels = (np.linalg.inv(jc) @ e1).T        # one chart velocity per row
     nrms = np.linalg.norm(vels @ jc.T, axis=1)
     _, p, radial = patch.evaluate(DUPIN_STEP * np.concatenate([vels, -vels]))
-    hats = np.array([patch._hat_values(pt, rv) for pt, rv in zip(p, radial)])
+    hats = patch._hat_values(p, radial)
     k = len(vels)
     slopes = np.abs(hats[:k] - hats[k:]) / (2.0 * DUPIN_STEP * nrms[:, None])
     worst1, worst2 = np.max(slopes, axis=0)
@@ -475,8 +480,7 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
 
     def rho(params):
         q, p, radial = patch.evaluate(params)
-        hat1 = np.array([patch._hat_values(pt, rv)[0]
-                         for pt, rv in zip(p, radial)])
+        hat1 = patch._hat_values(p, radial)[:, 0]
         zeta = radial - shift * q
         return rep.coords(q + (1.0 / (hat1 + shift))[:, None, None] * zeta)
 

@@ -59,3 +59,24 @@ def product_orbit():
     p[:3, :3] = _veronese_block(3)
     p[3:, 3:] = _veronese_block(3)
     return build_orbit(rep, p)
+
+
+@pytest.fixture
+def build_orbit_calls(monkeypatch):
+    """Calls to build_orbit through any normholo module, recorded."""
+    import sys
+
+    import normholo.orbit
+
+    calls = []
+    real = normholo.orbit.build_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normholo") and \
+                getattr(module, "build_orbit", None) is real:
+            monkeypatch.setattr(module, "build_orbit", counted)
+    return calls

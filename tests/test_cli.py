@@ -334,6 +334,37 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     assert doc["config"]["tolerances"]["eig"] == 1e-8
 
 
+@pytest.mark.parametrize("file_analyses, do, ran", [
+    (["holonomy"], None, ["holonomy"]),              # the file's list
+    (["holonomy"], "loop-probe", ["loop-probe"]),    # --do overrides it
+    (None, None, ["orbit"]),                         # neither: orbit
+])
+def test_config_file_analyses(tmp_path, capsys, file_analyses, do, ran):
+    cfg = tmp_path / "scenario.json"
+    content = {} if file_analyses is None else {"analyses": file_analyses}
+    cfg.write_text(json.dumps(content))
+    argv = ["analyze", "--rep", "sl-so:3", "--point", "veronese",
+            "--config", str(cfg)]
+    rc = main(argv + (["--do", do] if do else []))
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["config"]["analyses"] == ran
+    assert sorted(doc["analyses"]) == ran
+
+
+@pytest.mark.parametrize("file_analyses", ["holonomy", ["bogus"], [],
+                                           ["orbit", "orbit"], [3]])
+def test_bad_config_file_analyses_exit_two(tmp_path, capsys, file_analyses):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"analyses": file_analyses}))
+    rc = main(["analyze", "--rep", "sl-so:3", "--point", "veronese",
+               "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
 def test_sweep_veronese(capsys):
     rc = main(["sweep", "--analysis", "veronese-facts", "--ns", "2,3"])
     out = capsys.readouterr().out

@@ -350,7 +350,8 @@ def test_loop_probe_needs_a_loop(v3, count, monkeypatch):
     def no_loop(*args, **kwargs):
         raise AssertionError("a loop was built")
 
-    monkeypatch.setattr(holonomy, "closed_square_loop", no_loop)
+    # the probe closes all its loops in one square_loop_returns call
+    monkeypatch.setattr(holonomy, "square_loop_returns", no_loop)
     with pytest.raises(InvalidInput, match="count"):
         loop_holonomy_probe(v3, count=count)
 
@@ -408,3 +409,20 @@ def test_decomposition_veronese_sl_so_9(veronese):
     assert algebra.dim == 28
     assert dec.rank == 1
     assert dec.factor_dims == (35,)
+
+
+def test_loop_probe_exponential_calls_do_not_grow_with_count(v3, monkeypatch):
+    import normholo.linalg as linalg
+    algebra = holonomy_algebra(v3)
+    counts = []
+    for count in (3, 12):
+        calls = []
+        real = linalg._expm_core
+        monkeypatch.setattr(linalg, "_expm_core",
+                            lambda x, real=real: calls.append(x.shape)
+                            or real(x))
+        probe = loop_holonomy_probe(v3, count=count, algebra=algebra)
+        monkeypatch.undo()
+        assert len(probe.logs) == count
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3

@@ -250,3 +250,21 @@ def test_subspace_coords_roundtrip():
     assert np.allclose(sp.basis @ sp.coords(x), x)
     assert isinstance(sp, Subspace)
     assert DEFAULT_TOLS.rank == 1e-8
+
+
+def test_orthogonal_log_takes_stacks_and_rejects_one_far_slice():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((6, 5, 5))
+    x = 0.05 * (x - x.transpose(0, 2, 1))
+    t = matrix_exp(x)
+    logs = orthogonal_log(t)
+    for lam, ti in zip(logs, t):
+        assert np.array_equal(lam, orthogonal_log(ti))
+    assert np.max(np.abs(logs - x)) <= 1e-12
+    far = t.copy()
+    far[4] = matrix_exp(8.0 * x[4])
+    with pytest.raises(InvalidInput, match="near-identity"):
+        orthogonal_log(far)
+    far[4] = np.nan
+    with pytest.raises(InvalidInput, match="near-identity"):
+        orthogonal_log(far)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from normholo.errors import InvalidInput
+from normholo.linalg import DEFAULT_TOLS, sym_eig
 from normholo.holonomy import analyze
 from normholo.orbit import (build_orbit, homothecy_test,
                             isotropy_defect, mean_curvature,
                             second_fundamental_form, shape_operator,
                             shape_operators, traceless_shape,
-                            traceless_shape_operator)
+                            traceless_shape_operator, traceless_spectra_at)
 from normholo.report import parse_point_spec, parse_rep_spec
 from normholo.srep import SymmetricPairRep, frame_action, random_regular_point
 
@@ -221,3 +222,66 @@ def test_isotropy_generators_act_on_the_normal_space():
     # stabilizer, whose slice action on the normal space is not zero
     rep, m = _spec_orbit("sl-so:3", "veronese")
     assert np.abs(frame_action(rep.generators, m.normal_frame)).max() > 0.5
+
+
+def _spectra_one_at_a_time(rep, points, xis, tols=DEFAULT_TOLS):
+    """The per-point reference: build_orbit, traceless_shape_operator and
+    sym_eig at each point, and <xi, H>/n from mean_curvature."""
+    spectra, means = [], []
+    for p, xi in zip(points, xis):
+        local = build_orbit(rep, p, tols=tols)
+        spectra.append(sym_eig(traceless_shape_operator(local, xi),
+                               tols=tols).values)
+        means.append(np.sum(xi * mean_curvature(local).ambient) / local.dim)
+    return spectra, np.array(means)
+
+
+def _assert_spectra_match(rep, points, xis):
+    spectra, means = traceless_spectra_at(rep, points, xis)
+    want, want_means = _spectra_one_at_a_time(rep, points, xis)
+    assert [len(s) for s in spectra] == [len(s) for s in want]
+    for got, ref in zip(spectra, want):
+        assert np.max(np.abs(got - ref)) <= 1e-13
+    assert np.max(np.abs(means - want_means)) <= 1e-13
+
+
+def _mixed_rank_stack():
+    # sl-so:3 Veronese points (orbit dim 2) between principal A2 points
+    # (orbit dim 3), each with a normal vector at its own orbit
+    rep = SymmetricPairRep.for_size(3)
+    rng = np.random.default_rng(5)
+    points, xis = [], []
+    for spec in ["veronese", "diag:1,0,-1", "diag:2,-0.5,-1.5", "veronese",
+                 "random-regular:2"]:
+        p = parse_point_spec(rep, spec)
+        g = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        m = build_orbit(rep, g @ p @ g.T)
+        points.append(3.0 * m.point)
+        xis.append(np.einsum("k,kij->ij", rng.standard_normal(m.codim),
+                             m.normal_frame))
+    return rep, np.array(points), np.array(xis)
+
+
+def test_stacked_spectra_keep_each_points_orbit_dimension():
+    rep, points, xis = _mixed_rank_stack()
+    spectra, _ = traceless_spectra_at(rep, points, xis)
+    assert [len(s) for s in spectra] == [2, 3, 3, 2, 3]
+    _assert_spectra_match(rep, points, xis)
+
+
+@pytest.mark.parametrize("bad", ["nan point", "off carrier", "tangent xi",
+                                 "nan xi", "zero point"])
+def test_stacked_spectra_reject_one_bad_slice(bad):
+    rep, points, xis = _mixed_rank_stack()
+    if bad == "nan point":
+        points[2, 0, 0] = np.nan
+    elif bad == "off carrier":
+        points[2] += 0.1 * np.eye(3)
+    elif bad == "tangent xi":
+        xis[3] += 1e-3 * build_orbit(rep, points[3]).tangent_frame[0]
+    elif bad == "nan xi":
+        xis[1, 0, 1] = xis[1, 1, 0] = np.nan
+    else:
+        points[4] = 0.0
+    with pytest.raises(InvalidInput):
+        traceless_spectra_at(rep, points, xis)

@@ -258,7 +258,7 @@ def test_curve_exponentials_formed_once(v3, monkeypatch):
 def test_closed_loop_reuses_arc_exponentials(v3, monkeypatch):
     calls = _count_exponentials(monkeypatch)
     loop = _commutator_loop(v3)
-    assert calls == [(4, 4, 4), (4, 4)]     # four arcs, then the closure arc
+    assert calls == [(4, 4, 4), (1, 4, 4)]  # four arcs, then the closure arc
     fresh = OrbitCurve(orbit=v3, segments=loop.segments)
     assert all(np.array_equal(a, b)
                for a, b in zip(loop.arc_exps, fresh.arc_exps))
@@ -316,3 +316,52 @@ def test_normal_vector_needs_finite_entries(v3, bad):
                  lambda: shape_operator(v3, xi)):
         with pytest.raises(InvalidInput, match="finite entries"):
             call()
+
+
+def test_spectra_along_match_per_point_rebuilds(v3, build_orbit_calls):
+    from normholo.linalg import sym_eig
+    from normholo.orbit import build_orbit, traceless_shape_operator
+    curve = _open_curve(v3)
+    res = parallel_transport_normal(curve, v3.nbar_frame[0], step=1e-2)
+    times, spectra = traceless_spectra_along(res)
+    assert build_orbit_calls == []
+    assert len(times) == 12
+    idx = [int(np.flatnonzero(res.times == t)[0]) for t in times]
+    for row, i in zip(spectra, idx):
+        g = res.g_samples[i]
+        local = build_orbit(v3.rep, g @ v3.point @ g.T, tols=v3.tols)
+        want = sym_eig(traceless_shape_operator(local, res.samples[i, 0]),
+                       tols=v3.tols).values
+        assert np.max(np.abs(row - want)) <= 1e-13
+
+
+def _square_pairs(orbit, count, seed=0):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((2, count, orbit.dim))
+    return np.einsum("pli,ijk->pljk", c, orbit.m_generators)
+
+
+@pytest.mark.parametrize("orbit_name", ["v2", "v3", "a2_orbit"])
+def test_square_loop_returns_match_one_loop_at_a_time(orbit_name, request):
+    from normholo.transport import square_loop_returns
+    orbit = request.getfixturevalue(orbit_name)
+    xs, ys = _square_pairs(orbit, 7)
+    stacked = square_loop_returns(orbit, xs, ys, 0.05)
+    for x, y, ret in zip(xs, ys, stacked):
+        one = transport_frame_return(closed_square_loop(orbit, x, y, 0.05))
+        assert np.max(np.abs(ret - one)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", ["nan", "not skew", "radius"])
+def test_square_loop_returns_reject_one_bad_loop(v3, bad):
+    from normholo.transport import square_loop_returns
+    xs, ys = _square_pairs(v3, 5)
+    radius = 0.05
+    if bad == "nan":
+        xs[3, 0, 1], xs[3, 1, 0] = np.nan, -np.nan
+    elif bad == "not skew":
+        ys[2] += 1e-3 * np.eye(4)
+    else:
+        radius = 0.0
+    with pytest.raises(InvalidInput):
+        square_loop_returns(v3, xs, ys, radius)

@@ -330,3 +330,42 @@ def test_seeded_tube_needs_a_sphere_normal_direction():
     tube = run_scenario(config).analyses["tube"]
     assert tube["error"]["type"] == "NotApplicable"
     assert "sphere-normal" in tube["error"]["message"]
+
+
+def test_displaced_feet_match_per_point_rebuilds(v3, v3_xi):
+    # the Dupin and caustic displacements of the curved sl-so:4 tube
+    from normholo.linalg import sym_eig
+    from normholo.orbit import (mean_curvature, traceless_shape_operator,
+                                traceless_spectra_at)
+    from normholo.tubes import _hat_clusters
+    patch = _curved_tube_patch(v3, v3_xi)
+    rng = np.random.default_rng(3)
+    _, p, radial = patch.evaluate(0.02 * rng.standard_normal((9,
+                                                              patch.n_axes)))
+    spectra, means = traceless_spectra_at(v3.rep, p, radial, v3.tols)
+    hats = patch._hat_values(p, radial)
+    for i, (pt, rv) in enumerate(zip(p, radial)):
+        local = build_orbit(v3.rep, pt, tols=v3.tols)
+        lam = sym_eig(traceless_shape_operator(local, rv),
+                      tols=v3.tols).values
+        mu = np.sum(rv * mean_curvature(local).ambient) / local.dim
+        assert np.max(np.abs(spectra[i] - lam)) <= 1e-13
+        assert abs(means[i] - mu) <= 1e-13
+        top = _hat_clusters([lam + mu], "foot")[0]
+        assert np.max(np.abs(hats[i] - (top[0][0], top[1][0]))) <= 1e-12
+
+
+def test_dupin_and_caustic_build_no_orbit(v3, v3_xi, v3_patch,
+                                          build_orbit_calls):
+    _, patch = v3_patch
+    dupin_check(v3, v3_xi, patch=patch)
+    caustic_rank_check(v3, v3_xi, patch=patch)
+    assert build_orbit_calls == []
+
+
+def test_displaced_hat_values_reject_a_point_off_the_carrier(v3_patch):
+    _, patch = v3_patch
+    _, p, radial = patch.evaluate(np.zeros((3, patch.n_axes)))
+    p[1] += 1e-3 * np.eye(4)
+    with pytest.raises(InvalidInput, match="carrier"):
+        patch._hat_values(p, radial)
