@@ -5,7 +5,10 @@ the orbit base point.  The curvature tensor is kept as a factor F of
 its Gram form F F^T; the curvature endomorphisms span the columns of F,
 and their bracket closure is the holonomy algebra; verdicts (fixed set,
 invariant factors, per-factor transitivity, the factor-count bound, the
-slice distance) are assembled on top.  The loop probe at the bottom is
+slice distance) are assembled on top.  The symmetric-system check pulls
+F back through six sampled holonomy elements at once and forms the gap
+of the Gram forms in m x m blocks on the factor's own columns, with no
+QR and no K^2 x K^2 array.  The loop probe at the bottom is
 the independent cross-check: it derives holonomy elements from exact
 parallel transport around small closed loops, all closed and
 transported as one stack, and compares their logs against the
@@ -24,8 +27,8 @@ from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      is_transitive_on_sphere, skew_span)
 from .linalg import (Subspace, matrix_exp, orthogonal_log, rank_reveal,
                      subspace_distance)
-from .orbit import (OrbitSubmanifold, homothecy_test, shape_operator,
-                    shape_operators)
+from .orbit import (OrbitSubmanifold, homothecy_test, shape_operators,
+                    sphere_normal_shape_operators)
 from .srep import CartanCurvature, frame_action
 from .transport import square_loop_returns
 
@@ -107,8 +110,11 @@ def symmetric_system_residual(curv: AdaptedCurvature,
 
     Pulls the tensor back through h = exp(Lambda) for six random unit
     algebra elements, t'[abcd] = sum t[pqrs] h_pa h_qb h_rc h_sd, i.e.
-    F_i -> h^T F_i h, and reports the max of ||t' - t|| / ||t||, where
-    with [F' F] = Q [R1 R2] that gap is ||R1 R1^T - R2 R2^T||.
+    F_i -> h^T F_i h, and reports the max of ||t' - t|| / ||t||.  The gap
+    ||F' F'^T - F F^T|| is formed in m x m blocks: with U = F / sigma
+    over the nonzero columns of F, C = U^T F' and E = F' - U C
+    (re-projected once), its square is
+    ||C C^T - Sigma^2||^2 + 2 <C^T C, E^T E> + ||E^T E||^2.
     """
     if algebra.dim == 0:
         return 0.0
@@ -116,16 +122,24 @@ def symmetric_system_residual(curv: AdaptedCurvature,
     k, m = curv.normal_dim, f.shape[1]
     cols = f.T.reshape(m, k, k)
     scale = max(curv.norm(), 1e-30)
-    worst = 0.0
-    for c in np.random.default_rng(seed).standard_normal((6, algebra.dim)):
-        c /= np.linalg.norm(c)
-        h = matrix_exp(np.einsum("p,pij->ij", c, algebra.basis))
-        pulled = (h.T @ cols @ h).reshape(m, k * k).T
-        tri = np.linalg.qr(np.hstack([pulled, f]), mode="r")
-        r1, r2 = tri[:, :m], tri[:, m:]
-        worst = max(worst, float(np.linalg.norm(r1 @ r1.T - r2 @ r2.T)
-                                 / scale))
-    return worst
+    c = np.random.default_rng(seed).standard_normal((6, algebra.dim))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    h = matrix_exp(np.einsum("np,pij->nij", c, algebra.basis))[:, None]
+    e = (h.transpose(0, 1, 3, 2) @ cols @ h).reshape(6, m, k * k)
+    e = e.transpose(0, 2, 1)        # F' of each draw, (6, K^2, m)
+    sigma = np.linalg.norm(f, axis=0)
+    keep = sigma > 0
+    sigma = sigma[keep]
+    u = f[:, keep] / sigma
+    coef = u.T @ e
+    e -= u @ coef                   # E = F' - U C, formed in place
+    e -= u @ (u.T @ e)              # re-projected once
+    g = e.transpose(0, 2, 1) @ e
+    top = coef @ coef.transpose(0, 2, 1) - np.diag(sigma ** 2)
+    sq = (np.sum(top ** 2, axis=(1, 2))
+          + 2.0 * np.einsum("nab,nab->n", coef.transpose(0, 2, 1) @ coef, g)
+          + np.sum(g ** 2, axis=(1, 2)))
+    return float(np.sqrt(sq.max())) / scale
 
 
 def slice_holonomy_distance(M: OrbitSubmanifold,
@@ -164,9 +178,8 @@ def cartan_comparison(M: OrbitSubmanifold) -> CartanComparison:
         raise NotApplicable(
             "traceless shape map is not a homothecy on nu_bar "
             f"(gram residual {hom.gram_residual:.2e})")
-    nbar = M.nbar_frame
-    lhs = CartanCurvature.entries([shape_operator(M, xi) for xi in nbar])
-    rhs = hom.ratio ** 4 * CartanCurvature.entries(nbar)
+    lhs = CartanCurvature.entries(sphere_normal_shape_operators(M))
+    rhs = hom.ratio ** 4 * CartanCurvature.entries(M.nbar_frame)
     scale = max(float(np.max(np.abs(lhs))), 1e-30)
     gap = float(np.max(np.abs(lhs - rhs))) / scale
     return CartanComparison(beta=hom.ratio,
@@ -313,10 +326,13 @@ def commuting_certificate(M: OrbitSubmanifold,
         stacked = np.stack([p.commutator.ravel() / p.norm for p in cert.pairs])
         cert.independent = (rank_reveal(stacked.T, M.tols.rank)[3]
                             == len(cert.pairs))
-        cs = [p.commutator / p.norm for p in cert.pairs]
-        cert.max_pairwise_commutator = max(
-            (float(np.linalg.norm(ci @ cj - cj @ ci))
-             for i, ci in enumerate(cs) for cj in cs[i + 1:]), default=0.0)
+        n = M.dim
+        cs = stacked.reshape(-1, n, n)
+        a, b = np.triu_indices(len(cs), 1)
+        coms = (cs[a] @ cs[b] - cs[b] @ cs[a]).reshape(len(a), 1, n * n)
+        # each squared norm as the 2-D norm forms it, one dot per pair
+        sq = (coms @ coms.transpose(0, 2, 1))[:, 0, 0]
+        cert.max_pairwise_commutator = float(np.sqrt(np.max(sq, initial=0.0)))
     return cert
 
 

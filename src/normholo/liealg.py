@@ -285,7 +285,8 @@ def is_transitive_on_sphere(span: LieAlgebraSpan, seed: int = 0,
     """Probe whether the algebra's orbits fill spheres in the acting space.
 
     For each seeded unit probe u the orbit tangent span {X u} must have
-    dimension K - 1; any smaller orbit refutes transitivity.
+    dimension K - 1; any smaller orbit refutes transitivity.  The probes'
+    tangent maps are ranked by one stacked rank_reveal.
     """
     k = span.acting_dim
     if k <= 1:
@@ -293,7 +294,8 @@ def is_transitive_on_sphere(span: LieAlgebraSpan, seed: int = 0,
     probes = np.random.default_rng(seed).standard_normal(
         (TRANSITIVITY_PROBES, k))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    dims = tuple(rank_reveal(img, tols.rank)[3]
-                 for img in np.einsum("pij,nj->nip", span.basis, probes))
+    ranks = rank_reveal(np.einsum("pij,nj->nip", span.basis, probes),
+                        tols.rank)[3]
+    dims = tuple(int(d) for d in ranks)
     return TransitivityResult(transitive=all(d == k - 1 for d in dims),
                               probe_orbit_dims=dims, sphere_dim=k - 1)

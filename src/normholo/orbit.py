@@ -86,7 +86,7 @@ def _normal_coords(frames: np.ndarray, xis: np.ndarray, tol: float):
     """(M, K) coefficients of each xis[m] on one (K, R, R) normal frame,
     or on frames[m]; InvalidInput unless each is finite and in the span
     to the relative tolerance tol."""
-    flat = xis.reshape(len(xis), -1)
+    flat = xis.reshape(len(xis), xis.shape[1] * xis.shape[2])
     if not np.isfinite(flat).all():
         raise InvalidInput("normal vector needs finite entries")
     fr = frames.reshape(*frames.shape[:-2], -1)
@@ -133,6 +133,18 @@ def _orbit_frames(rep: SymmetricPairRep, u, s, vt, n: int):
                       rep.generators),
             np.einsum("pdn,dij->pnij", u[:, :, :n], frame),
             np.einsum("pdk,dij->pkij", u[:, :, n:], frame))
+
+
+def orbit_dims(rep: SymmetricPairRep, points: np.ndarray,
+               tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """(N,) dimension of the orbit through each point of an (N, R, R)
+    stack, as build_orbit measures it: the ranks of one stacked tangent
+    SVD (_tangent_svds), with no frames formed.  Raises InvalidInput
+    wherever build_orbit would; a tiny point is rescaled to unit norm
+    first, so a caller that must tell the origin apart tests it before."""
+    if not len(points):
+        return np.zeros(0, dtype=int)
+    return _tangent_svds(rep, points, tols)[4]
 
 
 def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
@@ -252,6 +264,19 @@ def traceless_shape_operator(m: OrbitSubmanifold, xi) -> np.ndarray:
     return a - (np.trace(a) / m.dim) * np.eye(m.dim)
 
 
+def sphere_normal_shape_operators(m: OrbitSubmanifold) -> np.ndarray:
+    """(K-1, n, n) stack: the shape operator of each sphere-normal frame
+    vector, from one normal-space check and one product (kept in the
+    orbit's cache)."""
+    if "nbar_shape_ops" not in m._cache:
+        nu = np.einsum("aij,kij->ak", m.normal_stack(m.nbar_frame),
+                       m.normal_frame)
+        ops = np.einsum("ak,kij->aij", nu, shape_operators(m))
+        ops.flags.writeable = False
+        m._cache["nbar_shape_ops"] = ops
+    return m._cache["nbar_shape_ops"]
+
+
 @dataclass(frozen=True)
 class MeanCurvatureResult:
     nu_coords: np.ndarray      # mean curvature in the normal frame
@@ -290,10 +315,9 @@ def homothecy_test(m: OrbitSubmanifold) -> HomothecyResult:
     kbar = len(m.nbar_frame)
     if kbar == 0:
         return HomothecyResult(False, 0.0, np.inf)
-    ops = []
-    for a in range(kbar):
-        ops.append(traceless_shape_operator(m, m.nbar_frame[a]))
-    ops = np.stack(ops)
+    ops = sphere_normal_shape_operators(m)
+    tr = np.trace(ops, axis1=1, axis2=2)
+    ops = ops - (tr / m.dim)[:, None, None] * np.eye(m.dim)
     gram = np.einsum("aij,bij->ab", ops, ops)
     beta2 = float(np.trace(gram)) / kbar
     if beta2 <= 0.0:
@@ -318,17 +342,13 @@ def isotropy_defect(m: OrbitSubmanifold,
 
     Zero spread is necessary for extrinsic homogeneity of the pointwise
     normal geometry; product orbits show a strictly positive defect.
+    The probes are one seeded (ISOTROPY_PROBES, n) draw, contracted with
+    alpha in one einsum.
     """
     alpha = second_fundamental_form(m)
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    for _ in range(ISOTROPY_PROBES):
-        x = rng.standard_normal(m.dim)
-        x /= np.linalg.norm(x)
-        w = np.einsum("ijk,i,j->k", alpha, x, x)
-        nrm = float(np.linalg.norm(w))
-        lo = min(lo, nrm)
-        hi = max(hi, nrm)
+    x = np.random.default_rng(seed).standard_normal((ISOTROPY_PROBES, m.dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.linalg.norm(np.einsum("ijk,pi,pj->pk", alpha, x, x), axis=1)
+    lo, hi = float(norms.min()), float(norms.max())
     return IsotropyDefectResult(defect=hi - lo, min_norm=lo, max_norm=hi,
                                 probes=ISOTROPY_PROBES)
-

@@ -20,7 +20,7 @@ from .holonomy import (CommutingCertificate, analyze, commuting_certificate,
                        loop_holonomy_probe)
 from .linalg import DEFAULT_TOLS, Tolerances, rank_reveal
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
-                    isotropy_defect, mean_curvature)
+                    isotropy_defect, mean_curvature, orbit_dims)
 from .srep import SymmetricPairRep, random_regular_point
 from .transport import (DEFAULT_STEP, OrbitCurve, exact_transport_vector,
                         parallel_transport_normal, traceless_spectra_along,
@@ -467,16 +467,18 @@ def _tube_analysis(M, config) -> dict:
 def _coxeter_analysis(M, config) -> dict:
     cn = curvature_normals(M, seed=config.seed)
     grp = reflection_group(cn)
-    drops = []
-    for i in range(cn.count):
-        z = focal_displacement(cn, i, seed=config.seed + i + 1)
-        # the origin (to the rank test at the base point's scale) is an
-        # orbit of dimension 0: the circle's only focal point
-        origin = rank_reveal(z.reshape(1, -1), M.tols.rank,
-                             scale=float(np.linalg.norm(M.point)))[3] == 0
-        dim = 0 if origin else build_orbit(M.rep, z, tols=M.tols).dim
-        drops.append({"normalIndex": i, "orbitDim": dim,
-                      "drops": dim < M.dim})
+    zs = np.array([focal_displacement(cn, i, seed=config.seed + i + 1)
+                   for i in range(cn.count)])
+    # the origin (to the rank test at the base point's scale) is an
+    # orbit of dimension 0: the circle's only focal point.  It is told
+    # apart first, since the tangent SVD rescales a tiny point to unit
+    # norm; the other orbit dimensions come from one stacked SVD
+    origin = rank_reveal(zs.reshape(len(zs), 1, -1), M.tols.rank,
+                         scale=float(np.linalg.norm(M.point)))[3] == 0
+    dims = np.zeros(len(zs), dtype=int)
+    dims[~origin] = orbit_dims(M.rep, zs[~origin], tols=M.tols)
+    drops = [{"normalIndex": i, "orbitDim": int(dim),
+              "drops": bool(dim < M.dim)} for i, dim in enumerate(dims)]
     ok = all(d["drops"] for d in drops)
     return {"ok": bool(ok),
             "normalCount": cn.count,

@@ -13,6 +13,7 @@ from normholo.errors import (ClosureCapReached, InvalidInput, NotApplicable,
                              NotIsoparametric)
 from normholo.linalg import mgs_qr, sym_eig
 from normholo.orbit import build_orbit, shape_operators
+from normholo import report
 from normholo.report import ScenarioConfig, run_scenario
 from normholo.srep import SymmetricPairRep, random_regular_point
 
@@ -327,3 +328,37 @@ def test_circle_focal_point_is_the_origin(point):
     assert body["ok"] is True
     assert body["singularDrops"] == [
         {"normalIndex": 0, "orbitDim": 0, "drops": True}]
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:3", "diag:1,0,-1"),
+    ("sl-so:4", "random-regular:0"),
+    ("sl-so:4", "random-regular:3"),
+    ("sl-so:5", "random-regular:0"),
+    ("sl-so:5", "random-regular:4"),
+    ("product:sl-so:2,sl-so:2", "random-regular:0;random-regular:1"),
+    ("product:sl-so:2,sl-so:3", "diag:1,-1;random-regular:0"),
+    ("sl-so:2", "diag:1,-1"),
+])
+def test_focal_orbit_dims_match_build_orbit(rep_spec, point_spec,
+                                            build_orbit_calls):
+    # the stacked focal dimensions are build_orbit's at every displacement
+    # but the origin, and the coxeter section builds no orbit to get them
+    for seed in (0, 1, 2):
+        config = ScenarioConfig.from_dict({
+            "rep": rep_spec, "point": point_spec, "analyses": ["coxeter"],
+            "seed": seed})
+        M = build_orbit(config.representation, config.base_point,
+                        tols=config.resolve_tolerances())
+        drops = report._coxeter_analysis(M, config)["singularDrops"]
+        assert build_orbit_calls == []
+        cn = curvature_normals(M, seed=seed)
+        assert len(drops) == cn.count
+        for i, drop in enumerate(drops):
+            z = focal_displacement(cn, i, seed=seed + i + 1)
+            if drop["orbitDim"] == 0:
+                assert rep_spec == "sl-so:2"
+                assert np.linalg.norm(z) <= M.tols.rank
+            else:
+                assert drop["orbitDim"] == build_orbit(M.rep, z,
+                                                       tols=M.tols).dim

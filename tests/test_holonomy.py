@@ -212,6 +212,39 @@ def test_symmetric_residual_matches_pullback(verdicts, name):
     assert abs(got - _pullback_residual(v.curvature, wrong)) <= 1e-13
 
 
+def _six_qr_residual(curv, algebra, seed=0):
+    # one draw, one exponential and one QR of [F' F] at a time: with
+    # [F' F] = Q [R1 R2] the gap ||F' F'^T - F F^T|| is ||R1 R1^T - R2 R2^T||
+    f = curv.factor
+    k, m = curv.normal_dim, f.shape[1]
+    cols = f.T.reshape(m, k, k)
+    worst = 0.0
+    for c in np.random.default_rng(seed).standard_normal((6, algebra.dim)):
+        c /= np.linalg.norm(c)
+        h = matrix_exp(np.einsum("p,pij->ij", c, algebra.basis))
+        pulled = (h.T @ cols @ h).reshape(m, k * k).T
+        tri = np.linalg.qr(np.hstack([pulled, f]), mode="r")
+        r1, r2 = tri[:, :m], tri[:, m:]
+        worst = max(worst, float(np.linalg.norm(r1 @ r1.T - r2 @ r2.T)
+                                 / max(curv.norm(), 1e-30)))
+    return worst
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:5", "veronese"),
+    ("sl-so:6", "veronese"),
+    ("sl-so:7", "veronese"),
+    ("product:sl-so:3,sl-so:3", "veronese;veronese"),
+    ("product:sl-so:4,sl-so:4", "veronese;veronese"),
+])
+def test_symmetric_residual_matches_six_qr(rep_spec, point_spec):
+    m = _spec_orbit(rep_spec, point_spec)
+    curv, alg = adapted_curvature(m), holonomy_algebra(m)
+    for seed in range(4):
+        got = symmetric_system_residual(curv, alg, seed=seed)
+        assert abs(got - _six_qr_residual(curv, alg, seed=seed)) <= 1e-15
+
+
 def test_symmetric_residual_detects_wrong_algebra(v3):
     # curvature is not invariant under an arbitrary rotation plane
     resid = symmetric_system_residual(adapted_curvature(v3),
@@ -282,6 +315,8 @@ def _certificate_by_loop(m, verdict, tol=1e-8):
 
 @pytest.mark.parametrize("rep_spec, point_spec", [
     ("product:sl-so:4,sl-so:4", "veronese;veronese"),
+    ("product:sl-so:3,sl-so:3,sl-so:3", "veronese;veronese;veronese"),
+    ("product:sl-so:3,sl-so:4,sl-so:3", "veronese;veronese;veronese"),
     ("sl-so:5", "diag:3,3,-2,-2,-2"),
 ])
 def test_commuting_certificate_matches_loop(rep_spec, point_spec):
@@ -296,6 +331,11 @@ def test_commuting_certificate_matches_loop(rep_spec, point_spec):
         a_op, b_op = (shape_operator(m, xi) for xi in (p.xi_a, p.xi_b))
         assert np.linalg.norm(a_op @ b_op - b_op @ a_op - p.commutator) \
             <= 1e-12 * nrm
+    # the pairwise commutator of the certificate, one pair at a time
+    cs = [p.commutator / p.norm for p in cert.pairs]
+    assert cert.max_pairwise_commutator == max(
+        (float(np.linalg.norm(ci @ cj - cj @ ci))
+         for i, ci in enumerate(cs) for cj in cs[i + 1:]), default=0.0)
 
 
 def test_commuting_certificate_needs_factors(a2_orbit, verdicts):

@@ -119,10 +119,15 @@ def _probe_dims_by_loop(span, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_transitivity_probes_match_one_probe_at_a_time(veronese, seed):
+def test_transitivity_probes_match_one_probe_at_a_time(veronese,
+                                                       product_orbit, seed):
     _, _, gz = _so3_generators()
+    product = holonomy_algebra(product_orbit)
+    factors = [product.restrict(f) for f in
+               invariant_decomposition(product, seed=seed).factors]
     for span in (skew_span(list(_so3_generators())), skew_span([gz]),
-                 skew_span([], acting_dim=3), holonomy_algebra(veronese(4))):
+                 skew_span([], acting_dim=3), holonomy_algebra(veronese(4)),
+                 holonomy_algebra(veronese(5)), product, *factors):
         assert is_transitive_on_sphere(span, seed=seed).probe_orbit_dims \
             == _probe_dims_by_loop(span, seed)
 

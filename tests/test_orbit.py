@@ -6,11 +6,12 @@ import pytest
 from normholo.errors import InvalidInput
 from normholo.linalg import DEFAULT_TOLS, sym_eig
 from normholo.holonomy import analyze
-from normholo.orbit import (build_orbit, homothecy_test,
-                            isotropy_defect, mean_curvature,
+from normholo.orbit import (ISOTROPY_PROBES, build_orbit, homothecy_test,
+                            isotropy_defect, mean_curvature, orbit_dims,
                             second_fundamental_form, shape_operator,
-                            shape_operators, traceless_shape,
-                            traceless_shape_operator, traceless_spectra_at)
+                            shape_operators, sphere_normal_shape_operators,
+                            traceless_shape, traceless_shape_operator,
+                            traceless_spectra_at)
 from normholo.report import parse_point_spec, parse_rep_spec
 from normholo.srep import SymmetricPairRep, frame_action, random_regular_point
 
@@ -33,6 +34,27 @@ def test_build_orbit_normalization():
     m = build_orbit(rep, p)
     assert abs(np.linalg.norm(m.point) - 1.0) < 1e-12
     assert np.allclose(m.point, p / np.linalg.norm(p))
+
+
+def test_orbit_dims_match_build_orbit():
+    # one stacked tangent SVD gives build_orbit's dimension at every point,
+    # degenerate, tiny and huge points included
+    rep = SymmetricPairRep.for_size(4)
+    rng = np.random.default_rng(7)
+    points = [random_regular_point(rep, seed) for seed in range(3)]
+    points += [np.diag(d) for d in ([1.0, 1.0, -1.0, -1.0],
+                                    [3.0, -1.0, -1.0, -1.0],
+                                    [1.0, 1.0 + 1e-6, -0.5, -1.5 - 1e-6],
+                                    [1e-9, 2e-9, 0.0, -3e-9],
+                                    [1e300, -1e300, 0.0, 0.0])]
+    a = rng.standard_normal((4, 4))
+    points.append(a + a.T - np.trace(a + a.T) / 4 * np.eye(4))
+    got = orbit_dims(rep, np.array(points))
+    assert got.tolist() == [build_orbit(rep, p).dim for p in points]
+    assert got.tolist()[:6] == [6, 6, 6, 4, 3, 6]
+    assert orbit_dims(rep, np.zeros((0, 4, 4))).shape == (0,)
+    with pytest.raises(InvalidInput):
+        orbit_dims(rep, np.array([points[0], np.zeros((4, 4))]))
 
 
 def test_build_orbit_huge_point_is_the_a2_principal_orbit(a2_orbit):
@@ -170,6 +192,60 @@ def test_traceless_shape_consistency(v3):
 def test_isotropy_defect_separates_orbit_types(v3, product_orbit):
     assert isotropy_defect(v3).defect < 1e-10
     assert isotropy_defect(product_orbit).defect > 0.05
+
+
+def _isotropy_by_loop(m, seed):
+    # reference: one seeded unit probe and one contraction at a time
+    alpha = second_fundamental_form(m)
+    rng = np.random.default_rng(seed)
+    norms = []
+    for _ in range(ISOTROPY_PROBES):
+        x = rng.standard_normal(m.dim)
+        x /= np.linalg.norm(x)
+        norms.append(float(np.linalg.norm(np.einsum("ijk,i,j->k",
+                                                    alpha, x, x))))
+    return max(norms) - min(norms), min(norms), max(norms)
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:4", "veronese"),
+    ("sl-so:6", "veronese"),
+    ("sl-so:4", "random-regular:1"),
+    ("sl-so:3", "diag:1,0,-1"),
+    ("product:sl-so:3,sl-so:3", "veronese;veronese"),
+    ("product:sl-so:4,sl-so:4", "veronese;veronese"),
+])
+def test_isotropy_defect_matches_one_probe_at_a_time(rep_spec, point_spec):
+    _, m = _spec_orbit(rep_spec, point_spec)
+    for seed in (0, 1, 5):
+        got = isotropy_defect(m, seed=seed)
+        want = _isotropy_by_loop(m, seed)
+        assert got.probes == ISOTROPY_PROBES
+        for g, w in zip((got.defect, got.min_norm, got.max_norm), want):
+            assert abs(g - w) <= 1e-14
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:3", "veronese"),
+    ("sl-so:5", "veronese"),
+    ("sl-so:4", "random-regular:2"),
+    ("sl-so:5", "diag:2,2,2,-3,-3"),
+    ("product:sl-so:3,sl-so:3", "veronese;veronese"),
+])
+def test_sphere_normal_shape_operators_match_one_at_a_time(rep_spec,
+                                                           point_spec):
+    # bit-equal to one shape_operator call per sphere-normal frame vector,
+    # so the homothecy ratio and residual keep their bits
+    _, m = _spec_orbit(rep_spec, point_spec)
+    want = np.stack([shape_operator(m, xi) for xi in m.nbar_frame])
+    assert np.array_equal(sphere_normal_shape_operators(m), want)
+
+
+def test_sphere_normal_shape_operators_of_the_circle_are_empty():
+    # the circle's only normal direction is the position
+    m = build_orbit(SymmetricPairRep.for_size(2), np.diag([1.0, -1.0]))
+    assert sphere_normal_shape_operators(m).shape == (0, 1, 1)
+    assert m.normal_stack(np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
 
 def test_coordinate_helpers_roundtrip(v3):
