@@ -140,6 +140,15 @@ def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
     if args.command != "sweep":
         return [ScenarioConfig.from_dict(
             {**raw, "analyses": [_COMMAND_ANALYSIS[args.command]]})]
+    # a grid flag the analysis does not read is an error, not a no-op
+    given = {"--ns": args.ns is not None, "--points": args.points is not None,
+             "--rep": bool(args.rep)}
+    reads = (("--ns",) if args.analysis == "veronese-facts"
+             else ("--points", "--rep"))
+    unread = [flag for flag, on in given.items() if on and flag not in reads]
+    if unread:
+        raise InvalidInput(f"sweep over {args.analysis} does not read "
+                           f"{', '.join(unread)}")
     if args.analysis == "veronese-facts":
         if not args.ns:
             raise InvalidInput("sweep over veronese-facts needs --ns")

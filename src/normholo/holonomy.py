@@ -30,7 +30,6 @@ from .linalg import (Subspace, matrix_exp, orthogonal_log, rank_reveal,
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operators,
                     sphere_normal_shape_operators)
 from .srep import CartanCurvature, frame_action
-from .transport import square_loop_returns
 
 # The normal holonomy of an s-orbit is its slice representation
 # (Heintze-Olmos 1992), so a slice distance within this bound (the
@@ -366,6 +365,8 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         raise InvalidInput(f"loop count must be at least 1, got {count}")
     if M.dim < 2:
         raise NotApplicable("loops need an orbit of dimension >= 2")
+    # transport is imported here: the other analyses never load it
+    from .transport import square_loop_returns
     if algebra is None:
         algebra = holonomy_algebra(M)
     # every (c1, c2) pair is drawn first, in the order and with the

@@ -201,7 +201,8 @@ def traceless_spectra_at(rep: SymmetricPairRep, points: np.ndarray,
         raise InvalidInput(f"normal vector stack shape {xis.shape}, "
                            f"expected {v.shape}")
     spectra, means = [None] * len(v), np.empty(len(v))
-    for n in np.unique(ranks):
+    # sorted(set()), not np.unique: numpy 2.x's unique imports numpy.ma
+    for n in sorted(set(ranks.tolist())):
         at = np.flatnonzero(ranks == n)
         m_gens, tangent, normal = _orbit_frames(rep, u[at], s[at], vt[at], n)
         nu = _normal_coords(normal, xis[at], tols.rank)

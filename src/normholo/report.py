@@ -4,9 +4,17 @@ The report body is rendered by a deterministic serializer: keys sorted,
 floats at 17 significant digits, no whitespace variation.  Timings sit
 outside the body so repeated runs with one seed produce byte-identical
 bodies.
+
+At its top this module imports only the layers every command runs: the
+numeric core, srep, orbit and holonomy.  The tube, coxeter, veronese-facts,
+transport-audit and loop-probe analyses each run one more layer
+(``_LAYERS``): ScenarioConfig imports it when a config that names the
+analysis is parsed, so a command loads only the layers it runs, and all
+of them before any scenario runs.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -14,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .coxeter import curvature_normals, focal_displacement, reflection_group
 from .errors import InvalidInput, NormholoError, NotApplicable
 from .holonomy import (CommutingCertificate, analyze, commuting_certificate,
                        loop_holonomy_probe)
@@ -22,15 +29,6 @@ from .linalg import DEFAULT_TOLS, Tolerances, rank_reveal
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature, orbit_dims)
 from .srep import SymmetricPairRep, random_regular_point
-from .transport import (DEFAULT_STEP, OrbitCurve, exact_transport_vector,
-                        parallel_transport_normal, traceless_spectra_along,
-                        transport_convergence_audit)
-from .tubes import (caustic_rank_check, choose_tube_direction, dupin_check,
-                    normal_exponential_differential,
-                    normal_exponential_fd_residual, seeded_tube_direction,
-                    spectra_agree, tube_spectrum_direct,
-                    tube_spectrum_via_formula)
-from .veronese import FACT_NS, verify_veronese_facts
 
 SCHEMA_VERSION = 2
 
@@ -81,9 +79,11 @@ class ScenarioConfig:
             object.__setattr__(self, "representation", rep)
             object.__setattr__(self, "base_point", point)
             group_dim = rep.group_dim
-        if "veronese-facts" in self.analyses and self.n not in FACT_NS:
-            raise InvalidInput(f"veronese-facts needs n in {FACT_NS[0]}.."
-                               f"{FACT_NS[-1]}, got {self.n}")
+        if "veronese-facts" in self.analyses:
+            from .veronese import FACT_NS
+            if self.n not in FACT_NS:
+                raise InvalidInput(f"veronese-facts needs n in {FACT_NS[0]}"
+                                   f"..{FACT_NS[-1]}, got {self.n}")
         if self.direction != "canonical":
             if not self.direction.startswith("seed:"):
                 raise InvalidInput(f"direction '{self.direction}' not "
@@ -95,6 +95,9 @@ class ScenarioConfig:
         curve = _typed("curve", self.curve, (list, tuple), "a list")
         object.__setattr__(self, "curve", tuple(
             _curve_segment(seg, group_dim) for seg in curve))
+        for name in self.analyses:
+            if name in _LAYERS:
+                importlib.import_module(_LAYERS[name], __package__)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -409,19 +412,6 @@ def _bound_analysis(M, config) -> dict:
                 "maxPairwiseCommutator": cert.max_pairwise_commutator}}
 
 
-def _tube_direction(M, config) -> np.ndarray:
-    if config.direction_seed is None:
-        return choose_tube_direction(M)
-    return seeded_tube_direction(M, config.direction_seed)
-
-
-def _tube_curve(M, config) -> OrbitCurve | None:
-    if not config.curve:
-        return None
-    segs = tuple((M.rep.generators[gi], t) for gi, t in config.curve)
-    return OrbitCurve(orbit=M, segments=segs)
-
-
 def _spectrum_dict(spec) -> dict:
     return {"lambdaHats": [[v, m] for v, m in spec.lambda_hats],
             "verticalValue": spec.vertical_value,
@@ -433,8 +423,18 @@ def _spectrum_dict(spec) -> dict:
 
 
 def _tube_analysis(M, config) -> dict:
-    xi = _tube_direction(M, config)
-    curve = _tube_curve(M, config)
+    from .transport import OrbitCurve
+    from .tubes import (caustic_rank_check, choose_tube_direction,
+                        dupin_check, normal_exponential_differential,
+                        normal_exponential_fd_residual,
+                        seeded_tube_direction, spectra_agree,
+                        tube_spectrum_direct, tube_spectrum_via_formula)
+    xi = (choose_tube_direction(M) if config.direction_seed is None
+          else seeded_tube_direction(M, config.direction_seed))
+    curve = None
+    if config.curve:
+        curve = OrbitCurve(orbit=M, segments=tuple(
+            (M.rep.generators[gi], t) for gi, t in config.curve))
     formula = tube_spectrum_via_formula(M, xi, curve=curve)
     direct, patch = tube_spectrum_direct(M, xi, curve=curve)
     gap = spectra_agree(formula, direct)
@@ -465,6 +465,8 @@ def _tube_analysis(M, config) -> dict:
 
 
 def _coxeter_analysis(M, config) -> dict:
+    from .coxeter import (curvature_normals, focal_displacement,
+                          reflection_group)
     cn = curvature_normals(M, seed=config.seed)
     grp = reflection_group(cn)
     zs = np.array([focal_displacement(cn, i, seed=config.seed + i + 1)
@@ -494,6 +496,7 @@ def _coxeter_analysis(M, config) -> dict:
 
 
 def _veronese_analysis(M, config) -> dict:
+    from .veronese import verify_veronese_facts
     rep = verify_veronese_facts(config.n, seed=config.seed,
                                 tols=config.resolve_tolerances())
     return {"ok": rep.all_pass(),
@@ -514,6 +517,10 @@ def _veronese_analysis(M, config) -> dict:
 
 
 def _transport_audit_analysis(M, config) -> dict:
+    from .transport import (DEFAULT_STEP, OrbitCurve, exact_transport_vector,
+                            parallel_transport_normal,
+                            traceless_spectra_along,
+                            transport_convergence_audit)
     if len(M.nbar_frame) == 0:
         raise NotApplicable("the orbit has no sphere-normal direction "
                             "to transport")
@@ -561,6 +568,12 @@ _ANALYSES = {
     "transport-audit": _transport_audit_analysis,
     "loop-probe": _loop_probe_analysis,
 }
+
+# the one more layer an analysis runs, imported when a ScenarioConfig
+# names the analysis; the analysis reads it with a local import
+_LAYERS = {"tube": ".tubes", "coxeter": ".coxeter",
+           "veronese-facts": ".veronese", "transport-audit": ".transport",
+           "loop-probe": ".transport"}
 
 
 def run_scenario(config: ScenarioConfig) -> Report:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOLS, Tolerances, bracket, gram_kernel
+from .linalg import DEFAULT_TOLS, Tolerances, gram_kernel
 
 
 def _block_carrier_frame(r: int, offset: int, total: int):
@@ -202,14 +202,6 @@ class CartanCurvature:
     """Curvature tensor of the ambient symmetric structure on the carrier:
     R_{A,B} C = -[[A, B], C] with pairing <R_{A,B} C, D> = <[A,B],[C,D]>.
     """
-
-    @staticmethod
-    def evaluate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return -bracket(bracket(a, b), c)
-
-    @staticmethod
-    def pairing(a, b, c, d) -> float:
-        return float(np.sum(CartanCurvature.evaluate(a, b, c) * d))
 
     @staticmethod
     def commutators(mats) -> np.ndarray:

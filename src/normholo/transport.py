@@ -478,7 +478,8 @@ def traceless_spectra_along(result: TransportResult) -> tuple:
     if n_samples <= 12:
         idx = np.arange(n_samples)
     else:
-        idx = np.unique(np.linspace(0, n_samples - 1, 12).astype(int))
+        # steps of (n_samples - 1) / 11 > 1 floor to distinct indices
+        idx = np.linspace(0, n_samples - 1, 12).astype(int)
     g = result.g_samples[idx]
     points = g @ orbit.point @ np.swapaxes(g, 1, 2)
     spectra, _ = traceless_spectra_at(orbit.rep, points,

@@ -51,7 +51,6 @@ SAFETY_MARGIN = 0.2
 DUPIN_STEP = 5e-3         # central-difference step of dupin_check
 FD_PROBES = 3             # tangent directions of the normal-exp FD check
 FD_DELTA = 1e-4           # its central-difference step
-EQUIVALENCE_TOL = 1e-6    # hat-value agreement in equivalence_one_check
 
 # 6th-order and 4th-order central first-derivative weights
 _W7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -529,19 +528,3 @@ def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
     fd = (q[:FD_PROBES] - q[FD_PROBES:]) / (2.0 * FD_DELTA)
     predicted = np.einsum("pi,ijk->pjk", c @ expected.T, M.tangent_frame)
     return float(np.max(np.linalg.norm(fd - predicted, axis=(1, 2))))
-
-
-def equivalence_one_check(spectra) -> bool:
-    """Literal biconditional of the eigenvalue equivalence over pairs.
-
-    For every pair of tube spectra: hat1 values agree within
-    EQUIVALENCE_TOL iff hat2 values agree within it.
-    """
-    hats = [(s.lambda_hats[0][0], s.lambda_hats[1][0]) for s in spectra]
-    for i in range(len(hats)):
-        for j in range(i + 1, len(hats)):
-            first = abs(hats[i][0] - hats[j][0]) <= EQUIVALENCE_TOL
-            second = abs(hats[i][1] - hats[j][1]) <= EQUIVALENCE_TOL
-            if first != second:
-                return False
-    return True

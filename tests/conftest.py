@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -64,8 +67,7 @@ def product_orbit():
 @pytest.fixture
 def build_orbit_calls(monkeypatch):
     """Calls to build_orbit through any normholo module, recorded."""
-    import sys
-
+    import normholo
     import normholo.orbit
 
     calls = []
@@ -75,8 +77,13 @@ def build_orbit_calls(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("normholo") and \
-                getattr(module, "build_orbit", None) is real:
+    # report imports some layers only when a scenario names them: import
+    # every module first, so that none binds build_orbit while the patch
+    # is live and keeps the counting wrapper after the test
+    modules = [normholo] + [
+        importlib.import_module(f"normholo.{info.name}")
+        for info in pkgutil.iter_modules(normholo.__path__)]
+    for module in modules:
+        if getattr(module, "build_orbit", None) is real:
             monkeypatch.setattr(module, "build_orbit", counted)
     return calls

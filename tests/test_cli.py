@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: exit codes, determinism, output."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import normholo
 from normholo.cli import main
-from normholo.report import SCHEMA_VERSION
+from normholo.report import KNOWN_ANALYSES, SCHEMA_VERSION
 
 
 def _body(doc_text):
@@ -237,6 +241,13 @@ def test_missing_required_flag_exits_two(capsys):
      "--point", "veronese;veronese"],
     ["verify-veronese", "--n", "-1"],
     ["sweep", "--analysis", "veronese-facts", "--ns", "2,7"],
+    # a sweep grid flag that the analysis does not read
+    ["sweep", "--analysis", "orbit", "--rep", "sl-so:3",
+     "--points", "veronese", "--ns", "2,3"],
+    ["sweep", "--analysis", "veronese-facts", "--ns", "2",
+     "--points", "diag:1,0,-1"],
+    ["sweep", "--analysis", "veronese-facts", "--ns", "2",
+     "--rep", "sl-so:3"],
     # specs that only an analysis-time parse used to catch
     ["analyze", "--rep", "sl-so:3", "--point", "diag:1,2"],
     ["analyze", "--rep", "sl-so:3", "--point", "foo"],
@@ -427,3 +438,82 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+# a fresh interpreter runs one statement; stdout carries rc and the
+# normholo modules loaded by then
+_FRESH = """
+import json, sys
+from normholo import cli, report
+rc = None
+{}
+print(json.dumps([rc, sorted(name[len("normholo."):] for name in sys.modules
+                             if name.startswith("normholo."))]))
+"""
+
+
+def _fresh(statement, *argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(normholo.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH.format(statement),
+                           *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stderr == ""
+    rc, modules = json.loads(proc.stdout)
+    return rc, set(modules)
+
+
+_LAYERS = {"tubes", "coxeter", "veronese", "transport"}
+# what the holonomy command loads; each other command adds its layer
+_HOLONOMY_SET = {"errors", "kernels", "linalg", "liealg", "srep", "orbit",
+                 "holonomy", "report", "cli"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["analyze", "--rep", "sl-so:7", "--point", "veronese",
+      "--do", "orbit,holonomy,bound"], set()),
+    (["analyze", "--rep", "sl-so:4", "--point", "veronese",
+      "--do", "loop-probe,transport-audit"], {"transport"}),
+    (["sweep", "--analysis", "veronese-facts", "--ns", "2,3,4"],
+     {"veronese"}),
+])
+def test_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
+    out = tmp_path / "report.json"
+    rc, modules = _fresh("rc = cli.main(sys.argv[1:])", *argv,
+                         "--out", str(out))
+    assert rc == 0
+    assert json.loads(out.read_text())["summary"]["pass"] is True
+    assert modules == _HOLONOMY_SET | layers
+
+
+@pytest.mark.parametrize("analysis, layers", [
+    ("orbit", set()), ("holonomy", set()), ("bound", set()),
+    ("tube", {"tubes", "transport"}), ("coxeter", {"coxeter"}),
+    ("veronese-facts", {"veronese"}), ("transport-audit", {"transport"}),
+    ("loop-probe", {"transport"}),
+])
+def test_config_parse_imports_the_analysis_layer(analysis, layers):
+    # the layer loads when the config parses, before any scenario runs
+    raw = {"rep": "sl-so:4", "point": "veronese", "n": 2,
+           "analyses": [analysis]}
+    _, modules = _fresh("report.ScenarioConfig.from_dict("
+                        "json.loads(sys.argv[1]))", json.dumps(raw))
+    assert modules & _LAYERS == layers
+
+
+def test_every_analysis_dispatches_from_a_fresh_process(tmp_path):
+    # one scenario names all eight analyses, so every layer that report
+    # imports late runs.  The Veronese orbit has a curved normal bundle:
+    # coxeter's curvature_normals refuses it, and the other seven pass
+    cfg, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"n": 2}))
+    rc, modules = _fresh(
+        "rc = cli.main(sys.argv[1:])", "analyze", "--rep", "sl-so:4",
+        "--point", "veronese", "--do", ",".join(KNOWN_ANALYSES),
+        "--config", str(cfg), "--out", str(out))
+    assert rc == 1
+    assert _LAYERS <= modules
+    analyses = json.loads(out.read_text())["analyses"]
+    assert sorted(analyses) == sorted(KNOWN_ANALYSES)
+    assert analyses.pop("coxeter")["error"]["type"] == "NotIsoparametric"
+    assert all(res["ok"] for res in analyses.values())

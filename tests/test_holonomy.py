@@ -385,13 +385,13 @@ def test_loop_probe_needs_two_dimensions():
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_loop_probe_needs_a_loop(v3, count, monkeypatch):
-    import normholo.holonomy as holonomy
+    import normholo.transport as transport
 
     def no_loop(*args, **kwargs):
         raise AssertionError("a loop was built")
 
     # the probe closes all its loops in one square_loop_returns call
-    monkeypatch.setattr(holonomy, "square_loop_returns", no_loop)
+    monkeypatch.setattr(transport, "square_loop_returns", no_loop)
     with pytest.raises(InvalidInput, match="count"):
         loop_holonomy_probe(v3, count=count)
 

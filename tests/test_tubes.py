@@ -13,7 +13,6 @@ from normholo.transport import (OrbitCurve, exact_transport,
                                 exact_transport_vector)
 from normholo.tubes import (TubePatch, TubeSpectrum, caustic_rank_check,
                             choose_tube_direction, dupin_check,
-                            equivalence_one_check,
                             normal_exponential_differential,
                             normal_exponential_fd_residual,
                             seeded_tube_direction, spectra_agree,
@@ -210,6 +209,25 @@ def test_normal_exponential_differential(v3, v3_xi):
     svals = np.sort(np.linalg.svd(d)[1])
     assert np.allclose(svals, [0.8, 0.8, 1.4], atol=1e-10)
     assert normal_exponential_fd_residual(v3, v3_xi) <= 1e-6
+
+
+EQUIVALENCE_TOL = 1e-6    # hat-value agreement in equivalence_one_check
+
+
+def equivalence_one_check(spectra) -> bool:
+    """Literal biconditional of the eigenvalue equivalence over pairs.
+
+    For every pair of tube spectra: hat1 values agree within
+    EQUIVALENCE_TOL iff hat2 values agree within it.
+    """
+    hats = [(s.lambda_hats[0][0], s.lambda_hats[1][0]) for s in spectra]
+    for i in range(len(hats)):
+        for j in range(i + 1, len(hats)):
+            first = abs(hats[i][0] - hats[j][0]) <= EQUIVALENCE_TOL
+            second = abs(hats[i][1] - hats[j][1]) <= EQUIVALENCE_TOL
+            if first != second:
+                return False
+    return True
 
 
 def test_equivalence_biconditional(v3, v3_xi, v3_patch):
