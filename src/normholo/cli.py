@@ -14,21 +14,29 @@ import sys
 
 from . import __version__
 from .errors import InvalidInput, NormholoError
-from .report import (KNOWN_ANALYSES, SCHEMA_VERSION, ScenarioConfig, _render,
-                     parse_rep_spec, run_scenario)
+from .report import (ANALYSES, KNOWN_ANALYSES, SCHEMA_VERSION, ScenarioConfig,
+                     _render, parse_rep_spec, run_scenario)
 
 _SEED_ENV = "NORMHOLO_SEED"
 
+# a subcommand takes the flag of each config key its analysis reads
+_FLAGS = {
+    "rep": dict(default="", help="representation: sl-so:<r> or "
+                "product:sl-so:<r1>,sl-so:<r2>,..."),
+    "point": dict(default="", help="base point: veronese | diag:<v1,v2,...> "
+                  "| random-regular:<seed>; products take one factor spec "
+                  "per block, ';'-separated"),
+    "n": dict(type=int, required=True, help="dimension, 2..6"),
+    "direction": dict(help="canonical (the default) | seed:<k>"),
+    "curve": dict(help="JSON list of [generatorIndex, t] segments"),
+    "step": dict(type=float, help="baseline transport step"),
+}
 
-def _add_common(p: argparse.ArgumentParser, rep_point: bool = True) -> None:
-    if rep_point:
-        p.add_argument("--rep", default="",
-                       help="representation: sl-so:<r> or "
-                            "product:sl-so:<r1>,sl-so:<r2>,...")
-        p.add_argument("--point", default="",
-                       help="base point: veronese | diag:<v1,v2,...> | "
-                            "random-regular:<seed>; products take one "
-                            "factor spec per block, ';'-separated")
+
+def _add_common(p: argparse.ArgumentParser, reads=()) -> None:
+    for key in _FLAGS:
+        if key in reads:
+            p.add_argument(f"--{key}", **_FLAGS[key])
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default from ${_SEED_ENV}, else 0)")
     p.add_argument("--config", default=None,
@@ -44,37 +52,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run selected analyses on one orbit")
-    _add_common(p)
+    _add_common(p, ("rep", "point"))
     p.add_argument("--do", default=None,
                    help="comma list from: " + ",".join(KNOWN_ANALYSES)
                         + " (default: the --config file's analyses, else "
                           "orbit)")
 
-    p = sub.add_parser("verify-veronese", help="fact suite for one n")
-    _add_common(p, rep_point=False)
-    p.add_argument("--n", type=int, required=True, help="dimension, 2..6")
-
-    p = sub.add_parser("tube-spectrum",
-                       help="formula vs patch tube spectra, plus the "
-                            "derivative and caustic checks")
-    _add_common(p)
-    p.add_argument("--direction", default=None,
-                   help="canonical (the default) | seed:<k>")
-    p.add_argument("--curve", default=None,
-                   help="JSON list of [generatorIndex, t] segments")
-
-    p = sub.add_parser("coxeter",
-                       help="curvature normals and the reflection group")
-    _add_common(p)
-
-    p = sub.add_parser("transport-audit",
-                       help="step-halving convergence audit of transport")
-    _add_common(p)
-    p.add_argument("--step", type=float, default=None,
-                   help="baseline transport step")
+    for name, analysis in ANALYSES.items():
+        if analysis.command:
+            p = sub.add_parser(analysis.command[0], help=analysis.command[1])
+            p.set_defaults(analysis=name)
+            _add_common(p, analysis.reads)
 
     p = sub.add_parser("sweep", help="one analysis over a grid")
-    _add_common(p, rep_point=False)
+    _add_common(p, ("rep",))
     p.add_argument("--analysis", default="veronese-facts",
                    choices=list(KNOWN_ANALYSES))
     p.add_argument("--ns", default=None,
@@ -83,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="';'-separated point specs (other analyses); a "
                         "product rep takes one factor spec per block, so "
                         "its points are read that many specs at a time")
-    p.add_argument("--rep", default="", help="representation for --points")
     return top
 
 
@@ -103,7 +93,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
             raise InvalidInput(f"config file '{args.config}' must hold a "
                                f"JSON object, got {type(raw).__name__}")
     # explicit flags override file values
-    for key in ("rep", "point", "n", "direction", "step", "out"):
+    for key in (*_FLAGS, "out"):
         val = getattr(args, key, None)
         if val not in (None, ""):
             raw[key] = val
@@ -120,11 +110,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     return raw
 
 
-_COMMAND_ANALYSIS = {"verify-veronese": "veronese-facts",
-                     "tube-spectrum": "tube", "coxeter": "coxeter",
-                     "transport-audit": "transport-audit"}
-
-
 def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
     """The command's scenarios: one, or one per sweep grid point."""
     if args.command == "analyze":
@@ -137,24 +122,23 @@ def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
             raise InvalidInput("--do or the config's analyses name no "
                                "analysis")
         return [config]
+    raw = {**raw, "analyses": [args.analysis]}
     if args.command != "sweep":
-        return [ScenarioConfig.from_dict(
-            {**raw, "analyses": [_COMMAND_ANALYSIS[args.command]]})]
+        return [ScenarioConfig.from_dict(raw)]
     # a grid flag the analysis does not read is an error, not a no-op
-    given = {"--ns": args.ns is not None, "--points": args.points is not None,
-             "--rep": bool(args.rep)}
-    reads = (("--ns",) if args.analysis == "veronese-facts"
-             else ("--points", "--rep"))
-    unread = [flag for flag, on in given.items() if on and flag not in reads]
+    reads = ANALYSES[args.analysis].reads
+    grid = {"--ns": ("n", args.ns), "--points": ("point", args.points),
+            "--rep": ("rep", args.rep)}
+    unread = [flag for flag, (key, value) in grid.items()
+              if value not in (None, "") and key not in reads]
     if unread:
         raise InvalidInput(f"sweep over {args.analysis} does not read "
                            f"{', '.join(unread)}")
-    if args.analysis == "veronese-facts":
+    if "n" in reads:
         if not args.ns:
-            raise InvalidInput("sweep over veronese-facts needs --ns")
-        return [ScenarioConfig.from_dict(
-            {**raw, "n": n, "analyses": ["veronese-facts"]})
-            for n in args.ns.split(",")]
+            raise InvalidInput(f"sweep over {args.analysis} needs --ns")
+        return [ScenarioConfig.from_dict({**raw, "n": n})
+                for n in args.ns.split(",")]
     if not args.points or not args.rep:
         raise InvalidInput("sweep needs --rep and --points")
     # a product point takes one factor spec per block: group them
@@ -164,8 +148,8 @@ def _scenario_configs(args: argparse.Namespace, raw: dict) -> list:
         raise InvalidInput(f"--points has {len(specs)} factor specs, not a "
                            f"multiple of the {blocks} blocks of --rep")
     return [ScenarioConfig.from_dict(
-        {**raw, "rep": args.rep, "point": ";".join(specs[i:i + blocks]),
-         "analyses": [args.analysis]}) for i in range(0, len(specs), blocks)]
+        {**raw, "rep": args.rep, "point": ";".join(specs[i:i + blocks])})
+        for i in range(0, len(specs), blocks)]
 
 
 def _document(command: str, configs: list) -> tuple:

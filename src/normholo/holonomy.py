@@ -81,14 +81,19 @@ def holonomy_algebra(M: OrbitSubmanifold) -> LieAlgebraSpan:
     computed once per orbit (kept in the orbit's cache).
 
     The endomorphism of the pair (a, b), t e_ab with its skew (c, d)
-    block transposed, spans with the others the columns of the factor;
-    offering sigma_i F_i (the eigenpairs of t) ranks them at t's scale.
+    block transposed, spans with the others the columns of the factor.
+    The columns F_i = sigma_i u_i are offered as they are, so the rank
+    test reads the curvature at its own scale sigma, not at sigma^2;
+    a column with sigma_i at most tols.rank * sigma_max is round-off,
+    and not skew, and is dropped first.
     """
     if "algebra" not in M._cache:
         curv = adapted_curvature(M)
         k = curv.normal_dim
         f = curv.factor
-        offered = (f * np.linalg.norm(f, axis=0)).T.reshape(-1, k, k)
+        sigma = np.linalg.norm(f, axis=0)
+        keep = sigma > M.tols.rank * np.max(sigma, initial=0.0)
+        offered = f[:, keep].T.reshape(-1, k, k)
         span = skew_span(offered, acting_dim=k, tol=M.tols.rank)
         M._cache["algebra"] = bracket_closure(span, tol=M.tols.rank)
     return M._cache["algebra"]
@@ -230,10 +235,21 @@ def analyze(M: OrbitSubmanifold, seed: int = 0) -> HolonomyVerdict:
     at least 2 or the slice representation matches the holonomy algebra
     (slice distance at most SLICE_TOL), as it does on every s-orbit;
     anything else is flagged "violation-candidate" for inspection.
+
+    The curvature closure is the holonomy algebra only where the Nomizu
+    map Lambda(X) (the frame action of the m-generators on the normal
+    frame) vanishes, as it does on every s-orbit; elsewhere this raises
+    NotApplicable.
     """
     key = ("verdict", seed)
     if key in M._cache:
         return M._cache[key]
+    nomizu = np.max(np.abs(frame_action(M.m_generators, M.normal_frame)),
+                    initial=0.0)
+    if nomizu > M.tols.rank:
+        raise NotApplicable(
+            f"the Nomizu map reaches {nomizu:.3g}, so the orbit is not an "
+            "s-orbit and its curvature closure is not its holonomy algebra")
     curv = adapted_curvature(M)
     algebra = holonomy_algebra(M)
     decomp = invariant_decomposition(algebra, seed=seed, tols=M.tols)

@@ -5,12 +5,10 @@ floats at 17 significant digits, no whitespace variation.  Timings sit
 outside the body so repeated runs with one seed produce byte-identical
 bodies.
 
-At its top this module imports only the layers every command runs: the
-numeric core, srep, orbit and holonomy.  The tube, coxeter, veronese-facts,
-transport-audit and loop-probe analyses each run one more layer
-(``_LAYERS``): ScenarioConfig imports it when a config that names the
-analysis is parsed, so a command loads only the layers it runs, and all
-of them before any scenario runs.
+One record per analysis (``ANALYSES``) says what it reads and runs.
+This module imports only the layers every command runs (the numeric
+core, srep, orbit and holonomy); a parsed ScenarioConfig imports the
+layer of each analysis it names, before any scenario runs.
 """
 from __future__ import annotations
 
@@ -18,6 +16,7 @@ import importlib
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,11 +31,6 @@ from .srep import SymmetricPairRep, random_regular_point
 
 SCHEMA_VERSION = 2
 
-KNOWN_ANALYSES = ("orbit", "holonomy", "bound", "tube", "coxeter",
-                  "veronese-facts", "transport-audit", "loop-probe")
-
-_CONFIG_KEYS = {"rep", "point", "analyses", "seed", "tolerances", "n",
-                "direction", "curve", "step", "out"}
 _TOL_KEYS = {"sym": "sym", "eig": "eig", "rank": "rank",
              "clusterGap": "cluster_gap"}
 
@@ -45,10 +39,11 @@ _TOL_KEYS = {"sym": "sym", "eig": "eig", "rank": "rank",
 class ScenarioConfig:
     """Scenario description; round-trips through to_dict.
 
-    Construction parses the specs once, and any spec that does not parse
-    raises InvalidInput: the rep and the point when an analysis builds
-    the orbit, the veronese-facts n, the tube direction, and the curve
-    against the rep's group dimension.
+    Construction parses every key that is given (the point against the
+    rep, the curve against the rep's group dimension, the n against the
+    fact suite's range where it is read) and raises InvalidInput on one
+    that does not parse.  A key that no named analysis reads is then
+    reset to its default, so it is neither kept nor rendered.
     """
 
     rep: str = ""
@@ -71,33 +66,46 @@ class ScenarioConfig:
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        group_dim = None
-        if any(a != "veronese-facts" for a in self.analyses):
-            rep = parse_rep_spec(self.rep)
+        for a in self.analyses:
+            if a not in ANALYSES:
+                raise InvalidInput(f"unknown analysis '{a}'; "
+                                   f"choose from {KNOWN_ANALYSES}")
+        if len(set(self.analyses)) < len(self.analyses):
+            raise InvalidInput(f"analyses {list(self.analyses)} name one "
+                               "analysis more than once")
+        reads = set().union(*(ANALYSES[a].reads for a in self.analyses))
+        rep = point = direction_seed = None
+        if self.rep or self.point or "rep" in reads:
+            rep = parse_rep_spec(self.rep)      # a point needs its rep
+        if self.point or "point" in reads:
             point = parse_point_spec(rep, self.point)
             point.flags.writeable = False
-            object.__setattr__(self, "representation", rep)
-            object.__setattr__(self, "base_point", point)
-            group_dim = rep.group_dim
-        if "veronese-facts" in self.analyses:
-            from .veronese import FACT_NS
-            if self.n not in FACT_NS:
-                raise InvalidInput(f"veronese-facts needs n in {FACT_NS[0]}"
-                                   f"..{FACT_NS[-1]}, got {self.n}")
         if self.direction != "canonical":
             if not self.direction.startswith("seed:"):
                 raise InvalidInput(f"direction '{self.direction}' not "
                                    "recognized; expected canonical or "
                                    "seed:<k>")
-            object.__setattr__(self, "direction_seed", _seed(
-                f"seed in direction '{self.direction}'",
-                self.direction[len("seed:"):]))
+            direction_seed = _seed(f"seed in direction '{self.direction}'",
+                                   self.direction[len("seed:"):])
         curve = _typed("curve", self.curve, (list, tuple), "a list")
         object.__setattr__(self, "curve", tuple(
-            _curve_segment(seg, group_dim) for seg in curve))
+            _curve_segment(seg, rep and rep.group_dim) for seg in curve))
+        for key in _READ_KEYS - reads:
+            object.__setattr__(self, key,
+                               self.__dataclass_fields__[key].default)
+        if "rep" in reads:
+            object.__setattr__(self, "representation", rep)
+            object.__setattr__(self, "base_point", point)
+        if "direction" in reads:
+            object.__setattr__(self, "direction_seed", direction_seed)
+        if "n" in reads:
+            from .veronese import FACT_NS
+            if self.n not in FACT_NS:
+                raise InvalidInput(f"n must be in {FACT_NS[0]}.."
+                                   f"{FACT_NS[-1]}, got {self.n}")
         for name in self.analyses:
-            if name in _LAYERS:
-                importlib.import_module(_LAYERS[name], __package__)
+            if ANALYSES[name].layer:
+                importlib.import_module(ANALYSES[name].layer, __package__)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -113,13 +121,6 @@ class ScenarioConfig:
             _positive_float(f"tolerance '{key}'", value)
         analyses = tuple(_typed("analyses", raw.get("analyses", ()),
                                 (list, tuple), "a list"))
-        for a in analyses:
-            if a not in KNOWN_ANALYSES:
-                raise InvalidInput(f"unknown analysis '{a}'; "
-                                   f"choose from {KNOWN_ANALYSES}")
-        if len(set(analyses)) < len(analyses):
-            raise InvalidInput(f"analyses {list(analyses)} name one "
-                               "analysis more than once")
         kw = {key: _typed(key, raw[key], str, "a string")
               for key in ("rep", "point", "direction", "out")
               if raw.get(key) is not None}
@@ -134,14 +135,11 @@ class ScenarioConfig:
         d = {"rep": self.rep, "point": self.point,
              "analyses": list(self.analyses), "seed": self.seed,
              "tolerances": dict(self.tolerances)}
-        if self.n is not None:
-            d["n"] = self.n
-        if self.direction != "canonical":
-            d["direction"] = self.direction
+        for key in ("n", "direction", "step"):     # where not the default
+            if getattr(self, key) != self.__dataclass_fields__[key].default:
+                d[key] = getattr(self, key)
         if self.curve:
             d["curve"] = [list(seg) for seg in self.curve]
-        if self.step is not None:
-            d["step"] = self.step
         return d
 
     def resolve_tolerances(self) -> Tolerances:
@@ -558,22 +556,40 @@ def _loop_probe_analysis(M, config) -> dict:
             "loopRadius": probe.loop_radius}
 
 
-_ANALYSES = {
-    "orbit": _orbit_analysis,
-    "holonomy": _holonomy_analysis,
-    "bound": _bound_analysis,
-    "tube": _tube_analysis,
-    "coxeter": _coxeter_analysis,
-    "veronese-facts": _veronese_analysis,
-    "transport-audit": _transport_audit_analysis,
-    "loop-probe": _loop_probe_analysis,
-}
+@dataclass(frozen=True)
+class _Analysis:
+    """What one analysis is; one that reads rep runs on the orbit."""
 
-# the one more layer an analysis runs, imported when a ScenarioConfig
-# names the analysis; the analysis reads it with a local import
-_LAYERS = {"tube": ".tubes", "coxeter": ".coxeter",
-           "veronese-facts": ".veronese", "transport-audit": ".transport",
-           "loop-probe": ".transport"}
+    run: Callable               # (orbit or None, config) -> section
+    reads: frozenset            # keys besides seed and tolerances
+    layer: str | None = None    # the one more layer module it runs
+    command: tuple = ()         # (name, help) of its own subcommand
+
+
+_ORBIT = frozenset({"rep", "point"})
+
+ANALYSES = {
+    "orbit": _Analysis(_orbit_analysis, _ORBIT),
+    "holonomy": _Analysis(_holonomy_analysis, _ORBIT),
+    "bound": _Analysis(_bound_analysis, _ORBIT),
+    "tube": _Analysis(
+        _tube_analysis, _ORBIT | {"direction", "curve"}, ".tubes",
+        ("tube-spectrum", "formula vs patch tube spectra, plus the "
+                          "derivative and caustic checks")),
+    "coxeter": _Analysis(_coxeter_analysis, _ORBIT, ".coxeter", (
+        "coxeter", "curvature normals and the reflection group")),
+    "veronese-facts": _Analysis(
+        _veronese_analysis, frozenset({"n"}), ".veronese",
+        ("verify-veronese", "fact suite for one n")),
+    "transport-audit": _Analysis(
+        _transport_audit_analysis, _ORBIT | {"step"}, ".transport",
+        ("transport-audit", "step-halving convergence audit of transport")),
+    "loop-probe": _Analysis(_loop_probe_analysis, _ORBIT, ".transport"),
+}
+KNOWN_ANALYSES = tuple(ANALYSES)
+# the keys an analysis may leave unread
+_READ_KEYS = frozenset().union(*(a.reads for a in ANALYSES.values()))
+_CONFIG_KEYS = _READ_KEYS | {"analyses", "seed", "tolerances", "out"}
 
 
 def run_scenario(config: ScenarioConfig) -> Report:
@@ -582,9 +598,8 @@ def run_scenario(config: ScenarioConfig) -> Report:
     timings: dict = {}
     hard_error = False
 
-    orbit: OrbitSubmanifold | None = None
-    orbit_error: NormholoError | None = None
-    if config.representation is not None:
+    orbit = orbit_error = None
+    if config.representation is not None:    # an analysis reads rep
         try:
             orbit = build_orbit(config.representation, config.base_point,
                                 tols=config.resolve_tolerances())
@@ -594,9 +609,10 @@ def run_scenario(config: ScenarioConfig) -> Report:
     for name in config.analyses:
         t0 = time.perf_counter()
         try:
-            if name != "veronese-facts" and orbit is None:
+            analysis = ANALYSES[name]
+            if "rep" in analysis.reads and orbit is None:
                 raise orbit_error
-            analyses[name] = _ANALYSES[name](orbit, config)
+            analyses[name] = analysis.run(orbit, config)
         except NormholoError as exc:
             hard_error = True
             analyses[name] = {"ok": False,
@@ -604,7 +620,6 @@ def run_scenario(config: ScenarioConfig) -> Report:
                                         "message": str(exc)}}
         timings[name] = time.perf_counter() - t0
 
-    passed = all(res.get("ok", False) for res in analyses.values()) \
-        if analyses else True
+    passed = all(res.get("ok", False) for res in analyses.values())
     return Report(config=config, analyses=analyses, passed=passed,
                   hard_error=hard_error, timings=timings)

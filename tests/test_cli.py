@@ -11,7 +11,7 @@ import pytest
 
 import normholo
 from normholo.cli import main
-from normholo.report import KNOWN_ANALYSES, SCHEMA_VERSION
+from normholo.report import ANALYSES, KNOWN_ANALYSES, SCHEMA_VERSION
 
 
 def _body(doc_text):
@@ -265,6 +265,14 @@ def test_missing_required_flag_exits_two(capsys):
      "--config", {"direction": 2}],
     ["analyze", "--rep", "sl-so:4", "--point", "veronese",
      "--config", {"out": 5}],
+    # a key that no analysis reads is parsed all the same
+    ["verify-veronese", "--n", "2", "--config",
+     {"rep": "sl-so:3", "point": "bogus"}],
+    ["verify-veronese", "--n", "2", "--config", {"rep": "su:3"}],
+    ["coxeter", "--rep", "sl-so:3", "--point", "diag:1,0,-1",
+     "--config", {"direction": "bogus"}],
+    ["analyze", "--rep", "sl-so:3", "--point", "veronese",
+     "--config", {"step": 0}],
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"
@@ -345,6 +353,37 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     assert doc["config"]["tolerances"]["eig"] == 1e-8
 
 
+# a config file that gives every key an analysis may read
+_EVERY_KEY = {"rep": "sl-so:3", "point": "diag:1,0,-1", "n": 2,
+              "direction": "seed:1", "curve": [[0, 0.1]], "step": 0.05}
+
+
+@pytest.mark.parametrize("analysis", KNOWN_ANALYSES)
+def test_body_config_keeps_only_the_keys_read(tmp_path, capsys, analysis):
+    # a key the analysis does not read is parsed and dropped; rep and
+    # point stay in every body, empty where unread
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(_EVERY_KEY))
+    rc = main(["analyze", "--do", analysis, "--config", str(cfg)])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert rc == 0
+    reads = ANALYSES[analysis].reads
+    assert set(config) == {"analyses", "seed", "tolerances", "rep",
+                           "point"} | reads
+    for key in ("rep", "point"):
+        assert config[key] == (_EVERY_KEY[key] if key in reads else "")
+
+
+def test_unread_keys_leave_the_body(tmp_path, capsys):
+    # the orbit analysis reads neither n nor step
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"n": 5, "step": 0.5}))
+    rc = main(["analyze", "--rep", "sl-so:3", "--point", "veronese",
+               "--do", "orbit", "--config", str(cfg)])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert rc == 0
+    assert config == {"analyses": ["orbit"], "point": "veronese",
+                      "rep": "sl-so:3", "seed": 0, "tolerances": {}}
 @pytest.mark.parametrize("file_analyses, do, ran", [
     (["holonomy"], None, ["holonomy"]),              # the file's list
     (["holonomy"], "loop-probe", ["loop-probe"]),    # --do overrides it
@@ -429,6 +468,22 @@ def _readme_commands():
     block = block[:block.index("```")]
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("normholo ")]
+
+
+def test_readme_analysis_table_matches_the_records():
+    # the README's table of analyses is the ANALYSES records, row by row
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            name, reads, layer, command = (cell.strip().replace("`", "")
+                                           for cell in line.split("|")[1:-1])
+            rows[name] = (reads, layer, command)
+    assert rows == {
+        name: (", ".join(sorted(a.reads)), (a.layer or "").lstrip("."),
+               a.command[0] if a.command else "")
+        for name, a in ANALYSES.items()}
 
 
 def test_readme_commands_run(capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from normholo.errors import InvalidInput, NotApplicable
-from normholo.holonomy import (adapted_curvature, analyze, cartan_comparison,
-                               commuting_certificate,
+from normholo.holonomy import (SLICE_TOL, adapted_curvature, analyze,
+                               cartan_comparison, commuting_certificate,
                                holonomy_algebra, loop_holonomy_probe,
                                position_fixed_residual,
                                slice_holonomy_distance,
@@ -16,7 +16,7 @@ from normholo.liealg import (bracket_closure, invariant_decomposition,
 from normholo.linalg import subspace_distance
 from normholo.orbit import build_orbit, shape_operator, shape_operators
 from normholo.report import parse_point_spec, parse_rep_spec
-from normholo.srep import SymmetricPairRep
+from normholo.srep import SymmetricPairRep, frame_action
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,105 @@ def test_repeated_eigenvalue_orbits_never_violation():
                         np.diag(values - values.mean()))
         v = analyze(m, seed=int(rng.integers(100)))
         assert v.conjecture_class != "violation-candidate", values
+
+
+def _partitions(n, largest=None):
+    """The partitions of n, each with its parts in descending order."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _assert_slice_representation(M, patterns):
+    # the closed form (Heintze-Olmos 1992): on an s-orbit the normal
+    # holonomy is the slice representation.  At a point of sl-so:r whose
+    # eigenvalues have multiplicities (r_1, ..., r_k) that is SO(r_i) on
+    # Sym0(r_i) for each r_i, and a product adds block by block
+    parts = [ri for p in patterns for ri in p]
+    v = analyze(M)
+    assert v.rank == sum(len(p) - 1 for p in patterns)
+    assert sorted((f.dim, f.algebra_dim, f.transitive) for f in v.factors) \
+        == sorted((ri * (ri + 1) // 2 - 1, ri * (ri - 1) // 2, ri == 2)
+                  for ri in parts if ri >= 2)
+    assert v.algebra.dim == sum(ri * (ri - 1) // 2 for ri in parts)
+    assert v.conjecture_class == ("transitive" if patterns == [(2, 1)]
+                                  else "s-orbit-compatible")
+    assert v.slice_distance <= SLICE_TOL
+
+
+# every multiplicity pattern with k >= 2 distinct eigenvalues, r = 2..8,
+# with sorted eigenvalues drawn in turn from one generator; the draw of
+# (3, 2, 1, 1, 1) puts two of them 0.05% of the spread apart
+_PATTERNS = [p for r in range(2, 9) for p in _partitions(r) if len(p) >= 2]
+_RNG = np.random.default_rng(0)
+_PATTERN_VALUES = [np.repeat(np.sort(_RNG.standard_normal(len(p))), p)
+                   for p in _PATTERNS]
+
+
+@pytest.mark.parametrize("pattern, values", zip(_PATTERNS, _PATTERN_VALUES),
+                         ids=[",".join(map(str, p)) for p in _PATTERNS])
+def test_verdict_is_the_slice_representation(pattern, values):
+    assert len(_PATTERNS) == 58
+    M = build_orbit(SymmetricPairRep.for_size(len(values)),
+                    np.diag(values - values.mean()))
+    _assert_slice_representation(M, [pattern])
+
+
+@pytest.mark.parametrize("rep, point, patterns", [
+    ("product:sl-so:3,sl-so:4", "diag:1,1,-2;diag:2,2,-1,-3",
+     [(2, 1), (2, 1, 1)]),
+    ("product:sl-so:4,sl-so:3", "veronese;diag:1,0,-1", [(3, 1), (1, 1, 1)]),
+])
+def test_product_verdict_is_the_slice_representation(rep, point, patterns):
+    r = parse_rep_spec(rep)
+    _assert_slice_representation(build_orbit(r, parse_point_spec(r, point)),
+                                  patterns)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4])
+def test_curvature_is_ranked_at_its_own_scale(gap):
+    # eigenvalues 0.9 and 0.9 + gap: the curvature that ties them is of
+    # order gap, and its square fell below the rank threshold
+    d = np.array([0, 0, 0, 0.9, 0.9, 0.9 + gap, 1.07, 1.65])
+    M = build_orbit(SymmetricPairRep.for_size(8), np.diag(d - d.mean()))
+    _assert_slice_representation(M, [(3, 2, 1, 1, 1)])
+
+
+def _principal_so3_in_so5():
+    # SO(3) conjugating Sym0(3), written in the frame of Sym0(3): the
+    # five-dimensional irrep, as skew 5 x 5 generators
+    base = SymmetricPairRep.for_size(3)
+    e, ls = base.carrier_frame, base.generators
+    g = (np.einsum("aij,kjl,bli->kab", e, ls, e)
+         - np.einsum("aij,bjl,kli->kab", e, e, ls))
+    return g / np.linalg.norm(g, axis=(1, 2), keepdims=True)
+
+
+def _so2_so2_in_so4():
+    gens = SymmetricPairRep.for_size(4).generators
+    return np.array([x for x in gens if not x[:2, 2:].any()])
+
+
+@pytest.mark.parametrize("r, generators", [
+    (5, _principal_so3_in_so5()), (4, _so2_so2_in_so4())],
+    ids=["so3-in-so5", "so2xso2-in-so4"])
+def test_verdict_refuses_orbits_that_are_not_s_orbits(r, generators):
+    # on these subgroup orbits the Nomizu map is not zero, so the
+    # curvature closure is not the holonomy algebra
+    rep = SymmetricPairRep(
+        sizes=(r,), carrier_frame=SymmetricPairRep.for_size(r).carrier_frame,
+        generators=generators)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        a = rng.standard_normal((r, r))
+        a = a + a.T
+        M = build_orbit(rep, a - np.trace(a) / r * np.eye(r))
+        assert np.abs(frame_action(M.m_generators, M.normal_frame)).max() > 1
+        with pytest.raises(NotApplicable, match="not an s-orbit"):
+            analyze(M)
 
 
 def test_residuals_tiny(verdicts):

@@ -8,14 +8,15 @@ import pytest
 from normholo.errors import InvalidInput
 from normholo.linalg import DEFAULT_TOLS
 from normholo.orbit import build_orbit
-from normholo.report import (Report, ScenarioConfig, _render, parse_point_spec,
-                             parse_rep_spec, run_scenario)
+from normholo.report import (ANALYSES, KNOWN_ANALYSES, Report, ScenarioConfig,
+                             _render, parse_point_spec, parse_rep_spec,
+                             run_scenario)
 
 
 def test_config_roundtrip():
-    raw = {"rep": "sl-so:4", "point": "veronese", "analyses": ["orbit"],
-           "seed": 7, "tolerances": {"eig": 1e-8},
-           "curve": [[0, 0.3]], "step": 0.002}
+    raw = {"rep": "sl-so:4", "point": "veronese",
+           "analyses": ["tube", "transport-audit"], "seed": 7,
+           "tolerances": {"eig": 1e-8}, "curve": [[0, 0.3]], "step": 0.002}
     cfg = ScenarioConfig.from_dict(raw)
     assert cfg.rep == "sl-so:4"
     assert cfg.curve == ((0, 0.3),)
@@ -28,7 +29,9 @@ def test_config_roundtrip():
 
 
 def test_config_curve_index_normalized():
-    cfg = ScenarioConfig.from_dict({"curve": [[2.0, 1], [0, 0.0]]})
+    cfg = ScenarioConfig.from_dict({"rep": "sl-so:3", "point": "veronese",
+                                    "analyses": ["tube"],
+                                    "curve": [[2.0, 1], [0, 0.0]]})
     assert cfg.curve == ((2, 1.0), (0, 0.0))
     assert isinstance(cfg.curve[0][0], int)
 
@@ -232,9 +235,13 @@ def test_transport_scenario_body_is_deterministic():
 def test_config_integers_normalized():
     # non-integral values are config errors; see test_cli
     cfg = ScenarioConfig.from_dict({"seed": 12, "n": 3,
-                                    "direction": "seed:4"})
+                                    "direction": "seed:4", "rep": "sl-so:3",
+                                    "point": "veronese",
+                                    "analyses": ["veronese-facts", "tube"]})
+    assert (cfg.n, cfg.direction_seed) == (3, 4)
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-    cfg = ScenarioConfig.from_dict({"seed": "7", "n": 4.0})
+    cfg = ScenarioConfig.from_dict({"seed": "7", "n": 4.0,
+                                    "analyses": ["veronese-facts"]})
     assert (cfg.seed, cfg.n) == (7, 4) and isinstance(cfg.n, int)
     with pytest.raises(InvalidInput):
         ScenarioConfig.from_dict({"seed": "1.0"})
@@ -279,9 +286,14 @@ def test_direct_config_parses_specs():
     assert not cfg.base_point.flags.writeable
     # parsed fields stay out of equality and the round trip
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-    # the specs are parsed only where an analysis needs them
-    facts = ScenarioConfig(rep="su:3", analyses=("veronese-facts",), n=2)
+    # every given spec is parsed, and only the keys a named analysis
+    # reads are kept
+    with pytest.raises(InvalidInput):
+        ScenarioConfig(rep="su:3", analyses=("veronese-facts",), n=2)
+    facts = ScenarioConfig(rep="sl-so:3", point="veronese",
+                           analyses=("veronese-facts",), n=2)
     assert facts.representation is None and facts.base_point is None
+    assert (facts.rep, facts.point) == ("", "")
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -363,3 +375,36 @@ def test_holonomy_and_bound_share_one_pass(monkeypatch):
     # tensor on this path
     assert counts == {"decomposition": 1, "commutators": 1, "entries": 0,
                       "slice": 1}
+
+
+class _Recorder:
+    """Forwards attribute reads to an object and records their names."""
+
+    def __init__(self, obj):
+        self.obj, self.names = obj, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.obj, name)
+
+
+# the config attribute a handler reads for a key, where the two differ
+_READ_AS = {"direction_seed": "direction", "resolve_tolerances": "tolerances"}
+
+
+@pytest.mark.parametrize("name", KNOWN_ANALYSES)
+def test_analysis_reads_what_its_record_declares(name):
+    # run the handler on a config that gives every key; the orbit is built
+    # from rep, point and tolerances, so a handler that reads it reads them
+    config = ScenarioConfig.from_dict({
+        "rep": "sl-so:3", "point": "diag:1,0,-1", "analyses": [name],
+        "seed": 1, "n": 2, "direction": "seed:1", "curve": [[0, 0.1]],
+        "step": 0.05})
+    M = build_orbit(parse_rep_spec("sl-so:3"),
+                    parse_point_spec(parse_rep_spec("sl-so:3"), "diag:1,0,-1"))
+    config_reads, orbit_reads = _Recorder(config), _Recorder(M)
+    assert ANALYSES[name].run(orbit_reads, config_reads)["ok"] is True
+    reads = {_READ_AS.get(attr, attr) for attr in config_reads.names}
+    if orbit_reads.names:
+        reads |= {"rep", "point", "tolerances"}
+    assert reads == ANALYSES[name].reads | {"seed", "tolerances"}
