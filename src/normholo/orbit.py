@@ -187,13 +187,12 @@ def traceless_spectra_at(rep: SymmetricPairRep, points: np.ndarray,
     """Traceless shape spectrum of xis[i] at the orbit rebuilt through
     points[i], and its mean term <xi_i, H>/n = tr(A_xi)/n.
 
-    build_orbit, traceless_shape_operator and sym_eig at every point of
-    the (N, R, R) stacks, evaluated as one tangent SVD and, per group of
-    points of equal orbit dimension, one second fundamental form, one
-    normal-space check at tols.rank, one symmetric check and one
-    eigensolve.  Returns a list of N ascending spectra and an (N,) array
-    of mean terms; raises InvalidInput wherever build_orbit would, or
-    when an xi is not finite or not normal at its point.
+    build_orbit and traceless_spectrum at every point of the (N, R, R)
+    stacks, as one tangent SVD and one _traceless_spectra call per group
+    of points of equal orbit dimension.  Returns a list of N ascending
+    spectra and an (N,) array of mean terms; raises InvalidInput
+    wherever build_orbit would, or when an xi is not finite or not
+    normal at its point.
     """
     v, u, s, vt, ranks = _tangent_svds(rep, points, tols)
     xis = np.asarray(xis, dtype=float)
@@ -205,27 +204,49 @@ def traceless_spectra_at(rep: SymmetricPairRep, points: np.ndarray,
     for n in sorted(set(ranks.tolist())):
         at = np.flatnonzero(ranks == n)
         m_gens, tangent, normal = _orbit_frames(rep, u[at], s[at], vt[at], n)
-        nu = _normal_coords(normal, xis[at], tols.rank)
-        # f[p, i, j, a] = <xi_a, [X_i, e_j]>; alpha symmetrizes (i, j)
-        f = frame_action(m_gens, normal, tangent).transpose(0, 1, 3, 2)
-        alpha = 0.5 * (f + f.transpose(0, 2, 1, 3))
-        a = np.einsum("pk,pijk->pij", nu, alpha)
-        means[at] = np.trace(a, axis1=1, axis2=2) / n
-        traceless = a - means[at, None, None] * np.eye(n)
-        w, _ = jacobi_eigh(check_symmetric(traceless, tols.sym))
+        w, means[at] = _traceless_spectra(_alpha(m_gens, normal, tangent),
+                                          normal, xis[at], tols)
         for p, row in zip(at, w):
             spectra[p] = row
     return spectra, means
+
+
+def traceless_spectrum(m: OrbitSubmanifold, xi: np.ndarray):
+    """(lam, mu): the ascending traceless shape spectrum of the normal
+    vector xi at m and its mean term tr(A_xi)/n, by the routine that
+    traceless_spectra_at runs per group, on the orbit's cached alpha."""
+    w, means = _traceless_spectra(second_fundamental_form(m)[None],
+                                  m.normal_frame, m.normal_stack(xi), m.tols)
+    return w[0], float(means[0])
+
+
+def _alpha(m_gens: np.ndarray, normal: np.ndarray,
+           tangent: np.ndarray) -> np.ndarray:
+    """alpha[..., i, j, a] = <alpha(e_i, e_j), xi_a> of one orbit or a
+    stack: the symmetrization in (i, j) of f = <xi_a, [X_i, e_j]>."""
+    f = np.swapaxes(frame_action(m_gens, normal, tangent), -1, -2)
+    return 0.5 * (f + np.swapaxes(f, -3, -2))
+
+
+def _traceless_spectra(alpha: np.ndarray, normal: np.ndarray,
+                       xis: np.ndarray, tols: Tolerances):
+    """(w, means): the ascending traceless shape spectrum of each xis[p]
+    on a (P, n, n, K) alpha stack over normal (one frame or a stack) and
+    its mean term tr(A_xi)/n; one normal-space, one symmetric check."""
+    nu = _normal_coords(normal, xis, tols.rank)
+    a = np.einsum("pk,pijk->pij", nu, alpha)
+    n = a.shape[-1]
+    means = np.trace(a, axis1=1, axis2=2) / n
+    traceless = a - means[:, None, None] * np.eye(n)
+    w, _ = jacobi_eigh(check_symmetric(traceless, tols.sym))
+    return w, means
 
 
 def second_fundamental_form(m: OrbitSubmanifold) -> np.ndarray:
     """alpha[i, j, a] = <alpha(e_i, e_j), xi_a> over the orbit frames."""
     if "alpha" in m._cache:
         return m._cache["alpha"]
-    # f[i, j, a] = <xi_a, [X_i, e_j]>; alpha is its symmetrization in (i, j)
-    f = frame_action(m.m_generators, m.normal_frame,
-                     m.tangent_frame).transpose(0, 2, 1)
-    alpha = 0.5 * (f + f.transpose(1, 0, 2))
+    alpha = _alpha(m.m_generators, m.normal_frame, m.tangent_frame)
     alpha.flags.writeable = False
     m._cache["alpha"] = alpha
     return alpha
@@ -250,14 +271,6 @@ def shape_operator(m: OrbitSubmanifold, xi) -> np.ndarray:
         xi = m.rep.matrix(xi)
     nu = m.normal_coords(m.normal_stack(xi)[0])
     return np.einsum("k,kij->ij", nu, shape_operators(m))
-
-
-def traceless_shape(m: OrbitSubmanifold) -> np.ndarray:
-    """(K, n, n): trace-free parts of the normal-frame shape operators."""
-    ops = shape_operators(m)
-    n = m.dim
-    tr = np.trace(ops, axis1=1, axis2=2)
-    return ops - tr[:, None, None] * np.eye(n)[None] / n
 
 
 def traceless_shape_operator(m: OrbitSubmanifold, xi) -> np.ndarray:

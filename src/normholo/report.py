@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInput, NormholoError, NotApplicable
-from .holonomy import (CommutingCertificate, analyze, commuting_certificate,
-                       loop_holonomy_probe)
+from .holonomy import (SLICE_TOL, CommutingCertificate, analyze,
+                       commuting_certificate, loop_holonomy_probe)
 from .linalg import DEFAULT_TOLS, Tolerances, rank_reveal
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature, orbit_dims)
@@ -374,13 +374,21 @@ def _orbit_analysis(M: OrbitSubmanifold, config) -> dict:
                                "maxNorm": iso.max_norm}}
 
 
+def _verdict_ok(verdict) -> bool:
+    """The bound holds and the holonomy is the slice representation, as
+    on every s-orbit (Heintze-Olmos 1992), the only orbits the Nomizu
+    guard lets through: a larger slice distance is a numerical failure."""
+    return bool(verdict.bound_satisfied
+                and verdict.slice_distance <= SLICE_TOL)
+
+
 def _holonomy_analysis(M, config) -> dict:
     verdict = analyze(M, seed=config.seed)
     factors = [{"dim": f.dim, "algebraDim": f.algebra_dim,
                 "transitive": f.transitive,
                 "probeOrbitDims": list(f.evidence.probe_orbit_dims)}
                for f in verdict.factors]
-    return {"ok": bool(verdict.bound_satisfied),
+    return {"ok": _verdict_ok(verdict),
             "algebraDim": verdict.algebra.dim,
             "rank": verdict.rank,
             "factorCount": verdict.factor_count,
@@ -398,7 +406,7 @@ def _bound_analysis(M, config) -> dict:
     cert = (commuting_certificate(M, verdict=verdict) if verdict.factors
             else CommutingCertificate())
     bound = M.dim // 2
-    return {"ok": bool(verdict.bound_satisfied),
+    return {"ok": _verdict_ok(verdict),
             "rank": verdict.rank,
             "orbitDim": M.dim,
             "bound": bound,
@@ -422,19 +430,20 @@ def _spectrum_dict(spec) -> dict:
 
 def _tube_analysis(M, config) -> dict:
     from .transport import OrbitCurve
-    from .tubes import (caustic_rank_check, choose_tube_direction,
+    from .tubes import (TubePatch, caustic_rank_check, choose_tube_direction,
                         dupin_check, normal_exponential_differential,
                         normal_exponential_fd_residual,
-                        seeded_tube_direction, spectra_agree,
-                        tube_spectrum_direct, tube_spectrum_via_formula)
+                        seeded_tube_direction, spectra_agree)
     xi = (choose_tube_direction(M) if config.direction_seed is None
           else seeded_tube_direction(M, config.direction_seed))
     curve = None
     if config.curve:
         curve = OrbitCurve(orbit=M, segments=tuple(
             (M.rep.generators[gi], t) for gi, t in config.curve))
-    formula = tube_spectrum_via_formula(M, xi, curve=curve)
-    direct, patch = tube_spectrum_direct(M, xi, curve=curve)
+    # one foot for both routes; the formula first, so that a focal
+    # direction raises FocalDegeneracy before any stencil runs
+    patch = TubePatch(M, xi, curve=curve)
+    formula, direct = patch.formula, patch.spectrum
     gap = spectra_agree(formula, direct)
     out = {"formula": _spectrum_dict(formula),
            "direct": _spectrum_dict(direct),

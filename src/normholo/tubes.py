@@ -6,7 +6,11 @@ Spectra of the tube's radial shape operator are computed twice: through
 the eigenvalue transformation s -> s/(1-s) applied to foot data (the
 formula route) and by finite differences on an honestly constructed
 local patch of the tube (the direct route).  The two must agree; the
-direct route is the oracle for the formula.
+direct route is the oracle for the formula.  A TubePatch builds the
+foot, its holonomy algebra and the fiber directions once; both routes
+read them, and every traceless shape spectrum (the foot's, the
+displaced feet's, the direction scaling's) comes from orbit's one
+spectrum routine.
 
 Every finite difference here (the patch stencils, the Dupin, caustic
 and normal-exponential checks) reads one chart, the normal exponential
@@ -25,19 +29,19 @@ the comparisons instead of cancelling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DegenerateSpectrum, FocalDegeneracy, InvalidInput,
                      InvalidShift, NotApplicable, PatchDegenerate)
 from .holonomy import holonomy_algebra
-from .liealg import LieAlgebraSpan
 from .linalg import (Subspace, cluster_indices, gram_kernel, matrix_exp,
                      orthonormal_span, principal_angle_max, rank_reveal,
                      sym_eig)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
-                    mean_curvature, shape_operator, shape_operators,
-                    traceless_shape_operator, traceless_spectra_at)
+                    shape_operator, sphere_normal_shape_operators,
+                    traceless_spectra_at, traceless_spectrum)
 from .srep import frame_action
 from .transport import OrbitCurve, exact_transport_vector
 
@@ -73,20 +77,15 @@ def choose_tube_direction(M: OrbitSubmanifold) -> np.ndarray:
     if not hom.is_homothecy:
         raise InvalidInput("shape map on nu-bar is not a homothecy; "
                            "tube direction solve would be ill-posed")
-    target = np.zeros((n, n))
-    target[0, 0] = target[1, 1] = 0.5
-    for i in range(2, n):
-        target[i, i] = -1.0 / (n - 2)
+    target = np.diag([0.5, 0.5] + [-1.0 / (n - 2)] * (n - 2))
     # solve sum_a c_a A_a = target over the nu-bar frame, traceless parts
-    cmat = np.einsum("aij,kij->ak", M.nbar_frame, M.normal_frame)
-    nbar_ops = np.einsum("ak,kij->aij", cmat, shape_operators(M))
+    nbar_ops = sphere_normal_shape_operators(M)
     tr = np.trace(nbar_ops, axis1=1, axis2=2)
     nbar_ops = nbar_ops - tr[:, None, None] * np.eye(n)[None] / n
-    kbar = nbar_ops.shape[0]
-    lhs = nbar_ops.reshape(kbar, -1).T
+    lhs = nbar_ops.reshape(len(nbar_ops), -1).T
     c, *_ = np.linalg.lstsq(lhs, target.ravel(), rcond=None)
     xi = np.einsum("k,kij->ij", c, M.nbar_frame)
-    achieved = sym_eig(traceless_shape_operator(M, xi)).values
+    achieved = traceless_spectrum(M, xi)[0]
     want = np.sort(np.diag(target))
     if np.max(np.abs(achieved - want)) > 1e2 * M.tols.eig:
         raise InvalidInput("tube direction solve missed the target spectrum; "
@@ -109,8 +108,7 @@ def seeded_tube_direction(M: OrbitSubmanifold, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(len(M.nbar_frame))
     xi = np.einsum("k,kij->ij", c, M.nbar_frame)
-    top = float(np.max(np.abs(
-        sym_eig(traceless_shape_operator(M, xi), tols=M.tols).values)))
+    top = float(np.max(np.abs(traceless_spectrum(M, xi)[0])))
     if top < M.tols.eig:
         raise DegenerateSpectrum("seeded direction has a null shape "
                                  "operator; pick another seed")
@@ -137,44 +135,6 @@ class TubeSpectrum:
 
     def multiplicity_total(self) -> int:
         return sum(m for _, m in self.values_with_vertical())
-
-
-def _foot_data(M: OrbitSubmanifold, xi: np.ndarray,
-               curve: OrbitCurve | None):
-    """Transport xi to the curve end and rebuild orbit data there.
-
-    Raises InvalidInput, before any other work, when xi does not lie in
-    the normal space at the base point.
-    """
-    if curve is None or curve.total_time == 0.0:
-        return M, M.normal_stack(xi)[0]
-    if curve.orbit is not M:
-        raise InvalidInput("curve is based on a different orbit")
-    xi1 = exact_transport_vector(curve, xi)
-    return build_orbit(M.rep, curve.endpoint(), tols=M.tols), xi1
-
-
-def _fiber_directions(foot: OrbitSubmanifold, xi1: np.ndarray,
-                      algebra: LieAlgebraSpan):
-    """Algebra elements whose action on xi1 spans the fiber tangent.
-
-    The right singular vectors of the fiber images: their images are
-    orthogonal, and they do not depend on the basis of the algebra.
-    """
-    coords = foot.normal_coords(xi1)
-    images = np.einsum("pij,j->ip", algebra.basis, coords)
-    _, _, vt, m3 = rank_reveal(images, foot.tols.rank)
-    lams = np.einsum("jp,pkl->jkl", vt[:m3], algebra.basis)
-    return lams, m3
-
-
-def _foot_spectrum(foot: OrbitSubmanifold, xi: np.ndarray):
-    """(lam_tilde, mu): the traceless shape spectrum of the normal vector
-    xi at foot and its mean-curvature term."""
-    lam_tilde = sym_eig(traceless_shape_operator(foot, xi),
-                        tols=foot.tols).values
-    mc = mean_curvature(foot)
-    return lam_tilde, float(np.einsum("ij,ij->", xi, mc.ambient)) / foot.dim
 
 
 def _hat_clusters(lams, where: str) -> list:
@@ -231,48 +191,62 @@ def _stencil_jacobian(fn, n: int, n_axes: int, extent: float) -> np.ndarray:
     return fn(np.array(points)).T @ np.array(coef)
 
 
-def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
-                              curve: OrbitCurve | None = None
-                              ) -> TubeSpectrum:
-    """Tube spectrum from foot data through s -> s/(1-s).
-
-    Foot eigenvalues are the traceless shape spectrum of the transported
-    vector plus the mean-curvature term; a foot eigenvalue at 1 is a
-    focal point and raises FocalDegeneracy.  The vertical eigenvalue is
-    -1 exactly, with the fiber-orbit dimension m3 as multiplicity (no
-    vertical entry when m3 = 0).
-    """
-    foot, xi1 = _foot_data(M, xi, curve)
-    lam_tilde, mu = _foot_spectrum(foot, xi1)
-    hats, = _hat_clusters([lam_tilde + mu], "foot")
-    _, m3 = _fiber_directions(foot, xi1, holonomy_algebra(foot))
-    return TubeSpectrum(
-        lambda_hats=hats, vertical_mult=m3,
-        foot_eigenvalues=np.sort(lam_tilde)[::-1],
-        mean_term=mu, tube_dim=foot.dim + m3, source="formula")
-
-
 class TubePatch:
-    """Local finite-difference chart of a holonomy tube around one point.
+    """A holonomy tube at one point: its foot and its local chart.
 
-    Parameters are n foot coordinates (tangent frame of the foot orbit)
-    and m3 fiber coordinates (holonomy directions applied to the radial
-    vector).  evaluate() returns honest tube points for a stack of
-    parameters; the radial shape operator comes from axis stencils.
+    The constructor transports xi to the curve end (InvalidInput first
+    when xi is not normal at the base point), rebuilds the foot orbit
+    there and finds its holonomy algebra and fiber directions, once for
+    both routes.  Chart parameters are n foot coordinates (tangent frame
+    of the foot orbit) and m3 fiber coordinates (holonomy directions
+    applied to the radial vector).  Everything else is computed when
+    first read, at most once.
     """
 
     def __init__(self, M: OrbitSubmanifold, xi: np.ndarray,
                  curve: OrbitCurve | None = None):
-        foot, xi1 = _foot_data(M, xi, curve)
-        self.foot = foot
-        self.xi1 = xi1
+        if curve is None or curve.total_time == 0.0:
+            foot, xi1 = M, M.normal_stack(xi)[0]
+        elif curve.orbit is not M:
+            raise InvalidInput("curve is based on a different orbit")
+        else:
+            xi1 = exact_transport_vector(curve, xi)
+            foot = build_orbit(M.rep, curve.endpoint(), tols=M.tols)
+        self.foot, self.xi1 = foot, xi1
         self.xi1_coords = foot.normal_coords(xi1)
         self.algebra = holonomy_algebra(foot)
-        self.fiber_dirs, self.m3 = _fiber_directions(foot, xi1, self.algebra)
+        # fiber directions: the right singular vectors of the fiber images,
+        # orthogonal images whatever the basis of the algebra
+        basis = self.algebra.basis
+        _, _, vt, self.m3 = rank_reveal(
+            np.einsum("pij,j->ip", basis, self.xi1_coords), foot.tols.rank)
+        self.fiber_dirs = np.einsum("jp,pkl->jkl", vt[:self.m3], basis)
         self.n = foot.dim
         self.n_axes = self.n + self.m3
-        self._axis_cache = None
-        self._shape_cache = None
+
+    @cached_property
+    def foot_spectrum(self):
+        """(lam_tilde descending, mu) of the transported vector at foot."""
+        lam, mu = traceless_spectrum(self.foot, self.xi1)
+        lam = lam[::-1]                  # shared by both routes' spectra
+        lam.flags.writeable = False
+        return lam, mu
+
+    @cached_property
+    def formula(self) -> TubeSpectrum:
+        """Tube spectrum from foot data through s -> s/(1-s).
+
+        Foot eigenvalues are the traceless shape spectrum of the
+        transported vector plus the mean-curvature term; a foot
+        eigenvalue at 1 is a focal point and raises FocalDegeneracy.
+        The vertical eigenvalue is -1 exactly, with the fiber-orbit
+        dimension m3 as multiplicity (no vertical entry when m3 = 0).
+        """
+        lam, mu = self.foot_spectrum
+        hats, = _hat_clusters([lam + mu], "foot")
+        return TubeSpectrum(
+            lambda_hats=hats, vertical_mult=self.m3, foot_eigenvalues=lam,
+            mean_term=mu, tube_dim=self.n_axes, source="formula")
 
     # -- geometry evaluation -------------------------------------------
 
@@ -289,10 +263,9 @@ class TubePatch:
                           self.fiber_dirs) if self.m3 else None
         return _chart(self.foot, self.xi1_coords, params[:, :self.n], fiber)
 
+    @cached_property
     def _axis_stencils(self):
         """First derivatives of q and of the radial field along each axis."""
-        if self._axis_cache is not None:
-            return self._axis_cache
         rep = self.foot.rep
 
         def q_and_radial(params):
@@ -302,65 +275,60 @@ class TubePatch:
         both = _stencil_jacobian(q_and_radial, self.n, self.n_axes,
                                  PATCH_EXTENT)
         d = rep.carrier_dim
-        self._axis_cache = (both[:d], both[d:])
-        return self._axis_cache
+        return both[:d], both[d:]
 
-    # -- radial shape operator -----------------------------------------
+    # -- direct route: the radial shape operator -----------------------
 
+    @cached_property
     def shape_operator(self):
-        """Radial shape operator on an orthonormal tube tangent basis.
-
-        Returns (A, Q, Jc, asym) with A symmetric (n+m3) x (n+m3), Q the
-        tube tangent frame in carrier coordinates, Jc the chart Jacobian
-        in that frame, asym the pre-symmetrization defect.
-        PatchDegenerate if the chart loses rank.
+        """(A, Jc): the radial shape operator on an orthonormal tube
+        tangent basis Q, symmetric (n+m3) x (n+m3), and the chart
+        Jacobian in that basis.  PatchDegenerate if the chart loses rank.
         """
-        if self._shape_cache is not None:
-            return self._shape_cache
-        jac, dnormal = self._axis_stencils()
+        jac, dnormal = self._axis_stencils
         q_frame, _, _, rank = rank_reveal(jac, self.foot.tols.rank)
         if rank < self.n_axes:
             raise PatchDegenerate("tube chart Jacobian lost rank; "
                                   "move the base point")
         jc = q_frame.T @ jac
-        b = -(q_frame.T @ dnormal)
-        a = b @ np.linalg.inv(jc)
-        asym = float(np.linalg.norm(a - a.T))
-        a = 0.5 * (a + a.T)
-        self._shape_cache = (a, q_frame, jc, asym)
-        return self._shape_cache
+        a = -(q_frame.T @ dnormal) @ np.linalg.inv(jc)
+        return 0.5 * (a + a.T), jc
 
+    @cached_property
     def _clusters(self):
         """Clustered radial spectrum as (dec, means, vert, horiz): vert is
         the cluster nearest -1, or None when there is no fiber (m3 = 0),
         horiz the others by descending value."""
-        a, _, _, _ = self.shape_operator()
-        dec = sym_eig(a, tols=replace(self.foot.tols,
-                                      cluster_gap=TUBE_CLUSTER_GAP))
+        dec = sym_eig(self.shape_operator[0],
+                      tols=replace(self.foot.tols,
+                                   cluster_gap=TUBE_CLUSTER_GAP))
         means = dec.cluster_means()
         vert = int(np.argmin(np.abs(means - (-1.0)))) if self.m3 else None
         horiz = sorted((i for i in range(len(means)) if i != vert),
                        key=lambda i: -means[i])
         return dec, means, vert, horiz
 
+    @cached_property
     def spectrum(self) -> TubeSpectrum:
-        dec, means, vert, horiz = self._clusters()
+        """Patch-based tube spectrum, with the formula route's foot data."""
+        dec, means, vert, horiz = self._clusters
         sizes = dec.cluster_sizes()
-        foot_lam, mu = _foot_spectrum(self.foot, self.xi1)
+        foot_lam, mu = self.foot_spectrum
         return TubeSpectrum(
             lambda_hats=tuple((float(means[i]), int(sizes[i])) for i in horiz),
             vertical_mult=0 if vert is None else int(sizes[vert]),
-            foot_eigenvalues=np.sort(foot_lam)[::-1], mean_term=mu,
+            foot_eigenvalues=foot_lam, mean_term=mu,
             tube_dim=self.n_axes, source="patch",
             vertical_value=-1.0 if vert is None else float(means[vert]))
 
+    @cached_property
     def eigendistribution(self):
         """Orthonormal basis of the top horizontal eigenvalue cluster.
 
         Returned in tube tangent frame coordinates (the Q basis of
         shape_operator).
         """
-        dec, _, _, horiz = self._clusters()
+        dec, _, _, horiz = self._clusters
         if not horiz:
             raise InvalidInput("no such horizontal eigenvalue cluster")
         return dec.vectors[:, list(dec.clusters[horiz[0]])]
@@ -369,13 +337,9 @@ class TubePatch:
 
     def _hat_values(self, p: np.ndarray, radial: np.ndarray) -> np.ndarray:
         """(N, 2) array of (hat1, hat2) of radial[i] at the displaced foot
-        p[i].
-
-        The foot data are rebuilt honestly at every p[i] (one stack) and
-        the formula route is applied there; its validity at displaced
-        points is exactly what the direct-vs-formula check certifies at
-        the base point.
-        """
+        p[i], rebuilt honestly (one stack) and read by the formula route
+        through the base-point foot's spectrum routine, which the
+        direct-vs-formula check certifies at the base point."""
         spectra, means = traceless_spectra_at(self.foot.rep, p, radial,
                                               self.foot.tols)
         hats = _hat_clusters([lam + mu for lam, mu in zip(spectra, means)],
@@ -383,11 +347,18 @@ class TubePatch:
         return np.array([(h[0][0], h[min(1, len(h) - 1)][0]) for h in hats])
 
 
+def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
+                              curve: OrbitCurve | None = None
+                              ) -> TubeSpectrum:
+    """Tube spectrum from foot data (TubePatch.formula)."""
+    return TubePatch(M, xi, curve=curve).formula
+
+
 def tube_spectrum_direct(M: OrbitSubmanifold, xi: np.ndarray,
                          curve: OrbitCurve | None = None):
     """Patch-based tube spectrum; returns (TubeSpectrum, TubePatch)."""
     patch = TubePatch(M, xi, curve=curve)
-    return patch.spectrum(), patch
+    return patch.spectrum, patch
 
 
 def spectra_agree(formula: TubeSpectrum, direct: TubeSpectrum) -> float:
@@ -424,13 +395,12 @@ def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
     """
     if patch is None:
         patch = TubePatch(M, xi)
-    spec = patch.spectrum()
-    if spec.lambda_hats[0][1] < 2:
+    if patch.spectrum.lambda_hats[0][1] < 2:
         raise NotApplicable("top hat-eigenvalue is simple; no integral "
                             "manifold to test along")
-    e1 = patch.eigendistribution()
-    _, _, jc, _ = patch.shape_operator()
-    vels = (np.linalg.inv(jc) @ e1).T        # one chart velocity per row
+    jc = patch.shape_operator[1]
+    # one chart velocity per row
+    vels = (np.linalg.inv(jc) @ patch.eigendistribution).T
     nrms = np.linalg.norm(vels @ jc.T, axis=1)
     _, p, radial = patch.evaluate(DUPIN_STEP * np.concatenate([vels, -vels]))
     hats = patch._hat_values(p, radial)
@@ -465,7 +435,7 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     """
     if patch is None:
         patch = TubePatch(M, xi)
-    hats = [v for v, _ in patch.spectrum().lambda_hats]
+    hats = [v for v, _ in patch.spectrum.lambda_hats]
     if patch.m3:
         # the vertical eigenvalue is -1 exactly; the patch only measures it
         hats.append(-1.0)
@@ -488,17 +458,16 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     # kernel in chart parameters, then into the tube tangent frame
     tols = patch.foot.tols
     kernel = gram_kernel(jac, tols)
-    _, _, jc, _ = patch.shape_operator()
     positive = all(s > 0 for s in shifted)
     if kernel.dim == 0:
         return CausticResult(kernel_dim=0, kernel_angle_to_e1=np.pi / 2,
                              shift=float(shift),
                              shifted_spectrum_positive=positive)
     tangent_kernel = orthonormal_span(
-        list((jc @ kernel.basis).T), ambient_dim=patch.n_axes,
-        tol=tols.rank)
-    e1_cols = patch.eigendistribution()
-    e1 = Subspace(ambient_dim=patch.n_axes, basis=e1_cols, tol=tols.rank)
+        list((patch.shape_operator[1] @ kernel.basis).T),
+        ambient_dim=patch.n_axes, tol=tols.rank)
+    e1 = Subspace(ambient_dim=patch.n_axes, basis=patch.eigendistribution,
+                  tol=tols.rank)
     angle = principal_angle_max(tangent_kernel, e1)
     return CausticResult(kernel_dim=int(kernel.dim),
                          kernel_angle_to_e1=float(angle), shift=float(shift),

@@ -1,9 +1,10 @@
-"""Veronese maps, Veronese-type orbits, and their verification suite.
+"""Veronese-type orbits and their verification suite.
 
 The quadratic map Q(u) = u u^t sends the unit sphere of R^r to rank-one
-projectors; its traceless centering rho_tilde lands in the carrier of
-the conjugation representation, where the image is exactly the orbit of
-a two-eigenvalue matrix with multiplicities (1, r-1).
+projectors; its traceless centering lands in the carrier of the
+conjugation representation, where the image is exactly the orbit of a
+two-eigenvalue matrix with multiplicities (1, r-1).  The map and its
+residuals live in the tests, as oracles for the orbit built here.
 
 Among the checks, alpha is parallel on the Veronese orbits (they are
 extrinsically symmetric, Ferus 1980); nabla alpha is closed-form
@@ -19,34 +20,14 @@ import numpy as np
 
 from .errors import InvalidInput
 from .holonomy import HolonomyVerdict, analyze
-from .linalg import DEFAULT_TOLS, Tolerances, matrix_exp, sym_eig
+from .linalg import DEFAULT_TOLS, Tolerances, sym_eig
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, second_fundamental_form)
 from .srep import SymmetricPairRep, frame_action
 
-UNIT_TOL = 1e-10
 ALPHA_RESIDUAL_TOL = 1e-4
-MAP_SAMPLES = 8           # draws of the map checks, seeded with 0
-CONGRUENCE_SAMPLES = 20
 # the n for which verify_veronese_facts runs its characterization suite
 FACT_NS = range(2, 7)
-
-
-def veronese_map(v: np.ndarray) -> np.ndarray:
-    """Q(v) = v v^t for a unit vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidInput("veronese_map expects a vector")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-        raise InvalidInput("veronese_map needs a unit vector")
-    return np.outer(v, v)
-
-
-def rho_tilde(v: np.ndarray) -> np.ndarray:
-    """Centered Veronese map Q(v) - Id/r, traceless by construction."""
-    q = veronese_map(v)
-    r = q.shape[0]
-    return q - np.eye(r) / r
 
 
 def veronese_type_point(r: int, scale: float = 1.0) -> np.ndarray:
@@ -120,71 +101,6 @@ def minimal_dimension_scan(r: int) -> MinimalDimensionScan:
     return MinimalDimensionScan(r=r, splits=splits, formula_dims=formula,
                                 built_dims=built, minimum=mn,
                                 argmin_splits=argmins)
-
-
-def equivariance_residual(n: int) -> float:
-    """max |rho_tilde(g v) - g rho_tilde(v) g^t| over sampled (v, g)."""
-    r = n + 1
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(MAP_SAMPLES):
-        v = rng.standard_normal(r)
-        v /= np.linalg.norm(v)
-        x = rng.standard_normal((r, r))
-        x = 0.5 * (x - x.T)
-        g = matrix_exp(x)
-        gap = rho_tilde(g @ v) - g @ rho_tilde(v) @ g.T
-        worst = max(worst, float(np.linalg.norm(gap)))
-    return worst
-
-
-def immersion_scaling_residuals(n: int) -> tuple[float, float]:
-    """Gram defects of dQ on sphere tangent spaces, both conventions.
-
-    Returns (half-trace isometry residual, global-trace sqrt(2)-homothety
-    residual); dQ_v(w) = v w^t + w v^t on w in v-perp.
-    """
-    r = n + 1
-    rng = np.random.default_rng(0)
-    iso_worst = 0.0
-    hom_worst = 0.0
-    for _ in range(MAP_SAMPLES):
-        v = rng.standard_normal(r)
-        v /= np.linalg.norm(v)
-        q, _ = np.linalg.qr(v.reshape(-1, 1), mode="complete")
-        tangent = q[:, 1:]
-        imgs = np.stack([np.outer(v, w) + np.outer(w, v)
-                         for w in tangent.T])
-        gram = np.einsum("aij,bij->ab", imgs, imgs)
-        iso_worst = max(iso_worst, float(np.linalg.norm(
-            0.5 * gram - tangent.T @ tangent)))
-        hom_worst = max(hom_worst, float(np.linalg.norm(
-            gram - 2.0 * tangent.T @ tangent)))
-    return iso_worst, hom_worst
-
-
-def congruence_residual(n: int) -> float:
-    """Alignment residual of rho_tilde samples against the orbit point.
-
-    For each sampled unit v the frame of rho_tilde(v) (top eigenvector
-    plus a completed complement) conjugates the base point onto the
-    sample; the max carrier-norm gap over samples is returned.
-    """
-    r = n + 1
-    s = veronese_type_point(r)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(CONGRUENCE_SAMPLES):
-        v = rng.standard_normal(r)
-        v /= np.linalg.norm(v)
-        z = rho_tilde(v)
-        w, u = np.linalg.eigh(z)
-        top = u[:, int(np.argmax(w))]
-        # frame matching the (1, r-1) eigenstructure of the base point;
-        # the sign of the top column cancels in the conjugation
-        g, _ = np.linalg.qr(top.reshape(-1, 1), mode="complete")
-        worst = max(worst, float(np.linalg.norm(g @ s @ g.T - z)))
-    return worst
 
 
 def parallel_alpha_residual(M: OrbitSubmanifold) -> float:

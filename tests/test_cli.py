@@ -572,3 +572,81 @@ def test_every_analysis_dispatches_from_a_fresh_process(tmp_path):
     assert sorted(analyses) == sorted(KNOWN_ANALYSES)
     assert analyses.pop("coxeter")["error"]["type"] == "NotIsoparametric"
     assert all(res["ok"] for res in analyses.values())
+
+
+@pytest.mark.parametrize("top, ok", [("0.91", True), ("0.901", True),
+                                     ("0.9001", True), ("0.90005", False)])
+def test_verdict_off_the_slice_representation_fails(capsys, top, ok):
+    # eigenvalues 0.9 and 0.9 + gap on sl-so:8.  On an s-orbit the
+    # holonomy is the slice representation: rank 4, factors (5, 2),
+    # algebra dim 4.  Down to gap 1e-4 the verdict is that, with the
+    # slice distance growing from 3e-13 to 2e-9 (the margin to
+    # SLICE_TOL); at 5e-5 the rank threshold drops the so(3) curvature,
+    # the slice distance reads 1, and neither section may pass
+    from normholo.holonomy import SLICE_TOL
+    rc = main(["analyze", "--rep", "sl-so:8", "--point",
+               f"diag:0,0,0,0.9,0.9,{top},1.07,1.65",
+               "--do", "holonomy,bound"])
+    doc = json.loads(capsys.readouterr().out)
+    hol = doc["analyses"]["holonomy"]
+    assert rc == (0 if ok else 1)
+    assert hol["ok"] is ok and doc["analyses"]["bound"]["ok"] is ok
+    assert hol["boundSatisfied"] is True
+    if ok:
+        assert (hol["rank"], hol["algebraDim"]) == (4, 4)
+        assert [f["dim"] for f in hol["factors"]] == [5, 2]
+        assert hol["sliceHolonomyDistance"] <= 0.1 * SLICE_TOL
+    else:
+        assert hol["sliceHolonomyDistance"] > SLICE_TOL
+
+
+# the holonomy fields the README lists as round-off around an exact 0
+_HOLONOMY_ROUND_OFF = ("positionResidual", "sliceHolonomyDistance",
+                       "symmetricResidual")
+
+
+def _holonomy_body(threads):
+    """The sl-so:10 Veronese holonomy body, in a fresh interpreter at
+    the given OpenBLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(normholo.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", (
+        "import sys\n"
+        "from normholo.report import ScenarioConfig, run_scenario\n"
+        "config = ScenarioConfig.from_dict({'rep': 'sl-so:10', "
+        "'point': 'veronese', 'analyses': ['holonomy']})\n"
+        "sys.stdout.write(run_scenario(config).body_text())\n")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    return proc.stdout
+
+
+def _differing_leaves(a, b, path=""):
+    """(path, a, b) of every leaf where two parsed bodies differ; a
+    difference of keys, lengths or types is one leaf."""
+    if type(a) is not type(b) or (isinstance(a, (dict, list))
+                                  and len(a) != len(b)):
+        return [(path, a, b)]
+    if isinstance(a, dict):
+        if set(a) != set(b):
+            return [(path, sorted(a), sorted(b))]
+        return [d for k in a for d in _differing_leaves(a[k], b[k],
+                                                        f"{path}.{k}")]
+    if isinstance(a, list):
+        return [d for x, y in zip(a, b) for d in _differing_leaves(x, y,
+                                                                   path)]
+    return [] if a == b else [(path, a, b)]
+
+
+def test_body_across_blas_thread_counts():
+    # the README's determinism scope: byte-identical at one thread count;
+    # across thread counts only its round-off fields move, by round-off
+    one = _holonomy_body(1)
+    assert _holonomy_body(1) == one
+    diffs = _differing_leaves(json.loads(one), json.loads(_holonomy_body(2)))
+    for path, a, b in diffs:
+        assert path.rsplit(".", 1)[-1] in _HOLONOMY_ROUND_OFF, path
+        assert isinstance(a, float) and abs(a - b) <= 1e-13, path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    round_off = readme[readme.index("Some report fields are round-off"):]
+    assert all(f"{name}`" in round_off for name in _HOLONOMY_ROUND_OFF)

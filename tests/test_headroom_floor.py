@@ -1,10 +1,11 @@
-"""Numerical headroom of one seed-0 pass of each benchmark workload.
+"""Numerical headroom and checks of one seed-0 pass of each workload.
 
 headroom_digits is the benchmark's accuracy metric: the smallest
 log10(tolerance / residual) over the checked residuals of a pass.  The
 floors sit a little under today's values, so a change that costs the
-numerics digits fails here before it reaches a benchmark run.  The
-workload specs and the metric are read from perfbench/workloads.py.
+numerics digits fails here before it reaches a benchmark run.  Every
+body must also pass the benchmark's checks (check_body).  The workload
+specs, the checks and the metric are read from perfbench/workloads.py.
 """
 
 import importlib.util
@@ -40,6 +41,11 @@ def test_every_workload_has_a_floor():
 def test_headroom_floor(workload):
     bodies = [json.loads(run_scenario(ScenarioConfig.from_dict(c)).body_text())
               for c in WORKLOADS.scenarios(workload, 0)]
+    # the benchmark's closed-form checks, so a wrong verdict or a flipped
+    # ok fails here before it fails a benchmark run
+    failed = [name for body in bodies
+              for name, ok in WORKLOADS.check_body(body) if not ok]
+    assert failed == []
     pairs = [p for body in bodies for p in WORKLOADS.residuals(body)]
     assert pairs, "the pass checks no residual"
     assert WORKLOADS.headroom_digits(pairs) >= FLOORS[workload]

@@ -10,8 +10,8 @@ from normholo.orbit import (ISOTROPY_PROBES, build_orbit, homothecy_test,
                             isotropy_defect, mean_curvature, orbit_dims,
                             second_fundamental_form, shape_operator,
                             shape_operators, sphere_normal_shape_operators,
-                            traceless_shape, traceless_shape_operator,
-                            traceless_spectra_at)
+                            traceless_shape_operator, traceless_spectra_at,
+                            traceless_spectrum)
 from normholo.report import parse_point_spec, parse_rep_spec
 from normholo.srep import SymmetricPairRep, frame_action, random_regular_point
 
@@ -180,13 +180,24 @@ def test_homothecy_vacuous_on_line(a2_orbit):
     assert h.gram_residual == 0.0
 
 
+def traceless_shape(m):
+    """(K, n, n): trace-free parts of the normal-frame shape operators."""
+    ops = shape_operators(m)
+    tr = np.trace(ops, axis1=1, axis2=2)
+    return ops - tr[:, None, None] * np.eye(m.dim)[None] / m.dim
+
+
 def test_traceless_shape_consistency(v3):
     tl = traceless_shape(v3)
     assert np.allclose(np.trace(tl, axis1=1, axis2=2), 0.0, atol=1e-12)
-    xi = v3.nbar_frame[0]
+    xi = v3.nbar_frame[0] + 0.3 * v3.point
     want = traceless_shape_operator(v3, xi)
     got = np.einsum("k,kij->ij", v3.normal_coords(xi), tl)
     assert np.allclose(got, want, atol=1e-10)
+    # the one spectrum routine: eigenvalues of got, and tr(A_xi)/n
+    lam, mu = traceless_spectrum(v3, xi)
+    assert np.allclose(lam, np.linalg.eigvalsh(got), atol=1e-12)
+    assert abs(mu - np.trace(shape_operator(v3, xi)) / v3.dim) <= 1e-14
 
 
 def test_isotropy_defect_separates_orbit_types(v3, product_orbit):

@@ -329,7 +329,7 @@ def test_patch_stencils_take_three_exponential_calls(v3, v3_xi,
     real = linalg._expm_core
     monkeypatch.setattr(linalg, "_expm_core",
                         lambda x: calls.append(x.shape) or real(x))
-    patch._axis_stencils()
+    patch._axis_stencils               # computed when first read
     assert len(calls) <= 3
 
 
@@ -387,3 +387,38 @@ def test_displaced_hat_values_reject_a_point_off_the_carrier(v3_patch):
     p[1] += 1e-3 * np.eye(4)
     with pytest.raises(InvalidInput, match="carrier"):
         patch._hat_values(p, radial)
+
+
+def test_curved_tube_builds_its_foot_once(build_orbit_calls, monkeypatch):
+    # the transport-loops benchmark's curved tube at seed 1: one foot
+    # orbit, one closure, one radial clustering and one foot spectrum,
+    # read by both routes
+    import normholo.holonomy as holonomy
+    import normholo.tubes as tubes
+    calls = []
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((name, args[0]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+
+    record(holonomy, "bracket_closure")
+    record(tubes, "sym_eig")
+    record(tubes, "traceless_spectrum")
+    config = ScenarioConfig.from_dict({
+        "rep": "sl-so:4", "point": "veronese", "analyses": ["tube"],
+        "curve": [[1, 0.31948674738744653], [4, 0.18051325261255347]],
+        "seed": 1})
+    tube = run_scenario(config).analyses["tube"]
+    assert tube["ok"]
+    assert len(build_orbit_calls) == 2          # the orbit and the foot
+    names = [name for name, _ in calls]
+    assert names.count("bracket_closure") == names.count("sym_eig") == 1
+    # the direction's scaling on the orbit, then the foot spectrum once
+    spectra_of = [arg for name, arg in calls if name == "traceless_spectrum"]
+    assert len(spectra_of) == 2 and spectra_of[0] is not spectra_of[1]
+    for key in ("footEigenvalues", "meanTerm"):
+        assert tube["formula"][key] == tube["direct"][key]
