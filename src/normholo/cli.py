@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -80,9 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> dict:
     """The --config object with the flags merged over it; InvalidInput
     when the file is unreadable or not a JSON object, or --curve is not
-    JSON."""
+    JSON.  json is imported only where there is JSON to read."""
     raw: dict = {}
     if args.config:
+        import json
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -98,6 +98,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         if val not in (None, ""):
             raw[key] = val
     if getattr(args, "curve", None):
+        import json
         try:
             raw["curve"] = json.loads(args.curve)
         except ValueError as exc:

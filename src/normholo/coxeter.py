@@ -16,7 +16,7 @@ most _CHUNK_FLOATS floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ ANGLE_TOL = 1e-6
 _CHUNK_FLOATS = 8192
 
 
-@dataclass(frozen=True)
-class CurvatureNormalSet:
+class CurvatureNormalSet(NamedTuple):
     """Common eigendistributions of the shape-operator family.
 
     normals holds one carrier matrix per distinct curvature normal;
@@ -168,8 +167,7 @@ def curvature_normals(M: OrbitSubmanifold,
                               residual=residual)
 
 
-@dataclass(frozen=True)
-class ReflectionGroup:
+class ReflectionGroup(NamedTuple):
     """Closure of the reflections across the curvature-normal hyperplanes.
 
     Elements are orthogonal matrices in an orthonormal basis of

@@ -17,7 +17,7 @@ curvature-generated algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .srep import CartanCurvature, frame_action
 SLICE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class AdaptedCurvature:
+class AdaptedCurvature(NamedTuple):
     """Normal curvature over an orthonormal frame of nu_v, as a factor.
 
     t[a, b, c, d] = -trace([A_a, A_b] [A_c, A_d]), A_k the shape operator
@@ -160,8 +159,7 @@ def slice_holonomy_distance(M: OrbitSubmanifold,
     return subspace_distance(slice_span.space, algebra.space)
 
 
-@dataclass(frozen=True)
-class CartanComparison:
+class CartanComparison(NamedTuple):
     """Normal curvature over nu_bar against the scaled ambient model."""
 
     beta: float            # homothecy ratio of the traceless shape map
@@ -191,8 +189,7 @@ def cartan_comparison(M: OrbitSubmanifold) -> CartanComparison:
                             residual=gap)
 
 
-@dataclass(frozen=True)
-class FactorVerdict:
+class FactorVerdict(NamedTuple):
     """Transitivity data for one invariant factor of the holonomy action."""
 
     subspace: Subspace
@@ -202,8 +199,7 @@ class FactorVerdict:
     evidence: TransitivityResult
 
 
-@dataclass
-class HolonomyVerdict:
+class HolonomyVerdict(NamedTuple):
     """Holonomy phenotype of an orbit: factors, rank, bound, class."""
 
     orbit: OrbitSubmanifold
@@ -284,8 +280,7 @@ def analyze(M: OrbitSubmanifold, seed: int = 0) -> HolonomyVerdict:
     return verdict
 
 
-@dataclass(frozen=True)
-class CertificatePair:
+class CertificatePair(NamedTuple):
     """One non-commuting shape pair witnessing a non-flat factor."""
 
     factor_index: int
@@ -295,12 +290,11 @@ class CertificatePair:
     norm: float
 
 
-@dataclass
-class CommutingCertificate:
+class CommutingCertificate(NamedTuple):
     """Independent commuting commutators, one per non-flat factor."""
 
-    pairs: list = field(default_factory=list)
-    flat_factors: list = field(default_factory=list)
+    pairs: tuple = ()           # of CertificatePair
+    flat_factors: tuple = ()    # indices of the flat factors
     independent: bool = True
     max_pairwise_commutator: float = 0.0
 
@@ -321,7 +315,7 @@ def commuting_certificate(M: OrbitSubmanifold,
     if not verdict.factors:
         raise InvalidInput("no holonomy factors to certify")
     ops = shape_operators(M)
-    cert = CommutingCertificate()
+    pairs, flat = [], []
     for i, fac in enumerate(verdict.factors):
         cols = fac.subspace.basis            # (K, d) nu-frame coords
         fops = np.einsum("ka,kij->aij", cols, ops)
@@ -329,30 +323,30 @@ def commuting_certificate(M: OrbitSubmanifold,
         coms = fops[a] @ fops[b] - fops[b] @ fops[a]
         norms = np.linalg.norm(coms, axis=(1, 2))
         if not norms.size or norms.max() <= M.tols.rank:
-            cert.flat_factors.append(i)
+            flat.append(i)
             continue
         best = int(np.argmax(norms))    # first maximum in a < b order
         xi_a, xi_b = np.einsum("ka,kij->aij", cols[:, [a[best], b[best]]],
                                M.normal_frame)
-        cert.pairs.append(CertificatePair(
+        pairs.append(CertificatePair(
             factor_index=i, xi_a=xi_a, xi_b=xi_b,
             commutator=coms[best].copy(), norm=float(norms[best])))
-    if cert.pairs:
-        stacked = np.stack([p.commutator.ravel() / p.norm for p in cert.pairs])
-        cert.independent = (rank_reveal(stacked.T, M.tols.rank)[3]
-                            == len(cert.pairs))
-        n = M.dim
-        cs = stacked.reshape(-1, n, n)
-        a, b = np.triu_indices(len(cs), 1)
-        coms = (cs[a] @ cs[b] - cs[b] @ cs[a]).reshape(len(a), 1, n * n)
-        # each squared norm as the 2-D norm forms it, one dot per pair
-        sq = (coms @ coms.transpose(0, 2, 1))[:, 0, 0]
-        cert.max_pairwise_commutator = float(np.sqrt(np.max(sq, initial=0.0)))
-    return cert
+    if not pairs:
+        return CommutingCertificate(flat_factors=tuple(flat))
+    stacked = np.stack([p.commutator.ravel() / p.norm for p in pairs])
+    n = M.dim
+    cs = stacked.reshape(-1, n, n)
+    a, b = np.triu_indices(len(cs), 1)
+    coms = (cs[a] @ cs[b] - cs[b] @ cs[a]).reshape(len(a), 1, n * n)
+    # each squared norm as the 2-D norm forms it, one dot per pair
+    sq = (coms @ coms.transpose(0, 2, 1))[:, 0, 0]
+    return CommutingCertificate(
+        pairs=tuple(pairs), flat_factors=tuple(flat),
+        independent=rank_reveal(stacked.T, M.tols.rank)[3] == len(pairs),
+        max_pairwise_commutator=float(np.sqrt(np.max(sq, initial=0.0))))
 
 
-@dataclass
-class LoopProbeResult:
+class LoopProbeResult(NamedTuple):
     """Holonomy span derived from parallel transport around small loops."""
 
     span: LieAlgebraSpan            # bracket closure of the loop logs

@@ -31,7 +31,7 @@ certified by the Frobenius norm of its residual, without an SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ from .linalg import (
 TRANSITIVITY_PROBES = 8   # seeded unit vectors is_transitive_on_sphere tests
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpan:
+class LieAlgebraSpan(NamedTuple):
     """A span of skew matrices acting on R^K, stored once.
 
     space is a frozen Subspace of R^(K*K): orthonormal columns under
@@ -118,7 +117,7 @@ def bracket_closure(span: LieAlgebraSpan, cap: int | None = None,
     if cap is None:
         cap = k * (k - 1) // 2
 
-    space = replace(span.space, tol=tol)
+    space = span.space._replace(tol=tol)
     # each round offers only the brackets of the frontier (the columns
     # the previous round added) with the whole span: every pair i < j
     # whose later element is on the frontier, so none is offered twice.
@@ -144,8 +143,7 @@ def bracket_closure(span: LieAlgebraSpan, cap: int | None = None,
         skew.reshape(-1, k * k).T, tol))
 
 
-@dataclass(frozen=True)
-class RepDecomposition:
+class RepDecomposition(NamedTuple):
     """Fixed set plus invariant factors of a represented algebra."""
 
     fixed: Subspace
@@ -273,8 +271,7 @@ def invariant_decomposition(span: LieAlgebraSpan, seed: int = 0,
         fixed=fixed, factors=tuple(sorted(factors, key=lambda f: -f.dim)))
 
 
-@dataclass(frozen=True)
-class TransitivityResult:
+class TransitivityResult(NamedTuple):
     transitive: bool
     probe_orbit_dims: tuple
     sphere_dim: int

@@ -11,7 +11,7 @@ that threshold has rank 0 (sigma_max <= ||R||_F) and skips the SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import InvalidInput
 from .kernels import jacobi_eigh, matrix_exp as _expm_core
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Shared numeric thresholds.
 
     sym: allowed asymmetry before a matrix is rejected as "symmetric"
@@ -38,8 +37,7 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues ascending, orthonormal eigenvector columns, clusters.
 
     clusters is a tuple of index tuples; consecutive eigenvalues whose
@@ -58,8 +56,7 @@ class SpectralDecomposition:
         return tuple(len(c) for c in self.clusters)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Orthonormal basis columns of a subspace of R^ambient_dim."""
 
     ambient_dim: int

@@ -22,7 +22,7 @@ not depend on the choice of representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,17 +37,30 @@ GRAM_TOL = 1e-8         # relative Gram residual of a homothecy
 ISOTROPY_PROBES = 32    # tangent directions isotropy_defect samples
 
 
-@dataclass
 class OrbitSubmanifold:
-    rep: SymmetricPairRep
-    point: np.ndarray            # carrier matrix, the base point
-    dim: int
-    tangent_frame: np.ndarray    # (n, R, R)
-    normal_frame: np.ndarray     # (K, R, R)
-    nbar_frame: np.ndarray       # (K-1, R, R) when the point is nonzero
-    m_generators: np.ndarray     # (n, R, R): [X_i, v] = e_i
-    tols: Tolerances = DEFAULT_TOLS
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """The orbit through a base point with its frames fixed (build_orbit);
+    _cache keeps the derived data computed from them."""
+
+    __slots__ = ("rep", "point", "dim", "tangent_frame", "normal_frame",
+                 "nbar_frame", "m_generators", "tols", "_cache")
+
+    def __init__(self, rep: SymmetricPairRep,
+                 point: np.ndarray,           # carrier matrix, the base point
+                 dim: int,
+                 tangent_frame: np.ndarray,   # (n, R, R)
+                 normal_frame: np.ndarray,    # (K, R, R)
+                 nbar_frame: np.ndarray,      # (K-1, R, R), point nonzero
+                 m_generators: np.ndarray,    # (n, R, R): [X_i, v] = e_i
+                 tols: Tolerances = DEFAULT_TOLS):
+        self.rep = rep
+        self.point = point
+        self.dim = dim
+        self.tangent_frame = tangent_frame
+        self.normal_frame = normal_frame
+        self.nbar_frame = nbar_frame
+        self.m_generators = m_generators
+        self.tols = tols
+        self._cache = {}
 
     @property
     def codim(self) -> int:
@@ -69,17 +82,9 @@ class OrbitSubmanifold:
         return np.einsum("ij,kij->k", np.asarray(mat, float),
                          self.normal_frame)
 
-    def nbar_coords(self, mat: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,kij->k", np.asarray(mat, float),
-                         self.nbar_frame)
-
     def normal_vector(self, nu_coords: np.ndarray) -> np.ndarray:
         return np.einsum("k,kij->ij", np.asarray(nu_coords, float),
                          self.normal_frame)
-
-    def nbar_vector(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(coords, float),
-                         self.nbar_frame)
 
 
 def _normal_coords(frames: np.ndarray, xis: np.ndarray, tol: float):
@@ -273,11 +278,6 @@ def shape_operator(m: OrbitSubmanifold, xi) -> np.ndarray:
     return np.einsum("k,kij->ij", nu, shape_operators(m))
 
 
-def traceless_shape_operator(m: OrbitSubmanifold, xi) -> np.ndarray:
-    a = shape_operator(m, xi)
-    return a - (np.trace(a) / m.dim) * np.eye(m.dim)
-
-
 def sphere_normal_shape_operators(m: OrbitSubmanifold) -> np.ndarray:
     """(K-1, n, n) stack: the shape operator of each sphere-normal frame
     vector, from one normal-space check and one product (kept in the
@@ -291,8 +291,7 @@ def sphere_normal_shape_operators(m: OrbitSubmanifold) -> np.ndarray:
     return m._cache["nbar_shape_ops"]
 
 
-@dataclass(frozen=True)
-class MeanCurvatureResult:
+class MeanCurvatureResult(NamedTuple):
     nu_coords: np.ndarray      # mean curvature in the normal frame
     ambient: np.ndarray        # carrier matrix
     radial_component: float    # <H, v/|v|>
@@ -317,8 +316,7 @@ def mean_curvature(m: OrbitSubmanifold) -> MeanCurvatureResult:
                                minimal_in_sphere=resid <= SPHERE_TOL)
 
 
-@dataclass(frozen=True)
-class HomothecyResult:
+class HomothecyResult(NamedTuple):
     is_homothecy: bool
     ratio: float               # beta with <A~_xi, A~_eta> = beta^2 <xi, eta>
     gram_residual: float       # relative deviation of the Gram matrix
@@ -342,8 +340,7 @@ def homothecy_test(m: OrbitSubmanifold) -> HomothecyResult:
                            gram_residual=resid)
 
 
-@dataclass(frozen=True)
-class IsotropyDefectResult:
+class IsotropyDefectResult(NamedTuple):
     defect: float
     min_norm: float
     max_norm: float

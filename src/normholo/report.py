@@ -15,8 +15,7 @@ from __future__ import annotations
 import importlib
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,90 +34,91 @@ _TOL_KEYS = {"sym": "sym", "eig": "eig", "rank": "rank",
              "clusterGap": "cluster_gap"}
 
 
-@dataclass(frozen=True)
+# the default of each key an analysis reads: a key that no named
+# analysis reads is reset to it
+_DEFAULTS = {"rep": "", "point": "", "n": None, "direction": "canonical",
+             "curve": (), "step": None}
+
+
 class ScenarioConfig:
     """Scenario description; round-trips through to_dict.
 
-    Construction parses every key that is given (the point against the
-    rep, the curve against the rep's group dimension, the n against the
-    fact suite's range where it is read) and raises InvalidInput on one
-    that does not parse.  A key that no named analysis reads is then
-    reset to its default, so it is neither kept nor rendered.
+    Construction parses every key that is given (each tolerance as a
+    positive float, the point against the rep, the curve against the
+    rep's group dimension, the n against the fact suite's range where
+    it is read) and raises InvalidInput on one that does not parse.  A
+    key that no named analysis reads is then reset to its default, so
+    it is neither kept nor rendered.  The parsed specs are kept as
+    representation and base_point (read-only), and direction_seed (None
+    for the canonical direction); they stay out of equality.
     """
 
-    rep: str = ""
-    point: str = ""
-    analyses: tuple = ()
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    n: int | None = None
-    direction: str = "canonical"
-    curve: tuple = ()
-    step: float | None = None
-    out: str | None = None
-    # parsed from the specs on construction; base_point is read-only and
-    # direction_seed is None for the canonical direction
-    representation: SymmetricPairRep | None = field(
-        default=None, init=False, compare=False, repr=False)
-    base_point: np.ndarray | None = field(
-        default=None, init=False, compare=False, repr=False)
-    direction_seed: int | None = field(
-        default=None, init=False, compare=False, repr=False)
+    __slots__ = ("rep", "point", "analyses", "seed", "tolerances", "n",
+                 "direction", "curve", "step", "out", "representation",
+                 "base_point", "direction_seed")
 
-    def __post_init__(self):
-        for a in self.analyses:
+    def __init__(self, rep: str = "", point: str = "", analyses: tuple = (),
+                 seed: int = 0, tolerances: dict | None = None,
+                 n: int | None = None, direction: str = "canonical",
+                 curve: tuple = (), step: float | None = None,
+                 out: str | None = None):
+        tols = _typed("tolerances", {} if tolerances is None else tolerances,
+                      dict, "an object")
+        bad = set(tols) - set(_TOL_KEYS)
+        if bad:
+            raise InvalidInput(f"unknown tolerance keys: {sorted(bad)}")
+        self.tolerances = {key: _positive_float(f"tolerance '{key}'", value)
+                           for key, value in tols.items()}
+        for a in analyses:
             if a not in ANALYSES:
                 raise InvalidInput(f"unknown analysis '{a}'; "
                                    f"choose from {KNOWN_ANALYSES}")
-        if len(set(self.analyses)) < len(self.analyses):
-            raise InvalidInput(f"analyses {list(self.analyses)} name one "
+        if len(set(analyses)) < len(analyses):
+            raise InvalidInput(f"analyses {list(analyses)} name one "
                                "analysis more than once")
-        reads = set().union(*(ANALYSES[a].reads for a in self.analyses))
-        rep = point = direction_seed = None
-        if self.rep or self.point or "rep" in reads:
-            rep = parse_rep_spec(self.rep)      # a point needs its rep
-        if self.point or "point" in reads:
-            point = parse_point_spec(rep, self.point)
-            point.flags.writeable = False
-        if self.direction != "canonical":
-            if not self.direction.startswith("seed:"):
-                raise InvalidInput(f"direction '{self.direction}' not "
+        reads = set().union(*(ANALYSES[a].reads for a in analyses))
+        rep_parsed = base_point = direction_seed = None
+        if rep or point or "rep" in reads:
+            rep_parsed = parse_rep_spec(rep)    # a point needs its rep
+        if point or "point" in reads:
+            base_point = parse_point_spec(rep_parsed, point)
+            base_point.flags.writeable = False
+        if direction != "canonical":
+            if not direction.startswith("seed:"):
+                raise InvalidInput(f"direction '{direction}' not "
                                    "recognized; expected canonical or "
                                    "seed:<k>")
-            direction_seed = _seed(f"seed in direction '{self.direction}'",
-                                   self.direction[len("seed:"):])
-        curve = _typed("curve", self.curve, (list, tuple), "a list")
-        object.__setattr__(self, "curve", tuple(
-            _curve_segment(seg, rep and rep.group_dim) for seg in curve))
+            direction_seed = _seed(f"seed in direction '{direction}'",
+                                   direction[len("seed:"):])
+        curve = tuple(_curve_segment(seg, rep_parsed and rep_parsed.group_dim)
+                      for seg in _typed("curve", curve, (list, tuple),
+                                        "a list"))
+        self.rep, self.point, self.n, self.direction = rep, point, n, direction
+        self.curve, self.step = curve, step
         for key in _READ_KEYS - reads:
-            object.__setattr__(self, key,
-                               self.__dataclass_fields__[key].default)
-        if "rep" in reads:
-            object.__setattr__(self, "representation", rep)
-            object.__setattr__(self, "base_point", point)
-        if "direction" in reads:
-            object.__setattr__(self, "direction_seed", direction_seed)
+            setattr(self, key, _DEFAULTS[key])
+        self.analyses, self.seed, self.out = analyses, seed, out
+        self.representation = rep_parsed if "rep" in reads else None
+        self.base_point = base_point if "rep" in reads else None
+        self.direction_seed = direction_seed if "direction" in reads else None
         if "n" in reads:
             from .veronese import FACT_NS
             if self.n not in FACT_NS:
                 raise InvalidInput(f"n must be in {FACT_NS[0]}.."
                                    f"{FACT_NS[-1]}, got {self.n}")
-        for name in self.analyses:
+        for name in analyses:
             if ANALYSES[name].layer:
                 importlib.import_module(ANALYSES[name].layer, __package__)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ScenarioConfig)
+                and (self.to_dict(), self.out) == (other.to_dict(), other.out))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-        tols = dict(_typed("tolerances", raw.get("tolerances", {}), dict,
-                           "an object"))
-        bad = set(tols) - set(_TOL_KEYS)
-        if bad:
-            raise InvalidInput(f"unknown tolerance keys: {sorted(bad)}")
-        for key, value in tols.items():
-            _positive_float(f"tolerance '{key}'", value)
         analyses = tuple(_typed("analyses", raw.get("analyses", ()),
                                 (list, tuple), "a list"))
         kw = {key: _typed(key, raw[key], str, "a string")
@@ -129,22 +129,23 @@ class ScenarioConfig:
         if raw.get("step") is not None:
             kw["step"] = _positive_float("step", raw["step"])
         return cls(analyses=analyses, seed=_seed("seed", raw.get("seed", 0)),
-                   tolerances=tols, curve=raw.get("curve", ()), **kw)
+                   tolerances=raw.get("tolerances", {}),
+                   curve=raw.get("curve", ()), **kw)
 
     def to_dict(self) -> dict:
         d = {"rep": self.rep, "point": self.point,
              "analyses": list(self.analyses), "seed": self.seed,
              "tolerances": dict(self.tolerances)}
         for key in ("n", "direction", "step"):     # where not the default
-            if getattr(self, key) != self.__dataclass_fields__[key].default:
+            if getattr(self, key) != _DEFAULTS[key]:
                 d[key] = getattr(self, key)
         if self.curve:
             d["curve"] = [list(seg) for seg in self.curve]
         return d
 
     def resolve_tolerances(self) -> Tolerances:
-        kw = {_TOL_KEYS[k]: float(v) for k, v in self.tolerances.items()}
-        return Tolerances(**{**DEFAULT_TOLS.__dict__, **kw})
+        return DEFAULT_TOLS._replace(**{_TOL_KEYS[k]: v for k, v
+                                        in self.tolerances.items()})
 
 
 def _typed(name: str, value, types, what: str):
@@ -156,12 +157,13 @@ def _typed(name: str, value, types, what: str):
 
 
 def _positive_float(name: str, value) -> float:
-    """value as a float that is finite and > 0, else InvalidInput."""
+    """value as a float that is finite and > 0: a number (not a bool)
+    or a numeric string; anything else is InvalidInput."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = float("nan")
-    if not (np.isfinite(x) and x > 0.0):
+    if isinstance(value, bool) or not (np.isfinite(x) and x > 0.0):
         raise InvalidInput(f"{name} must be a positive finite number, "
                            f"got {value!r}")
     return x
@@ -316,8 +318,7 @@ def _render(value) -> str:
     raise InvalidInput(f"cannot render {type(value).__name__} into a report")
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Analysis results split into a deterministic body plus timings."""
 
     config: ScenarioConfig
@@ -565,8 +566,7 @@ def _loop_probe_analysis(M, config) -> dict:
             "loopRadius": probe.loop_radius}
 
 
-@dataclass(frozen=True)
-class _Analysis:
+class _Analysis(NamedTuple):
     """What one analysis is; one that reads rep runs on the orbit."""
 
     run: Callable               # (orbit or None, config) -> section

@@ -23,7 +23,7 @@ form of :mod:`normholo.orbit`, the transport generators B_X of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,13 +59,12 @@ def _block_generators(r: int, offset: int, total: int):
     return gens
 
 
-@dataclass(frozen=True)
-class SymmetricPairRep:
+class SymmetricPairRep(NamedTuple):
     """One conjugation representation; construct via for_size or product."""
 
     sizes: tuple
-    carrier_frame: np.ndarray = field(repr=False)  # (D, R, R)
-    generators: np.ndarray = field(repr=False)     # (G, R, R)
+    carrier_frame: np.ndarray   # (D, R, R)
+    generators: np.ndarray      # (G, R, R)
 
     @classmethod
     def for_size(cls, r: int) -> "SymmetricPairRep":

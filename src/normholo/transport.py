@@ -42,8 +42,7 @@ the observed order so a regression is visible in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,7 +88,6 @@ def _check_step(h: float) -> float:
     return h
 
 
-@dataclass(frozen=True)
 class OrbitCurve:
     """Piecewise one-parameter-subgroup curve on an orbit.
 
@@ -100,28 +98,26 @@ class OrbitCurve:
     construction.
     """
 
-    orbit: OrbitSubmanifold
-    segments: tuple
-    step: float = DEFAULT_STEP
-    arc_exps: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("orbit", "segments", "step", "arc_exps")
 
-    def __post_init__(self):
-        r = self.orbit.rep.total_size
+    def __init__(self, orbit: OrbitSubmanifold, segments: tuple,
+                 step: float = DEFAULT_STEP):
+        r = orbit.rep.total_size
         cleaned = []
-        for seg in self.segments:
+        for seg in segments:
             x, dur = seg
             dur = float(dur)
             if not (np.isfinite(dur) and dur >= 0.0):
                 raise InvalidInput(
                     f"segment duration must be finite and >= 0, got {dur}")
             cleaned.append((_check_skew(x, r), dur))
-        object.__setattr__(self, "segments", tuple(cleaned))
-        _check_step(self.step)
+        _check_step(step)
+        self.orbit, self.segments, self.step = orbit, tuple(cleaned), step
         # exp(dur X) of every nonzero arc in one stack; None for dur = 0
         exps = iter(matrix_exp(np.array(
             [dur * x for x, dur in cleaned if dur > 0.0]).reshape(-1, r, r)))
-        object.__setattr__(self, "arc_exps", tuple(
-            next(exps) if dur > 0.0 else None for _, dur in cleaned))
+        self.arc_exps = tuple(next(exps) if dur > 0.0 else None
+                              for _, dur in cleaned)
 
     @classmethod
     def from_tangent_coords(cls, orbit: OrbitSubmanifold, pieces: Sequence,
@@ -213,16 +209,14 @@ def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
         orbit, np.asarray(x, dtype=float)[None],
         np.asarray(y, dtype=float)[None], radius)
     # the curve keeps the arcs' exponentials instead of forming them again
-    curve = object.__new__(OrbitCurve)
-    for name, value in (("orbit", orbit), ("step", DEFAULT_STEP),
-                        ("segments", tuple(zip(gens[0], map(float, durs)))),
-                        ("arc_exps", tuple(exps[0]))):
-        object.__setattr__(curve, name, value)
+    curve = OrbitCurve.__new__(OrbitCurve)
+    curve.orbit, curve.step = orbit, DEFAULT_STEP
+    curve.segments = tuple(zip(gens[0], map(float, durs)))
+    curve.arc_exps = tuple(exps[0])
     return curve
 
 
-@dataclass
-class TransportResult:
+class TransportResult(NamedTuple):
     """Outcome of transporting a stack of normal vectors with the stepper."""
 
     curve: OrbitCurve
@@ -235,7 +229,7 @@ class TransportResult:
     drift: float                 # max pre-renormalization norm drift
     min_ratio: float
     step: float
-    end_holonomy_defect: float | None = None
+    end_holonomy_defect: float | None    # None unless the curve is closed
 
     @property
     def xi_end(self) -> np.ndarray:
@@ -253,14 +247,6 @@ class TransportResult:
                 (xis - recon).reshape(xis.shape[0], -1), axis=1)))
             worst = max(worst, gap)
         return worst
-
-
-def _with_end_defect(result: TransportResult) -> TransportResult:
-    if result.curve.is_closed():
-        n = result.xis_start.shape[0]
-        result.end_holonomy_defect = float(np.max(np.linalg.norm(
-            (result.xis_end - result.xis_start).reshape(n, -1), axis=1)))
-    return result
 
 
 def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
@@ -319,11 +305,15 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     if min_ratio is np.inf:
         min_ratio = 1.0
 
-    return _with_end_defect(TransportResult(
+    defect = None
+    if curve.is_closed():
+        defect = float(np.max(np.linalg.norm(
+            (cur - xis).reshape(len(xis), -1), axis=1)))
+    return TransportResult(
         curve=curve, xis_start=xis, xis_end=cur, g_end=g,
         times=np.array(times), samples=np.array(all_samples),
         g_samples=np.array(all_g), drift=drift, min_ratio=float(min_ratio),
-        step=h))
+        step=h, end_holonomy_defect=defect)
 
 
 def _exact_transports(orbit: OrbitSubmanifold, gens: np.ndarray,
@@ -404,8 +394,7 @@ def square_loop_returns(orbit: OrbitSubmanifold, xs: np.ndarray,
     return _frame_returns(orbit, gens, durs, g_ends)
 
 
-@dataclass
-class ConvergenceAudit:
+class ConvergenceAudit(NamedTuple):
     """Richardson comparison of transports at step h, h/2, h/4."""
 
     steps: tuple

@@ -28,8 +28,8 @@ the comparisons instead of cancelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def seeded_tube_direction(M: OrbitSubmanifold, seed: int) -> np.ndarray:
     return (1.0 - SAFETY_MARGIN) / (2.0 * top) * xi
 
 
-@dataclass(frozen=True)
-class TubeSpectrum:
+class TubeSpectrum(NamedTuple):
     """Clustered radial shape spectrum of a holonomy tube."""
 
     lambda_hats: tuple        # ((value, multiplicity), ...) descending
@@ -299,9 +298,8 @@ class TubePatch:
         """Clustered radial spectrum as (dec, means, vert, horiz): vert is
         the cluster nearest -1, or None when there is no fiber (m3 = 0),
         horiz the others by descending value."""
-        dec = sym_eig(self.shape_operator[0],
-                      tols=replace(self.foot.tols,
-                                   cluster_gap=TUBE_CLUSTER_GAP))
+        dec = sym_eig(self.shape_operator[0], tols=self.foot.tols._replace(
+            cluster_gap=TUBE_CLUSTER_GAP))
         means = dec.cluster_means()
         vert = int(np.argmin(np.abs(means - (-1.0)))) if self.m3 else None
         horiz = sorted((i for i in range(len(means)) if i != vert),
@@ -375,8 +373,7 @@ def spectra_agree(formula: TubeSpectrum, direct: TubeSpectrum) -> float:
     return float(max(abs(a - b) for (a, _), (b, _) in zip(fa, da)))
 
 
-@dataclass
-class DupinResult:
+class DupinResult(NamedTuple):
     """Directional-derivative bounds of the hat-eigenvalues along E1."""
 
     max_hat1_derivative: float
@@ -412,8 +409,7 @@ def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
                        directions_tested=k, step=DUPIN_STEP)
 
 
-@dataclass
-class CausticResult:
+class CausticResult(NamedTuple):
     """Rank data of the caustic map on a tube patch."""
 
     kernel_dim: int

@@ -14,7 +14,7 @@ algebra on the alpha tensor and the frame actions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ def veronese_type_point(r: int, scale: float = 1.0) -> np.ndarray:
     return float(scale) * (np.diag(np.eye(r)[0]) - np.eye(r) / r)
 
 
-@dataclass(frozen=True)
-class VeroneseOrbit:
+class VeroneseOrbit(NamedTuple):
     """A Veronese orbit together with its construction data."""
 
     n: int
@@ -65,8 +64,7 @@ def veronese_orbit(n: int, tols: Tolerances = DEFAULT_TOLS) -> VeroneseOrbit:
                          orbit=build_orbit(rep, s, tols=tols))
 
 
-@dataclass(frozen=True)
-class MinimalDimensionScan:
+class MinimalDimensionScan(NamedTuple):
     """Orbit dimensions of two-eigenvalue points, by multiplicity split."""
 
     r: int
@@ -123,8 +121,7 @@ def parallel_alpha_residual(M: OrbitSubmanifold) -> float:
     return float(np.linalg.norm(nabla))
 
 
-@dataclass(frozen=True)
-class VeroneseFactReport:
+class VeroneseFactReport(NamedTuple):
     """Pass/fail record of the Veronese characterization checks."""
 
     n: int

@@ -5,12 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from normholo.orbit import build_orbit
+from normholo.orbit import build_orbit, shape_operator
 from normholo.srep import SymmetricPairRep
 from normholo.veronese import veronese_orbit
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
+
+
+def traceless_shape_operator(m, xi) -> np.ndarray:
+    """A_xi - tr(A_xi)/n Id of one normal vector, from shape_operator:
+    the per-point oracle of the stacked traceless spectra."""
+    a = shape_operator(m, xi)
+    return a - (np.trace(a) / m.dim) * np.eye(m.dim)
 
 
 def _veronese_block(r: int) -> np.ndarray:

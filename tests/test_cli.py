@@ -273,6 +273,11 @@ def test_missing_required_flag_exits_two(capsys):
      "--config", {"direction": "bogus"}],
     ["analyze", "--rep", "sl-so:3", "--point", "veronese",
      "--config", {"step": 0}],
+    # a JSON boolean is not a number
+    ["transport-audit", "--rep", "sl-so:4", "--point", "veronese",
+     "--config", {"step": True}],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--do", "holonomy,bound", "--config", {"tolerances": {"rank": True}}],
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"
@@ -313,6 +318,20 @@ def test_seed_env_negative_exits_two(capsys, monkeypatch):
     assert rc == 2
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+def test_tolerance_is_kept_as_its_float(capsys, tmp_path):
+    # a numeric string parses, and the body's config holds the number,
+    # so it round-trips through from_dict
+    from normholo.report import ScenarioConfig
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"tolerances": {"rank": "1e-8"}}))
+    rc = main(["analyze", "--rep", "sl-so:4", "--point", "veronese",
+               "--do", "holonomy", "--config", str(cfg)])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert rc == 0
+    assert config["tolerances"] == {"rank": 1e-8}
+    assert ScenarioConfig.from_dict(config).to_dict() == config
 
 
 @pytest.mark.parametrize("content,argv", [
@@ -496,18 +515,24 @@ def test_readme_commands_run(capsys):
 
 
 # a fresh interpreter runs one statement; stdout carries rc and the
-# normholo modules loaded by then
+# modules loaded by then, listed before json is imported to print them
 _FRESH = """
-import json, sys
-from normholo import cli, report
+import sys
 rc = None
 {}
-print(json.dumps([rc, sorted(name[len("normholo."):] for name in sys.modules
-                             if name.startswith("normholo."))]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([rc, modules]))
 """
+# stdlib modules a command does not need: dataclasses never, and json
+# only to read a --config file or --curve
+_UNUSED_STDLIB = {"dataclasses", "json"}
 
 
 def _fresh(statement, *argv):
+    """rc and the modules loaded after the statement runs in a fresh
+    interpreter: the normholo submodules, by their short names, and those
+    of _UNUSED_STDLIB."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(normholo.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _FRESH.format(statement),
@@ -515,7 +540,9 @@ def _fresh(statement, *argv):
                           timeout=120)
     assert proc.stderr == ""
     rc, modules = json.loads(proc.stdout)
-    return rc, set(modules)
+    return rc, ({name[len("normholo."):] for name in modules
+                 if name.startswith("normholo.")}
+                | (_UNUSED_STDLIB & set(modules)))
 
 
 _LAYERS = {"tubes", "coxeter", "veronese", "transport"}
@@ -534,11 +561,18 @@ _HOLONOMY_SET = {"errors", "kernels", "linalg", "liealg", "srep", "orbit",
 ])
 def test_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     out = tmp_path / "report.json"
-    rc, modules = _fresh("rc = cli.main(sys.argv[1:])", *argv,
+    rc, modules = _fresh("from normholo import cli\n"
+                         "rc = cli.main(sys.argv[1:])", *argv,
                          "--out", str(out))
     assert rc == 0
     assert json.loads(out.read_text())["summary"]["pass"] is True
+    # neither dataclasses nor json: no command that reads no JSON loads them
     assert modules == _HOLONOMY_SET | layers
+
+
+def test_bare_import_loads_the_numeric_core_only():
+    _, modules = _fresh("import normholo")
+    assert modules == {"errors", "kernels", "linalg"}
 
 
 @pytest.mark.parametrize("analysis, layers", [
@@ -551,7 +585,8 @@ def test_config_parse_imports_the_analysis_layer(analysis, layers):
     # the layer loads when the config parses, before any scenario runs
     raw = {"rep": "sl-so:4", "point": "veronese", "n": 2,
            "analyses": [analysis]}
-    _, modules = _fresh("report.ScenarioConfig.from_dict("
+    _, modules = _fresh("import json\nfrom normholo import report\n"
+                        "report.ScenarioConfig.from_dict("
                         "json.loads(sys.argv[1]))", json.dumps(raw))
     assert modules & _LAYERS == layers
 
@@ -563,8 +598,9 @@ def test_every_analysis_dispatches_from_a_fresh_process(tmp_path):
     cfg, out = tmp_path / "scenario.json", tmp_path / "report.json"
     cfg.write_text(json.dumps({"n": 2}))
     rc, modules = _fresh(
-        "rc = cli.main(sys.argv[1:])", "analyze", "--rep", "sl-so:4",
-        "--point", "veronese", "--do", ",".join(KNOWN_ANALYSES),
+        "from normholo import cli\nrc = cli.main(sys.argv[1:])", "analyze",
+        "--rep", "sl-so:4", "--point", "veronese",
+        "--do", ",".join(KNOWN_ANALYSES),
         "--config", str(cfg), "--out", str(out))
     assert rc == 1
     assert _LAYERS <= modules

@@ -1,7 +1,6 @@
 """Curvature normals and reflection-group closure on flat-normal orbits."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,9 +142,9 @@ def test_normals_not_a_root_system_rejected(a2_normals):
     # two lines 72 degrees apart: each reflection sends the other line
     # off the set, although the generated dihedral group is finite
     th = np.radians(72.0)
-    fake = replace(a2_normals, nu_coords=np.array([[1.0, 0.0],
-                                                   [np.cos(th), np.sin(th)]]),
-                   multiplicities=(1, 1))
+    fake = a2_normals._replace(
+        nu_coords=np.array([[1.0, 0.0], [np.cos(th), np.sin(th)]]),
+        multiplicities=(1, 1))
     with pytest.raises(NotApplicable):
         reflection_group(fake)
 

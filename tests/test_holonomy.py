@@ -423,7 +423,7 @@ def test_commuting_certificate_matches_loop(rep_spec, point_spec):
     verdict = analyze(m)
     cert = commuting_certificate(m, verdict)
     best_norms, flat = _certificate_by_loop(m, verdict)
-    assert cert.flat_factors == flat
+    assert cert.flat_factors == tuple(flat)
     assert [p.factor_index for p in cert.pairs] == [i for i, _ in best_norms]
     for p, (_, nrm) in zip(cert.pairs, best_norms):
         assert abs(p.norm - nrm) <= 1e-12 * nrm

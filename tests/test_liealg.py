@@ -1,7 +1,5 @@
 """Represented-algebra machinery: closure, splitting, transitivity."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -397,7 +395,7 @@ def test_small_frame_commutant_matches_all_basis(case, veronese):
     else:
         mats = _conjugated(np.stack(_block_algebra((3, 3))), 11)
         mats, want = skew_span(list(mats)).basis, 2
-        tols = dataclasses.replace(DEFAULT_TOLS, cluster_gap=1e3)
+        tols = DEFAULT_TOLS._replace(cluster_gap=1e3)
     got = _symmetric_commutant(list(mats), np.random.default_rng(0), tols)
     ref = _all_basis_commutant(list(mats))
     assert len(got) == len(ref) == want
@@ -439,6 +437,6 @@ def test_schur_and_cluster_tests_disagree_raises():
     # scalars, but a cluster gap of 1e3 merges every eigenvalue
     mats = _direct_sum(_SO2, np.zeros((1, 2, 2)))
     mats = np.concatenate([mats, _direct_sum(np.zeros((1, 2, 2)), _SO2)])
-    tols = dataclasses.replace(DEFAULT_TOLS, cluster_gap=1e3)
+    tols = DEFAULT_TOLS._replace(cluster_gap=1e3)
     with pytest.raises(DegenerateSpectrum):
         invariant_decomposition(skew_span(list(mats)), tols=tols)

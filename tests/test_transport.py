@@ -14,6 +14,8 @@ from normholo.transport import (OrbitCurve, closed_square_loop,
                                 transport_convergence_audit,
                                 transport_frame_return)
 
+from conftest import traceless_shape_operator
+
 
 def _open_curve(orbit, duration=0.5):
     c = np.zeros(orbit.dim)
@@ -320,7 +322,7 @@ def test_normal_vector_needs_finite_entries(v3, bad):
 
 def test_spectra_along_match_per_point_rebuilds(v3, build_orbit_calls):
     from normholo.linalg import sym_eig
-    from normholo.orbit import build_orbit, traceless_shape_operator
+    from normholo.orbit import build_orbit
     curve = _open_curve(v3)
     res = parallel_transport_normal(curve, v3.nbar_frame[0], step=1e-2)
     times, spectra = traceless_spectra_along(res)

@@ -18,6 +18,8 @@ from normholo.tubes import (TubePatch, TubeSpectrum, caustic_rank_check,
                             seeded_tube_direction, spectra_agree,
                             tube_spectrum_direct, tube_spectrum_via_formula)
 
+from conftest import traceless_shape_operator
+
 
 @pytest.fixture(scope="module")
 def v3_xi(v3):
@@ -31,7 +33,6 @@ def v3_patch(v3, v3_xi):
 
 
 def test_canonical_direction_spectrum(v3, v3_xi):
-    from normholo.orbit import traceless_shape_operator
     vals = np.sort(np.linalg.eigvalsh(traceless_shape_operator(v3, v3_xi)))
     assert np.allclose(vals, [-0.4, 0.2, 0.2], atol=1e-10)
 
@@ -51,7 +52,6 @@ def test_direction_requires_homothecy():
 def test_seeded_direction_deterministic(v3):
     a = seeded_tube_direction(v3, seed=5)
     assert np.allclose(a, seeded_tube_direction(v3, seed=5))
-    from normholo.orbit import traceless_shape_operator
     top = np.max(np.abs(np.linalg.eigvalsh(traceless_shape_operator(v3, a))))
     assert abs(top - 0.4) < 1e-10      # scaled to the focal-free cap
 
@@ -353,8 +353,7 @@ def test_seeded_tube_needs_a_sphere_normal_direction():
 def test_displaced_feet_match_per_point_rebuilds(v3, v3_xi):
     # the Dupin and caustic displacements of the curved sl-so:4 tube
     from normholo.linalg import sym_eig
-    from normholo.orbit import (mean_curvature, traceless_shape_operator,
-                                traceless_spectra_at)
+    from normholo.orbit import mean_curvature, traceless_spectra_at
     from normholo.tubes import _hat_clusters
     patch = _curved_tube_patch(v3, v3_xi)
     rng = np.random.default_rng(3)
