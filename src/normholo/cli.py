@@ -18,17 +18,18 @@ from .report import (ANALYSES, KNOWN_ANALYSES, SCHEMA_VERSION, ScenarioConfig,
 
 _SEED_ENV = "NORMHOLO_SEED"
 
-# a subcommand takes the flag of each config key its analysis reads
+# a subcommand takes the flag of each config key its analysis reads; the
+# values stay strings, which ScenarioConfig parses as it does a file's
 _FLAGS = {
     "rep": dict(default="", help="representation: sl-so:<r> or "
                 "product:sl-so:<r1>,sl-so:<r2>,..."),
     "point": dict(default="", help="base point: veronese | diag:<v1,v2,...> "
                   "| random-regular:<seed>; products take one factor spec "
                   "per block, ';'-separated"),
-    "n": dict(type=int, required=True, help="dimension, 2..6"),
+    "n": dict(required=True, help="dimension, 2..6"),
     "direction": dict(help="canonical (the default) | seed:<k>"),
     "curve": dict(help="JSON list of [generatorIndex, t] segments"),
-    "step": dict(type=float, help="baseline transport step"),
+    "step": dict(help="baseline transport step"),
 }
 
 
@@ -36,7 +37,7 @@ def _add_common(p: argparse.ArgumentParser, reads=()) -> None:
     for key in _FLAGS:
         if key in reads:
             p.add_argument(f"--{key}", **_FLAGS[key])
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed",
                    help=f"RNG seed (default from ${_SEED_ENV}, else 0)")
     p.add_argument("--config", default=None,
                    help="JSON file merged under the command-line flags")
@@ -106,7 +107,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
-        # passed raw: the config parse rejects a non-integer value
         raw["seed"] = os.environ.get(_SEED_ENV, "") or 0
     return raw
 

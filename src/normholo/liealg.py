@@ -41,6 +41,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _frozen_subspace,
+    check_skew,
     extend_span,
     orthonormal_span,
     rank_reveal,
@@ -77,8 +78,8 @@ class LieAlgebraSpan(NamedTuple):
 
 
 def _check_skew(mats, acting_dim=None):
-    """Stack square matrices of one size, each skew to 1e-8 relative,
-    and return their skew parts with the acting dimension."""
+    """Stack square matrices of one size, each skew to 1e-8 relative
+    (linalg.check_skew); returns their skew parts and the acting dim."""
     mats = [np.asarray(x, dtype=float) for x in mats]
     if any(x.ndim != 2 or x.shape[0] != x.shape[1] for x in mats):
         raise InvalidInput("algebra elements must be square matrices")
@@ -89,11 +90,7 @@ def _check_skew(mats, acting_dim=None):
     if any(x.shape[0] != acting_dim for x in mats):
         raise InvalidInput("algebra elements act on inconsistent spaces")
     stack = np.stack(mats) if mats else np.zeros((0, acting_dim, acting_dim))
-    flip = np.transpose(stack, (0, 2, 1))
-    scale = 1.0 + np.linalg.norm(stack, axis=(1, 2))
-    if np.any(np.linalg.norm(stack + flip, axis=(1, 2)) > 1e-8 * scale):
-        raise InvalidInput("algebra elements must be skew-symmetric")
-    return 0.5 * (stack - flip), acting_dim
+    return check_skew(stack, 1e-8), acting_dim
 
 
 def skew_span(mats, acting_dim: int | None = None,

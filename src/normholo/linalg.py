@@ -23,7 +23,8 @@ class Tolerances(NamedTuple):
     """Shared numeric thresholds.
 
     sym: allowed asymmetry before a matrix is rejected as "symmetric"
-    eig: reconstruction tolerance for spectral decompositions
+    eig: eigenvalue agreement (x100: coxeter's scalarity audit and merge,
+        the tube-direction solve); seeded_tube_direction's null shape
     rank: relative threshold for tolerant rank / kernel decisions
     cluster_gap: eigenvalues closer than this share a cluster
     """
@@ -79,18 +80,45 @@ class Subspace(NamedTuple):
                 <= self.tol * (1.0 + float(np.linalg.norm(x))))
 
 
-def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
-    """Symmetric part of a square matrix, or of each matrix of an
-    (N, n, n) stack, after checking each for symmetry."""
+def _parity_part(a, tol: float, skew: bool) -> np.ndarray:
+    """The one parity test: a square matrix or (N, n, n) stack, each with
+    a finite norm and ||a -+ a^T|| <= tol (1 + ||a||); returns the
+    symmetric part, or the skew part when skew is set."""
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    size = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    if not (size < np.inf).all():           # inf or NaN entries, or overflow
+        raise InvalidInput("matrix needs finite entries and a finite norm")
     at = np.swapaxes(a, -2, -1)
-    d = np.array([a, a - at])
-    size, asym = np.sqrt(np.einsum("k...ij,k...ij->k...", d, d))
-    if (asym > tol * (1.0 + size)).any():
-        raise InvalidInput("matrix is not symmetric within tolerance")
-    return 0.5 * (a + at)
+    d = a + at if skew else a - at
+    if (np.sqrt(np.einsum("...ij,...ij->...", d, d)) > tol * (1 + size)).any():
+        raise InvalidInput("matrix is not %s within tolerance"
+                           % ("skew-symmetric" if skew else "symmetric"))
+    return 0.5 * (a - at) if skew else 0.5 * (a + at)
+
+
+def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
+    """Symmetric part of a square matrix or (N, n, n) stack, checked."""
+    return _parity_part(a, tol, skew=False)
+
+
+def check_skew(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
+    """Skew part of a square matrix or (N, n, n) stack, checked."""
+    return _parity_part(a, tol, skew=True)
+
+
+def check_positive(name: str, value) -> float:
+    """value as a float that is finite and > 0: a number (not a bool)
+    or a numeric string; anything else is InvalidInput naming name."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = float("nan")
+    if isinstance(value, bool) or not 0.0 < x < np.inf:
+        raise InvalidInput(f"{name} must be finite and positive, "
+                           f"got {value!r}")
+    return x
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> tuple:
@@ -131,7 +159,7 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-2] != x.shape[-1]:
         raise InvalidInput("matrix_exp needs square matrices")
-    if not np.sum(x * x) < np.inf:          # inf or NaN entries, or overflow
+    if not np.einsum("...ij,...ij", x, x).sum() < np.inf:  # inf, NaN, overflow
         raise InvalidInput("matrix_exp needs finite entries")
     return _expm_core(x)
 
@@ -194,7 +222,10 @@ def _new_directions(block: np.ndarray, kept: np.ndarray, tol: float,
 
 
 def _column_scale(block: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(block, axis=0), initial=0.0))
+    scale = float(np.max(np.linalg.norm(block, axis=0), initial=0.0))
+    if not scale < np.inf:                  # inf or NaN entries
+        raise InvalidInput("span vectors need finite entries")
+    return scale
 
 
 def _frozen_subspace(basis: np.ndarray, tol: float) -> Subspace:

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import InvalidInput, NormholoError, NotApplicable
 from .holonomy import (SLICE_TOL, CommutingCertificate, analyze,
                        commuting_certificate, loop_holonomy_probe)
-from .linalg import DEFAULT_TOLS, Tolerances, rank_reveal
+from .linalg import DEFAULT_TOLS, Tolerances, check_positive, rank_reveal
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature, orbit_dims)
 from .srep import SymmetricPairRep, random_regular_point
@@ -43,10 +43,11 @@ _DEFAULTS = {"rep": "", "point": "", "n": None, "direction": "canonical",
 class ScenarioConfig:
     """Scenario description; round-trips through to_dict.
 
-    Construction parses every key that is given (each tolerance as a
-    positive float, the point against the rep, the curve against the
-    rep's group dimension, the n against the fact suite's range where
-    it is read) and raises InvalidInput on one that does not parse.  A
+    Construction, whatever the route (keywords, from_dict, CLI flags),
+    parses every key that is given (seed, n, step and each tolerance as
+    numbers, the point against the rep, the curve against the rep's
+    group dimension, the n against the fact suite's range where it is
+    read) and raises InvalidInput on one that does not parse.  A
     key that no named analysis reads is then reset to its default, so
     it is neither kept nor rendered.  The parsed specs are kept as
     representation and base_point (read-only), and direction_seed (None
@@ -57,20 +58,30 @@ class ScenarioConfig:
                  "direction", "curve", "step", "out", "representation",
                  "base_point", "direction_seed")
 
-    def __init__(self, rep: str = "", point: str = "", analyses: tuple = (),
-                 seed: int = 0, tolerances: dict | None = None,
-                 n: int | None = None, direction: str = "canonical",
-                 curve: tuple = (), step: float | None = None,
-                 out: str | None = None):
+    def __init__(self, rep: str | None = "", point: str | None = "",
+                 analyses: tuple = (), seed: int = 0,
+                 tolerances: dict | None = None, n: int | None = None,
+                 direction: str | None = "canonical", curve: tuple = (),
+                 step: float | None = None, out: str | None = None):
         tols = _typed("tolerances", {} if tolerances is None else tolerances,
                       dict, "an object")
         bad = set(tols) - set(_TOL_KEYS)
         if bad:
             raise InvalidInput(f"unknown tolerance keys: {sorted(bad)}")
-        self.tolerances = {key: _positive_float(f"tolerance '{key}'", value)
+        self.tolerances = {key: check_positive(f"tolerance '{key}'", value)
                            for key, value in tols.items()}
+        # a string key given as None (JSON null) takes its default
+        rep = "" if rep is None else _typed("rep", rep)
+        point = "" if point is None else _typed("point", point)
+        direction = ("canonical" if direction is None
+                     else _typed("direction", direction))
+        out = None if out is None else _typed("out", out)
+        seed = _seed("seed", seed)
+        n = None if n is None else _integer("n", n)
+        step = None if step is None else check_positive("step", step)
+        analyses = tuple(_typed("analyses", analyses, (list, tuple), "a list"))
         for a in analyses:
-            if a not in ANALYSES:
+            if not isinstance(a, str) or a not in ANALYSES:
                 raise InvalidInput(f"unknown analysis '{a}'; "
                                    f"choose from {KNOWN_ANALYSES}")
         if len(set(analyses)) < len(analyses):
@@ -116,21 +127,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """The scenario of a config object; the constructor parses it."""
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-        analyses = tuple(_typed("analyses", raw.get("analyses", ()),
-                                (list, tuple), "a list"))
-        kw = {key: _typed(key, raw[key], str, "a string")
-              for key in ("rep", "point", "direction", "out")
-              if raw.get(key) is not None}
-        if raw.get("n") is not None:
-            kw["n"] = _integer("n", raw["n"])
-        if raw.get("step") is not None:
-            kw["step"] = _positive_float("step", raw["step"])
-        return cls(analyses=analyses, seed=_seed("seed", raw.get("seed", 0)),
-                   tolerances=raw.get("tolerances", {}),
-                   curve=raw.get("curve", ()), **kw)
+        return cls(**raw)
 
     def to_dict(self) -> dict:
         d = {"rep": self.rep, "point": self.point,
@@ -148,25 +149,12 @@ class ScenarioConfig:
                                         in self.tolerances.items()})
 
 
-def _typed(name: str, value, types, what: str):
+def _typed(name: str, value, types=str, what: str = "a string"):
     """value when it is one of types, else InvalidInput naming the field."""
     if not isinstance(value, types):
         raise InvalidInput(f"{name} must be {what}, got "
                            f"{type(value).__name__}")
     return value
-
-
-def _positive_float(name: str, value) -> float:
-    """value as a float that is finite and > 0: a number (not a bool)
-    or a numeric string; anything else is InvalidInput."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = float("nan")
-    if isinstance(value, bool) or not (np.isfinite(x) and x > 0.0):
-        raise InvalidInput(f"{name} must be a positive finite number, "
-                           f"got {value!r}")
-    return x
 
 
 def _integer(name: str, value) -> int:
@@ -196,8 +184,8 @@ def _curve_segment(seg, group_dim: int | None) -> tuple:
     """A [generatorIndex, t] pair: integral index >= 0 and below the
     group dimension (when known), finite t >= 0."""
     try:
-        gi, t = seg
-        index, t = float(gi), float(t)
+        gi, dur = seg
+        index, t = float(gi), float(dur)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput("curve segments are [generatorIndex, t] pairs, "
                            f"got {seg!r}") from exc
@@ -208,9 +196,9 @@ def _curve_segment(seg, group_dim: int | None) -> tuple:
     if group_dim is not None and index >= group_dim:
         raise InvalidInput(f"curve generator index {int(index)} out of range "
                            f"for group dimension {group_dim}")
-    if not (np.isfinite(t) and t >= 0.0):
+    if isinstance(dur, bool) or not (np.isfinite(t) and t >= 0.0):
         raise InvalidInput(f"curve segment duration must be finite and "
-                           f">= 0, got {t}")
+                           f">= 0, got {dur!r}")
     return int(index), t
 
 

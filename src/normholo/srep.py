@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOLS, Tolerances, gram_kernel
+from .linalg import DEFAULT_TOLS, Tolerances, check_symmetric, gram_kernel
 
 
 def _block_carrier_frame(r: int, offset: int, total: int):
@@ -124,16 +124,15 @@ class SymmetricPairRep(NamedTuple):
 
     def validate_carrier(self, mat: np.ndarray,
                          tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-        """Check membership in the carrier; returns the cleaned matrix."""
+        """Check membership in the carrier: symmetric to tols.sym
+        (linalg.check_symmetric), then in the carrier span to the same
+        relative tolerance; returns the cleaned matrix."""
         mat = np.asarray(mat, dtype=float)
         n = self.total_size
         if mat.shape != (n, n):
             raise InvalidInput(f"carrier matrices have shape {(n, n)}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidInput("carrier matrix has non-finite entries")
+        check_symmetric(mat, tols.sym)
         scale = 1.0 + float(np.linalg.norm(mat))
-        if float(np.linalg.norm(mat - mat.T)) > tols.sym * scale:
-            raise InvalidInput("carrier matrices must be symmetric")
         recon = self.matrix(self.coords(mat))
         if float(np.linalg.norm(recon - mat)) > tols.sym * scale:
             raise InvalidInput(

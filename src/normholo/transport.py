@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidInput, TransportDiverged
 from .kernels import transport_segment
-from .linalg import matrix_exp, orthogonal_log
+from .linalg import check_positive, check_skew, matrix_exp, orthogonal_log
 from .orbit import OrbitSubmanifold, traceless_spectra_at
 from .srep import frame_action
 
@@ -67,25 +67,13 @@ MAX_STEPS_PER_SEGMENT = 10 ** 6
 
 
 def _check_skew(x: np.ndarray, r: int, ndim: int = 2) -> np.ndarray:
-    """x checked as a finite skew (r, r) generator, or an (L, r, r) stack
-    of them with ndim=3."""
+    """x checked as a skew (r, r) generator to 1e-10 relative
+    (linalg.check_skew), or an (L, r, r) stack of them with ndim=3."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != ndim or x.shape[-2:] != (r, r):
         raise InvalidInput(f"generator shape {x.shape}, expected {(r, r)}")
-    nrm = np.linalg.norm(x, axis=(-2, -1))
-    if not (nrm < np.inf).all():            # inf or NaN entries, or overflow
-        raise InvalidInput("curve generator must be finite")
-    skew_gap = np.linalg.norm(x + np.swapaxes(x, -2, -1), axis=(-2, -1))
-    if (skew_gap > 1e-10 * (1.0 + nrm)).any():
-        raise InvalidInput("curve generator is not skew-symmetric")
+    check_skew(x, 1e-10)
     return x
-
-
-def _check_step(h: float) -> float:
-    h = float(h)
-    if not 0.0 < h < np.inf:
-        raise InvalidInput(f"step must be finite and positive, got {h}")
-    return h
 
 
 class OrbitCurve:
@@ -104,14 +92,13 @@ class OrbitCurve:
                  step: float = DEFAULT_STEP):
         r = orbit.rep.total_size
         cleaned = []
-        for seg in segments:
-            x, dur = seg
-            dur = float(dur)
-            if not (np.isfinite(dur) and dur >= 0.0):
+        for x, t in segments:
+            dur = float(t)
+            if isinstance(t, bool) or not (np.isfinite(dur) and dur >= 0.0):
                 raise InvalidInput(
-                    f"segment duration must be finite and >= 0, got {dur}")
+                    f"segment duration must be finite and >= 0, got {t!r}")
             cleaned.append((_check_skew(x, r), dur))
-        _check_step(step)
+        step = check_positive("step", step)
         self.orbit, self.segments, self.step = orbit, tuple(cleaned), step
         # exp(dur X) of every nonzero arc in one stack; None for dur = 0
         exps = iter(matrix_exp(np.array(
@@ -177,15 +164,13 @@ def _square_closures(orbit: OrbitSubmanifold, xs: np.ndarray,
     r = orbit.rep.total_size
     xs = _check_skew(xs, r, ndim=3)
     ys = _check_skew(ys, r, ndim=3)
-    s = float(radius)
-    if not s > 0.0:
-        raise InvalidInput("loop radius must be positive")
+    s = check_positive("loop radius", radius)
     sides = np.stack([xs, ys, -xs, -ys], axis=1)
     exps = matrix_exp(s * sides.reshape(-1, r, r)).reshape(sides.shape)
     g = np.eye(r)
     for j in range(4):
         g = g @ exps[:, j]
-    w = _check_skew(-orthogonal_log(g), r, ndim=3)
+    w = -orthogonal_log(g)
     closing = matrix_exp(w)
     g = g @ closing
     if not np.all(np.linalg.norm(g - np.eye(r), axis=(1, 2)) <= 1e-9):
@@ -260,7 +245,7 @@ def parallel_transport_stack(curve: OrbitCurve, xis: np.ndarray,
     TransportDiverged.
     """
     orbit = curve.orbit
-    h = _check_step(step if step is not None else curve.step)
+    h = check_positive("step", step if step is not None else curve.step)
     longest = max((dur for _, dur in curve.segments), default=0.0)
     if longest / h > MAX_STEPS_PER_SEGMENT:
         raise InvalidInput(
@@ -428,7 +413,7 @@ def transport_convergence_audit(curve: OrbitCurve, xi0: np.ndarray,
     measurable at all.  (The stepper itself shows close to third-order
     endpoint convergence in that regime.)
     """
-    h = _check_step(step if step is not None else curve.step)
+    h = check_positive("step", step if step is not None else curve.step)
     total = curve.total_time
     if total > 0.0:
         h = max(h, total / 64.0)

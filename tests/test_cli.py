@@ -11,7 +11,9 @@ import pytest
 
 import normholo
 from normholo.cli import main
-from normholo.report import ANALYSES, KNOWN_ANALYSES, SCHEMA_VERSION
+from normholo.errors import InvalidInput
+from normholo.report import (ANALYSES, KNOWN_ANALYSES, SCHEMA_VERSION,
+                             ScenarioConfig)
 
 
 def _body(doc_text):
@@ -180,7 +182,7 @@ def test_missing_required_flag_exits_two(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("argv", [
+_BAD_INPUT = [
     ["analyze", "--rep", "sl-so:3", "--point", "diag:nan,0,-1"],
     ["analyze", "--rep", "sl-so:3", "--point", "veronese", "--do", ""],
     ["analyze", "--rep", "sl-so:3", "--point", "veronese", "--do", ","],
@@ -278,7 +280,18 @@ def test_missing_required_flag_exits_two(capsys):
      "--config", {"step": True}],
     ["analyze", "--rep", "sl-so:4", "--point", "veronese",
      "--do", "holonomy,bound", "--config", {"tolerances": {"rank": True}}],
-])
+    # a flag value meets the parse a config-file value meets
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese", "--seed", "abc"],
+    ["transport-audit", "--rep", "sl-so:4", "--point", "veronese",
+     "--step", "abc"],
+    ["verify-veronese", "--n", "abc"],
+    # a JSON boolean is not a curve duration either
+    ["tube-spectrum", "--rep", "sl-so:4", "--point", "veronese",
+     "--curve", "[[0, true]]"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUT)
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     cfg = tmp_path / "scenario.json"
     for i, arg in enumerate(argv):
@@ -290,6 +303,21 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     assert rc == 2
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+_RUNNABLE = {"rep": "sl-so:4", "point": "veronese", "analyses": ["holonomy"]}
+
+
+@pytest.mark.parametrize("raw", [
+    *(arg for argv in _BAD_INPUT for arg in argv if isinstance(arg, dict)),
+    {"seed": -1}, {"seed": "x"}, {"step": "abc"}, {"step": -1.0},
+    {"analyses": "orbit"}, {"rep": 4},
+])
+def test_bad_input_raises_on_the_keyword_route(raw):
+    # the keyword constructor parses every key a config file gives
+    ScenarioConfig(**_RUNNABLE)
+    with pytest.raises(InvalidInput):
+        ScenarioConfig(**{**_RUNNABLE, **raw})
 
 
 def test_seed_env_default(capsys, monkeypatch):
@@ -323,7 +351,6 @@ def test_seed_env_negative_exits_two(capsys, monkeypatch):
 def test_tolerance_is_kept_as_its_float(capsys, tmp_path):
     # a numeric string parses, and the body's config holds the number,
     # so it round-trips through from_dict
-    from normholo.report import ScenarioConfig
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"tolerances": {"rank": "1e-8"}}))
     rc = main(["analyze", "--rep", "sl-so:4", "--point", "veronese",

@@ -203,8 +203,9 @@ def test_orthogonal_log_roundtrip():
     assert np.allclose(orthogonal_log(matrix_exp(x)), x, atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
 def test_matrix_exp_rejects_non_finite(bad):
+    # 1e200: finite, but the norm overflows, so no scaling can be chosen
     x = np.zeros((3, 3))
     x[0, 2] = bad
     with pytest.raises(InvalidInput, match="finite"):

@@ -40,7 +40,7 @@ def test_curve_validation(v3):
         OrbitCurve(orbit=v3, segments=((np.eye(4), 1.0),))
 
 
-@pytest.mark.parametrize("dur", [np.nan, np.inf])
+@pytest.mark.parametrize("dur", [np.nan, np.inf, True])
 def test_curve_rejects_non_finite_duration(v3, dur):
     with pytest.raises(InvalidInput, match="finite"):
         OrbitCurve.from_tangent_coords(v3, [(np.ones(3), dur)])
@@ -283,7 +283,7 @@ def test_curve_rejects_non_finite_generator(v3, bad):
         closed_square_loop(v3, x, v3.rep.generators[1], radius=0.1)
 
 
-@pytest.mark.parametrize("step", [np.inf, np.nan, -1e-3])
+@pytest.mark.parametrize("step", [np.inf, np.nan, -1e-3, True])
 def test_non_finite_step_rejected(v3, step):
     curve = _open_curve(v3)
     with pytest.raises(InvalidInput, match="finite and positive"):
@@ -292,6 +292,11 @@ def test_non_finite_step_rejected(v3, step):
         transport_convergence_audit(curve, v3.nbar_frame[0], step=step)
     with pytest.raises(InvalidInput, match="finite and positive"):
         OrbitCurve(orbit=v3, segments=curve.segments, step=step)
+
+
+def test_curve_keeps_the_parsed_step(v3):
+    curve = OrbitCurve(orbit=v3, segments=_open_curve(v3).segments, step=1)
+    assert type(curve.step) is float and curve.step == 1.0
 
 
 def test_single_sample_per_long_segment(v3):
