@@ -108,16 +108,34 @@ def check_skew(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
     return _parity_part(a, tol, skew=True)
 
 
+def _as_float(value) -> float:
+    """float(value) for a number (not a bool) or a numeric string, NaN
+    for anything else, so that no range test passes it."""
+    if isinstance(value, bool):
+        return float("nan")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
 def check_positive(name: str, value) -> float:
     """value as a float that is finite and > 0: a number (not a bool)
     or a numeric string; anything else is InvalidInput naming name."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = float("nan")
-    if isinstance(value, bool) or not 0.0 < x < np.inf:
+    x = _as_float(value)
+    if not 0.0 < x < np.inf:
         raise InvalidInput(f"{name} must be finite and positive, "
                            f"got {value!r}")
+    return x
+
+
+def check_duration(name: str, value) -> float:
+    """value as a float that is finite and >= 0 (a curve segment's
+    duration): a number (not a bool) or a numeric string; anything else
+    is InvalidInput naming name."""
+    x = _as_float(value)
+    if not 0.0 <= x < np.inf:
+        raise InvalidInput(f"{name} must be finite and >= 0, got {value!r}")
     return x
 
 

@@ -23,7 +23,8 @@ from . import __version__
 from .errors import InvalidInput, NormholoError, NotApplicable
 from .holonomy import (SLICE_TOL, CommutingCertificate, analyze,
                        commuting_certificate, loop_holonomy_probe)
-from .linalg import DEFAULT_TOLS, Tolerances, check_positive, rank_reveal
+from .linalg import (DEFAULT_TOLS, Tolerances, check_duration, check_positive,
+                     rank_reveal)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature, orbit_dims)
 from .srep import SymmetricPairRep, random_regular_point
@@ -185,7 +186,7 @@ def _curve_segment(seg, group_dim: int | None) -> tuple:
     group dimension (when known), finite t >= 0."""
     try:
         gi, dur = seg
-        index, t = float(gi), float(dur)
+        index = float(gi)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput("curve segments are [generatorIndex, t] pairs, "
                            f"got {seg!r}") from exc
@@ -196,10 +197,7 @@ def _curve_segment(seg, group_dim: int | None) -> tuple:
     if group_dim is not None and index >= group_dim:
         raise InvalidInput(f"curve generator index {int(index)} out of range "
                            f"for group dimension {group_dim}")
-    if isinstance(dur, bool) or not (np.isfinite(t) and t >= 0.0):
-        raise InvalidInput(f"curve segment duration must be finite and "
-                           f">= 0, got {dur!r}")
-    return int(index), t
+    return int(index), check_duration("curve segment duration", dur)
 
 
 def parse_rep_spec(spec: str) -> SymmetricPairRep:

@@ -48,7 +48,8 @@ import numpy as np
 
 from .errors import InvalidInput, TransportDiverged
 from .kernels import transport_segment
-from .linalg import check_positive, check_skew, matrix_exp, orthogonal_log
+from .linalg import (check_duration, check_positive, check_skew, matrix_exp,
+                     orthogonal_log)
 from .orbit import OrbitSubmanifold, traceless_spectra_at
 from .srep import frame_action
 
@@ -93,10 +94,7 @@ class OrbitCurve:
         r = orbit.rep.total_size
         cleaned = []
         for x, t in segments:
-            dur = float(t)
-            if isinstance(t, bool) or not (np.isfinite(dur) and dur >= 0.0):
-                raise InvalidInput(
-                    f"segment duration must be finite and >= 0, got {t!r}")
+            dur = check_duration("segment duration", t)
             cleaned.append((_check_skew(x, r), dur))
         step = check_positive("step", step)
         self.orbit, self.segments, self.step = orbit, tuple(cleaned), step

@@ -556,15 +556,19 @@ print(json.dumps([rc, modules]))
 _UNUSED_STDLIB = {"dataclasses", "json"}
 
 
+def _src_env(**extra):
+    """The environment of a fresh interpreter that imports this tree."""
+    return dict(os.environ, **extra,
+                PYTHONPATH=str(Path(normholo.__file__).resolve().parents[1]))
+
+
 def _fresh(statement, *argv):
     """rc and the modules loaded after the statement runs in a fresh
     interpreter: the normholo submodules, by their short names, and those
     of _UNUSED_STDLIB."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(normholo.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _FRESH.format(statement),
-                           *argv], env=env, capture_output=True, text=True,
-                          timeout=120)
+                           *argv], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
     assert proc.stderr == ""
     rc, modules = json.loads(proc.stdout)
     return rc, ({name[len("normholo."):] for name in modules
@@ -671,8 +675,7 @@ _HOLONOMY_ROUND_OFF = ("positionResidual", "sliceHolonomyDistance",
 def _holonomy_body(threads):
     """The sl-so:10 Veronese holonomy body, in a fresh interpreter at
     the given OpenBLAS thread count."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=str(Path(normholo.__file__).resolve().parents[1]))
+    env = _src_env(OPENBLAS_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-c", (
         "import sys\n"
         "from normholo.report import ScenarioConfig, run_scenario\n"
@@ -713,3 +716,69 @@ def test_body_across_blas_thread_counts():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     round_off = readme[readme.index("Some report fields are round-off"):]
     assert all(f"{name}`" in round_off for name in _HOLONOMY_ROUND_OFF)
+
+
+_HEADLINES = [
+    ["analyze", "--rep", "sl-so:7", "--point", "veronese",
+     "--do", "orbit,holonomy,bound"],
+    ["analyze", "--rep", "sl-so:4", "--point", "veronese",
+     "--do", "loop-probe,transport-audit"],
+    ["sweep", "--analysis", "veronese-facts", "--ns", "2,3,4"],
+]
+
+
+@pytest.mark.parametrize("argv, rc", [
+    *((argv, 0) for argv in _HEADLINES),
+    (["analyze", "--rep", "sl-so:8", "--point",
+      "diag:0,0,0,0.9,0.9,0.90005,1.07,1.65", "--do", "holonomy,bound"], 1),
+    (["analyze", "--rep", "sl-so:4", "--point", "veronese",
+      "--seed", "abc"], 2),
+])
+def test_process_entry_matches_main(capsys, argv, rc):
+    # python -m normholo.cli freezes the import-time heap and runs main:
+    # the exit code, the body without timings and stderr are main's
+    proc = subprocess.run([sys.executable, "-m", "normholo.cli", *argv],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert main(argv) == proc.returncode == rc
+    captured = capsys.readouterr()
+    assert captured.err == proc.stderr
+    if rc == 2:
+        assert captured.out == proc.stdout == ""
+    else:
+        assert (json.dumps(_body(captured.out))
+                == json.dumps(_body(proc.stdout)))
+
+
+def test_main_keeps_a_normal_gc(capsys):
+    import gc
+    frozen = gc.get_freeze_count()
+    assert main(_HEADLINES[2]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_process_entry():
+    # the installed script calls the function the __main__ block calls
+    import ast
+    import tomllib
+    import normholo.cli as cli
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["normholo"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    module, name = target.split(":")
+    assert module == "normholo.cli"
+    assert ast.unparse(guard.body[0]) == f"sys.exit({name}())"
+    # and that function freezes the import-time heap before main runs
+    proc = subprocess.run([sys.executable, "-c", (
+        "import gc, sys\n"
+        "from normholo import cli\n"
+        f"rc = cli.{name}()\n"
+        "print(rc, gc.get_freeze_count() > 0)\n"), *_HEADLINES[2],
+        "--out", os.devnull], env=_src_env(), capture_output=True, text=True,
+        timeout=120)
+    assert (proc.stdout, proc.stderr) == ("0 True\n", "")

@@ -107,3 +107,17 @@ def test_every_matrix_entry_point_reaches_the_one_parity_test(v3,
         if len(calls) == before:
             missed.append(name)
     assert missed == []
+
+
+@pytest.mark.parametrize("dur", [True, np.nan, -0.5])
+def test_bad_curve_duration_is_rejected_on_both_routes(v3, dur):
+    # linalg.check_duration is the one rule; each route names its input
+    from normholo.report import ScenarioConfig
+
+    raw = {"rep": "sl-so:4", "point": "veronese", "analyses": ["tube"],
+           "curve": [[0, dur]]}
+    with pytest.raises(InvalidInput, match="curve segment duration must be"):
+        ScenarioConfig.from_dict(raw)
+    gen = v3.rep.generators[0]
+    with pytest.raises(InvalidInput, match="^segment duration must be"):
+        OrbitCurve(orbit=v3, segments=((gen, dur),))
