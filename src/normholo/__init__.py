@@ -16,7 +16,6 @@ from .errors import (
     DimensionCapExceeded,
     FocalDegeneracy,
     InvalidInput,
-    InvalidShift,
     NormholoError,
     NotApplicable,
     NotIsoparametric,
@@ -41,7 +40,6 @@ __all__ = [
     "DimensionCapExceeded",
     "FocalDegeneracy",
     "InvalidInput",
-    "InvalidShift",
     "NormholoError",
     "NotApplicable",
     "NotIsoparametric",

@@ -24,6 +24,7 @@ from .errors import (ClosureCapReached, DegenerateSpectrum, InvalidInput,
                      NotApplicable, NotIsoparametric)
 from .linalg import mgs_qr, sym_eig
 from .orbit import OrbitSubmanifold, shape_operators
+from .srep import CartanCurvature
 
 FLATNESS_TOL = 1e-8
 CLOSURE_CAP = 10_000
@@ -68,103 +69,57 @@ class CurvatureNormalSet(NamedTuple):
         return np.arccos(cosines)
 
 
-def _flatness_defect(ops: np.ndarray) -> float:
-    prods = np.einsum("aij,bjk->abik", ops, ops)
-    coms = prods - prods.transpose(1, 0, 2, 3)
-    return float(np.max(np.linalg.norm(coms, axis=(2, 3)), initial=0.0))
-
-
 def curvature_normals(M: OrbitSubmanifold,
                       seed: int = 0) -> CurvatureNormalSet:
-    """Simultaneously diagonalize the shape operators of a flat-normal
-    orbit and recover the curvature normals.
+    """Curvature normals of a flat-normal orbit from one eigensolve.
 
-    A seeded generic combination provides the first eigenspace split;
-    cluster intersection against each frame operator refines it until
-    every operator is scalar on every block.  Residual scalarity above
-    the eigenvalue tolerance raises DegenerateSpectrum.
+    The shape operators of a principal orbit with flat normal bundle
+    commute, so the eigenspaces of one seeded generic combination
+    sum w_a A_a are already the common eigendistributions (Terng).
+    Each eigenvalue cluster compresses the whole operator stack: the
+    trace means are that normal's coordinates, and the spread from the
+    mean bounds the scalarity residual.  The blocks are sorted by their
+    coordinate columns.  A draw w that does not separate two normals
+    leaves a non-scalar block and raises DegenerateSpectrum; another
+    seed draws another w.
     """
     ops = shape_operators(M)
-    defect = _flatness_defect(ops)
+    defect = float(np.max(np.linalg.norm(CartanCurvature.commutators(ops),
+                                         axis=1), initial=0.0))
     if defect > FLATNESS_TOL:
         raise NotIsoparametric(
             f"normal bundle is not flat (commutator norm {defect:.3e}); "
             "curvature normals need a principal isoparametric orbit")
-    n = M.dim
-    k = ops.shape[0]
     tols = M.tols
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(k)
-    gen = np.einsum("a,aij->ij", w, ops)
-    dec = sym_eig(gen, tols=tols)
-    vectors = dec.vectors.copy()
+    w = np.random.default_rng(seed).standard_normal(len(ops))
+    dec = sym_eig(np.einsum("a,aij->ij", w, ops), tols=tols)
     blocks = [list(c) for c in dec.clusters]
-
-    # refine: split any block on which some operator still has spread
-    changed = True
-    while changed:
-        changed = False
-        for a in range(k):
-            new_blocks = []
-            for blk in blocks:
-                if len(blk) == 1:       # a 1x1 block is scalar already
-                    new_blocks.append(blk)
-                    continue
-                vb = vectors[:, blk]
-                b = vb.T @ ops[a] @ vb
-                sub = sym_eig(0.5 * (b + b.T), tols=tols)
-                if len(sub.clusters) > 1:
-                    vectors[:, blk] = vb @ sub.vectors
-                    for c in sub.clusters:
-                        new_blocks.append([blk[j] for j in c])
-                    changed = True
-                else:
-                    new_blocks.append(blk)
-            blocks = new_blocks
-
-    # scalarity audit and eigenvalue table
-    eigtable = np.zeros((k, len(blocks)))
+    cols = np.empty((len(blocks), len(ops)))
     residual = 0.0
     for i, blk in enumerate(blocks):
-        vb = vectors[:, blk]
-        for a in range(k):
-            b = vb.T @ ops[a] @ vb
-            mean = float(np.trace(b)) / len(blk)
-            residual = max(residual,
-                           float(np.linalg.norm(b - mean * np.eye(len(blk)))))
-            eigtable[a, i] = mean
+        vb = dec.vectors[:, blk]
+        b = vb.T @ ops @ vb                # every operator on the block
+        cols[i] = np.trace(b, axis1=1, axis2=2) / len(blk)
+        spread = b - cols[i][:, None, None] * np.eye(len(blk))
+        residual = max(residual, float(np.max(
+            np.linalg.norm(spread, axis=(1, 2)))))
     if residual > 1e2 * tols.eig:
         raise DegenerateSpectrum(
-            f"cluster refinement left a non-scalar block (residual "
-            f"{residual:.3e}); eigenvalue clustering is ambiguous here")
+            f"the seeded combination of shape operators left a non-scalar "
+            f"block (residual {residual:.3e}): its draw did not separate "
+            f"two curvature normals; try another --seed (was {seed})")
 
-    # merge blocks whose eigenvalue columns coincide (same normal)
-    order = sorted(range(len(blocks)), key=lambda i: tuple(eigtable[:, i]))
-    merged: list[list[int]] = []
-    cols: list[np.ndarray] = []
-    for i in order:
-        if cols and np.max(np.abs(cols[-1] - eigtable[:, i])) <= 1e2 * tols.eig:
-            merged[-1].extend(blocks[i])
-        else:
-            merged.append(list(blocks[i]))
-            cols.append(eigtable[:, i])
-    blocks = merged
-    coords = np.stack(cols)
-
-    perm = [j for blk in blocks for j in blk]
-    distributions = vectors[:, perm]
+    order = sorted(range(len(blocks)), key=lambda i: tuple(cols[i]))
+    blocks = [blocks[i] for i in order]
+    coords = cols[order]
     mults = tuple(len(blk) for blk in blocks)
-    if sum(mults) != n:
-        raise DegenerateSpectrum("eigendistribution dimensions do not "
-                                 "exhaust the tangent space")
     ends = np.cumsum(mults).tolist()
     slices = tuple(zip([0] + ends[:-1], ends))
     normals = np.einsum("ra,aij->rij", coords, M.normal_frame)
-    return CurvatureNormalSet(orbit=M, normals=normals, nu_coords=coords,
-                              multiplicities=mults,
-                              distributions=distributions,
-                              block_slices=slices,
-                              residual=residual)
+    return CurvatureNormalSet(
+        orbit=M, normals=normals, nu_coords=coords, multiplicities=mults,
+        distributions=dec.vectors[:, [j for blk in blocks for j in blk]],
+        block_slices=slices, residual=residual)
 
 
 class ReflectionGroup(NamedTuple):

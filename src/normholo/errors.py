@@ -44,9 +44,5 @@ class DegenerateSpectrum(NormholoError):
     combinatorial structure (multiplicities, normals) is ambiguous."""
 
 
-class InvalidShift(NormholoError):
-    """A caustic shift left the leading eigenvalue vanishing somewhere."""
-
-
 class NotApplicable(NormholoError):
     """The requested analysis requires structure this orbit does not have."""

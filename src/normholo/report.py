@@ -51,13 +51,15 @@ class ScenarioConfig:
     read) and raises InvalidInput on one that does not parse.  A
     key that no named analysis reads is then reset to its default, so
     it is neither kept nor rendered.  The parsed specs are kept as
-    representation and base_point (read-only), and direction_seed (None
-    for the canonical direction); they stay out of equality.
+    representation and base_point (read-only), curve_arcs (the curve's
+    (X, t) arcs, X the indexed generator of representation) and
+    direction_seed (None for the canonical direction); they stay out of
+    equality.
     """
 
     __slots__ = ("rep", "point", "analyses", "seed", "tolerances", "n",
                  "direction", "curve", "step", "out", "representation",
-                 "base_point", "direction_seed")
+                 "base_point", "curve_arcs", "direction_seed")
 
     def __init__(self, rep: str | None = "", point: str | None = "",
                  analyses: tuple = (), seed: int = 0,
@@ -112,6 +114,8 @@ class ScenarioConfig:
         self.analyses, self.seed, self.out = analyses, seed, out
         self.representation = rep_parsed if "rep" in reads else None
         self.base_point = base_point if "rep" in reads else None
+        self.curve_arcs = tuple((rep_parsed.generators[gi], t)
+                                for gi, t in self.curve)
         self.direction_seed = direction_seed if "direction" in reads else None
         if "n" in reads:
             from .veronese import FACT_NS
@@ -310,7 +314,6 @@ class Report(NamedTuple):
     config: ScenarioConfig
     analyses: dict
     passed: bool
-    hard_error: bool
     timings: dict
 
     def body(self) -> dict:
@@ -332,8 +335,6 @@ class Report(NamedTuple):
 
     @property
     def exit_code(self) -> int:
-        if self.hard_error:
-            return 1
         return 0 if self.passed else 1
 
 
@@ -423,10 +424,8 @@ def _tube_analysis(M, config) -> dict:
                         seeded_tube_direction, spectra_agree)
     xi = (choose_tube_direction(M) if config.direction_seed is None
           else seeded_tube_direction(M, config.direction_seed))
-    curve = None
-    if config.curve:
-        curve = OrbitCurve(orbit=M, segments=tuple(
-            (M.rep.generators[gi], t) for gi, t in config.curve))
+    curve = (OrbitCurve(orbit=M, segments=config.curve_arcs)
+             if config.curve_arcs else None)
     # one foot for both routes; the formula first, so that a focal
     # direction raises FocalDegeneracy before any stencil runs
     patch = TubePatch(M, xi, curve=curve)
@@ -591,7 +590,6 @@ def run_scenario(config: ScenarioConfig) -> Report:
     """Execute the configured analyses; failures never cancel siblings."""
     analyses: dict = {}
     timings: dict = {}
-    hard_error = False
 
     orbit = orbit_error = None
     if config.representation is not None:    # an analysis reads rep
@@ -609,7 +607,6 @@ def run_scenario(config: ScenarioConfig) -> Report:
                 raise orbit_error
             analyses[name] = analysis.run(orbit, config)
         except NormholoError as exc:
-            hard_error = True
             analyses[name] = {"ok": False,
                               "error": {"type": type(exc).__name__,
                                         "message": str(exc)}}
@@ -617,4 +614,4 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     passed = all(res.get("ok", False) for res in analyses.values())
     return Report(config=config, analyses=analyses, passed=passed,
-                  hard_error=hard_error, timings=timings)
+                  timings=timings)

@@ -23,8 +23,7 @@ its coefficient factors in one such call.  The frame return and the
 square loops are written for stacks of curves: :func:`square_loop_returns`
 closes L loops and returns their frame returns with one call each for
 the side exponentials, the closure logs and arcs, and the transports,
-and :func:`closed_square_loop` and :func:`transport_frame_return` are
-that code on a stack of one.
+and :func:`transport_frame_return` is that code on a stack of one.
 
 The step-by-step scheme in :mod:`normholo.kernels` (project onto the
 next fiber, apply one midpoint correction, renormalize) is kept as the
@@ -155,8 +154,10 @@ def _all_closed(point: np.ndarray, g_ends: np.ndarray) -> bool:
 
 def _square_closures(orbit: OrbitSubmanifold, xs: np.ndarray,
                      ys: np.ndarray, radius: float):
-    """Arc generators, durations, arc exponentials and group path ends
-    of the loops of closed_square_loop on (L, R, R) stacks xs, ys; each
+    """Arc generators, durations and group path ends of the closed
+    loops exp(sX) exp(sY) exp(-sX) exp(-sY) exp(W) of (L, R, R) stacks
+    xs, ys.  The four-arc group commutator misses the identity by
+    O(s^2); the fifth arc W = -log of the defect closes it, and each
     path end is checked to be the identity within 1e-9.  The 4L sides,
     the L defect logs and the L closure arcs take one call each."""
     r = orbit.rep.total_size
@@ -174,29 +175,7 @@ def _square_closures(orbit: OrbitSubmanifold, xs: np.ndarray,
     if not np.all(np.linalg.norm(g - np.eye(r), axis=(1, 2)) <= 1e-9):
         raise InvalidInput("loop closure arc failed to return to identity")
     return (np.concatenate([sides, w[:, None]], axis=1),
-            np.array([s, s, s, s, 1.0]),
-            np.concatenate([exps, closing[:, None]], axis=1), g)
-
-
-def closed_square_loop(orbit: OrbitSubmanifold, x: np.ndarray, y: np.ndarray,
-                       radius: float) -> OrbitCurve:
-    """Small closed loop exp(sX) exp(sY) exp(-sX) exp(-sY) plus closure arc.
-
-    The four-arc group commutator misses the identity by O(s^2); a fifth
-    arc along -log of the defect closes the loop exactly up to the log
-    series truncation.  The result is a null-homotopic loop at the base
-    point suitable for holonomy probes; square_loop_returns evaluates a
-    whole stack of them without forming curves.
-    """
-    gens, durs, exps, _ = _square_closures(
-        orbit, np.asarray(x, dtype=float)[None],
-        np.asarray(y, dtype=float)[None], radius)
-    # the curve keeps the arcs' exponentials instead of forming them again
-    curve = OrbitCurve.__new__(OrbitCurve)
-    curve.orbit, curve.step = orbit, DEFAULT_STEP
-    curve.segments = tuple(zip(gens[0], map(float, durs)))
-    curve.arc_exps = tuple(exps[0])
-    return curve
+            np.array([s, s, s, s, 1.0]), g)
 
 
 class TransportResult(NamedTuple):
@@ -370,10 +349,10 @@ def transport_frame_return(curve: OrbitCurve) -> np.ndarray:
 
 def square_loop_returns(orbit: OrbitSubmanifold, xs: np.ndarray,
                         ys: np.ndarray, radius: float) -> np.ndarray:
-    """transport_frame_return(closed_square_loop(orbit, x, y, radius)) for
-    each x, y of the (L, R, R) stacks, evaluated as one stack with every
-    check of both."""
-    gens, durs, _, g_ends = _square_closures(orbit, xs, ys, radius)
+    """The transport_frame_return of the closed square loop of radius
+    radius for each x, y of the (L, R, R) stacks, evaluated as one
+    stack: null-homotopic loops at the base point for holonomy probes."""
+    gens, durs, g_ends = _square_closures(orbit, xs, ys, radius)
     return _frame_returns(orbit, gens, durs, g_ends)
 
 

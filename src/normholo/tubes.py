@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateSpectrum, FocalDegeneracy, InvalidInput,
-                     InvalidShift, NotApplicable, PatchDegenerate)
+                     NotApplicable, PatchDegenerate)
 from .holonomy import holonomy_algebra
 from .linalg import (Subspace, cluster_indices, gram_kernel, matrix_exp,
                      orthonormal_span, principal_angle_max, rank_reveal,
@@ -419,15 +419,15 @@ class CausticResult(NamedTuple):
 
 
 def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
-                       patch: TubePatch | None = None,
-                       shift: float | None = None) -> CausticResult:
+                       patch: TubePatch | None = None) -> CausticResult:
     """Kernel of the caustic map q + (hat1 + c)^{-1} (radial - c q).
 
     The shift c replaces the radial normal by radial - c q (q is also
     normal; its shape operator is -Id), moving every hat-eigenvalue up
-    by c so the top one is bounded away from zero.  The differential is
-    taken by stencils over the patch (by default the patch at xi on M);
-    the kernel must be the top eigendistribution.
+    by c = max(0, -min hat) + 1, so each shifted one is at least 1 and
+    hat1 + c never vanishes.  The differential is taken by stencils over
+    the patch (by default the patch at xi on M); the kernel must be the
+    top eigendistribution.
     """
     if patch is None:
         patch = TubePatch(M, xi)
@@ -435,12 +435,8 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     if patch.m3:
         # the vertical eigenvalue is -1 exactly; the patch only measures it
         hats.append(-1.0)
-    if shift is None:
-        shift = max(0.0, -min(hats)) + 1.0
+    shift = max(0.0, -min(hats)) + 1.0
     shifted = [h + shift for h in hats]
-    if min(np.abs(shifted)) < 0.1:
-        raise InvalidShift("shifted top eigenvalue too close to zero; "
-                           "pick a larger shift")
     rep = patch.foot.rep
 
     def rho(params):

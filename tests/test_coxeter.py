@@ -8,8 +8,8 @@ import pytest
 import normholo.coxeter as coxeter
 from normholo.coxeter import (ANGLE_TOL, curvature_normals, focal_displacement,
                               hyperplane_permutation_check, reflection_group)
-from normholo.errors import (ClosureCapReached, InvalidInput, NotApplicable,
-                             NotIsoparametric)
+from normholo.errors import (ClosureCapReached, DegenerateSpectrum,
+                             InvalidInput, NotApplicable, NotIsoparametric)
 from normholo.linalg import mgs_qr, sym_eig
 from normholo.orbit import build_orbit, shape_operators
 from normholo import report
@@ -214,20 +214,26 @@ def _reference_closure(normals):
     return elements, defect
 
 
-def _normals_of(name):
+def _orbit_of(name):
     if name == "a2":
-        return curvature_normals(build_orbit(SymmetricPairRep.for_size(3),
-                                             np.diag([1.0, 0.0, -1.0])))
+        return build_orbit(SymmetricPairRep.for_size(3),
+                           np.diag([1.0, 0.0, -1.0]))
     if name == "circle":
-        return curvature_normals(build_orbit(SymmetricPairRep.for_size(2),
-                                             np.diag([1.0, -1.0])))
+        return build_orbit(SymmetricPairRep.for_size(2), np.diag([1.0, -1.0]))
     if name == "product-2-2":
-        return curvature_normals(build_orbit(SymmetricPairRep.product((2, 2)),
-                                             np.diag([1.0, -1.0, 0.7, -0.7])))
+        return build_orbit(SymmetricPairRep.product((2, 2)),
+                           np.diag([1.0, -1.0, 0.7, -0.7]))
     if name == "product-3-4":
-        return _regular_normals((3, 4), seed=2)
-    r = int(name[len("sl-so:"):])
-    return _regular_normals((r,), seed=r)
+        sizes, seed = (3, 4), 2
+    else:
+        r = int(name[len("sl-so:"):])
+        sizes, seed = (r,), r
+    rep = SymmetricPairRep.product(sizes)
+    return build_orbit(rep, random_regular_point(rep, seed))
+
+
+def _normals_of(name):
+    return curvature_normals(_orbit_of(name))
 
 
 @pytest.mark.parametrize("name", ["a2", "circle", "product-2-2",
@@ -296,12 +302,10 @@ def _reference_normals(M, seed=0):
     return tuple(len(b) for b in merged), np.stack(cols), residual, calls
 
 
-@pytest.mark.parametrize("r", [3, 4, 5])
-def test_refinement_skips_one_by_one_blocks(r, monkeypatch):
-    rep = SymmetricPairRep.for_size(r)
-    M = build_orbit(rep, random_regular_point(rep, r))
+def _matches_reference(M, monkeypatch):
+    """curvature_normals(M) takes one sym_eig and gives exactly the
+    reference's normals; returns the reference's sym_eig count."""
     mults, coords, residual, ref_calls = _reference_normals(M)
-    assert ref_calls == {3: 7, 4: 19, 5: 41}[r]
     calls = []
 
     def counted(*args, **kwargs):
@@ -314,6 +318,38 @@ def test_refinement_skips_one_by_one_blocks(r, monkeypatch):
     assert cn.multiplicities == mults
     assert np.array_equal(cn.nu_coords, coords)
     assert cn.residual == residual
+    return ref_calls
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_refinement_skips_one_by_one_blocks(r, monkeypatch):
+    rep = SymmetricPairRep.for_size(r)
+    M = build_orbit(rep, random_regular_point(rep, r))
+    assert _matches_reference(M, monkeypatch) == {3: 7, 4: 19, 5: 41}[r]
+
+
+@pytest.mark.parametrize("name", ["a2", "product-3-4", "sl-so:6"])
+def test_one_eigensolve_matches_refinement_reference(name, monkeypatch):
+    # the reference refines, audits and merges; on a flat-normal orbit
+    # the one seeded eigensolve already has its blocks
+    _matches_reference(_orbit_of(name), monkeypatch)
+
+
+def test_unseparating_draw_names_the_seed_remedy(a2_orbit, a2_normals,
+                                                monkeypatch):
+    # w orthogonal to eta_1 - eta_2 gives E_1 and E_2 one eigenvalue of
+    # sum w_a A_a, so their cluster is not scalar for every operator
+    d = a2_normals.nu_coords[0] - a2_normals.nu_coords[1]
+    w = np.array([-d[1], d[0]])
+
+    class Draw:
+        def standard_normal(self, k):
+            assert k == len(w)
+            return w
+
+    monkeypatch.setattr(coxeter.np.random, "default_rng", lambda seed: Draw())
+    with pytest.raises(DegenerateSpectrum, match="try another --seed"):
+        curvature_normals(a2_orbit, seed=5)
 
 
 @pytest.mark.parametrize("point", ["veronese", "diag:1,-1", "random-regular:0",

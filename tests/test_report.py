@@ -34,6 +34,15 @@ def test_config_curve_index_normalized():
                                     "curve": [[2.0, 1], [0, 0.0]]})
     assert cfg.curve == ((2, 1.0), (0, 0.0))
     assert isinstance(cfg.curve[0][0], int)
+    # the arcs the tube runs are parsed once, with the indices
+    gens = cfg.representation.generators
+    assert [t for _, t in cfg.curve_arcs] == [1.0, 0.0]
+    assert np.array_equal(cfg.curve_arcs[0][0], gens[2])
+    assert np.array_equal(cfg.curve_arcs[1][0], gens[0])
+    unread = ScenarioConfig.from_dict({"rep": "sl-so:3", "point": "veronese",
+                                       "analyses": ["orbit"],
+                                       "curve": [[2, 1]]})
+    assert unread.curve == unread.curve_arcs == ()
 
 
 def test_config_rejects_unknown_keys():
@@ -254,8 +263,9 @@ def test_failing_analysis_does_not_cancel_siblings():
     report = run_scenario(cfg)
     assert report.analyses["orbit"]["ok"]
     assert not report.analyses["coxeter"]["ok"]
-    assert report.analyses["coxeter"]["error"]["type"] == "NotIsoparametric"
-    assert report.hard_error
+    error = report.analyses["coxeter"]["error"]
+    assert error["type"] == "NotIsoparametric"
+    assert error["message"].startswith("normal bundle is not flat")
     assert not report.passed
     assert report.exit_code == 1
     assert report.body()["summary"]["failures"] == ["coxeter"]
@@ -389,7 +399,8 @@ class _Recorder:
 
 
 # the config attribute a handler reads for a key, where the two differ
-_READ_AS = {"direction_seed": "direction", "resolve_tolerances": "tolerances"}
+_READ_AS = {"direction_seed": "direction", "curve_arcs": "curve",
+            "resolve_tolerances": "tolerances"}
 
 
 @pytest.mark.parametrize("name", KNOWN_ANALYSES)

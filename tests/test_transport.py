@@ -6,7 +6,7 @@ import pytest
 from normholo.errors import InvalidInput
 from normholo.kernels import matrix_exp
 from normholo.orbit import shape_operator
-from normholo.transport import (OrbitCurve, closed_square_loop,
+from normholo.transport import (OrbitCurve, _square_closures,
                                 exact_transport, exact_transport_vector,
                                 parallel_transport_normal,
                                 parallel_transport_stack,
@@ -24,9 +24,16 @@ def _open_curve(orbit, duration=0.5):
     return OrbitCurve.from_tangent_coords(orbit, [(c, duration)], step=1e-3)
 
 
+def _square_loop(orbit, x, y, radius):
+    """The five-arc closed square loop of x and y as one OrbitCurve."""
+    gens, durs, _ = _square_closures(orbit, np.asarray(x)[None],
+                                     np.asarray(y)[None], radius)
+    return OrbitCurve(orbit, tuple(zip(gens[0], durs.tolist())))
+
+
 def _commutator_loop(orbit, radius=0.2):
     x, y = orbit.m_generators[:2]
-    return closed_square_loop(orbit, x, y, radius=radius)
+    return _square_loop(orbit, x, y, radius)
 
 
 def test_curve_validation(v3):
@@ -72,8 +79,7 @@ def test_square_loop_closes(v3):
     loop = _commutator_loop(v3)
     assert loop.is_closed()
     with pytest.raises(InvalidInput):
-        closed_square_loop(v3, loop.segments[0][0], loop.segments[1][0],
-                           radius=0.0)
+        _square_loop(v3, loop.segments[0][0], loop.segments[1][0], 0.0)
 
 
 def test_transport_preserves_norms_and_fiber(v3):
@@ -257,14 +263,15 @@ def test_curve_exponentials_formed_once(v3, monkeypatch):
         OrbitCurve(orbit=v3, segments=arcs[:2])))
 
 
-def test_closed_loop_reuses_arc_exponentials(v3, monkeypatch):
+def test_square_closure_forms_arc_exponentials_in_two_calls(v3,
+                                                           monkeypatch):
     calls = _count_exponentials(monkeypatch)
-    loop = _commutator_loop(v3)
+    x, y = v3.m_generators[:2]
+    gens, durs, g_ends = _square_closures(v3, x[None], y[None], 0.2)
     assert calls == [(4, 4, 4), (1, 4, 4)]  # four arcs, then the closure arc
-    fresh = OrbitCurve(orbit=v3, segments=loop.segments)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(loop.arc_exps, fresh.arc_exps))
+    loop = OrbitCurve(orbit=v3, segments=tuple(zip(gens[0], durs.tolist())))
     assert loop.is_closed()
+    assert np.allclose(loop.group_path_end(), g_ends[0], rtol=0, atol=1e-14)
 
 
 def test_curve_without_arcs(v3):
@@ -280,7 +287,7 @@ def test_curve_rejects_non_finite_generator(v3, bad):
     with pytest.raises(InvalidInput, match="finite"):
         OrbitCurve(orbit=v3, segments=((x, 1.0),))
     with pytest.raises(InvalidInput, match="finite"):
-        closed_square_loop(v3, x, v3.rep.generators[1], radius=0.1)
+        _square_loop(v3, x, v3.rep.generators[1], 0.1)
 
 
 @pytest.mark.parametrize("step", [np.inf, np.nan, -1e-3, True])
@@ -355,7 +362,7 @@ def test_square_loop_returns_match_one_loop_at_a_time(orbit_name, request):
     xs, ys = _square_pairs(orbit, 7)
     stacked = square_loop_returns(orbit, xs, ys, 0.05)
     for x, y, ret in zip(xs, ys, stacked):
-        one = transport_frame_return(closed_square_loop(orbit, x, y, 0.05))
+        one = transport_frame_return(_square_loop(orbit, x, y, 0.05))
         assert np.max(np.abs(ret - one)) <= 1e-15
 
 

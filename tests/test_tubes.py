@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from normholo.errors import (FocalDegeneracy, InvalidInput, InvalidShift,
-                             NotApplicable)
+from normholo.errors import FocalDegeneracy, InvalidInput, NotApplicable
 from normholo.linalg import matrix_exp
 from normholo.orbit import build_orbit
 from normholo.report import ScenarioConfig, run_scenario
@@ -163,12 +162,6 @@ def test_caustic_kernel(v3, v3_xi, v3_patch):
     assert res.kernel_angle_to_e1 <= 1e-3
     assert res.shift == 2.0                  # 1 above the vertical -1
     assert res.shifted_spectrum_positive
-
-
-def test_caustic_rejects_bad_shift(v3, v3_xi, v3_patch):
-    _, patch = v3_patch
-    with pytest.raises(InvalidShift):
-        caustic_rank_check(v3, v3_xi, patch=patch, shift=1.04)
 
 
 def test_tube_without_fiber(a2_orbit):
