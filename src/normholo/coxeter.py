@@ -22,11 +22,10 @@ import numpy as np
 
 from .errors import (ClosureCapReached, DegenerateSpectrum, InvalidInput,
                      NotApplicable, NotIsoparametric)
+from .holonomy import adapted_curvature
 from .linalg import mgs_qr, sym_eig
 from .orbit import OrbitSubmanifold, shape_operators
-from .srep import CartanCurvature
 
-FLATNESS_TOL = 1e-8
 CLOSURE_CAP = 10_000
 ANGLE_TOL = 1e-6
 # floats per temporary block of the closure: pairs per batched product
@@ -73,9 +72,12 @@ def curvature_normals(M: OrbitSubmanifold,
                       seed: int = 0) -> CurvatureNormalSet:
     """Curvature normals of a flat-normal orbit from one eigensolve.
 
-    The shape operators of a principal orbit with flat normal bundle
-    commute, so the eigenspaces of one seeded generic combination
-    sum w_a A_a are already the common eigendistributions (Terng).
+    The normal bundle is flat when the orbit's curvature factor
+    (holonomy.adapted_curvature, shared with the holonomy analysis) kept
+    no column; otherwise this raises NotIsoparametric.  The shape
+    operators of a principal orbit with flat normal bundle commute, so
+    the eigenspaces of one seeded generic combination sum w_a A_a are
+    already the common eigendistributions (Terng).
     Each eigenvalue cluster compresses the whole operator stack: the
     trace means are that normal's coordinates, and the spread from the
     mean bounds the scalarity residual.  The blocks are sorted by their
@@ -83,13 +85,12 @@ def curvature_normals(M: OrbitSubmanifold,
     leaves a non-scalar block and raises DegenerateSpectrum; another
     seed draws another w.
     """
-    ops = shape_operators(M)
-    defect = float(np.max(np.linalg.norm(CartanCurvature.commutators(ops),
-                                         axis=1), initial=0.0))
-    if defect > FLATNESS_TOL:
+    curv = adapted_curvature(M)
+    if curv.factor.shape[1]:
         raise NotIsoparametric(
-            f"normal bundle is not flat (commutator norm {defect:.3e}); "
+            f"normal bundle is not flat (curvature norm {curv.norm():.3e}); "
             "curvature normals need a principal isoparametric orbit")
+    ops = shape_operators(M)
     tols = M.tols
     w = np.random.default_rng(seed).standard_normal(len(ops))
     dec = sym_eig(np.einsum("a,aij->ij", w, ops), tols=tols)

@@ -25,8 +25,8 @@ from .errors import InvalidInput, NotApplicable
 from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      bracket_closure, invariant_decomposition,
                      is_transitive_on_sphere, skew_span)
-from .linalg import (Subspace, matrix_exp, orthogonal_log, rank_reveal,
-                     subspace_distance)
+from .linalg import (Subspace, _frozen_subspace, matrix_exp, orthogonal_log,
+                     rank_reveal, subspace_distance)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operators,
                     sphere_normal_shape_operators)
 from .srep import CartanCurvature, frame_action
@@ -42,8 +42,10 @@ class AdaptedCurvature(NamedTuple):
 
     t[a, b, c, d] = -trace([A_a, A_b] [A_c, A_d]), A_k the shape operator
     of the k-th frame vector, is the Gram matrix of the commutators
-    (CartanCurvature.commutators).  factor is F = U diag(sigma) from
-    their thin SVD, so t = F F^T over the pair index (a, b).
+    (CartanCurvature.commutators).  factor is F = U diag(sigma) over the
+    singular triples of their thin SVD that rank_reveal keeps, so
+    t = F F^T over the pair index (a, b) and F has no column on a flat
+    normal bundle.
     """
 
     frame: np.ndarray     # (K, R, R)
@@ -62,13 +64,9 @@ def adapted_curvature(M: OrbitSubmanifold) -> AdaptedCurvature:
     computed once per orbit (kept in the orbit's cache)."""
     if "curvature" in M._cache:
         return M._cache["curvature"]
-    ops = shape_operators(M)
-    u, s, _ = np.linalg.svd(CartanCurvature.commutators(ops),
-                            full_matrices=False)
-    # the columns of C are skew in the R x R index pair, so its rank is
-    # at most R(R-1)/2 and the singular triples past that are round-off
-    r = ops.shape[-1]
-    factor = np.ascontiguousarray((u * s)[:, :r * (r - 1) // 2])
+    u, s, _, rank = rank_reveal(
+        CartanCurvature.commutators(shape_operators(M)), M.tols.rank)
+    factor = np.ascontiguousarray(u[:, :rank] * s[:rank])
     factor.flags.writeable = False
     M._cache["curvature"] = result = AdaptedCurvature(
         frame=M.normal_frame, factor=factor)
@@ -81,19 +79,19 @@ def holonomy_algebra(M: OrbitSubmanifold) -> LieAlgebraSpan:
 
     The endomorphism of the pair (a, b), t e_ab with its skew (c, d)
     block transposed, spans with the others the columns of the factor.
-    The columns F_i = sigma_i u_i are offered as they are, so the rank
-    test reads the curvature at its own scale sigma, not at sigma^2;
-    a column with sigma_i at most tols.rank * sigma_max is round-off,
-    and not skew, and is dropped first.
+    Those columns F_i = sigma_i u_i are orthogonal and skew in (a, b),
+    so their normalized skew parts are the span's orthonormal basis: the
+    rank is the factor's, read at the curvature's own scale sigma, not
+    at sigma^2.
     """
     if "algebra" not in M._cache:
         curv = adapted_curvature(M)
         k = curv.normal_dim
-        f = curv.factor
-        sigma = np.linalg.norm(f, axis=0)
-        keep = sigma > M.tols.rank * np.max(sigma, initial=0.0)
-        offered = f[:, keep].T.reshape(-1, k, k)
-        span = skew_span(offered, acting_dim=k, tol=M.tols.rank)
+        f = curv.factor.T.reshape(-1, k, k)
+        f = f - f.transpose(0, 2, 1)
+        f /= np.linalg.norm(f, axis=(1, 2), keepdims=True)
+        span = LieAlgebraSpan(acting_dim=k, space=_frozen_subspace(
+            f.reshape(-1, k * k).T, M.tols.rank))
         M._cache["algebra"] = bracket_closure(span, tol=M.tols.rank)
     return M._cache["algebra"]
 
@@ -115,7 +113,7 @@ def symmetric_system_residual(curv: AdaptedCurvature,
     algebra elements, t'[abcd] = sum t[pqrs] h_pa h_qb h_rc h_sd, i.e.
     F_i -> h^T F_i h, and reports the max of ||t' - t|| / ||t||.  The gap
     ||F' F'^T - F F^T|| is formed in m x m blocks: with U = F / sigma
-    over the nonzero columns of F, C = U^T F' and E = F' - U C
+    (every kept column of F is nonzero), C = U^T F' and E = F' - U C
     (re-projected once), its square is
     ||C C^T - Sigma^2||^2 + 2 <C^T C, E^T E> + ||E^T E||^2.
     """
@@ -131,9 +129,7 @@ def symmetric_system_residual(curv: AdaptedCurvature,
     e = (h.transpose(0, 1, 3, 2) @ cols @ h).reshape(6, m, k * k)
     e = e.transpose(0, 2, 1)        # F' of each draw, (6, K^2, m)
     sigma = np.linalg.norm(f, axis=0)
-    keep = sigma > 0
-    sigma = sigma[keep]
-    u = f[:, keep] / sigma
+    u = f / sigma
     coef = u.T @ e
     e -= u @ coef                   # E = F' - U C, formed in place
     e -= u @ (u.T @ e)              # re-projected once
@@ -149,11 +145,11 @@ def slice_holonomy_distance(M: OrbitSubmanifold,
                             algebra: LieAlgebraSpan) -> float:
     """Subspace distance between the slice image and the holonomy algebra.
 
-    Both algebras act on nu_v in the same frame coordinates; their
-    flattened bases are compared as subspaces of R^(K*K).
+    The slice image is the frame action of the orbit's stabilizer on
+    nu_v; both algebras act there in the same frame coordinates, and
+    their flattened bases are compared as subspaces of R^(K*K).
     """
-    _, iso_mats = M.rep.isotropy_algebra(M.point, tols=M.tols)
-    images = frame_action(iso_mats, M.normal_frame)
+    images = frame_action(M.stabilizer, M.normal_frame)
     slice_span = skew_span(0.5 * (images - images.transpose(0, 2, 1)),
                            acting_dim=algebra.acting_dim, tol=M.tols.rank)
     return subspace_distance(slice_span.space, algebra.space)

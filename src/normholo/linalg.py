@@ -23,8 +23,8 @@ class Tolerances(NamedTuple):
     """Shared numeric thresholds.
 
     sym: allowed asymmetry before a matrix is rejected as "symmetric"
-    eig: eigenvalue agreement (x100: coxeter's scalarity audit and merge,
-        the tube-direction solve); seeded_tube_direction's null shape
+    eig: eigenvalue agreement (x100: coxeter's scalarity audit, the
+        tube-direction solve); seeded_tube_direction's null shape
     rank: relative threshold for tolerant rank / kernel decisions
     cluster_gap: eigenvalues closer than this share a cluster
     """

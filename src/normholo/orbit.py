@@ -13,7 +13,8 @@ orbit's fixed frames:
   position vector is always normal)
 
 The orbit also keeps its m-generators: the so(r) elements X_i with
-[X_i, v] = e_i, free of stabilizer components.  They lift tangent
+[X_i, v] = e_i, free of stabilizer components, and an orthonormal
+basis of the stabilizer {X : [X, v] = 0}.  The m-generators lift tangent
 coordinates to curve generators, and the second fundamental form is
 their symmetrized action read between the frames,
 alpha(e_i, e_j) = P_normal(([X_i, e_j] + [X_j, e_i]) / 2), which does
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import InvalidInput
 from .kernels import jacobi_eigh
 from .linalg import (DEFAULT_TOLS, Tolerances, check_symmetric,
-                     orthonormal_span, rank_reveal)
+                     orthonormal_span)
 from .srep import SymmetricPairRep, frame_action
 
 SPHERE_TOL = 1e-8       # sphere residual of a minimal-in-sphere orbit
@@ -42,7 +43,8 @@ class OrbitSubmanifold:
     _cache keeps the derived data computed from them."""
 
     __slots__ = ("rep", "point", "dim", "tangent_frame", "normal_frame",
-                 "nbar_frame", "m_generators", "tols", "_cache")
+                 "nbar_frame", "m_generators", "stabilizer", "tols",
+                 "_cache")
 
     def __init__(self, rep: SymmetricPairRep,
                  point: np.ndarray,           # carrier matrix, the base point
@@ -51,6 +53,7 @@ class OrbitSubmanifold:
                  normal_frame: np.ndarray,    # (K, R, R)
                  nbar_frame: np.ndarray,      # (K-1, R, R), point nonzero
                  m_generators: np.ndarray,    # (n, R, R): [X_i, v] = e_i
+                 stabilizer: np.ndarray,      # (G-n, R, R): [X, v] = 0
                  tols: Tolerances = DEFAULT_TOLS):
         self.rep = rep
         self.point = point
@@ -59,6 +62,7 @@ class OrbitSubmanifold:
         self.normal_frame = normal_frame
         self.nbar_frame = nbar_frame
         self.m_generators = m_generators
+        self.stabilizer = stabilizer
         self.tols = tols
         self._cache = {}
 
@@ -103,33 +107,6 @@ def _normal_coords(frames: np.ndarray, xis: np.ndarray, tol: float):
     return coords
 
 
-def _tangent_svds(rep: SymmetricPairRep, points: np.ndarray,
-                  tols: Tolerances):
-    """(v, u, s, vt, ranks): the points of an (N, R, R) stack, each
-    checked and normalized as build_orbit documents, and one stacked SVD
-    of their tangent-image maps with a rank per point (rank_reveal)."""
-    vs = []
-    for point in np.asarray(points, dtype=float):
-        with np.errstate(over="ignore"):
-            nrm = float(np.linalg.norm(point))
-        if (not tols.rank <= nrm < np.inf and np.all(np.isfinite(point))
-                and np.any(point)):
-            point = point / np.abs(point).max()
-        v = rep.validate_carrier(point, tols)
-        nrm = float(np.linalg.norm(v))
-        if nrm < tols.rank:
-            raise InvalidInput("base point must be nonzero")
-        vs.append(v / nrm)
-    v = np.array(vs)
-    # (G, D, N): carrier coordinates of [X_g, v_p]
-    images = frame_action(rep.generators, rep.carrier_frame, v)
-    u, s, vt, ranks = rank_reveal(images.transpose(2, 1, 0), tols.rank,
-                                  full=True)
-    if ranks.min() == 0:
-        raise InvalidInput("base point is fixed by the whole group")
-    return v, u, s, vt, ranks
-
-
 def _orbit_frames(rep: SymmetricPairRep, u, s, vt, n: int):
     """m-generators, tangent frames and normal frames of a stack of orbits
     of dimension n from their tangent SVDs (see build_orbit)."""
@@ -144,34 +121,35 @@ def orbit_dims(rep: SymmetricPairRep, points: np.ndarray,
                tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """(N,) dimension of the orbit through each point of an (N, R, R)
     stack, as build_orbit measures it: the ranks of one stacked tangent
-    SVD (_tangent_svds), with no frames formed.  Raises InvalidInput
-    wherever build_orbit would; a tiny point is rescaled to unit norm
-    first, so a caller that must tell the origin apart tests it before."""
+    SVD (SymmetricPairRep.tangent_svds), with no frames formed.  Raises
+    InvalidInput wherever build_orbit would; a tiny point is rescaled to
+    unit norm first, so a caller that must tell the origin apart tests
+    it before."""
     if not len(points):
         return np.zeros(0, dtype=int)
-    return _tangent_svds(rep, points, tols)[4]
+    return rep.tangent_svds(points, tols)[4]
 
 
 def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
                 tols: Tolerances = DEFAULT_TOLS) -> OrbitSubmanifold:
     """Assemble the orbit through a carrier point with all frames fixed.
 
-    One SVD of the tangent-image map (generator coefficients -> carrier)
-    gives everything: its kept left singular vectors are the tangent
-    frame, the rest the normal frame, and V[:n]^T / sigma the generator
-    combinations whose images are the tangent frame (free of stabilizer
-    components), formed once as the m-generators.  Tangent and normal
-    spaces are complementary by construction.  The point is normalized;
-    a finite nonzero point whose norm overflows or is under the rank
-    threshold is first divided by its largest entry, which normalizing
-    makes no difference to.  The frames come from the core that
-    traceless_spectra_at runs on whole stacks, here on a stack of one.
+    One SVD of the tangent-image map (SymmetricPairRep.tangent_svds,
+    which also normalizes the point) gives everything: its kept left
+    singular vectors are the tangent frame, the rest the normal frame,
+    V[:n]^T / sigma the generator combinations whose images are the
+    tangent frame (free of stabilizer components), formed once as the
+    m-generators, and V[n:]^T the stabilizer.  Tangent and normal
+    spaces are complementary by construction.  The frames come from the
+    core that traceless_spectra_at runs on whole stacks, here on a
+    stack of one.
     """
-    v, u, s, vt, ranks = _tangent_svds(
-        rep, np.asarray(point, dtype=float)[None], tols)
+    v, u, s, vt, ranks = rep.tangent_svds(
+        np.asarray(point, dtype=float)[None], tols)
     n = int(ranks[0])
     m_generators, tangent_frame, normal_frame = (
         a[0] for a in _orbit_frames(rep, u, s, vt, n))
+    stabilizer = np.einsum("kg,gij->kij", vt[0, n:], rep.generators)
 
     normal = u[0, :, n:]
     vc = rep.coords(v[0])
@@ -184,7 +162,7 @@ def build_orbit(rep: SymmetricPairRep, point: np.ndarray,
     return OrbitSubmanifold(
         rep=rep, point=v[0], dim=n, tangent_frame=tangent_frame,
         normal_frame=normal_frame, nbar_frame=nbar_frame,
-        m_generators=m_generators, tols=tols)
+        m_generators=m_generators, stabilizer=stabilizer, tols=tols)
 
 
 def traceless_spectra_at(rep: SymmetricPairRep, points: np.ndarray,
@@ -199,7 +177,7 @@ def traceless_spectra_at(rep: SymmetricPairRep, points: np.ndarray,
     wherever build_orbit would, or when an xi is not finite or not
     normal at its point.
     """
-    v, u, s, vt, ranks = _tangent_svds(rep, points, tols)
+    v, u, s, vt, ranks = rep.tangent_svds(points, tols)
     xis = np.asarray(xis, dtype=float)
     if xis.shape != v.shape:
         raise InvalidInput(f"normal vector stack shape {xis.shape}, "

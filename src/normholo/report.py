@@ -29,7 +29,7 @@ from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature, orbit_dims)
 from .srep import SymmetricPairRep, random_regular_point
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _TOL_KEYS = {"sym": "sym", "eig": "eig", "rank": "rank",
              "clusterGap": "cluster_gap"}
@@ -443,11 +443,8 @@ def _tube_analysis(M, config) -> dict:
         ca = caustic_rank_check(M, xi, patch=patch)
         out["caustic"] = {"kernelDim": ca.kernel_dim,
                           "kernelAngleToE1": ca.kernel_angle_to_e1,
-                          "shift": ca.shift,
-                          "shiftedSpectrumPositive":
-                              ca.shifted_spectrum_positive}
-    diff = normal_exponential_differential(M, xi)
-    sv = np.linalg.svd(diff, compute_uv=False)
+                          "shift": ca.shift}
+    sv = rank_reveal(normal_exponential_differential(M, xi), M.tols.rank)[1]
     out["normalExponential"] = {
         "minSingularValue": float(np.min(sv)),
         "fdResidual": normal_exponential_fd_residual(M, xi,

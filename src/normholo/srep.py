@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOLS, Tolerances, check_symmetric, gram_kernel
+from .linalg import (DEFAULT_TOLS, Tolerances, _frozen_subspace,
+                     check_symmetric, rank_reveal)
 
 
 def _block_carrier_frame(r: int, offset: int, total: int):
@@ -142,17 +143,45 @@ class SymmetricPairRep(NamedTuple):
 
     # -- infinitesimal action ----------------------------------------------
 
+    def tangent_svds(self, points: np.ndarray,
+                     tols: Tolerances = DEFAULT_TOLS):
+        """(v, u, s, vt, ranks): the points of an (N, R, R) stack, each
+        checked and normalized (a finite nonzero point whose norm
+        overflows or is under tols.rank is first divided by its largest
+        entry), and one stacked SVD (rank_reveal, full vt) of their
+        tangent-image maps X_g -> [X_g, v] with a rank per point."""
+        vs = []
+        for point in np.asarray(points, dtype=float):
+            with np.errstate(over="ignore"):
+                nrm = float(np.linalg.norm(point))
+            if (not tols.rank <= nrm < np.inf and np.all(np.isfinite(point))
+                    and np.any(point)):
+                point = point / np.abs(point).max()
+            v = self.validate_carrier(point, tols)
+            nrm = float(np.linalg.norm(v))
+            if nrm < tols.rank:
+                raise InvalidInput("base point must be nonzero")
+            vs.append(v / nrm)
+        v = np.array(vs)
+        # (G, D, N): carrier coordinates of [X_g, v_p]
+        images = frame_action(self.generators, self.carrier_frame, v)
+        u, s, vt, ranks = rank_reveal(images.transpose(2, 1, 0), tols.rank,
+                                      full=True)
+        if ranks.min() == 0:
+            raise InvalidInput("base point is fixed by the whole group")
+        return v, u, s, vt, ranks
+
     def isotropy_algebra(self, v: np.ndarray,
                          tols: Tolerances = DEFAULT_TOLS):
         """Generator-coefficient basis of the stabilizer subalgebra.
 
         Returns (coeff_subspace, matrices): coefficients live in R^G,
-        matrices are the corresponding skew elements.
+        matrices are the corresponding skew elements.  The kernel of
+        tangent_svds at v, the stabilizer build_orbit keeps.
         """
-        v = self.validate_carrier(v, tols)
-        # (G, D, 1): carrier coordinates of [X_g, v]
-        images = frame_action(self.generators, self.carrier_frame, v[None])
-        ker = gram_kernel(images[..., 0].T, tols)
+        _, _, _, vt, ranks = self.tangent_svds(
+            np.asarray(v, dtype=float)[None], tols)
+        ker = _frozen_subspace(vt[0, ranks[0]:].T, tols.rank)
         return ker, list(np.einsum("gk,gij->kij", ker.basis, self.generators))
 
     # -- test support -------------------------------------------------------

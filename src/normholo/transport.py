@@ -157,9 +157,9 @@ def _square_closures(orbit: OrbitSubmanifold, xs: np.ndarray,
     """Arc generators, durations and group path ends of the closed
     loops exp(sX) exp(sY) exp(-sX) exp(-sY) exp(W) of (L, R, R) stacks
     xs, ys.  The four-arc group commutator misses the identity by
-    O(s^2); the fifth arc W = -log of the defect closes it, and each
-    path end is checked to be the identity within 1e-9.  The 4L sides,
-    the L defect logs and the L closure arcs take one call each."""
+    O(s^2); the fifth arc W = -log of the defect closes it, which
+    _frame_returns checks at CLOSURE_TOL.  The 4L sides, the L defect
+    logs and the L closure arcs take one call each."""
     r = orbit.rep.total_size
     xs = _check_skew(xs, r, ndim=3)
     ys = _check_skew(ys, r, ndim=3)
@@ -170,10 +170,7 @@ def _square_closures(orbit: OrbitSubmanifold, xs: np.ndarray,
     for j in range(4):
         g = g @ exps[:, j]
     w = -orthogonal_log(g)
-    closing = matrix_exp(w)
-    g = g @ closing
-    if not np.all(np.linalg.norm(g - np.eye(r), axis=(1, 2)) <= 1e-9):
-        raise InvalidInput("loop closure arc failed to return to identity")
+    g = g @ matrix_exp(w)
     return (np.concatenate([sides, w[:, None]], axis=1),
             np.array([s, s, s, s, 1.0]), g)
 

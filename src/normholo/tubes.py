@@ -78,12 +78,14 @@ def choose_tube_direction(M: OrbitSubmanifold) -> np.ndarray:
         raise InvalidInput("shape map on nu-bar is not a homothecy; "
                            "tube direction solve would be ill-posed")
     target = np.diag([0.5, 0.5] + [-1.0 / (n - 2)] * (n - 2))
-    # solve sum_a c_a A_a = target over the nu-bar frame, traceless parts
+    # least-squares solve of sum_a c_a A_a = target over the nu-bar
+    # frame, traceless parts, on the singular triples rank_reveal keeps
     nbar_ops = sphere_normal_shape_operators(M)
     tr = np.trace(nbar_ops, axis1=1, axis2=2)
     nbar_ops = nbar_ops - tr[:, None, None] * np.eye(n)[None] / n
-    lhs = nbar_ops.reshape(len(nbar_ops), -1).T
-    c, *_ = np.linalg.lstsq(lhs, target.ravel(), rcond=None)
+    u, s, vt, rank = rank_reveal(nbar_ops.reshape(len(nbar_ops), -1).T,
+                                 M.tols.rank)
+    c = vt[:rank].T @ ((u[:, :rank].T @ target.ravel()) / s[:rank])
     xi = np.einsum("k,kij->ij", c, M.nbar_frame)
     achieved = traceless_spectrum(M, xi)[0]
     want = np.sort(np.diag(target))
@@ -415,7 +417,6 @@ class CausticResult(NamedTuple):
     kernel_dim: int
     kernel_angle_to_e1: float
     shift: float
-    shifted_spectrum_positive: bool
 
 
 def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
@@ -436,7 +437,6 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
         # the vertical eigenvalue is -1 exactly; the patch only measures it
         hats.append(-1.0)
     shift = max(0.0, -min(hats)) + 1.0
-    shifted = [h + shift for h in hats]
     rep = patch.foot.rep
 
     def rho(params):
@@ -450,11 +450,9 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     # kernel in chart parameters, then into the tube tangent frame
     tols = patch.foot.tols
     kernel = gram_kernel(jac, tols)
-    positive = all(s > 0 for s in shifted)
     if kernel.dim == 0:
         return CausticResult(kernel_dim=0, kernel_angle_to_e1=np.pi / 2,
-                             shift=float(shift),
-                             shifted_spectrum_positive=positive)
+                             shift=float(shift))
     tangent_kernel = orthonormal_span(
         list((patch.shape_operator[1] @ kernel.basis).T),
         ambient_dim=patch.n_axes, tol=tols.rank)
@@ -462,8 +460,7 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
                   tol=tols.rank)
     angle = principal_angle_max(tangent_kernel, e1)
     return CausticResult(kernel_dim=int(kernel.dim),
-                         kernel_angle_to_e1=float(angle), shift=float(shift),
-                         shifted_spectrum_positive=positive)
+                         kernel_angle_to_e1=float(angle), shift=float(shift))
 
 
 def normal_exponential_differential(M: OrbitSubmanifold,

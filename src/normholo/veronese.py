@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .holonomy import HolonomyVerdict, analyze
-from .linalg import DEFAULT_TOLS, Tolerances, sym_eig
+from .linalg import DEFAULT_TOLS, Tolerances
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     mean_curvature, second_fundamental_form)
 from .srep import SymmetricPairRep, frame_action
@@ -55,10 +55,6 @@ def veronese_orbit(n: int, tols: Tolerances = DEFAULT_TOLS) -> VeroneseOrbit:
         raise InvalidInput("veronese orbits start at n = 2")
     r = n + 1
     s = veronese_type_point(r)
-    dec = sym_eig(s, tols=tols)
-    mults = sorted(dec.cluster_sizes())
-    if mults != [1, r - 1]:
-        raise InvalidInput("base point lost the (1, r-1) eigenvalue split")
     rep = SymmetricPairRep.for_size(r)
     return VeroneseOrbit(n=n, r=r, base_point=s,
                          orbit=build_orbit(rep, s, tols=tols))

@@ -14,7 +14,8 @@ from normholo.linalg import mgs_qr, sym_eig
 from normholo.orbit import build_orbit, shape_operators
 from normholo import report
 from normholo.report import ScenarioConfig, run_scenario
-from normholo.srep import SymmetricPairRep, random_regular_point
+from normholo.srep import (CartanCurvature, SymmetricPairRep,
+                           random_regular_point)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,27 @@ def test_closure_cap(a2_normals):
 
 
 def test_curved_orbit_rejected(v3):
-    with pytest.raises(NotIsoparametric):
+    with pytest.raises(NotIsoparametric, match=r"\(curvature norm "):
         curvature_normals(v3)
+
+
+def test_flatness_reads_the_holonomy_curvature(monkeypatch):
+    # coxeter decides flatness from the curvature factor the holonomy
+    # analysis already formed, so the commutators are formed once
+    calls = []
+    commutators = CartanCurvature.commutators
+
+    def counted(mats):
+        calls.append(len(mats))
+        return commutators(mats)
+
+    monkeypatch.setattr(CartanCurvature, "commutators", staticmethod(counted))
+    config = ScenarioConfig.from_dict({
+        "rep": "sl-so:5", "point": "random-regular:0",
+        "analyses": ["orbit", "holonomy", "coxeter"]})
+    analyses = run_scenario(config).body()["analyses"]
+    assert all(res["ok"] for res in analyses.values())
+    assert len(calls) == 1
 
 
 def test_circle_orbit():

@@ -13,10 +13,10 @@ from normholo.holonomy import (SLICE_TOL, adapted_curvature, analyze,
 from normholo.kernels import matrix_exp
 from normholo.liealg import (bracket_closure, invariant_decomposition,
                              skew_span)
-from normholo.linalg import subspace_distance
+from normholo.linalg import rank_reveal, subspace_distance
 from normholo.orbit import build_orbit, shape_operator, shape_operators
 from normholo.report import parse_point_spec, parse_rep_spec
-from normholo.srep import SymmetricPairRep, frame_action
+from normholo.srep import CartanCurvature, SymmetricPairRep, frame_action
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,34 @@ def test_curvature_is_ranked_at_its_own_scale(gap):
     d = np.array([0, 0, 0, 0.9, 0.9, 0.9 + gap, 1.07, 1.65])
     M = build_orbit(SymmetricPairRep.for_size(8), np.diag(d - d.mean()))
     _assert_slice_representation(M, [(3, 2, 1, 1, 1)])
+
+
+_GAP_POINTS = [
+    "diag:" + ",".join(map(str, [0, 0, 0, 0.9, 0.9, 0.9 + g, 1.07, 1.65]))
+    for g in (1e-2, 1e-3, 1e-4)]
+
+
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:4", "veronese"), ("sl-so:5", "veronese"), ("sl-so:6", "veronese"),
+    ("product:sl-so:3,sl-so:4", "veronese;veronese")]
+    + [("sl-so:8", p) for p in _GAP_POINTS])
+def test_curvature_rank_is_decided_once(rep_spec, point_spec):
+    # the factor keeps exactly the singular triples of C that
+    # rank_reveal keeps, and the algebra's basis starts with the
+    # normalized skew parts of its columns: no second rank decision on
+    # the same data
+    rep = parse_rep_spec(rep_spec)
+    M = build_orbit(rep, parse_point_spec(rep, point_spec))
+    c = CartanCurvature.commutators(shape_operators(M))
+    f = adapted_curvature(M).factor
+    assert f.shape[1] == rank_reveal(c, M.tols.rank)[3] > 0
+    k = M.codim
+    skew = f.T.reshape(-1, k, k)
+    skew = (skew - skew.transpose(0, 2, 1)).reshape(-1, k * k).T
+    basis = holonomy_algebra(M).space.basis
+    np.testing.assert_allclose(basis[:, :f.shape[1]],
+                               skew / np.linalg.norm(skew, axis=0),
+                               rtol=0, atol=1e-12)
 
 
 def _principal_so3_in_so5():

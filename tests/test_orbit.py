@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from normholo.errors import InvalidInput
-from normholo.linalg import DEFAULT_TOLS, sym_eig
+from normholo.linalg import (DEFAULT_TOLS, orthonormal_span,
+                             subspace_distance, sym_eig)
 from normholo.holonomy import analyze
 from normholo.orbit import (ISOTROPY_PROBES, build_orbit, homothecy_test,
                             isotropy_defect, mean_curvature, orbit_dims,
@@ -281,6 +282,17 @@ def test_near_singular_point_splits_carrier(eps):
     frames = np.concatenate([m.tangent_frame, m.normal_frame])
     gram = np.einsum("aij,bij->ab", frames, frames)
     assert np.allclose(gram, np.eye(rep.carrier_dim), atol=1e-10)
+    # the stabilizer is the kernel of the same SVD: it fixes the point
+    # and is the isotropy algebra at that point
+    stab = m.stabilizer
+    assert len(stab) == rep.group_dim - m.dim
+    for x in stab:
+        assert np.linalg.norm(x @ m.point - m.point @ x) <= 1e-12
+    _, iso = rep.isotropy_algebra(m.point)
+    r2 = rep.total_size ** 2
+    assert subspace_distance(
+        orthonormal_span(list(stab), ambient_dim=r2),
+        orthonormal_span(list(iso), ambient_dim=r2)) <= 1e-12
 
 
 def _spec_orbit(rep_spec, point_spec):

@@ -142,6 +142,13 @@ def test_isotropy_dimensions():
     for w in mats:
         assert np.allclose(w @ v - v @ w, 0.0, atol=1e-10)
 
+    # a point under the rank threshold is normalized first, as
+    # build_orbit does, so it keeps the stabilizer of its direction
+    tiny = 1e-12 * np.diag([3.0, -1.0, -1.0, -1.0])
+    assert rep.isotropy_algebra(tiny)[0].dim == 3
+    with pytest.raises(InvalidInput, match="nonzero"):
+        rep.isotropy_algebra(np.zeros((4, 4)))
+
 
 def test_isotropy_frame_action_is_skew():
     rep = SymmetricPairRep.for_size(3)

@@ -5,14 +5,14 @@ import pytest
 
 from normholo.errors import FocalDegeneracy, InvalidInput, NotApplicable
 from normholo.linalg import matrix_exp
-from normholo.orbit import build_orbit
+from normholo.orbit import build_orbit, sphere_normal_shape_operators
 from normholo.report import ScenarioConfig, run_scenario
 from normholo.srep import SymmetricPairRep
 from normholo.transport import (OrbitCurve, exact_transport,
                                 exact_transport_vector)
-from normholo.tubes import (TubePatch, TubeSpectrum, caustic_rank_check,
-                            choose_tube_direction, dupin_check,
-                            normal_exponential_differential,
+from normholo.tubes import (SAFETY_MARGIN, TubePatch, TubeSpectrum,
+                            caustic_rank_check, choose_tube_direction,
+                            dupin_check, normal_exponential_differential,
                             normal_exponential_fd_residual,
                             seeded_tube_direction, spectra_agree,
                             tube_spectrum_direct, tube_spectrum_via_formula)
@@ -46,6 +46,28 @@ def test_direction_requires_homothecy():
                     np.diag([3.0, 1.0, -1.0, -3.0]))
     with pytest.raises(InvalidInput):
         choose_tube_direction(m)
+
+
+def _lstsq_tube_direction(m):
+    # the tube-direction solve by numpy's least squares, as a reference
+    # for the rank_reveal solve: sum_a c_a A~_a = the (2, n-2) target
+    n = m.dim
+    target = np.diag([0.5, 0.5] + [-1.0 / (n - 2)] * (n - 2))
+    ops = sphere_normal_shape_operators(m)
+    ops = ops - (np.trace(ops, axis1=1, axis2=2) / n)[:, None, None] \
+        * np.eye(n)
+    c = np.linalg.lstsq(ops.reshape(len(ops), -1).T, target.ravel(),
+                        rcond=None)[0]
+    xi = np.einsum("k,kij->ij", c, m.nbar_frame)
+    top = np.max(np.abs(np.linalg.eigvalsh(traceless_shape_operator(m, xi))))
+    return (1.0 - SAFETY_MARGIN) / (2.0 * top) * xi
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_direction_solve_matches_least_squares(veronese, n):
+    m = veronese(n)
+    assert np.abs(choose_tube_direction(m)
+                  - _lstsq_tube_direction(m)).max() <= 1e-12
 
 
 def test_seeded_direction_deterministic(v3):
@@ -161,7 +183,6 @@ def test_caustic_kernel(v3, v3_xi, v3_patch):
     assert res.kernel_dim == 2
     assert res.kernel_angle_to_e1 <= 1e-3
     assert res.shift == 2.0                  # 1 above the vertical -1
-    assert res.shifted_spectrum_positive
 
 
 def test_tube_without_fiber(a2_orbit):
