@@ -3,7 +3,7 @@
 Everything here works in coordinates of the orthonormal normal frame at
 the orbit base point.  The curvature tensor is kept as a factor F of
 its Gram form F F^T; the curvature endomorphisms span the columns of F,
-and their bracket closure is the holonomy algebra; verdicts (fixed set,
+and on an s-orbit that span is the holonomy algebra; verdicts (fixed set,
 invariant factors, per-factor transitivity, the factor-count bound, the
 slice distance) are assembled on top.  The symmetric-system check pulls
 F back through six sampled holonomy elements at once and forms the gap
@@ -74,15 +74,16 @@ def adapted_curvature(M: OrbitSubmanifold) -> AdaptedCurvature:
 
 
 def holonomy_algebra(M: OrbitSubmanifold) -> LieAlgebraSpan:
-    """Bracket closure of the curvature endomorphisms on nu_v coords,
-    computed once per orbit (kept in the orbit's cache).
+    """Span of the curvature endomorphisms on nu_v coords, computed once
+    per orbit (kept in the orbit's cache).
 
     The endomorphism of the pair (a, b), t e_ab with its skew (c, d)
     block transposed, spans with the others the columns of the factor.
     Those columns F_i = sigma_i u_i are orthogonal and skew in (a, b),
     so their normalized skew parts are the span's orthonormal basis: the
     rank is the factor's, read at the curvature's own scale sigma, not
-    at sigma^2.
+    at sigma^2.  Where the Nomizu map vanishes the span is the slice
+    image of an ideal of the stabilizer algebra (Kostant): a Lie algebra.
     """
     if "algebra" not in M._cache:
         curv = adapted_curvature(M)
@@ -90,9 +91,8 @@ def holonomy_algebra(M: OrbitSubmanifold) -> LieAlgebraSpan:
         f = curv.factor.T.reshape(-1, k, k)
         f = f - f.transpose(0, 2, 1)
         f /= np.linalg.norm(f, axis=(1, 2), keepdims=True)
-        span = LieAlgebraSpan(acting_dim=k, space=_frozen_subspace(
-            f.reshape(-1, k * k).T, M.tols.rank))
-        M._cache["algebra"] = bracket_closure(span, tol=M.tols.rank)
+        space = _frozen_subspace(f.reshape(-1, k * k).T, M.tols.rank)
+        M._cache["algebra"] = LieAlgebraSpan(acting_dim=k, space=space)
     return M._cache["algebra"]
 
 
@@ -228,10 +228,10 @@ def analyze(M: OrbitSubmanifold, seed: int = 0) -> HolonomyVerdict:
     (slice distance at most SLICE_TOL), as it does on every s-orbit;
     anything else is flagged "violation-candidate" for inspection.
 
-    The curvature closure is the holonomy algebra only where the Nomizu
+    The curvature span is the holonomy algebra only where the Nomizu
     map Lambda(X) (the frame action of the m-generators on the normal
-    frame) vanishes, as it does on every s-orbit; elsewhere this raises
-    NotApplicable.
+    frame) vanishes, as it does on every s-orbit, and a slice distance
+    within SLICE_TOL certifies it; elsewhere this raises NotApplicable.
     """
     key = ("verdict", seed)
     if key in M._cache:
@@ -400,7 +400,6 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
         resid = lam.ravel() - algebra.space.project(lam.ravel())
         worst = max(worst, float(np.linalg.norm(resid) / nrm))
     raw = skew_span(logs, acting_dim=M.codim, tol=M.tols.rank)
-    closed = bracket_closure(raw, tol=M.tols.rank)
-    return LoopProbeResult(span=closed, raw_dim=raw.dim,
+    return LoopProbeResult(span=bracket_closure(raw), raw_dim=raw.dim,
                            logs=logs, containment_residual=worst,
                            loop_radius=loop_radius)

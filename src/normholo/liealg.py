@@ -74,7 +74,7 @@ class LieAlgebraSpan(NamedTuple):
     def restrict(self, space: Subspace) -> "LieAlgebraSpan":
         """Compress the action to an invariant subspace (given by columns)."""
         b = space.basis
-        return skew_span(b.T @ self.basis @ b, acting_dim=space.dim)
+        return skew_span(b.T @ self.basis @ b, space.dim, self.space.tol)
 
 
 def _check_skew(mats, acting_dim=None):
@@ -102,9 +102,9 @@ def skew_span(mats, acting_dim: int | None = None,
     return LieAlgebraSpan(acting_dim=acting_dim, space=space)
 
 
-def bracket_closure(span: LieAlgebraSpan, cap: int | None = None,
-                    tol: float = DEFAULT_TOLS.rank) -> LieAlgebraSpan:
-    """Close a span of skew matrices under the commutator.
+def bracket_closure(span: LieAlgebraSpan,
+                    cap: int | None = None) -> LieAlgebraSpan:
+    """Close a span of skew matrices under the commutator at its tol.
 
     The span's orthonormal basis is kept as the prefix of the result.
     cap bounds the allowed dimension; None means the full skew algebra
@@ -114,7 +114,7 @@ def bracket_closure(span: LieAlgebraSpan, cap: int | None = None,
     if cap is None:
         cap = k * (k - 1) // 2
 
-    space = span.space._replace(tol=tol)
+    space = span.space
     # each round offers only the brackets of the frontier (the columns
     # the previous round added) with the whole span: every pair i < j
     # whose later element is on the frontier, so none is offered twice.
@@ -137,7 +137,7 @@ def bracket_closure(span: LieAlgebraSpan, cap: int | None = None,
     mats = space.basis.T.reshape(-1, k, k)
     skew = 0.5 * (mats - mats.transpose(0, 2, 1))
     return LieAlgebraSpan(acting_dim=k, space=_frozen_subspace(
-        skew.reshape(-1, k * k).T, tol))
+        skew.reshape(-1, k * k).T, span.space.tol))
 
 
 class RepDecomposition(NamedTuple):

@@ -178,6 +178,13 @@ def _partitions(n, largest=None):
             yield (first,) + rest
 
 
+def _slice_image(M):
+    """Span of the stabilizer's frame action on nu_v."""
+    images = frame_action(M.stabilizer, M.normal_frame)
+    return skew_span(0.5 * (images - images.transpose(0, 2, 1)),
+                     acting_dim=M.codim, tol=M.tols.rank)
+
+
 def _assert_slice_representation(M, patterns):
     # the closed form (Heintze-Olmos 1992): on an s-orbit the normal
     # holonomy is the slice representation.  At a point of sl-so:r whose
@@ -193,6 +200,10 @@ def _assert_slice_representation(M, patterns):
     assert v.conjecture_class == ("transitive" if patterns == [(2, 1)]
                                   else "s-orbit-compatible")
     assert v.slice_distance <= SLICE_TOL
+    # the curvature span and the slice image are already Lie algebras:
+    # closing either adds no direction
+    for span in (v.algebra, _slice_image(M)):
+        assert _span_distance(bracket_closure(span), span) <= 1e-12
 
 
 # every multiplicity pattern with k >= 2 distinct eigenvalues, r = 2..8,
@@ -593,3 +604,65 @@ def test_loop_probe_exponential_calls_do_not_grow_with_count(v3, monkeypatch):
         assert len(probe.logs) == count
         counts.append(len(calls))
     assert counts[0] == counts[1] == 3
+
+
+def _curvature_rotated_out_of_slice(M):
+    """The orbit's curvature factor with its first column turned, at its
+    own norm, onto a seeded skew direction orthogonal to the slice
+    image: still orthogonal to the other columns, but no longer in it."""
+    curv = adapted_curvature(M)
+    k = curv.normal_dim
+    y = np.random.default_rng(0).standard_normal((k, k))
+    y = (y - y.T).ravel()
+    y -= _slice_image(M).space.project(y)
+    f = curv.factor.copy()
+    f[:, 0] = np.linalg.norm(f[:, 0]) / np.linalg.norm(y) * y
+    return curv._replace(factor=f)
+
+
+def test_curvature_span_outside_the_slice_image_fails(monkeypatch, capsys):
+    # the verdict does not close its curvature span, so a span that is
+    # not the slice image is caught by the slice distance, not repaired
+    import normholo.holonomy as holonomy
+    from normholo.cli import main
+    from normholo.report import ScenarioConfig, run_scenario
+    monkeypatch.setattr(holonomy, "adapted_curvature",
+                        _curvature_rotated_out_of_slice)
+    report = run_scenario(ScenarioConfig.from_dict({
+        "rep": "sl-so:5", "point": "veronese",
+        "analyses": ["holonomy", "bound"]}))
+    assert report.analyses["holonomy"]["ok"] is False
+    assert report.analyses["bound"]["ok"] is False
+    assert report.analyses["holonomy"]["sliceHolonomyDistance"] > SLICE_TOL
+    rc = main(["analyze", "--rep", "sl-so:5", "--point", "veronese",
+               "--do", "orbit,holonomy,bound"])
+    capsys.readouterr()
+    assert rc == 1
+
+
+@pytest.mark.parametrize("config, closures", [
+    ({"rep": "sl-so:7", "point": "veronese",
+      "analyses": ["orbit", "holonomy", "bound"]}, 0),
+    ({"rep": "product:sl-so:4,sl-so:4", "point": "veronese;veronese",
+      "analyses": ["orbit", "holonomy", "bound"]}, 0),
+    ({"rep": "sl-so:4", "point": "veronese", "analyses": ["tube"],
+      "curve": [[1, 0.3], [4, 0.2]], "seed": 1}, 0),
+    ({"rep": "sl-so:4", "point": "diag:3,1,-1,-3",
+      "analyses": ["coxeter"]}, 0),
+    ({"analyses": ["veronese-facts"], "n": 4}, 0),
+    ({"rep": "sl-so:4", "point": "veronese",
+      "analyses": ["orbit", "holonomy", "bound", "loop-probe"]}, 1),
+], ids=["verdict-veronese", "verdict-product", "tube", "coxeter",
+        "veronese-facts", "loop-probe"])
+def test_only_the_loop_probe_closes(config, closures, monkeypatch):
+    # the curvature span is the verdict's algebra as it stands; the loop
+    # probe's span of loop logs is the one span still bracket-closed
+    import normholo.holonomy as holonomy
+    from normholo.report import ScenarioConfig, run_scenario
+    calls = []
+    real = holonomy.bracket_closure
+    monkeypatch.setattr(holonomy, "bracket_closure",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    report = run_scenario(ScenarioConfig.from_dict(config))
+    assert report.passed, report.body()
+    assert len(calls) == closures

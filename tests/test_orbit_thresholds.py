@@ -10,7 +10,13 @@ import inspect
 import pkgutil
 import re
 
+import numpy as np
+
 import normholo
+from normholo.holonomy import analyze, holonomy_algebra
+from normholo.linalg import DEFAULT_TOLS
+from normholo.orbit import build_orbit
+from normholo.srep import SymmetricPairRep
 
 ORBIT_TYPES = re.compile(r"\b(OrbitSubmanifold|CurvatureNormalSet|"
                          r"TransportResult|TubePatch|OrbitCurve)\b")
@@ -46,3 +52,17 @@ def test_orbit_analyses_take_no_tols():
                 ORBIT_TYPES.search(str(p.annotation)) for p in params):
             offenders.append(name)
     assert not offenders, f"take both an orbit and tols: {offenders}"
+
+
+def test_restricted_factor_spans_keep_the_orbit_rank_threshold():
+    # an algebra restricted to an invariant factor ranks at the
+    # threshold of the orbit it came from, not at the default
+    tols = DEFAULT_TOLS._replace(rank=1e-6)
+    M = build_orbit(SymmetricPairRep.for_size(5),
+                    np.diag([4.0, -1, -1, -1, -1]), tols=tols)
+    verdict = analyze(M)
+    algebra = holonomy_algebra(M)
+    assert algebra.space.tol == 1e-6
+    assert verdict.factors
+    for factor in verdict.factors:
+        assert algebra.restrict(factor.subspace).space.tol == 1e-6

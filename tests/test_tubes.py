@@ -7,7 +7,7 @@ from normholo.errors import FocalDegeneracy, InvalidInput, NotApplicable
 from normholo.linalg import matrix_exp
 from normholo.orbit import build_orbit, sphere_normal_shape_operators
 from normholo.report import ScenarioConfig, run_scenario
-from normholo.srep import SymmetricPairRep
+from normholo.srep import CartanCurvature, SymmetricPairRep
 from normholo.transport import (OrbitCurve, exact_transport,
                                 exact_transport_vector)
 from normholo.tubes import (SAFETY_MARGIN, TubePatch, TubeSpectrum,
@@ -404,8 +404,8 @@ def test_displaced_hat_values_reject_a_point_off_the_carrier(v3_patch):
 
 def test_curved_tube_builds_its_foot_once(build_orbit_calls, monkeypatch):
     # the transport-loops benchmark's curved tube at seed 1: one foot
-    # orbit, one closure, one radial clustering and one foot spectrum,
-    # read by both routes
+    # orbit, one curvature factor and no closure for its algebra, one
+    # radial clustering and one foot spectrum, read by both routes
     import normholo.holonomy as holonomy
     import normholo.tubes as tubes
     calls = []
@@ -419,6 +419,14 @@ def test_curved_tube_builds_its_foot_once(build_orbit_calls, monkeypatch):
         monkeypatch.setattr(module, name, recorded)
 
     record(holonomy, "bracket_closure")
+    record(holonomy, "adapted_curvature")
+    real_commutators = CartanCurvature.commutators
+
+    def commutators(mats):
+        calls.append(("commutators", mats))
+        return real_commutators(mats)
+    monkeypatch.setattr(CartanCurvature, "commutators",
+                        staticmethod(commutators))
     record(tubes, "sym_eig")
     record(tubes, "traceless_spectrum")
     config = ScenarioConfig.from_dict({
@@ -429,7 +437,12 @@ def test_curved_tube_builds_its_foot_once(build_orbit_calls, monkeypatch):
     assert tube["ok"]
     assert len(build_orbit_calls) == 2          # the orbit and the foot
     names = [name for name, _ in calls]
-    assert names.count("bracket_closure") == names.count("sym_eig") == 1
+    assert names.count("bracket_closure") == 0
+    assert names.count("sym_eig") == 1
+    # the foot's curvature factor is formed once, and only the foot's
+    assert names.count("commutators") == 1
+    factored = {id(arg) for name, arg in calls if name == "adapted_curvature"}
+    assert len(factored) == 1
     # the direction's scaling on the orbit, then the foot spectrum once
     spectra_of = [arg for name, arg in calls if name == "traceless_spectrum"]
     assert len(spectra_of) == 2 and spectra_of[0] is not spectra_of[1]
