@@ -135,7 +135,7 @@ class ReflectionGroup(NamedTuple):
     normal_span_coords: np.ndarray   # (r, s) the normals in that basis
     generators: np.ndarray       # (r, s, s)
     elements: tuple              # of (s, s) arrays
-    finite: bool
+    finite: bool                 # always True: reflection_group raises otherwise
     order: int
     closure_defect: float
 

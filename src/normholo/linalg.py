@@ -339,8 +339,11 @@ def orthogonal_log(t: np.ndarray) -> np.ndarray:
     """Principal log of an orthogonal matrix close to the identity, or of
     each matrix of an (L, n, n) stack.
 
-    Series in e = t - id; callers keep ||e|| well below 1, where 24
-    terms are far past machine precision.  Every matrix is checked.
+    Series in e = t - id, 24 terms.  Every matrix is checked to have
+    ||e||_F <= 0.7; then each eigenvalue l of t has |l - 1| <= 0.7/sqrt(2)
+    and the series tail bounds the error by 2.6e-9 in the Frobenius
+    norm.  One plane rotation at that edge (angle 0.5) reads 1.2e-9;
+    the error falls to 1.7e-13 at ||e||_F = 0.5 and to round-off at 0.3.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim not in (2, 3) or t.shape[-2] != t.shape[-1]:

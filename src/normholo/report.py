@@ -29,7 +29,7 @@ from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     isotropy_defect, mean_curvature, orbit_dims)
 from .srep import SymmetricPairRep, random_regular_point
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _TOL_KEYS = {"sym": "sym", "eig": "eig", "rank": "rank",
              "clusterGap": "cluster_gap"}
@@ -444,11 +444,12 @@ def _tube_analysis(M, config) -> dict:
         out["caustic"] = {"kernelDim": ca.kernel_dim,
                           "kernelAngleToE1": ca.kernel_angle_to_e1,
                           "shift": ca.shift}
-    sv = rank_reveal(normal_exponential_differential(M, xi), M.tols.rank)[1]
+    # at the foot, where every other tube quantity is measured
+    sv = rank_reveal(normal_exponential_differential(patch.foot, patch.xi1),
+                     M.tols.rank)[1]
     out["normalExponential"] = {
         "minSingularValue": float(np.min(sv)),
-        "fdResidual": normal_exponential_fd_residual(M, xi,
-                                                     seed=config.seed)}
+        "fdResidual": normal_exponential_fd_residual(M, xi, patch=patch)}
     out["ok"] = bool(gap <= 1e-4
                      and direct.multiplicity_total() == direct.tube_dim)
     return out
@@ -479,8 +480,7 @@ def _coxeter_analysis(M, config) -> dict:
             "positionPairings": list(cn.position_pairings()),
             "pairwiseAnglesDeg": [[float(np.degrees(a)) for a in row]
                                   for row in cn.pairwise_angles()],
-            "group": {"order": grp.order, "finite": grp.finite,
-                      "spanDim": grp.span_dim,
+            "group": {"order": grp.order, "spanDim": grp.span_dim,
                       "closureDefect": grp.closure_defect},
             "singularDrops": drops}
 

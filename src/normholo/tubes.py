@@ -12,18 +12,19 @@ read them, and every traceless shape spectrum (the foot's, the
 displaced feet's, the direction scaling's) comes from orbit's one
 spectrum routine.
 
-Every finite difference here (the patch stencils, the Dupin, caustic
-and normal-exponential checks) reads one chart, the normal exponential
-q(u, w) = g_u (v + xi(u, w)) g_u^T with g_u = exp(sum_i u_i X_i) and xi
-the radial vector carried by exact transport and turned in the fiber.
-_chart evaluates a whole stack of (u, w), one stacked exponential each
-for the arcs, the transports and the fiber rotations.
+Every finite difference here (the patch shape operator, the Dupin,
+caustic and normal-exponential checks) reads one evaluation of one
+chart, the normal exponential q(u, w) = g_u (v + xi(u, w)) g_u^T with
+g_u = exp(sum_i u_i X_i) and xi the radial vector carried by exact
+transport and turned in the fiber.  TubePatch evaluates it once, on the
+central-difference stencil points of every chart axis, with one stacked
+exponential each for the arcs, the transports and the fiber rotations.
 
 Patch evaluation never pushes base-point operators forward: every foot
-is rebuilt (the displaced feet of the Dupin and caustic checks as one
-stack each, by traceless_spectra_at) and every fiber direction is
-re-expressed in the moving frame, so discretization error shows up in
-the comparisons instead of cancelling.
+is rebuilt (the displaced feet of the stencil as one stack, by
+traceless_spectra_at, when a Dupin or caustic check first reads them)
+and every fiber direction is re-expressed in the moving frame, so
+discretization error shows up in the comparisons instead of cancelling.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ TUBE_CLUSTER_GAP = 1e-3
 
 PATCH_EXTENT = 0.02       # half-width of the tube chart's stencils
 SAFETY_MARGIN = 0.2
-DUPIN_STEP = 5e-3         # central-difference step of dupin_check
-FD_PROBES = 3             # tangent directions of the normal-exp FD check
-FD_DELTA = 1e-4           # its central-difference step
 
 # 6th-order and 4th-order central first-derivative weights
 _W7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -153,45 +151,6 @@ def _hat_clusters(lams, where: str) -> list:
     return out
 
 
-def _chart(orbit: OrbitSubmanifold, coords: np.ndarray, us: np.ndarray,
-           fiber: np.ndarray | None = None):
-    """Stacks (q, p, radial) of q = p + radial, p = g v g^T, for an
-    (N, n) stack us of foot coordinates: g = exp(sum_i u_i X_i) over the
-    m-generators, and radial = g xi g^T where xi has frame coefficients
-    exp(fiber) exp(-B_X) coords (no rotation when fiber is None).
-    """
-    x = np.einsum("ni,ijk->njk", us, orbit.m_generators)
-    g = matrix_exp(x)
-    c = matrix_exp(-frame_action(x, orbit.normal_frame)) @ coords
-    if fiber is not None:
-        c = np.einsum("nkl,nl->nk", matrix_exp(fiber), c)
-    gt = np.swapaxes(g, 1, 2)
-    p = g @ orbit.point @ gt
-    radial = g @ np.einsum("nk,kij->nij", c, orbit.normal_frame) @ gt
-    return p + radial, p, radial
-
-
-def _stencil_jacobian(fn, n: int, n_axes: int, extent: float) -> np.ndarray:
-    """Central-difference Jacobian of fn at the chart origin.
-
-    The n foot axes take the 7-point stencil, the fiber axes the
-    5-point one, each over [-extent, extent].  fn maps an (N, n_axes)
-    stack of chart parameters to one row per point; it is called once,
-    on the stencil points of every axis.
-    """
-    points, coef = [], []
-    for axis in range(n_axes):
-        weights = _W7 if axis < n else _W5
-        half = len(weights) // 2
-        h = extent / half
-        for k in np.flatnonzero(weights):
-            points.append(np.zeros(n_axes))
-            points[-1][axis] = (k - half) * h
-            coef.append(np.zeros(n_axes))
-            coef[-1][axis] = weights[k] / h
-    return fn(np.array(points)).T @ np.array(coef)
-
-
 class TubePatch:
     """A holonomy tube at one point: its foot and its local chart.
 
@@ -253,28 +212,57 @@ class TubePatch:
 
     def evaluate(self, params: np.ndarray):
         """Tube points for an (N, n_axes) stack of chart parameters, foot
-        coordinates first, then fiber coordinates.
+        coordinates u first, then fiber coordinates w.
 
-        Returns the stacks (q, foot_point, radial) of carrier matrices.
+        Returns the stacks (q, p, radial) of carrier matrices, q = p +
+        radial: p = g v g^T with g = exp(sum_i u_i X_i) over the foot's
+        m-generators, and radial = g xi g^T where xi has frame
+        coefficients exp(sum_j w_j F_j) exp(-B_X) xi1_coords over the
+        fiber directions F_j.
         """
         params = np.asarray(params, dtype=np.float64)
         if params.ndim != 2 or params.shape[1] != self.n_axes:
             raise InvalidInput("chart parameters must be an (N, n_axes) stack")
-        fiber = np.einsum("nj,jkl->nkl", params[:, self.n:],
-                          self.fiber_dirs) if self.m3 else None
-        return _chart(self.foot, self.xi1_coords, params[:, :self.n], fiber)
+        foot = self.foot
+        x = np.einsum("ni,ijk->njk", params[:, :self.n], foot.m_generators)
+        g = matrix_exp(x)
+        c = matrix_exp(-frame_action(x, foot.normal_frame)) @ self.xi1_coords
+        if self.m3:
+            fiber = np.einsum("nj,jkl->nkl", params[:, self.n:],
+                              self.fiber_dirs)
+            c = np.einsum("nkl,nl->nk", matrix_exp(fiber), c)
+        gt = np.swapaxes(g, 1, 2)
+        p = g @ foot.point @ gt
+        radial = g @ np.einsum("nk,kij->nij", c, foot.normal_frame) @ gt
+        return p + radial, p, radial
+
+    @cached_property
+    def _stencil(self):
+        """(coef, q, p, radial): the chart evaluated once on the
+        central-difference stencil points of every axis, and the weights
+        with which values.T @ coef is the Jacobian at the chart origin
+        of any per-point quantity.  The n foot axes take the 7-point
+        stencil, the fiber axes the 5-point one, each over
+        [-PATCH_EXTENT, PATCH_EXTENT]."""
+        points, coef = [], []
+        for axis in range(self.n_axes):
+            weights = _W7 if axis < self.n else _W5
+            half = len(weights) // 2
+            h = PATCH_EXTENT / half
+            for k in np.flatnonzero(weights):
+                points.append(np.zeros(self.n_axes))
+                points[-1][axis] = (k - half) * h
+                coef.append(np.zeros(self.n_axes))
+                coef[-1][axis] = weights[k] / h
+        return (np.array(coef), *self.evaluate(np.array(points)))
 
     @cached_property
     def _axis_stencils(self):
         """First derivatives of q and of the radial field along each axis."""
+        coef, q, _, radial = self._stencil
         rep = self.foot.rep
-
-        def q_and_radial(params):
-            q, _, radial = self.evaluate(params)
-            return np.concatenate([rep.coords(q), rep.coords(radial)], axis=1)
-
-        both = _stencil_jacobian(q_and_radial, self.n, self.n_axes,
-                                 PATCH_EXTENT)
+        both = np.concatenate([rep.coords(q), rep.coords(radial)],
+                              axis=1).T @ coef
         d = rep.carrier_dim
         return both[:d], both[d:]
 
@@ -346,6 +334,12 @@ class TubePatch:
                              "displaced foot")
         return np.array([(h[0][0], h[min(1, len(h) - 1)][0]) for h in hats])
 
+    @cached_property
+    def _stencil_hats(self) -> np.ndarray:
+        """(hat1, hat2) at the displaced foot of every stencil point."""
+        _, _, p, radial = self._stencil
+        return self._hat_values(p, radial)
+
 
 def tube_spectrum_via_formula(M: OrbitSubmanifold, xi: np.ndarray,
                               curve: OrbitCurve | None = None
@@ -381,34 +375,29 @@ class DupinResult(NamedTuple):
     max_hat1_derivative: float
     max_hat2_derivative: float
     directions_tested: int
-    step: float
 
 
 def dupin_check(M: OrbitSubmanifold, xi: np.ndarray,
                 patch: TubePatch | None = None) -> DupinResult:
     """Constancy of hat1 (and hat2) along the top eigendistribution.
 
-    Central differences of the hat-eigenvalues along each E1 frame
-    direction on the tube patch (by default the patch at xi on M);
-    requires multiplicity >= 2.
+    The stencil Jacobian of the hat-eigenvalues at the displaced feet
+    of the tube patch (by default the patch at xi on M), applied to the
+    chart velocity of each E1 frame direction; requires multiplicity
+    >= 2.
     """
     if patch is None:
         patch = TubePatch(M, xi)
     if patch.spectrum.lambda_hats[0][1] < 2:
         raise NotApplicable("top hat-eigenvalue is simple; no integral "
                             "manifold to test along")
-    jc = patch.shape_operator[1]
-    # one chart velocity per row
-    vels = (np.linalg.inv(jc) @ patch.eigendistribution).T
-    nrms = np.linalg.norm(vels @ jc.T, axis=1)
-    _, p, radial = patch.evaluate(DUPIN_STEP * np.concatenate([vels, -vels]))
-    hats = patch._hat_values(p, radial)
-    k = len(vels)
-    slopes = np.abs(hats[:k] - hats[k:]) / (2.0 * DUPIN_STEP * nrms[:, None])
-    worst1, worst2 = np.max(slopes, axis=0)
+    # one chart velocity per column; jc takes each to its unit E1 vector
+    vels = np.linalg.inv(patch.shape_operator[1]) @ patch.eigendistribution
+    slopes = np.abs(patch._stencil_hats.T @ patch._stencil[0] @ vels)
+    worst1, worst2 = np.max(slopes, axis=1)
     return DupinResult(max_hat1_derivative=float(worst1),
                        max_hat2_derivative=float(worst2),
-                       directions_tested=k, step=DUPIN_STEP)
+                       directions_tested=vels.shape[1])
 
 
 class CausticResult(NamedTuple):
@@ -426,9 +415,10 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
     The shift c replaces the radial normal by radial - c q (q is also
     normal; its shape operator is -Id), moving every hat-eigenvalue up
     by c = max(0, -min hat) + 1, so each shifted one is at least 1 and
-    hat1 + c never vanishes.  The differential is taken by stencils over
-    the patch (by default the patch at xi on M); the kernel must be the
-    top eigendistribution.
+    hat1 + c never vanishes.  The differential is taken by the stencil
+    of the patch (by default the patch at xi on M), from its chart
+    values and displaced-foot hat values; the kernel must be the top
+    eigendistribution.
     """
     if patch is None:
         patch = TubePatch(M, xi)
@@ -437,15 +427,11 @@ def caustic_rank_check(M: OrbitSubmanifold, xi: np.ndarray,
         # the vertical eigenvalue is -1 exactly; the patch only measures it
         hats.append(-1.0)
     shift = max(0.0, -min(hats)) + 1.0
-    rep = patch.foot.rep
-
-    def rho(params):
-        q, p, radial = patch.evaluate(params)
-        hat1 = patch._hat_values(p, radial)[:, 0]
-        zeta = radial - shift * q
-        return rep.coords(q + (1.0 / (hat1 + shift))[:, None, None] * zeta)
-
-    jac = _stencil_jacobian(rho, patch.n, patch.n_axes, PATCH_EXTENT)
+    coef, q, _, radial = patch._stencil
+    hat1 = patch._stencil_hats[:, 0]
+    zeta = radial - shift * q
+    jac = patch.foot.rep.coords(
+        q + (1.0 / (hat1 + shift))[:, None, None] * zeta).T @ coef
 
     # kernel in chart parameters, then into the tube tangent frame
     tols = patch.foot.tols
@@ -469,20 +455,20 @@ def normal_exponential_differential(M: OrbitSubmanifold,
     return np.eye(M.dim) - shape_operator(M, eta)
 
 
-def normal_exponential_fd_residual(M: OrbitSubmanifold, eta: np.ndarray,
-                                   seed: int = 0) -> float:
-    """Cross-validate I - A_eta against finite differences.
+def normal_exponential_fd_residual(M: OrbitSubmanifold, xi: np.ndarray,
+                                   patch: TubePatch | None = None) -> float:
+    """Cross-validate I - A_xi1 against finite differences at the foot.
 
-    Moves the base point along seeded tangent directions, carries eta as
-    a parallel normal field, and differentiates p + eta(p); the result
-    must match (I - A_eta) applied to the direction.
+    The chart of the tube patch (by default the patch at xi on M) moves
+    its foot along the tangent frame and carries xi1 as a parallel
+    normal field, so the foot-axis columns of its stencil Jacobian of q
+    must be (I - A_xi1) applied to the tangent frame; returns the
+    largest column residual.
     """
-    expected = normal_exponential_differential(M, eta)
-    coords = M.normal_coords(M.normal_stack(eta)[0])
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((FD_PROBES, M.dim))
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    q, _, _ = _chart(M, coords, FD_DELTA * np.concatenate([c, -c]))
-    fd = (q[:FD_PROBES] - q[FD_PROBES:]) / (2.0 * FD_DELTA)
-    predicted = np.einsum("pi,ijk->pjk", c @ expected.T, M.tangent_frame)
-    return float(np.max(np.linalg.norm(fd - predicted, axis=(1, 2))))
+    if patch is None:
+        patch = TubePatch(M, xi)
+    foot = patch.foot
+    expected = normal_exponential_differential(foot, patch.xi1)
+    predicted = expected.T @ foot.rep.coords(foot.tangent_frame)
+    fd = patch._axis_stencils[0][:, :patch.n].T
+    return float(np.max(np.linalg.norm(fd - predicted, axis=1)))

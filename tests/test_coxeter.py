@@ -169,6 +169,39 @@ def test_normals_not_a_root_system_rejected(a2_normals):
         reflection_group(fake)
 
 
+@pytest.mark.parametrize("rep_spec, point_spec", [
+    ("sl-so:3", "diag:1,0,-1"),
+    ("sl-so:4", "random-regular:0"),
+    ("sl-so:5", "random-regular:1"),
+    ("sl-so:6", "random-regular:2"),
+    ("product:sl-so:3,sl-so:3", "random-regular:1;random-regular:2"),
+])
+def test_curvature_normals_are_the_scaled_roots(rep_spec, point_spec):
+    # at a regular diagonal point v of unit norm the curvature normals are
+    # -(e_i - e_j)/(v_i - v_j) over the pairs i < j inside one block (the
+    # roots of each A_{r-1} scaled by <alpha, v>), each of multiplicity 1
+    rep = report.parse_rep_spec(rep_spec)
+    M = build_orbit(rep, report.parse_point_spec(rep, point_spec))
+    v = np.diag(M.point)
+    assert np.array_equal(M.point, np.diag(v))
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+    want = []
+    for sl in rep.block_slices:
+        for i in range(sl.start, sl.stop):
+            for j in range(i + 1, sl.stop):
+                root = np.zeros(len(v))
+                root[i], root[j] = 1.0, -1.0
+                want.append(-np.diag(root) / (v[i] - v[j]))
+    want = np.array(want)
+    cn = curvature_normals(M)
+    assert cn.multiplicities == (1,) * len(want)
+    rel = (np.linalg.norm(cn.normals[:, None] - want[None], axis=(2, 3))
+           / np.linalg.norm(want, axis=(1, 2)))
+    nearest = np.argmin(rel, axis=1)
+    assert sorted(nearest.tolist()) == list(range(len(want)))
+    assert np.max(rel[np.arange(len(want)), nearest]) <= 1e-12
+
+
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_coxeter_report_body(r):
     config = ScenarioConfig.from_dict({
@@ -186,8 +219,7 @@ def test_coxeter_report_body(r):
     # A_{r-1} roots meet at 60, 90 or 120 degrees
     assert np.min(np.abs(off[:, None] - [60.0, 90.0, 120.0]), axis=1).max() \
         < 1e-6
-    assert body["group"] == {"order": math.factorial(r), "finite": True,
-                             "spanDim": r - 1,
+    assert body["group"] == {"order": math.factorial(r), "spanDim": r - 1,
                              "closureDefect": body["group"]["closureDefect"]}
     assert body["group"]["closureDefect"] < 1e-10
     assert [d["orbitDim"] for d in body["singularDrops"]] \

@@ -230,6 +230,25 @@ def test_matrix_exp_rejects_non_square_shapes(shape):
         matrix_exp(np.zeros(shape))
 
 
+@pytest.mark.parametrize("dist, bound", [(0.7, 2.6e-9), (0.5, 2e-13),
+                                         (0.3, 1e-15)])
+def test_orthogonal_log_error_over_the_admitted_range(dist, bound):
+    # plane rotations with ||t - I||_F just inside dist; 0.7 is the
+    # guard's edge, where the 24-term series leaves a tail of about 1e-9
+    rng = np.random.default_rng(7)
+    angle = 2.0 * np.arcsin((1.0 - 1e-12) * dist / (2.0 * np.sqrt(2.0)))
+    x = np.zeros((2, 2))
+    x[1, 0], x[0, 1] = angle, -angle
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    x = q[:, :2] @ x @ q[:, :2].T          # the plane inside R^4
+    t = matrix_exp(x)
+    assert np.linalg.norm(t - np.eye(4)) <= dist
+    err = np.linalg.norm(orthogonal_log(t) - x)
+    assert err <= bound
+    if dist == 0.7:
+        assert err >= 1e-10
+
+
 def test_orthogonal_log_rejects_far_matrix():
     with pytest.raises(InvalidInput):
         orthogonal_log(-np.eye(3))

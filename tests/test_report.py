@@ -418,4 +418,5 @@ def test_analysis_reads_what_its_record_declares(name):
     reads = {_READ_AS.get(attr, attr) for attr in config_reads.names}
     if orbit_reads.names:
         reads |= {"rep", "point", "tolerances"}
-    assert reads == ANALYSES[name].reads | {"seed", "tolerances"}
+    # seed is parsed on every route; an analysis may leave it unread
+    assert reads - {"seed"} == ANALYSES[name].reads | {"tolerances"}

@@ -322,12 +322,14 @@ def test_chart_matches_per_point_construction(which, v3, v3_xi, v3_patch):
         patch.xi1_coords))
 
 
-def test_chart_matches_curve_endpoint_and_transport(v3, v3_xi):
-    from normholo.tubes import _chart
+def test_chart_matches_curve_endpoint_and_transport(v3, v3_xi, v3_patch):
+    # foot coordinates only: the fiber coordinates of the chart are 0
+    _, patch = v3_patch
     c = np.array([[0.6, -0.3, 0.2], [0.0, 1.0, -0.5]])
     delta = 1e-3
-    q, _, _ = _chart(v3, v3.normal_coords(v3_xi),
-                     delta * np.concatenate([c, -c]))
+    params = np.zeros((4, patch.n_axes))
+    params[:, :patch.n] = delta * np.concatenate([c, -c])
+    q, _, _ = patch.evaluate(params)
     for i, coeffs in enumerate(np.concatenate([c, -c])):
         seg = OrbitCurve.from_tangent_coords(v3, [(coeffs, delta)])
         want = seg.endpoint() + exact_transport_vector(seg, v3_xi)
@@ -345,6 +347,42 @@ def test_patch_stencils_take_three_exponential_calls(v3, v3_xi,
                         lambda x: calls.append(x.shape) or real(x))
     patch._axis_stencils               # computed when first read
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("raw, checks, exps, rebuilds", [
+    # the transport-loops benchmark's curved tube at seed 1: canonical
+    # direction, Dupin and caustic; two exponentials are the transport's
+    ({"rep": "sl-so:4", "point": "veronese", "seed": 1,
+      "curve": [[1, 0.31948674738744653], [4, 0.18051325261255347]]},
+     {"dupin", "caustic", "normalExponential"}, 5, 1),
+    # a sweep-small seeded tube: no Dupin or caustic, no displaced feet
+    ({"rep": "sl-so:4", "point": "veronese", "seed": 1,
+      "direction": "seed:1"}, {"normalExponential"}, 3, 0),
+])
+def test_tube_checks_read_one_chart_evaluation(raw, checks, exps, rebuilds,
+                                               monkeypatch):
+    import normholo.linalg as linalg
+    import normholo.tubes as tubes
+    calls = []
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(TubePatch, "evaluate")
+    record(linalg, "_expm_core")
+    record(tubes, "traceless_spectra_at")
+    config = ScenarioConfig.from_dict({**raw, "analyses": ["tube"]})
+    tube = run_scenario(config).analyses["tube"]
+    assert tube["ok"] and checks <= set(tube)
+    assert tube["normalExponential"]["fdResidual"] <= 1e-12
+    assert calls.count("evaluate") == 1
+    assert calls.count("_expm_core") == exps
+    assert calls.count("traceless_spectra_at") == rebuilds
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 4), (2, 6), (1, 1, 5)])
