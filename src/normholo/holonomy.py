@@ -25,8 +25,8 @@ from .errors import InvalidInput, NotApplicable
 from .liealg import (LieAlgebraSpan, RepDecomposition, TransitivityResult,
                      bracket_closure, invariant_decomposition,
                      is_transitive_on_sphere, skew_span)
-from .linalg import (Subspace, _frozen_subspace, matrix_exp, orthogonal_log,
-                     rank_reveal, subspace_distance)
+from .linalg import (Subspace, _frozen_subspace, _row_norms, matrix_exp,
+                     orthogonal_log, rank_reveal, subspace_distance)
 from .orbit import (OrbitSubmanifold, homothecy_test, shape_operators,
                     sphere_normal_shape_operators)
 from .srep import CartanCurvature, frame_action
@@ -364,41 +364,42 @@ def loop_holonomy_probe(M: OrbitSubmanifold, loop_radius: float = 0.05,
     distance of a nonzero log from the curvature algebra (a zero log, as
     on a flat normal bundle, lies in any algebra); for the orbits in
     scope the closed span reproduces that algebra.  Raises InvalidInput
-    when count < 1, and NotApplicable when dim M < 2, where no loop spans
-    a square.
+    unless count is an integer >= 1, and NotApplicable when dim M < 2,
+    where no loop spans a square.
     """
-    if count < 1:
-        raise InvalidInput(f"loop count must be at least 1, got {count}")
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 1):
+        raise InvalidInput(
+            f"loop count must be an integer >= 1, got {count!r}")
     if M.dim < 2:
         raise NotApplicable("loops need an orbit of dimension >= 2")
     # transport is imported here: the other analyses never load it
     from .transport import square_loop_returns
     if algebra is None:
         algebra = holonomy_algebra(M)
-    # every (c1, c2) pair is drawn first, in the order and with the
-    # rejections of one loop at a time; then all loops close as one stack
+    # the pairs still missing come from one draw (the stream of one loop
+    # at a time) until count are kept or 4 count + 8 drawn; a c2 within
+    # 1e-8 of the line of c1 drops its pair.  All loops close as one stack
     rng = np.random.default_rng(seed)
-    pairs = []
-    attempts = 0
-    while len(pairs) < count and attempts < 4 * count + 8:
-        attempts += 1
-        c1 = rng.standard_normal(M.dim)
-        c1 /= np.linalg.norm(c1)
-        c2 = rng.standard_normal(M.dim)
-        c2 -= (c2 @ c1) * c1
-        nrm = np.linalg.norm(c2)
-        if nrm < 1e-8:
-            continue
-        pairs.append((c1, c2 / nrm))
-    xs, ys = np.einsum("lci,ijk->cljk", np.array(pairs), M.m_generators)
+    pairs, drawn = np.zeros((0, 2, M.dim)), 0
+    while len(pairs) < count and drawn < 4 * count + 8:
+        c = rng.standard_normal((min(count - len(pairs),
+                                     4 * count + 8 - drawn), 2, M.dim))
+        drawn += len(c)
+        c1 = c[:, 0] / _row_norms(c[:, 0])[:, None]
+        c2 = c[:, 1] - (c[:, 1, None] @ c1[:, :, None])[:, 0] * c1
+        nrm = _row_norms(c2)
+        keep = nrm >= 1e-8
+        c2 = c2 / np.where(keep, nrm, 1.0)[:, None]
+        pairs = np.concatenate([pairs, np.stack([c1, c2], 1)[keep]])
+    xs, ys = np.einsum("lci,ijk->cljk", pairs, M.m_generators)
     logs = orthogonal_log(square_loop_returns(M, xs, ys, loop_radius))
-    worst = 0.0
-    for lam in logs:
-        nrm = np.linalg.norm(lam)
-        if nrm < 1e-12:
-            continue
-        resid = lam.ravel() - algebra.space.project(lam.ravel())
-        worst = max(worst, float(np.linalg.norm(resid) / nrm))
+    flat = logs.reshape(len(logs), M.codim ** 2, 1)
+    resid = (flat - algebra.space.project(flat))[:, :, 0]
+    nrm = _row_norms(flat[:, :, 0])
+    kept = nrm >= 1e-12
+    worst = float(np.max(_row_norms(resid) / np.where(kept, nrm, 1.0),
+                         where=kept, initial=0.0))
     raw = skew_span(logs, acting_dim=M.codim, tol=M.tols.rank)
     return LoopProbeResult(span=bracket_closure(raw), raw_dim=raw.dim,
                            logs=logs, containment_residual=worst,

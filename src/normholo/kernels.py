@@ -9,6 +9,9 @@ vector stacks a block of steps at a time.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
 __all__ = [
@@ -51,41 +54,52 @@ def jacobi_eigh(a):
 # ---------------------------------------------------------------------------
 # matrix exponential: Taylor with scaling and squaring
 #
-# The argument is scaled under Frobenius norm 1/2, an order-18 Horner
-# evaluation leaves a remainder around 1e-23, then the result is squared
-# back.  exp(0) is exactly the identity.  The identity is built once and
-# added in place after each Horner product, which gives the same bits as
-# a fresh identity per term.  A stack of two or more runs its Taylor
-# sums as batched products, with each matrix scaled by its own power of
-# two and squared back only as often as that scaling needs, so every
-# slice has the bits of the 2-D call on that matrix.  A stack of one
-# takes the 2-D path, whose plain products cost less than batched ones.
+# The argument is scaled under Frobenius norm 1/2, summed by Horner's
+# rule and squared back.  The order is the smallest m <= 18 whose first
+# dropped term theta^(m+1)/(m+1)!, relative to the scaled norm theta, is
+# at most the 0.5^18/19! order 18 leaves at theta = 1/2 (Moler & Van
+# Loan, SIAM Rev. 2003): order 6 for a half step of norm 5e-4.  Taken
+# relative to theta, the dropped terms stay far below the last bit of
+# the small entries, so the result keeps the order-18 bits.  exp(0) is
+# exactly the identity, which is added in place after each product (the
+# bits of a fresh identity per term).  A stack sums at the order of its
+# largest scaled norm, each matrix scaled by its own power of two and
+# squared back as often as that needs, so every slice has the bits of
+# the 2-D call on it; a stack of one takes the cheaper 2-D path.
+
+# _EXPM_REACH[m - 1]: the largest scaled norm that order m serves
+# (plain floats: a numpy table at import costs about 0.2 MB of RSS)
+_EXPM_REACH = [(math.factorial(m + 1) * _EXPM_THETA ** _EXPM_ORDER
+                / math.factorial(_EXPM_ORDER + 1)) ** (1.0 / m)
+               for m in range(1, _EXPM_ORDER + 1)]
 
 
 def _squarings(nrm):
-    """Squarings that bring a Frobenius norm nrm down to _EXPM_THETA."""
-    if nrm > _EXPM_THETA:
-        return int(np.ceil(np.log2(nrm / _EXPM_THETA)))
-    return 0
+    """Squarings that bring Frobenius norms nrm down to _EXPM_THETA."""
+    return np.ceil(np.log2(np.maximum(nrm, _EXPM_THETA)
+                           / _EXPM_THETA)).astype(int)
 
 
-def _taylor(y, eye):
+def _taylor_order(theta):
+    """Taylor order for a scaled Frobenius norm theta <= _EXPM_THETA."""
+    return min(_EXPM_ORDER, 1 + bisect.bisect_left(_EXPM_REACH, theta))
+
+
+def _taylor(y, eye, order):
     p = eye
-    for k in range(_EXPM_ORDER, 0, -1):
+    for k in range(order, 0, -1):
         p = (y / k) @ p
         p += eye
     return p
 
 
-def _square(p, s):
+def _expm_one(x, eye):
+    nrm = np.sqrt(np.sum(x * x))
+    s = int(_squarings(nrm))
+    p = _taylor(x / 2.0 ** s if s else x, eye, _taylor_order(nrm / 2.0 ** s))
     for _ in range(s):
         p = p @ p
     return p
-
-
-def _expm_one(x, eye):
-    s = _squarings(np.sqrt(np.sum(x * x)))
-    return _square(_taylor(x / 2.0 ** s if s else x, eye), s)
 
 
 def matrix_exp(x):
@@ -98,12 +112,14 @@ def matrix_exp(x):
         return _expm_one(x, eye)
     if len(x) == 1:
         return _expm_one(x[0], eye)[None]
-    s = [_squarings(v)
-         for v in np.sqrt(np.sum((x * x).reshape(len(x), n * n), axis=1))]
-    p = _taylor(x / np.array([2.0 ** k for k in s])[:, None, None], eye)
-    for j, k in enumerate(s):
-        if k:
-            p[j] = _square(p[j], k)
+    nrm = np.sqrt(np.sum((x * x).reshape(len(x), n * n), axis=1))
+    s = _squarings(nrm)
+    scale = 2.0 ** s
+    p = _taylor(x / scale[:, None, None], eye,
+                _taylor_order(np.max(nrm / scale, initial=0.0)))
+    for k in range(1, s.max(initial=0) + 1):
+        sq = s >= k
+        p[sq] = p[sq] @ p[sq]
     return p
 
 
@@ -130,18 +146,18 @@ def matrix_exp(x):
 # coefficients a of xi = sum_k a_k g f_k g^T every step is one fixed
 # K x K map a' = S a.  S is formed once per segment by stepping each
 # base frame element at g = I.  Renormalizing is a scalar per vector
-# and commutes with S, so the steps are evaluated in blocks of up to
-# BLOCK: with a renormalized at the block start, the iterates inside the
-# block are a S^i, formed in one batched product with the powers of S,
-# and g advances by powers of E = e_half^2.  The pre-renormalization
-# norm of step i is |(a S^(i-1)) S| / |a S^(i-1)| times the target: the
-# one-step growth of a known vector, so the drift carries one-step
-# round-off, not the i-fold round-off of a power.  Vectors are formed
-# as matrices only at samples and at the end, renormalized there to the
-# target norm, so the round-off of g never reaches the frame
-# coefficients.
+# and commutes with S, so it runs only at block starts, a short chain
+# (a S^(BLOCK-1) S and g E^BLOCK, E = e_half^2); the iterates a S^i of
+# all blocks are batched products with the powers of S, at most
+# _STACK_STEPS steps at a time.  The pre-renormalization norm of step i
+# is |(a S^(i-1)) S| / |a S^(i-1)| times the target, so the drift
+# carries one-step round-off, not the i-fold round-off of a power.
+# Vectors are formed as matrices only at the samples (the end is the
+# last), in one stacked conjugation by g, renormalized there, so the
+# round-off of g never reaches the frame coefficients.
 
 BLOCK = 64
+_STACK_STEPS = 4096
 
 
 def _conjugate(g, frames):
@@ -185,6 +201,8 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
     base point; the moving frame is its conjugate by g(t).
     xis: (M, R, R) vectors to transport, lying in the start fiber.
     targets: (M,) norms to renormalize to after each step (<= 0 skips).
+    The samples are the start state, the state after every
+    sample_stride-th step (if > 0) and the end state.
 
     Returns (xi_end, g_end, drift, min_ratio, samples, g_samples, n_samp).
     """
@@ -194,11 +212,10 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
     e_half = _as_f64(e_half)
     targets = _as_f64(targets)
     nsteps = int(nsteps)
-    r = base_frames.shape[1]
-    mdim = xis.shape[0]
-    cap = nsteps // sample_stride + 2 if sample_stride > 0 else 1
-    samples = np.zeros((cap, mdim, r, r))
-    g_samples = np.zeros((cap, r, r))
+    mdim, kdim = len(xis), len(base_frames)
+    if nsteps <= 0:
+        return (xis.copy(), g, np.zeros(mdim), np.ones(mdim), xis[None],
+                g[None], 1)
 
     # renormalizing factor per vector: 1 where the target is <= 0 (skip)
     # or the norm is 0
@@ -208,54 +225,51 @@ def transport_segment(base_frames, xis, g0, e_half, nsteps, targets,
     def rescale(nrm):
         return t_row / np.where(live & (nrm > 0.0), nrm, t_row)
 
-    def vectors(a, g):
-        xi = np.einsum("mk,kij->mij", a, _conjugate(g, base_frames))
-        nrm = np.sqrt(np.einsum("mij,mij->m", xi, xi))
-        return xi * rescale(nrm)[:, None, None]
-
     step_t = _step_matrix(base_frames, e_half).T
     span = min(BLOCK, nsteps)
-    s_pows = _powers(step_t, max(span - 1, 0))     # S^0 .. S^(span-1)
+    s_pows = _powers(step_t, span - 1)             # S^0 .. S^(span-1)
     e_pows = _powers(e_half @ e_half, span)        # E^0 .. E^span
 
+    full, tail = divmod(nsteps, BLOCK)
+    nblocks = full + (tail > 0)
+    starts = np.empty((nblocks, mdim, kdim))
+    g_starts = np.empty((nblocks,) + g.shape)
     a = np.einsum("kij,mij->mk", _conjugate(g, base_frames), xis)
-    drift = np.zeros(mdim)
-    low = np.full(mdim, np.inf)
-
-    n_samp = 0
-    if sample_stride > 0:
-        samples[0] = xis
-        g_samples[0] = g
-        n_samp = 1
-
-    for done in range(0, nsteps, BLOCK):
-        m = min(BLOCK, nsteps - done)
+    for b in range(nblocks):
+        if b:       # the block before is a full one
+            a = a @ s_pows[BLOCK - 1] @ step_t
+            g = g @ e_pows[BLOCK]
         a = a * rescale(np.sqrt(np.einsum("mk,mk->m", a, a)))[:, None]
-        # row i: the iterate after i steps, and after one more
-        before = a @ s_pows[:m]
+        starts[b], g_starts[b] = a, g
+
+    # the sample steps, the end last: block of each and row in the block
+    every = sample_stride if sample_stride > 0 else nsteps
+    blk, row = np.divmod(np.array([*range(every, nsteps, every), nsteps])
+                         - 1, BLOCK)
+    coeffs = np.empty((len(blk), mdim, kdim))
+    low, sums = np.full(mdim, np.inf), []
+    edges = [*range(0, full, _STACK_STEPS // BLOCK), full]
+    edges += [nblocks] * (tail > 0)
+    for lo, hi in zip(edges, edges[1:]):
+        # [b, i]: the iterate after i and after i + 1 steps of block lo + b
+        before = starts[lo:hi, None] @ s_pows[:BLOCK if lo < full else tail]
         after = before @ step_t
-        n_before = np.sqrt(np.einsum("imk,imk->im", before, before))
-        n_after = np.sqrt(np.einsum("imk,imk->im", after, after))
+        n_before = np.sqrt(np.einsum("bimk,bimk->bim", before, before))
+        n_after = np.sqrt(np.einsum("bimk,bimk->bim", after, after))
         nrm = t_row * n_after / np.where(n_before > 0.0, n_before, 1.0)
-        low = np.minimum(low, np.min(nrm, axis=0))
-        drift += np.sum(np.abs(nrm - t_row), axis=0)
+        low = np.minimum(low, np.min(nrm, axis=(0, 1)))
+        sums.append(np.sum(np.abs(nrm - t_row), axis=1))
+        at = slice(*np.searchsorted(blk, (lo, hi)))
+        coeffs[at] = after[blk[at] - lo, row[at]]
+    # block after block, in order (a cumsum, not numpy's pairwise sum)
+    drift = np.cumsum(np.concatenate(sums), axis=0)[-1]
 
-        if sample_stride > 0:
-            # steps done + j of this block that close a stride, and the
-            # last step of the segment
-            js = list(range(sample_stride - done % sample_stride, m + 1,
-                            sample_stride))
-            if done + m == nsteps and m not in js:
-                js.append(m)
-            for j in js:
-                g_samples[n_samp] = g @ e_pows[j]
-                samples[n_samp] = vectors(after[j - 1], g_samples[n_samp])
-                n_samp += 1
-
-        a = after[m - 1]
-        g = g @ e_pows[m]
-
-    drift = np.where(live, drift, 0.0)
-    min_ratio = np.where(live, np.minimum(1.0, low / t_row), 1.0)
-    xi = vectors(a, g) if nsteps > 0 else xis.copy()
-    return xi, g, drift, min_ratio, samples, g_samples, n_samp
+    gs = g_starts[blk] @ e_pows[row + 1]
+    frames = gs[:, None] @ base_frames @ np.swapaxes(gs, 1, 2)[:, None]
+    vecs = np.einsum("smk,skij->smij", coeffs, frames)
+    vecs *= rescale(np.sqrt(np.einsum("smij,smij->sm", vecs, vecs)))[
+        ..., None, None]
+    samples = np.concatenate([xis[None], vecs])
+    return (vecs[-1], gs[-1], np.where(live, drift, 0.0),
+            np.where(live, np.minimum(1.0, low / t_row), 1.0), samples,
+            np.concatenate([g_starts[:1], gs]), len(samples))

@@ -98,6 +98,12 @@ def _parity_part(a, tol: float, skew: bool) -> np.ndarray:
     return 0.5 * (a - at) if skew else 0.5 * (a + at)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (..., N) array, one dot product
+    per row, so each has the bits of numpy.linalg.norm on that row."""
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+
+
 def check_symmetric(a: np.ndarray, tol: float = DEFAULT_TOLS.sym) -> np.ndarray:
     """Symmetric part of a square matrix or (N, n, n) stack, checked."""
     return _parity_part(a, tol, skew=False)

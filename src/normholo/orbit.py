@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .kernels import jacobi_eigh
-from .linalg import (DEFAULT_TOLS, Tolerances, check_symmetric,
+from .linalg import (DEFAULT_TOLS, Tolerances, _row_norms, check_symmetric,
                      orthonormal_span)
 from .srep import SymmetricPairRep, frame_action
 
@@ -100,10 +100,10 @@ def _normal_coords(frames: np.ndarray, xis: np.ndarray, tol: float):
         raise InvalidInput("normal vector needs finite entries")
     fr = frames.reshape(*frames.shape[:-2], -1)
     coords = (fr @ flat[:, :, None])[:, :, 0]
-    for x, res in zip(flat, flat - (coords[:, None, :] @ fr)[:, 0]):
-        if np.linalg.norm(res) > tol * (1 + np.linalg.norm(x)):
-            raise InvalidInput("vector does not lie in the normal space "
-                               "at the base point")
+    res = flat - (coords[:, None, :] @ fr)[:, 0]
+    if (_row_norms(res) > tol * (1 + _row_norms(flat))).any():
+        raise InvalidInput("vector does not lie in the normal space "
+                           "at the base point")
     return coords
 
 
@@ -125,8 +125,6 @@ def orbit_dims(rep: SymmetricPairRep, points: np.ndarray,
     InvalidInput wherever build_orbit would; a tiny point is rescaled to
     unit norm first, so a caller that must tell the origin apart tests
     it before."""
-    if not len(points):
-        return np.zeros(0, dtype=int)
     return rep.tangent_svds(points, tols)[4]
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import (DEFAULT_TOLS, Tolerances, _frozen_subspace,
-                     check_symmetric, rank_reveal)
+                     _row_norms, check_symmetric, rank_reveal)
 
 
 def _block_carrier_frame(r: int, offset: int, total: int):
@@ -120,22 +120,24 @@ class SymmetricPairRep(NamedTuple):
         return np.einsum("dij,...ij->...d", self.carrier_frame, mat)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        return np.einsum("d,dij->ij", x, self.carrier_frame)
+        return np.einsum("...d,dij->...ij", np.asarray(x, dtype=float),
+                         self.carrier_frame)
 
     def validate_carrier(self, mat: np.ndarray,
                          tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-        """Check membership in the carrier: symmetric to tols.sym
+        """Check membership in the carrier of a matrix or of each matrix
+        of an (N, R, R) stack: symmetric to tols.sym
         (linalg.check_symmetric), then in the carrier span to the same
-        relative tolerance; returns the cleaned matrix."""
+        relative tolerance; returns the cleaned matrices."""
         mat = np.asarray(mat, dtype=float)
         n = self.total_size
-        if mat.shape != (n, n):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (n, n):
             raise InvalidInput(f"carrier matrices have shape {(n, n)}")
         check_symmetric(mat, tols.sym)
-        scale = 1.0 + float(np.linalg.norm(mat))
         recon = self.matrix(self.coords(mat))
-        if float(np.linalg.norm(recon - mat)) > tols.sym * scale:
+        flat = mat.reshape(-1, n * n)
+        if (_row_norms(recon.reshape(flat.shape) - flat)
+                > tols.sym * (1.0 + _row_norms(flat))).any():
             raise InvalidInput(
                 "matrix is not in the carrier (check per-block tracelessness "
                 "and vanishing cross-blocks)")
@@ -149,25 +151,33 @@ class SymmetricPairRep(NamedTuple):
         checked and normalized (a finite nonzero point whose norm
         overflows or is under tols.rank is first divided by its largest
         entry), and one stacked SVD (rank_reveal, full vt) of their
-        tangent-image maps X_g -> [X_g, v] with a rank per point."""
-        vs = []
-        for point in np.asarray(points, dtype=float):
-            with np.errstate(over="ignore"):
-                nrm = float(np.linalg.norm(point))
-            if (not tols.rank <= nrm < np.inf and np.all(np.isfinite(point))
-                    and np.any(point)):
-                point = point / np.abs(point).max()
-            v = self.validate_carrier(point, tols)
-            nrm = float(np.linalg.norm(v))
-            if nrm < tols.rank:
-                raise InvalidInput("base point must be nonzero")
-            vs.append(v / nrm)
-        v = np.array(vs)
+        tangent-image maps X_g -> [X_g, v] with a rank per point.  Each
+        rule runs on the whole stack at once."""
+        points = np.asarray(points, dtype=float)
+        n = self.total_size
+        if points.ndim != 3 or points.shape[1:] != (n, n):
+            raise InvalidInput(f"carrier matrices have shape {(n, n)}")
+        flat = points.reshape(-1, n * n)
+        with np.errstate(over="ignore"):
+            nrm = _row_norms(flat)
+        # negated so that a NaN norm, for which every comparison is False,
+        # takes the rescaling branch (where the finiteness test drops it)
+        if not (tols.rank <= nrm.min(initial=np.inf)
+                and nrm.max(initial=0.0) < np.inf):
+            odd = (~((tols.rank <= nrm) & (nrm < np.inf))
+                   & np.isfinite(flat).all(axis=1) & flat.any(axis=1))
+            peak = np.abs(flat).max(axis=1, initial=0.0)
+            points = points / np.where(odd, peak, 1.0)[:, None, None]
+        v = self.validate_carrier(points, tols)
+        nrm = _row_norms(v.reshape(flat.shape))
+        if nrm.min(initial=np.inf) < tols.rank:
+            raise InvalidInput("base point must be nonzero")
+        v = v / nrm[:, None, None]
         # (G, D, N): carrier coordinates of [X_g, v_p]
         images = frame_action(self.generators, self.carrier_frame, v)
         u, s, vt, ranks = rank_reveal(images.transpose(2, 1, 0), tols.rank,
                                       full=True)
-        if ranks.min() == 0:
+        if ranks.min(initial=1) == 0:
             raise InvalidInput("base point is fixed by the whole group")
         return v, u, s, vt, ranks
 

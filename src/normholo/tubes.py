@@ -37,9 +37,8 @@ import numpy as np
 from .errors import (DegenerateSpectrum, FocalDegeneracy, InvalidInput,
                      NotApplicable, PatchDegenerate)
 from .holonomy import holonomy_algebra
-from .linalg import (Subspace, cluster_indices, gram_kernel, matrix_exp,
-                     orthonormal_span, principal_angle_max, rank_reveal,
-                     sym_eig)
+from .linalg import (Subspace, gram_kernel, matrix_exp, orthonormal_span,
+                     principal_angle_max, rank_reveal, sym_eig)
 from .orbit import (OrbitSubmanifold, build_orbit, homothecy_test,
                     shape_operator, sphere_normal_shape_operators,
                     traceless_spectra_at, traceless_spectrum)
@@ -136,19 +135,22 @@ class TubeSpectrum(NamedTuple):
         return sum(m for _, m in self.values_with_vertical())
 
 
-def _hat_clusters(lams, where: str) -> list:
-    """Clustered hat-eigenvalues s/(1-s) of each row of foot eigenvalues
-    as ((value, multiplicity), ...) descending; FocalDegeneracy when an
-    eigenvalue of any row sits at 1 (a focal point)."""
-    out = []
-    for lam in lams:
-        if np.min(np.abs(1.0 - lam)) < 1e-8:
-            raise FocalDegeneracy(f"{where} eigenvalue at 1; tube focalizes")
-        hat = np.sort(lam / (1.0 - lam))
-        out.append(tuple((float(np.mean(hat[list(c)])), len(c))
-                         for c in reversed(cluster_indices(
-                             hat, TUBE_CLUSTER_GAP))))
-    return out
+def _hat_clusters(lams, where: str):
+    """(means, sizes, ends): the clustered hat-eigenvalues s/(1-s) of
+    rows of foot eigenvalues of one orbit dimension, ascending row after
+    row, row i's before ends[i]; FocalDegeneracy when any eigenvalue
+    sits at 1 (a focal point)."""
+    lam = np.array(lams)
+    if np.any(np.abs(1.0 - lam) < 1e-8):
+        raise FocalDegeneracy(f"{where} eigenvalue at 1; tube focalizes")
+    hat = np.sort(lam / (1.0 - lam), axis=1)
+    # one sort, one gap mask: a cluster starts at each row and at each gap
+    # over the threshold; bincount sums in order, as np.mean below 8 values
+    ids = np.cumsum(~(np.diff(hat, axis=1, prepend=-np.inf)
+                      <= TUBE_CLUSTER_GAP)) - 1
+    sizes = np.bincount(ids)
+    return (np.bincount(ids, weights=hat.ravel()) / sizes, sizes,
+            ids[hat.shape[1] - 1::hat.shape[1]] + 1)
 
 
 class TubePatch:
@@ -203,9 +205,10 @@ class TubePatch:
         dimension m3 as multiplicity (no vertical entry when m3 = 0).
         """
         lam, mu = self.foot_spectrum
-        hats, = _hat_clusters([lam + mu], "foot")
+        means, sizes, _ = _hat_clusters([lam + mu], "foot")
         return TubeSpectrum(
-            lambda_hats=hats, vertical_mult=self.m3, foot_eigenvalues=lam,
+            lambda_hats=tuple(zip(means[::-1].tolist(), sizes[::-1].tolist())),
+            vertical_mult=self.m3, foot_eigenvalues=lam,
             mean_term=mu, tube_dim=self.n_axes, source="formula")
 
     # -- geometry evaluation -------------------------------------------
@@ -330,9 +333,12 @@ class TubePatch:
         direct-vs-formula check certifies at the base point."""
         spectra, means = traceless_spectra_at(self.foot.rep, p, radial,
                                               self.foot.tols)
-        hats = _hat_clusters([lam + mu for lam, mu in zip(spectra, means)],
-                             "displaced foot")
-        return np.array([(h[0][0], h[min(1, len(h) - 1)][0]) for h in hats])
+        hats, _, ends = _hat_clusters(
+            [lam + mu for lam, mu in zip(spectra, means)], "displaced foot")
+        # the top cluster of each row, and the one below it if the row has it
+        top = ends - 1
+        second = top - (np.diff(ends, prepend=0) > 1)
+        return np.stack([hats[top], hats[second]], axis=1)
 
     @cached_property
     def _stencil_hats(self) -> np.ndarray:

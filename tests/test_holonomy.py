@@ -521,7 +521,8 @@ def test_loop_probe_needs_two_dimensions():
         loop_holonomy_probe(circle)
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, False, "3",
+                                   np.bool_(True), None])
 def test_loop_probe_needs_a_loop(v3, count, monkeypatch):
     import normholo.transport as transport
 
@@ -666,3 +667,54 @@ def test_only_the_loop_probe_closes(config, closures, monkeypatch):
     report = run_scenario(ScenarioConfig.from_dict(config))
     assert report.passed, report.body()
     assert len(calls) == closures
+
+
+def test_loop_probe_takes_numpy_integer_counts(v3):
+    probe = loop_holonomy_probe(v3, count=np.int64(3))
+    assert len(probe.logs) == 3
+    assert np.array_equal(probe.logs, loop_holonomy_probe(v3, count=3).logs)
+
+
+def test_loop_probe_stacked_draws_match_one_loop_at_a_time(v3):
+    # the loop directions of one stacked draw are the directions the
+    # same seed gives drawn one loop at a time
+    from normholo.transport import square_loop_returns
+    from normholo.linalg import orthogonal_log
+    probe = loop_holonomy_probe(v3, count=5, seed=9)
+    rng = np.random.default_rng(9)
+    pairs = []
+    for _ in range(5):
+        c1 = rng.standard_normal(v3.dim)
+        c1 /= np.linalg.norm(c1)
+        c2 = rng.standard_normal(v3.dim)
+        c2 -= (c2 @ c1) * c1
+        pairs.append((c1, c2 / np.linalg.norm(c2)))
+    xs, ys = np.einsum("lci,ijk->cljk", np.array(pairs), v3.m_generators)
+    logs = orthogonal_log(square_loop_returns(v3, xs, ys, 0.05))
+    assert np.array_equal(probe.logs, logs)
+
+
+def test_loop_probe_replaces_a_rejected_draw_from_the_same_stream(
+        v3, monkeypatch):
+    # the first pair of the first draw is made parallel, so it is
+    # rejected and one more pair is drawn: the loops are those of pairs
+    # 1..count of the seed's stream
+    import normholo.holonomy as holonomy
+    real = np.random.default_rng
+
+    class FirstPairParallel:
+        def __init__(self, seed):
+            self.rng, self.calls = real(seed), 0
+
+        def standard_normal(self, shape):
+            out = self.rng.standard_normal(shape)
+            if not self.calls:
+                out[0, 1] = 2.0 * out[0, 0]
+            self.calls += 1
+            return out
+
+    monkeypatch.setattr(holonomy.np.random, "default_rng", FirstPairParallel)
+    probe = loop_holonomy_probe(v3, count=4, seed=3)
+    monkeypatch.undo()
+    want = loop_holonomy_probe(v3, count=5, seed=3)
+    assert np.array_equal(probe.logs, want.logs[1:])

@@ -372,3 +372,120 @@ def test_drift_matches_extended_precision(v3):
         want += abs(nrm - target)
         a *= target / nrm
     assert abs(drift - float(want)) <= 1e-3 * float(want)
+
+
+def _block_loop_stepper(base_frames, xis, g0, e_half, nsteps, targets,
+                        sample_stride):
+    """The stepper as one loop over blocks of BLOCK steps, each sample
+    formed on its own: the oracle the stacked stepper must match bit for
+    bit.  Returns the stacked stepper's tuple."""
+    conj = kernels._conjugate
+    g = g0.copy()
+    r = base_frames.shape[1]
+    mdim = xis.shape[0]
+    samples = [xis.copy()]
+    g_samples = [g.copy()]
+    live = targets > 0.0
+    t_row = np.where(live, targets, 1.0)
+
+    def rescale(nrm):
+        return t_row / np.where(live & (nrm > 0.0), nrm, t_row)
+
+    def vectors(a, g):
+        xi = np.einsum("mk,kij->mij", a, conj(g, base_frames))
+        nrm = np.sqrt(np.einsum("mij,mij->m", xi, xi))
+        return xi * rescale(nrm)[:, None, None]
+
+    step_t = kernels._step_matrix(base_frames, e_half).T
+    span = min(BLOCK, nsteps)
+    s_pows = kernels._powers(step_t, max(span - 1, 0))
+    e_pows = kernels._powers(e_half @ e_half, span)
+    a = np.einsum("kij,mij->mk", conj(g, base_frames), xis)
+    drift = np.zeros(mdim)
+    low = np.full(mdim, np.inf)
+    for done in range(0, nsteps, BLOCK):
+        m = min(BLOCK, nsteps - done)
+        a = a * rescale(np.sqrt(np.einsum("mk,mk->m", a, a)))[:, None]
+        before = a @ s_pows[:m]
+        after = before @ step_t
+        n_before = np.sqrt(np.einsum("imk,imk->im", before, before))
+        n_after = np.sqrt(np.einsum("imk,imk->im", after, after))
+        nrm = t_row * n_after / np.where(n_before > 0.0, n_before, 1.0)
+        low = np.minimum(low, np.min(nrm, axis=0))
+        drift += np.sum(np.abs(nrm - t_row), axis=0)
+        js = list(range(sample_stride - done % sample_stride, m + 1,
+                        sample_stride))
+        if done + m == nsteps and m not in js:
+            js.append(m)
+        for j in js:
+            g_samples.append(g @ e_pows[j])
+            samples.append(vectors(after[j - 1], g_samples[-1]))
+        a = after[m - 1]
+        g = g @ e_pows[m]
+    drift = np.where(live, drift, 0.0)
+    min_ratio = np.where(live, np.minimum(1.0, low / t_row), 1.0)
+    return (vectors(a, g), g, drift, min_ratio, np.array(samples),
+            np.array(g_samples), len(samples))
+
+
+@pytest.mark.parametrize("nsteps", [1, 63, 64, 65, 197, 1000,
+                                    kernels._STACK_STEPS + BLOCK + 5])
+def test_stacked_stepper_matches_block_loop_bits(v3, nsteps):
+    # three vectors from a rotated start; the middle one has target 0
+    frames, xis, _, e_half, _, targets = _transport_inputs(
+        v3, nsteps, h=0.5 / nsteps, count=3)
+    g0 = matrix_exp(0.3 * v3.m_generators[1])
+    xis = g0[None] @ xis @ g0.T[None]
+    targets[1] = 0.0
+    for stride in (15, 62, nsteps):
+        got = transport_segment(frames, xis, g0, e_half, nsteps, targets,
+                                sample_stride=stride)
+        want = _block_loop_stepper(frames, xis, g0, e_half, nsteps, targets,
+                                   stride)
+        assert got[6] == want[6]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_stepper_handles_an_empty_stack(v3):
+    frames, xis, g0, e_half, nsteps, targets = _transport_inputs(v3)
+    xi_end, g_end, drift, min_ratio, samples, g_samples, n_samp = \
+        transport_segment(frames, xis[:0], g0, e_half, nsteps, targets[:0],
+                          sample_stride=10)
+    assert xi_end.shape == (0, 4, 4) and drift.shape == min_ratio.shape == (0,)
+    assert samples.shape == (n_samp, 0, 4, 4) and n_samp == 5
+    assert np.array_equal(g_end, transport_segment(
+        frames, xis, g0, e_half, nsteps, targets)[1])
+
+
+@pytest.mark.parametrize("norm", [1e-8, 1e-5, 1e-3, 0.05, 0.3, 3.0])
+def test_expm_order_follows_the_norm_with_order_18_bits(norm):
+    rng = np.random.default_rng(int(-np.log10(norm) * 10) + 100)
+    for n in range(2, 11):
+        for skew in (False, True):
+            x = rng.standard_normal((n, n))
+            x = x - x.T if skew else x
+            x *= norm / np.linalg.norm(x)
+            assert np.array_equal(matrix_exp(x), _horner_exp(x))
+
+
+def test_expm_mixed_norm_stacks_have_order_18_bits():
+    rng = np.random.default_rng(12)
+    norms = [1e-8, 1e-5, 1e-3, 0.05, 0.3, 3.0]
+    for n in (3, 4, 6):
+        for pick in (norms, norms[:3], norms[:2] + norms[-1:]):
+            stack = rng.standard_normal((len(pick), n, n))
+            stack *= (np.array(pick) / np.linalg.norm(stack, axis=(1, 2))
+                      )[:, None, None]
+            got = matrix_exp(stack)
+            for x, p in zip(stack, got):
+                assert np.array_equal(p, _horner_exp(x))
+
+
+def test_expm_order_is_18_at_the_scaling_norm_and_never_more():
+    assert kernels._taylor_order(0.5) == 18
+    thetas = np.concatenate([[0.0], np.logspace(-300, np.log10(0.5), 400)])
+    orders = [kernels._taylor_order(t) for t in thetas]
+    assert max(orders) == 18 and min(orders) >= 1
+    assert orders == sorted(orders)
+    assert kernels._taylor_order(5e-4) == 6

@@ -386,3 +386,42 @@ def test_stacked_spectra_reject_one_bad_slice(bad):
         points[4] = 0.0
     with pytest.raises(InvalidInput):
         traceless_spectra_at(rep, points, xis)
+
+
+def test_normal_coords_of_a_stack_match_one_vector_at_a_time(v3):
+    from normholo.orbit import _normal_coords
+    rng = np.random.default_rng(4)
+    xis = np.einsum("mk,kij->mij", rng.standard_normal((5, v3.codim)),
+                    v3.normal_frame)
+    xis[2] *= 1e-12
+    stacked = _normal_coords(v3.normal_frame, xis, v3.tols.rank)
+    for xi, row in zip(xis, stacked):
+        alone = _normal_coords(v3.normal_frame, xi[None], v3.tols.rank)
+        assert np.array_equal(row, alone[0])
+    frames = np.stack([v3.normal_frame] * 5)
+    assert np.array_equal(_normal_coords(frames, xis, v3.tols.rank), stacked)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "tangent"])
+def test_normal_coords_stack_with_one_bad_vector_says_what_alone_does(v3,
+                                                                      bad):
+    from normholo.orbit import _normal_coords
+    xis = np.array([v3.normal_frame[0], v3.normal_frame[1],
+                    v3.normal_frame[2]])
+    if bad == "tangent":
+        xis[1] = xis[1] + v3.tangent_frame[0]
+    else:
+        xis[1, 0, 0] = float(bad)
+    with pytest.raises(InvalidInput) as alone:
+        _normal_coords(v3.normal_frame, xis[1:2], v3.tols.rank)
+    with pytest.raises(InvalidInput) as stacked:
+        _normal_coords(v3.normal_frame, xis, v3.tols.rank)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_traceless_spectra_at_an_empty_stack(v3):
+    spectra, means = traceless_spectra_at(v3.rep, np.zeros((0, 4, 4)),
+                                          np.zeros((0, 4, 4)))
+    assert spectra == [] and means.shape == (0,)
+    with pytest.raises(InvalidInput, match="shape"):
+        traceless_spectra_at(v3.rep, np.zeros((0, 4, 4)), np.zeros((1, 4, 4)))

@@ -227,3 +227,53 @@ def test_cartan_entries_match_einsum_on_veronese(veronese, n):
     assert f.shape == (k * k, r * (r - 1) // 2)
     got = (f @ f.T).reshape(k, k, k, k)
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def _tangent_points():
+    """Points of sl-so:4 that the per-point rules treat differently: a
+    regular one, a huge and a tiny one (rescaled by their largest entry),
+    a degenerate one and a rotated generic one."""
+    rep = SymmetricPairRep.for_size(4)
+    a = np.random.default_rng(5).standard_normal((4, 4))
+    points = [random_regular_point(rep, 2),
+              np.diag([1e300, -1e300, 0.0, 0.0]),
+              np.diag([1e-9, 2e-9, 0.0, -3e-9]),
+              np.diag([3.0, -1.0, -1.0, -1.0]),
+              a + a.T - np.trace(a + a.T) / 4 * np.eye(4)]
+    return rep, np.array(points)
+
+
+def test_tangent_svds_of_a_stack_match_one_point_at_a_time():
+    rep, points = _tangent_points()
+    stacked = rep.tangent_svds(points)
+    for i, point in enumerate(points):
+        alone = rep.tangent_svds(point[None])
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a[i], b[0])
+    empty = rep.tangent_svds(np.zeros((0, 4, 4)))
+    assert empty[0].shape == (0, 4, 4) and empty[4].shape == (0,)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "skew", "trace", "cross",
+                                 "zero", "shape"])
+def test_tangent_svds_stack_with_one_bad_point_says_what_alone_does(bad):
+    rep = SymmetricPairRep.product((2, 2))
+    good = np.diag([1.0, -1.0, 2.0, -2.0])
+    point = good.copy()
+    if bad in ("nan", "inf"):
+        point[0, 1] = point[1, 0] = float(bad)
+    elif bad == "skew":
+        point[0, 1], point[1, 0] = 1.0, -1.0
+    elif bad == "trace":
+        point[0, 0] = 3.0
+    elif bad == "cross":
+        point[0, 2] = point[2, 0] = 1.0
+    elif bad == "zero":
+        point[:] = 0.0
+    with pytest.raises(InvalidInput) as alone:
+        rep.tangent_svds((point if bad != "shape" else good[:3, :3])[None])
+    stack = np.array([good, point, 2.0 * good]) if bad != "shape" \
+        else np.zeros((3, 3, 3))
+    with pytest.raises(InvalidInput) as stacked:
+        rep.tangent_svds(stack)
+    assert str(stacked.value) == str(alone.value)

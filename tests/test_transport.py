@@ -379,3 +379,18 @@ def test_square_loop_returns_reject_one_bad_loop(v3, bad):
         radius = 0.0
     with pytest.raises(InvalidInput):
         square_loop_returns(v3, xs, ys, radius)
+
+
+def test_transport_of_an_empty_stack(v3):
+    curve = _open_curve(v3)
+    res = parallel_transport_stack(curve, np.zeros((0, 4, 4)))
+    one = parallel_transport_stack(curve, v3.nbar_frame[:1])
+    assert res.xis_end.shape == (0, 4, 4)
+    assert res.samples.shape == (len(one.times), 0, 4, 4)
+    assert np.array_equal(res.times, one.times)
+    assert np.array_equal(res.g_end, one.g_end)
+    assert res.drift == 0.0 and res.min_ratio == 1.0
+    assert res.fiber_residual() == 0.0
+    closed = parallel_transport_stack(_commutator_loop(v3),
+                                      np.zeros((0, 4, 4)))
+    assert closed.end_holonomy_defect == 0.0

@@ -420,8 +420,8 @@ def test_displaced_feet_match_per_point_rebuilds(v3, v3_xi):
         mu = np.sum(rv * mean_curvature(local).ambient) / local.dim
         assert np.max(np.abs(spectra[i] - lam)) <= 1e-13
         assert abs(means[i] - mu) <= 1e-13
-        top = _hat_clusters([lam + mu], "foot")[0]
-        assert np.max(np.abs(hats[i] - (top[0][0], top[1][0]))) <= 1e-12
+        ascending = _hat_clusters([lam + mu], "foot")[0]
+        assert np.max(np.abs(hats[i] - ascending[[-1, -2]])) <= 1e-12
 
 
 def test_dupin_and_caustic_build_no_orbit(v3, v3_xi, v3_patch,
